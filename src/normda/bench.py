@@ -426,22 +426,26 @@ def resolve_fold_specs(
     strategy: NormStrategy,
     fold_name: str,
     root_seed: int,
-) -> tuple[dict, str | None]:
+) -> tuple[dict, dict[str, str], dict[str, float]]:
     """Per-fold hyperparameter resolution with the architecture-fairness rule.
 
     When the DANN grid searches network shape, that search runs once and
     the winning architecture is pinned onto noDA-ANN and ADDA (their own
     grids drop any architecture keys). Returns (kind -> final spec,
-    kind -> grid-search failure message for methods that could not resolve).
+    kind -> grid-search failure message for methods that could not resolve,
+    kind -> grid-search seconds, with the DANN architecture search charged
+    to DANN).
     """
     specs = {m.kind: m for m in methods}
     grid_by_kind = {k: dict(v) for k, v in grids.items()}
     pinned: dict = {}
     failures: dict[str, str] = {}
+    search_s: dict[str, float] = {}
 
     dann_grid = grid_by_kind.get("DANN", {})
     if "DANN" in specs and dann_grid:
         seed = derive_seed(root_seed, strategy.value, "DANN", fold_name)
+        start = time.perf_counter()
         try:
             tr2, val2 = stratified_indices(train_y, specs["DANN"].train.val_fraction, seed)
             best = grid_search(
@@ -454,6 +458,7 @@ def resolve_fold_specs(
                 pinned = {k: getattr(best, k) for k in ARCH_KEYS}
         except Exception as exc:
             failures["DANN"] = f"architecture search failed: {exc}"
+        search_s["DANN"] = time.perf_counter() - start
 
     for method in methods:
         if method.kind == "DANN":
@@ -468,6 +473,7 @@ def resolve_fold_specs(
         }
         if grid:
             seed = derive_seed(root_seed, strategy.value, method.kind, fold_name)
+            start = time.perf_counter()
             try:
                 tr2, val2 = stratified_indices(train_y, spec.train.val_fraction, seed)
                 spec = grid_search(
@@ -476,8 +482,9 @@ def resolve_fold_specs(
                 )
             except Exception as exc:
                 failures[method.kind] = f"grid search failed: {exc}"
+            search_s[method.kind] = time.perf_counter() - start
         specs[method.kind] = spec
-    return specs, failures
+    return specs, failures, search_s
 
 
 def _run_fold_group(
@@ -500,30 +507,23 @@ def _run_fold_group(
     train_y = ds.labels[fold.train_idx]
     test_y = ds.labels[fold.test_idx]
 
-    specs, failures = resolve_fold_specs(
+    specs, failures, search_s = resolve_fold_specs(
         methods, grids, train_X, train_y, test_X, strategy, fold.name, root_seed
     )
 
     for method in methods:
         seed = derive_seed(root_seed, strategy.value, method.kind, fold.name)
         start = time.perf_counter()
+        acc, error = None, None
         try:
             if method.kind in failures:
                 raise ExperimentError(failures[method.kind])
             fitted = fit_method(specs[method.kind], train_X, train_y, test_X, seed)
             acc = accuracy(predict_method(fitted, test_X), test_y)
-            outcomes.append(
-                _FoldOutcome(
-                    strategy.value, method.kind, fold.name, acc, None, time.perf_counter() - start
-                )
-            )
         except Exception as exc:
-            msg = f"fold={fold.name} strategy={strategy.value} method={method.kind}: {exc}"
-            outcomes.append(
-                _FoldOutcome(
-                    strategy.value, method.kind, fold.name, None, msg, time.perf_counter() - start
-                )
-            )
+            error = f"fold={fold.name} strategy={strategy.value} method={method.kind}: {exc}"
+        seconds = search_s.get(method.kind, 0.0) + time.perf_counter() - start
+        outcomes.append(_FoldOutcome(strategy.value, method.kind, fold.name, acc, error, seconds))
     return outcomes
 
 

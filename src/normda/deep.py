@@ -2,9 +2,13 @@
 three training regimes: plain classifier, gradient-reversal adversarial
 training, and two-stage adversarial encoder alignment.
 
-Every model is a composition of small MLPs described by an MlpSpec and a
-list of (weights, bias) pairs. Training is a pure function of
-(data, config, seed): repeated runs produce bit-identical parameters.
+Every model is a composition of small MLPs, each an MlpSpec plus a list of
+(weights, bias) pairs. While a regime trains, all of its trainable
+parameters live in one contiguous float64 vector and each Mlp's pairs are
+views into it, so one Adam update per step covers every layer. Trainers
+copy the parameters they are given and return models over a snapshot
+copy, so no caller's arrays are ever written. Training is a pure function
+of (data, config, seed): repeated runs produce bit-identical parameters.
 """
 
 from __future__ import annotations
@@ -57,7 +61,12 @@ class MlpSpec:
 
 @dataclass(frozen=True)
 class Mlp:
-    """A spec plus its parameters; params are treated as immutable."""
+    """A spec plus its parameters, one (weights, bias) pair per layer.
+
+    The pairs may be views into a flat vector (see flat_copy); trainers
+    write only through vectors they own, so params handed to or returned
+    from a trainer are never modified afterwards.
+    """
 
     spec: MlpSpec
     params: Params
@@ -105,6 +114,31 @@ def init_mlp(spec: MlpSpec, seed_or_rng) -> Mlp:
 
 def copy_params(params: Params) -> Params:
     return [(w.copy(), b.copy()) for w, b in params]
+
+
+def _views(theta: np.ndarray, specs: list[MlpSpec]) -> list[Mlp]:
+    """Mlps whose (weights, bias) pairs are views into the flat vector theta."""
+    mlps, off = [], 0
+    for spec in specs:
+        params: Params = []
+        for fan_in, fan_out in zip(spec.layer_sizes[:-1], spec.layer_sizes[1:]):
+            w = theta[off : off + fan_in * fan_out].reshape(fan_in, fan_out)
+            off += fan_in * fan_out
+            params.append((w, theta[off : off + fan_out]))
+            off += fan_out
+        mlps.append(Mlp(spec, params))
+    return mlps
+
+
+def flatten(*parts: Params) -> np.ndarray:
+    """Concatenate per-layer arrays, weights row-major then bias, layer by layer."""
+    return np.concatenate([a.ravel() for params in parts for pair in params for a in pair])
+
+
+def flat_copy(mlps: list[Mlp]) -> tuple[np.ndarray, list[Mlp]]:
+    """Copy the mlps' parameters into one new vector; return it and Mlps viewing it."""
+    theta = flatten(*(m.params for m in mlps))
+    return theta, _views(theta, [m.spec for m in mlps])
 
 
 def _activate(spec: MlpSpec, z: np.ndarray) -> np.ndarray:
@@ -204,43 +238,35 @@ def grl_backward(upstream: np.ndarray, lam: float) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    m: Params
-    v: Params
+    """First and second moments of one flat parameter vector, and the step count."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
-    def zeros_like(cls, params: Params) -> "AdamState":
-        return cls(
-            m=[(np.zeros_like(w), np.zeros_like(b)) for w, b in params],
-            v=[(np.zeros_like(w), np.zeros_like(b)) for w, b in params],
-        )
+    def zeros_like(cls, theta: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(theta), v=np.zeros_like(theta))
 
 
-def adam_step(
-    params: Params, grads: Params, state: AdamState, lr: float
-) -> tuple[Params, AdamState]:
-    """One bias-corrected Adam update; returns fresh params and state."""
+def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> None:
+    """One bias-corrected Adam update of the flat vector theta, in place.
+
+    If any updated parameter would be non-finite, NumericError is raised
+    before theta or state is written.
+    """
+    if grad.shape != theta.shape:
+        raise ShapeError("gradient shape does not match the parameter vector")
     t = state.t + 1
-    new_params: Params = []
-    new_m: Params = []
-    new_v: Params = []
     c1 = 1.0 - ADAM_BETA1**t
     c2 = 1.0 - ADAM_BETA2**t
-    for (w, b), (gw, gb), (mw, mb), (vw, vb) in zip(params, grads, state.m, state.v):
-        pair_p, pair_m, pair_v = [], [], []
-        for p, g, m, v in ((w, gw, mw, vw), (b, gb, mb, vb)):
-            m_new = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-            v_new = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
-            p_new = p - lr * (m_new / c1) / (np.sqrt(v_new / c2) + ADAM_EPS)
-            if not np.all(np.isfinite(p_new)):
-                raise NumericError("Adam update produced non-finite parameters")
-            pair_p.append(p_new)
-            pair_m.append(m_new)
-            pair_v.append(v_new)
-        new_params.append(tuple(pair_p))
-        new_m.append(tuple(pair_m))
-        new_v.append(tuple(pair_v))
-    return new_params, AdamState(new_m, new_v, t)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
+    new = theta - lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    if not np.isfinite(new).all():
+        raise NumericError("Adam update produced non-finite parameters")
+    theta[...] = new
+    state.m, state.v, state.t = m, v, t
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +400,51 @@ def _val_split(y: np.ndarray, cfg: TrainConfig, rng) -> tuple[np.ndarray, np.nda
     return stratified_indices(y, cfg.val_fraction, seed)
 
 
+def _early_stopping(theta: np.ndarray, cfg: TrainConfig, run_epoch, val_accuracy) -> np.ndarray:
+    """Call run_epoch() up to max_epochs times, scoring val_accuracy() after
+    each; stop after `patience` epochs without a strict improvement and
+    return a copy of theta as it was after the best-scoring epoch."""
+    best_acc, best, stale = -1.0, theta.copy(), 0
+    for _ in range(cfg.max_epochs):
+        run_epoch()
+        acc = val_accuracy()
+        if acc > best_acc:
+            best_acc, best, stale = acc, theta.copy(), 0
+        else:
+            stale += 1
+            if stale >= cfg.patience:
+                break
+    return best
+
+
+def _fit_classifier(
+    X: np.ndarray,
+    y: np.ndarray,
+    train_idx: np.ndarray,
+    val_idx: np.ndarray,
+    cfg: TrainConfig,
+    rng,
+    extractor: Mlp,
+    predictor: Mlp,
+) -> list[Mlp]:
+    """Cross-entropy through predictor(extractor(x)) with Adam on mini-batches,
+    early-stopped on validation accuracy; returns the best snapshot."""
+    theta, (ext, pred) = flat_copy([extractor, predictor])
+    state = AdamState.zeros_like(theta)
+
+    def run_epoch():
+        for batch in _epoch_batches(train_idx.size, cfg.batch_size, rng):
+            bi = train_idx[batch]
+            egrads, pgrads, _ = class_grads(ext, pred, X[bi], y[bi])
+            adam_step(theta, flatten(egrads, pgrads), state, cfg.learning_rate)
+
+    def val_accuracy():
+        return _accuracy(predict_composite(ext, pred, X[val_idx]), y[val_idx])
+
+    best = _early_stopping(theta, cfg, run_epoch, val_accuracy)
+    return _views(best, [ext.spec, pred.spec])
+
+
 def train_plain(
     X: np.ndarray,
     y: np.ndarray,
@@ -391,28 +462,7 @@ def train_plain(
     ext = init_mlp(extractor_spec, rng)
     pred = init_mlp(predictor_spec, rng)
     train_idx, val_idx = _val_split(y, cfg, rng)
-
-    state = AdamState.zeros_like(ext.params + pred.params)
-    n_ext = len(ext.params)
-    best_acc, best = -1.0, (copy_params(ext.params), copy_params(pred.params))
-    stale = 0
-    for _ in range(cfg.max_epochs):
-        for batch in _epoch_batches(train_idx.size, cfg.batch_size, rng):
-            bi = train_idx[batch]
-            egrads, pgrads, _ = class_grads(ext, pred, X[bi], y[bi])
-            merged, state = adam_step(
-                ext.params + pred.params, egrads + pgrads, state, cfg.learning_rate
-            )
-            ext = Mlp(ext.spec, merged[:n_ext])
-            pred = Mlp(pred.spec, merged[n_ext:])
-        acc = _accuracy(predict_composite(ext, pred, X[val_idx]), y[val_idx])
-        if acc > best_acc:
-            best_acc, best, stale = acc, (copy_params(ext.params), copy_params(pred.params)), 0
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
-    return PlainModel(Mlp(extractor_spec, best[0]), Mlp(predictor_spec, best[1]))
+    return PlainModel(*_fit_classifier(X, y, train_idx, val_idx, cfg, rng, ext, pred))
 
 
 def train_dann(
@@ -439,12 +489,12 @@ def train_dann(
     rng = np.random.default_rng(cfg.seed)
     train_idx, val_idx = _val_split(ys, cfg, rng)
 
-    ext, pred, dom = model.extractor, model.predictor, model.domain_classifier
-    n_ext, n_pred = len(ext.params), len(pred.params)
-    state = AdamState.zeros_like(ext.params + pred.params + dom.params)
-    best_acc, stale = -1.0, 0
-    best = (copy_params(ext.params), copy_params(pred.params), copy_params(dom.params))
-    for _ in range(cfg.max_epochs):
+    parts = [model.extractor, model.predictor, model.domain_classifier]
+    theta, views = flat_copy(parts)
+    current = DannModel(*views, model.lam)
+    state = AdamState.zeros_like(theta)
+
+    def run_epoch():
         batches = _epoch_batches(train_idx.size, cfg.batch_size, rng)
         t_order = rng.permutation(Xt.shape[0])
         t_stream = np.resize(t_order, sum(b.size for b in batches))
@@ -453,28 +503,15 @@ def train_dann(
             bi = train_idx[batch]
             ti = t_stream[pos : pos + batch.size]
             pos += batch.size
-            model_now = DannModel(ext, pred, dom, model.lam)
-            egrads, pgrads, dgrads, _, _ = dann_batch_grads(model_now, Xs[bi], ys[bi], Xt[ti])
-            merged, state = adam_step(
-                ext.params + pred.params + dom.params,
-                egrads + pgrads + dgrads,
-                state,
-                cfg.learning_rate,
-            )
-            ext = Mlp(ext.spec, merged[:n_ext])
-            pred = Mlp(pred.spec, merged[n_ext : n_ext + n_pred])
-            dom = Mlp(dom.spec, merged[n_ext + n_pred :])
-        acc = _accuracy(predict_composite(ext, pred, Xs[val_idx]), ys[val_idx])
-        if acc > best_acc:
-            best_acc, stale = acc, 0
-            best = (copy_params(ext.params), copy_params(pred.params), copy_params(dom.params))
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
-    return DannModel(
-        Mlp(ext.spec, best[0]), Mlp(pred.spec, best[1]), Mlp(dom.spec, best[2]), model.lam
-    )
+            egrads, pgrads, dgrads, _, _ = dann_batch_grads(current, Xs[bi], ys[bi], Xt[ti])
+            adam_step(theta, flatten(egrads, pgrads, dgrads), state, cfg.learning_rate)
+
+    def val_accuracy():
+        pred = predict_composite(current.extractor, current.predictor, Xs[val_idx])
+        return _accuracy(pred, ys[val_idx])
+
+    best = _early_stopping(theta, cfg, run_epoch, val_accuracy)
+    return DannModel(*_views(best, [m.spec for m in parts]), model.lam)
 
 
 def train_adda(
@@ -514,42 +551,21 @@ def train_adda(
         raise DegenerateLabelsError("source labels contain a single class")
 
     # Stage 1: source encoder + classifier.
-    enc, clf = model.source_encoder, model.classifier
-    n_enc = len(enc.params)
-    state = AdamState.zeros_like(enc.params + clf.params)
-    best_acc, stale = -1.0, 0
-    best = (copy_params(enc.params), copy_params(clf.params))
-    for _ in range(cfg.max_epochs):
-        for batch in _epoch_batches(train_idx.size, cfg.batch_size, rng):
-            bi = train_idx[batch]
-            egrads, cgrads, _ = class_grads(enc, clf, Xs[bi], ys[bi])
-            merged, state = adam_step(
-                enc.params + clf.params, egrads + cgrads, state, cfg.learning_rate
-            )
-            enc = Mlp(enc.spec, merged[:n_enc])
-            clf = Mlp(clf.spec, merged[n_enc:])
-        acc = _accuracy(predict_composite(enc, clf, Xs[val_idx]), ys[val_idx])
-        if acc > best_acc:
-            best_acc, stale = acc, 0
-            best = (copy_params(enc.params), copy_params(clf.params))
-        else:
-            stale += 1
-            if stale >= cfg.patience:
-                break
-    source_enc = Mlp(enc.spec, best[0])
-    clf = Mlp(clf.spec, best[1])
+    source_enc, clf = _fit_classifier(
+        Xs, ys, train_idx, val_idx, cfg, rng, model.source_encoder, model.classifier
+    )
 
     # Stage 2: adversarial target-encoder alignment against frozen pieces.
-    target_enc = Mlp(source_enc.spec, copy_params(source_enc.params))
-    disc = model.discriminator
-    disc_state = AdamState.zeros_like(disc.params)
-    enc_state = AdamState.zeros_like(target_enc.params)
+    enc_theta, (target_enc,) = flat_copy([source_enc])
+    disc_theta, (disc,) = flat_copy([model.discriminator])
+    disc_state = AdamState.zeros_like(disc_theta)
+    enc_state = AdamState.zeros_like(enc_theta)
     src_feats_all = forward(source_enc.spec, source_enc.params, Xs)[0]
     domain_truth = np.concatenate(
         [np.zeros(Xs.shape[0], dtype=np.int64), np.ones(Xt.shape[0], dtype=np.int64)]
     )
     best_gap = np.inf
-    best_pair = (copy_params(target_enc.params), copy_params(disc.params))
+    best_pair = (enc_theta.copy(), disc_theta.copy())
     for _ in range(stage2_epochs):
         s_batches = _epoch_batches(Xs.shape[0], cfg.batch_size, rng)
         t_order = rng.permutation(Xt.shape[0])
@@ -569,27 +585,25 @@ def train_adda(
             dgrads, _ = backward(
                 disc.spec, disc.params, dcache, cross_entropy_grad(dprobs, d_labels)
             )
-            new_d, disc_state = adam_step(disc.params, dgrads, disc_state, cfg.learning_rate)
-            disc = Mlp(disc.spec, new_d)
-            # Encoder step: fool the discriminator (inverted labels).
-            fake, tcache = forward(target_enc.spec, target_enc.params, Xt[ti])
+            adam_step(disc_theta, flatten(dgrads), disc_state, cfg.learning_rate)
+            # Encoder step: fool the updated discriminator (inverted labels).
+            # The target encoder has not moved, so `fake` and `tcache` still hold.
             dprobs, dcache = forward(disc.spec, disc.params, fake)
             inverted = np.zeros(len(fake), dtype=np.int64)
             _, gfeats = backward(
                 disc.spec, disc.params, dcache, cross_entropy_grad(dprobs, inverted)
             )
             tgrads, _ = backward(target_enc.spec, target_enc.params, tcache, gfeats)
-            new_t, enc_state = adam_step(
-                target_enc.params, tgrads, enc_state, cfg.learning_rate * encoder_lr_scale
+            adam_step(
+                enc_theta, flatten(tgrads), enc_state, cfg.learning_rate * encoder_lr_scale
             )
-            target_enc = Mlp(target_enc.spec, new_t)
         fake_all = forward(target_enc.spec, target_enc.params, Xt)[0]
         dprobs = forward(disc.spec, disc.params, np.vstack([src_feats_all, fake_all]))[0]
         gap = abs(_accuracy(np.argmax(dprobs, axis=1), domain_truth) - 0.5)
         if gap < best_gap:
             best_gap = gap
-            best_pair = (copy_params(target_enc.params), copy_params(disc.params))
+            best_pair = (enc_theta.copy(), disc_theta.copy())
 
-    return AddaModel(
-        source_enc, Mlp(target_enc.spec, best_pair[0]), clf, Mlp(disc.spec, best_pair[1])
-    )
+    (best_enc,) = _views(best_pair[0], [target_enc.spec])
+    (best_disc,) = _views(best_pair[1], [disc.spec])
+    return AddaModel(source_enc, best_enc, clf, best_disc)

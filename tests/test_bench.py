@@ -163,6 +163,25 @@ def test_run_experiment_shape_contract():
         assert cell.fold_names == report.fold_names
 
 
+def test_cell_seconds_include_grid_search(monkeypatch):
+    import time
+
+    import normda.bench as bench
+
+    real_grid_search = bench.grid_search
+
+    def slow_grid_search(*args, **kwargs):
+        time.sleep(0.05)
+        return real_grid_search(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "grid_search", slow_grid_search)
+    report = run_experiment(
+        small_cfg(strategies=(NormStrategy.Z2,), grids={"noDA-SVM": {"C": [1.0]}})
+    )
+    n_folds = len(report.fold_names)
+    assert report.cell("Z2", "noDA-SVM").seconds >= 0.05 * n_folds
+
+
 def test_run_experiment_hlso_protocol():
     cfg = small_cfg(
         dataset=SyntheticShiftConfig(
@@ -235,7 +254,7 @@ def test_dann_architecture_search_shared_across_deep_methods():
         MethodSpec("noDA-SVM"),
     )
     grids = {"DANN": {"hidden": [[8], [12]]}, "noDA-ANN": {"hidden": [[30]], "learning_rate": [0.01]}}
-    specs, failures = resolve_fold_specs(
+    specs, failures, _ = resolve_fold_specs(
         methods, grids, train_X, train_y, test_X, NormStrategy.Z2, "fold-0", 3
     )
     assert not failures
@@ -258,7 +277,7 @@ def test_no_arch_search_leaves_per_method_architectures_alone():
         MethodSpec("noDA-ANN", train=FAST_TRAIN, hidden=(6,), feature_dim=4),
         MethodSpec("DANN", train=FAST_TRAIN, hidden=(10,), feature_dim=4),
     )
-    specs, failures = resolve_fold_specs(
+    specs, failures, _ = resolve_fold_specs(
         methods, {"DANN": {"learning_rate": [0.01, 0.001]}},
         train_X, train_y, train_X[:10], NormStrategy.Z0, "fold-0", 4,
     )

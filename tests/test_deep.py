@@ -9,15 +9,21 @@ from hypothesis.extra.numpy import arrays
 from gradcheck import max_relative_error
 from normda.dataset import SyntheticShiftConfig, generate_synthetic
 from normda.deep import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     MlpSpec,
     TrainConfig,
     adam_step,
     backward,
     class_grads,
+    copy_params,
     cross_entropy,
     cross_entropy_grad,
     dann_batch_grads,
+    flat_copy,
+    flatten,
     forward,
     grl_backward,
     init_mlp,
@@ -29,7 +35,7 @@ from normda.deep import (
     train_dann,
     train_plain,
 )
-from normda.errors import ConfigError, DegenerateLabelsError, ShapeError
+from normda.errors import ConfigError, DegenerateLabelsError, NumericError, ShapeError
 from normda.shallow import KernelSpec, mmd_sq
 
 
@@ -201,21 +207,71 @@ def test_dann_lambda_zero_matches_plain_gradients_bitwise():
 # Adam
 
 
+def reference_adam_step(params, grads, state, lr):
+    """Per-array Adam update over (weights, bias) lists; state is (m, v, t)."""
+    m_list, v_list, t = state
+    t += 1
+    c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
+    new_p, new_m, new_v = [], [], []
+    for layer in zip(params, grads, m_list, v_list):
+        pair_p, pair_m, pair_v = [], [], []
+        for p, g, m, v in zip(*layer):
+            m_new = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+            v_new = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+            pair_p.append(p - lr * (m_new / c1) / (np.sqrt(v_new / c2) + ADAM_EPS))
+            pair_m.append(m_new)
+            pair_v.append(v_new)
+        new_p.append(tuple(pair_p))
+        new_m.append(tuple(pair_m))
+        new_v.append(tuple(pair_v))
+    return new_p, (new_m, new_v, t)
+
+
+def test_adam_flat_update_matches_per_array_reference_bitwise():
+    X, y = blobs(n_per=20, dim=3, seed=30)
+    ext = init_mlp(MlpSpec((3, 7, 5, 4), head="identity"), 31)
+    pred = init_mlp(MlpSpec((4, 2)), 32)
+    theta, (fext, fpred) = flat_copy([ext, pred])
+    state = AdamState.zeros_like(theta)
+    ref = ext.params + pred.params
+    zeros = [(np.zeros_like(w), np.zeros_like(b)) for w, b in ref]
+    ref_state = (zeros, zeros, 0)
+    for step in range(6):
+        rows = slice(5 * step, 5 * step + 12)
+        egrads, pgrads, _ = class_grads(fext, fpred, X[rows], y[rows])
+        adam_step(theta, flatten(egrads, pgrads), state, 0.05)
+        ref, ref_state = reference_adam_step(ref, egrads + pgrads, ref_state, 0.05)
+        assert params_equal(fext.params + fpred.params, ref)
+        np.testing.assert_array_equal(state.m, flatten(ref_state[0]))
+        np.testing.assert_array_equal(state.v, flatten(ref_state[1]))
+        assert state.t == ref_state[2] == step + 1
+
+
+def test_adam_non_finite_update_writes_nothing():
+    theta = np.array([1.0, -2.0, 3.0])
+    state = AdamState(m=np.array([0.1, 0.2, 0.3]), v=np.array([0.01, 0.02, 0.03]), t=4)
+    before = (theta.copy(), state.m.copy(), state.v.copy())
+    with pytest.raises(NumericError):
+        adam_step(theta, np.array([1.0, np.nan, 1.0]), state, lr=0.1)
+    np.testing.assert_array_equal(theta, before[0])
+    np.testing.assert_array_equal(state.m, before[1])
+    np.testing.assert_array_equal(state.v, before[2])
+    assert state.t == 4
+
+
 def test_adam_first_step_magnitude():
     # bias correction makes m_hat/sqrt(v_hat) = sign(g), so the first step
     # is lr per coordinate (up to eps for the smallest gradients)
-    params = [(np.zeros((2, 2)), np.zeros(2))]
-    grads = [(np.array([[0.5, -3.0], [1e-3, 10.0]]), np.array([2.0, -2.0]))]
-    new, _ = adam_step(params, grads, AdamState.zeros_like(params), lr=0.1)
-    np.testing.assert_allclose(np.abs(new[0][0]), 0.1, rtol=1e-4)
-    np.testing.assert_allclose(np.abs(new[0][1]), 0.1, rtol=1e-4)
+    theta = np.zeros(6)
+    grad = np.array([0.5, -3.0, 1e-3, 10.0, 2.0, -2.0])
+    adam_step(theta, grad, AdamState.zeros_like(theta), lr=0.1)
+    np.testing.assert_allclose(np.abs(theta), 0.1, rtol=1e-4)
 
 
 def test_adam_zero_gradient_no_change():
-    params = [(np.ones((2, 2)), np.ones(2))]
-    grads = [(np.zeros((2, 2)), np.zeros(2))]
-    new, _ = adam_step(params, grads, AdamState.zeros_like(params), lr=0.1)
-    assert params_equal(params, new)
+    theta = np.ones(6)
+    adam_step(theta, np.zeros(6), AdamState.zeros_like(theta), lr=0.1)
+    np.testing.assert_array_equal(theta, np.ones(6))
 
 
 def test_adam_two_step_hand_trace():
@@ -230,13 +286,14 @@ def test_adam_two_step_hand_trace():
         p -= lr * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + eps)
         expected.append(p)
 
-    params = [(np.array([[0.0]]), np.zeros(1))]
-    grads = [(np.array([[1.0]]), np.zeros(1))]
-    state = AdamState.zeros_like(params)
-    params, state = adam_step(params, grads, state, lr)
-    assert params[0][0][0, 0] == pytest.approx(expected[0], abs=1e-15)
-    params, state = adam_step(params, grads, state, lr)
-    assert params[0][0][0, 0] == pytest.approx(expected[1], abs=1e-15)
+    theta = np.zeros(2)
+    grad = np.array([1.0, 0.0])
+    state = AdamState.zeros_like(theta)
+    adam_step(theta, grad, state, lr)
+    assert theta[0] == pytest.approx(expected[0], abs=1e-15)
+    adam_step(theta, grad, state, lr)
+    assert theta[0] == pytest.approx(expected[1], abs=1e-15)
+    assert theta[1] == 0.0
     assert expected[1] < expected[0] < 0.0
 
 
@@ -356,6 +413,22 @@ def test_adda_stage2_zero_epochs_copies_source_encoder():
     pred_s = predict_composite(trained.source_encoder, trained.classifier, X)
     pred_t = predict_composite(trained.target_encoder, trained.classifier, X)
     np.testing.assert_array_equal(pred_s, pred_t)
+
+
+def test_dann_and_adda_leave_the_given_model_unchanged():
+    X, y = blobs(n_per=30, seed=19, dim=3)
+    cfg = TrainConfig(learning_rate=0.05, batch_size=16, max_epochs=5, patience=5, seed=7)
+    dann = make_dann(MlpSpec((3, 4), head="identity"), MlpSpec((4, 2)), MlpSpec((4, 2)), seed=7)
+    adda = adda_model(7, dim=3)
+    mlps = [dann.extractor, dann.predictor, dann.domain_classifier]
+    mlps += [adda.source_encoder, adda.target_encoder, adda.classifier, adda.discriminator]
+    before = [copy_params(m.params) for m in mlps]
+    dann_out = train_dann(X, y, X + 1.0, cfg, dann)
+    adda_out = train_adda(X, y, X + 1.0, cfg, adda, stage2_epochs=3)
+    assert all(params_equal(m.params, b) for m, b in zip(mlps, before))
+    # and training did move the returned parameters
+    assert not params_equal(dann_out.extractor.params, dann.extractor.params)
+    assert not params_equal(adda_out.target_encoder.params, adda.target_encoder.params)
 
 
 def test_adda_target_equals_source_discriminator_near_chance():

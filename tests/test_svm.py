@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from normda.errors import DegenerateLabelsError, NumericError, ShapeError
-from normda.shallow import KernelSpec
+from normda.shallow import KernelSpec, median_heuristic_gamma
 from normda.svm import decision_values, svm_predict, svm_train
 
 LINEAR = KernelSpec("linear")
@@ -78,6 +78,24 @@ def test_kkt_audit_random_problems():
         k = KernelSpec("rbf", 0.7) if trial % 3 else LINEAR
         model = svm_train(X, y, k, C=1.0, tol=1e-3, seed=trial)
         assert kkt_holds(model, X, y, 1e-3), f"KKT audit failed on trial {trial}"
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="known SMO bias defect: with no free multiplier the bias is the last "
+    "step's (b1+b2)/2, so the two one-vs-rest biases disagree (trials 0, 4, 5 fail)",
+)
+def test_kkt_audit_small_C_all_multipliers_at_bound():
+    failed = []
+    for trial in range(20):
+        rng = np.random.default_rng(trial)
+        X = rng.normal(size=(40, 4))
+        y = (X[:, 0] + 0.8 * rng.normal(size=40) > 0).astype(int)
+        k = KernelSpec("rbf", median_heuristic_gamma(X))
+        model = svm_train(X, y, k, C=0.1, tol=1e-3, seed=trial)
+        if not kkt_holds(model, X, y, 1e-3):
+            failed.append(trial)
+    assert not failed, f"KKT audit failed on trials {failed}"
 
 
 def test_dual_constraints():
