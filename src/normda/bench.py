@@ -14,8 +14,9 @@ import hashlib
 import itertools
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,11 +31,7 @@ from .dataset import (
     stratified_indices,
 )
 from .deep import (
-    AddaModel,
-    DannModel,
-    Mlp,
     MlpSpec,
-    PlainModel,
     TrainConfig,
     make_adda,
     make_dann,
@@ -47,8 +44,6 @@ from .errors import ConfigError, EmptyInputError, ExperimentError, ShapeError
 from .normalize import NormStrategy, apply_strategy
 from .shallow import (
     KernelSpec,
-    KpcaModel,
-    TcaModel,
     kpca_fit,
     kpca_transform,
     tca_fit,
@@ -56,11 +51,118 @@ from .shallow import (
 )
 from .svm import SvmModel, svm_predict, svm_train
 
-DEEP_METHODS = ("noDA-ANN", "DANN", "ADDA")
-SHALLOW_METHODS = ("noDA-SVM", "TCA-SVM", "KPCA-SVM")
-METHOD_ORDER = DEEP_METHODS + SHALLOW_METHODS
 STRATEGY_ORDER = ("noNorm", "Z0", "Z1", "Z2", "Z3", "MinMax")
 ARCH_KEYS = ("hidden", "feature_dim", "activation")
+
+
+# ---------------------------------------------------------------------------
+# Method registry
+#
+# Each method kind is one row of METHODS: fit(spec, train_X, train_y,
+# test_X, seed) returns a payload tuple and predict(payload, X) labels rows.
+# The entries call svm_train, tca_fit, train_dann and the rest through this
+# module's globals, so rebinding those names (as tests and tracing do)
+# reaches every fit and predict.
+
+
+class MethodEntry(NamedTuple):
+    fit: Callable[..., tuple]
+    predict: Callable[[tuple, np.ndarray], np.ndarray]
+
+
+def _svm(method: MethodSpec, kernel: KernelSpec, X: np.ndarray, y: np.ndarray, seed: int) -> SvmModel:
+    return svm_train(X, y, kernel, method.C, method.svm_tol, method.svm_max_passes, seed)
+
+
+def _fit_svm(method, train_X, train_y, test_X, seed):
+    return (_svm(method, method.kernel, train_X, train_y, seed),)
+
+
+def _predict_svm(payload, X):
+    return svm_predict(payload[0], X)
+
+
+def _fit_tca_svm(method, train_X, train_y, test_X, seed):
+    tca = tca_fit(train_X, test_X, method.kernel, method.dim, method.mu_reg)
+    return tca, _svm(method, method.svm_kernel, tca_transform(tca, train_X), train_y, seed)
+
+
+def _predict_tca_svm(payload, X):
+    tca, svm = payload
+    return svm_predict(svm, tca_transform(tca, X))
+
+
+def _fit_kpca_svm(method, train_X, train_y, test_X, seed):
+    pooled = np.vstack([train_X, test_X])
+    kpca = kpca_fit(pooled, method.kernel, min(method.dim, pooled.shape[0]))
+    return kpca, _svm(method, method.svm_kernel, kpca_transform(kpca, train_X), train_y, seed)
+
+
+def _predict_kpca_svm(payload, X):
+    kpca, svm = payload
+    return svm_predict(svm, kpca_transform(kpca, X))
+
+
+def _deep(train):
+    """Adapt a network trainer to the registry's fit signature.
+
+    `train(method, X, y, test_X, cfg, extractor, predictor, adversary)`
+    sees labels remapped to 0..k-1, the training config seeded for this
+    fit, and the MLP specs the method's shape asks for. The payload is
+    (model, original class labels).
+    """
+
+    def fit(method, train_X, train_y, test_X, seed):
+        classes = tuple(sorted({int(v) for v in train_y}))
+        remap = {c: i for i, c in enumerate(classes)}
+        y_pos = np.array([remap[int(v)] for v in train_y], dtype=np.int64)
+        extractor = MlpSpec(
+            (train_X.shape[1], *method.hidden, method.feature_dim), method.activation, head="identity"
+        )
+        predictor = MlpSpec((method.feature_dim, len(classes)), method.activation, head="softmax")
+        adversary = MlpSpec((method.feature_dim, 2), method.activation, head="softmax")
+        cfg = replace(method.train, seed=seed)
+        return train(method, train_X, y_pos, test_X, cfg, extractor, predictor, adversary), classes
+
+    return fit
+
+
+@_deep
+def _fit_ann(method, X, y, test_X, cfg, extractor, predictor, adversary):
+    return train_plain(X, y, cfg, extractor, predictor)
+
+
+@_deep
+def _fit_dann(method, X, y, test_X, cfg, extractor, predictor, adversary):
+    return train_dann(X, y, test_X, cfg, make_dann(extractor, predictor, adversary, method.lam, cfg.seed))
+
+
+@_deep
+def _fit_adda(method, X, y, test_X, cfg, extractor, predictor, adversary):
+    return train_adda(X, y, test_X, cfg, make_adda(extractor, predictor, adversary, cfg.seed))
+
+
+def _predict_ann(payload, X):
+    """noDA-ANN and DANN: the extractor feeds the label predictor."""
+    model, classes = payload
+    return np.asarray(classes, dtype=np.int64)[predict_composite(model.extractor, model.predictor, X)]
+
+
+def _predict_adda(payload, X):
+    model, classes = payload
+    return np.asarray(classes, dtype=np.int64)[predict_composite(model.target_encoder, model.classifier, X)]
+
+
+# Column order of the strategy-by-method table: deep methods first.
+METHODS = {
+    "noDA-ANN": MethodEntry(_fit_ann, _predict_ann),
+    "DANN": MethodEntry(_fit_dann, _predict_ann),
+    "ADDA": MethodEntry(_fit_adda, _predict_adda),
+    "noDA-SVM": MethodEntry(_fit_svm, _predict_svm),
+    "TCA-SVM": MethodEntry(_fit_tca_svm, _predict_tca_svm),
+    "KPCA-SVM": MethodEntry(_fit_kpca_svm, _predict_kpca_svm),
+}
+METHOD_ORDER = tuple(METHODS)
 
 
 @dataclass(frozen=True)
@@ -112,6 +214,9 @@ class ExperimentConfig:
         names = [m.kind for m in self.methods]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate method kinds in config")
+        unknown = sorted(set(self.grids) - set(METHOD_ORDER))
+        if unknown:
+            raise ConfigError(f"grids for unknown method kinds: {unknown}")
         object.__setattr__(self, "strategies", tuple(self.strategies))
         object.__setattr__(self, "methods", tuple(self.methods))
 
@@ -140,9 +245,14 @@ class CellResult:
 
 @dataclass(frozen=True)
 class ExperimentReport:
+    """The cells of one run; `dataset` and `folds` are what it ran on, kept
+    so projections reuse them instead of loading the data again."""
+
     config: ExperimentConfig
     fold_names: tuple[str, ...]
     cells: tuple[CellResult, ...]
+    dataset: DomainDataset | None = field(default=None, compare=False, repr=False)
+    folds: tuple[Fold, ...] = field(default=(), compare=False, repr=False)
 
     def cell(self, strategy: str, method: str) -> CellResult:
         for c in self.cells:
@@ -201,48 +311,27 @@ def deap_valence_labels(ratings) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FittedMethod:
-    """A trained method: payload contents depend on the kind."""
+    """A trained method: the payload its METHODS entry's fit returned."""
 
     kind: str
     payload: tuple
 
     def parameters(self) -> list[np.ndarray]:
-        """Every learned array, for bit-exact leakage audits."""
+        """Every array the payload holds, for bit-exact leakage audits."""
         out: list[np.ndarray] = []
 
         def collect(obj):
             if isinstance(obj, np.ndarray):
                 out.append(obj)
-            elif isinstance(obj, Mlp):
-                for w, b in obj.params:
-                    out.extend([w, b])
-            elif isinstance(obj, (PlainModel, DannModel)):
-                collect(obj.extractor)
-                collect(obj.predictor)
-                if isinstance(obj, DannModel):
-                    collect(obj.domain_classifier)
-            elif isinstance(obj, AddaModel):
-                for part in (obj.source_encoder, obj.target_encoder, obj.classifier, obj.discriminator):
-                    collect(part)
-            elif isinstance(obj, SvmModel):
-                out.extend([obj.dual_coefs, obj.biases, obj.support_rows])
-            elif isinstance(obj, TcaModel):
-                out.extend([obj.projection, obj.basis])
-            elif isinstance(obj, KpcaModel):
-                out.extend([obj.alphas, obj.basis, obj.col_means])
+            elif is_dataclass(obj):
+                for f in fields(obj):
+                    collect(getattr(obj, f.name))
+            elif isinstance(obj, (tuple, list)):
+                for item in obj:
+                    collect(item)
 
-        for item in self.payload:
-            collect(item)
+        collect(self.payload)
         return out
-
-
-def _deep_components(method: MethodSpec, in_dim: int, n_classes: int) -> tuple[MlpSpec, MlpSpec, MlpSpec]:
-    extractor = MlpSpec(
-        (in_dim, *method.hidden, method.feature_dim), method.activation, head="identity"
-    )
-    predictor = MlpSpec((method.feature_dim, n_classes), method.activation, head="softmax")
-    adversary = MlpSpec((method.feature_dim, 2), method.activation, head="softmax")
-    return extractor, predictor, adversary
 
 
 def fit_method(
@@ -257,75 +346,11 @@ def fit_method(
     DA methods receive the unlabeled test-side features; test labels are
     not part of the signature, so fitting cannot read them.
     """
-    classes = tuple(sorted({int(v) for v in train_y}))
-    remap = {c: i for i, c in enumerate(classes)}
-    y_pos = np.array([remap[int(v)] for v in train_y], dtype=np.int64)
-    cfg = replace(method.train, seed=seed)
-
-    if method.kind == "noDA-SVM":
-        model = svm_train(
-            train_X, train_y, method.kernel, method.C, method.svm_tol, method.svm_max_passes, seed
-        )
-        return FittedMethod(method.kind, (model,))
-    if method.kind == "TCA-SVM":
-        tca = tca_fit(train_X, test_X, method.kernel, method.dim, method.mu_reg)
-        svm = svm_train(
-            tca_transform(tca, train_X),
-            train_y,
-            method.svm_kernel,
-            method.C,
-            method.svm_tol,
-            method.svm_max_passes,
-            seed,
-        )
-        return FittedMethod(method.kind, (tca, svm))
-    if method.kind == "KPCA-SVM":
-        pooled = np.vstack([train_X, test_X])
-        kpca = kpca_fit(pooled, method.kernel, min(method.dim, pooled.shape[0]))
-        svm = svm_train(
-            kpca_transform(kpca, train_X),
-            train_y,
-            method.svm_kernel,
-            method.C,
-            method.svm_tol,
-            method.svm_max_passes,
-            seed,
-        )
-        return FittedMethod(method.kind, (kpca, svm))
-
-    ext_spec, pred_spec, adv_spec = _deep_components(method, train_X.shape[1], len(classes))
-    if method.kind == "noDA-ANN":
-        model = train_plain(train_X, y_pos, cfg, ext_spec, pred_spec)
-        return FittedMethod(method.kind, (model, classes))
-    if method.kind == "DANN":
-        dann = make_dann(ext_spec, pred_spec, adv_spec, method.lam, seed)
-        dann = train_dann(train_X, y_pos, test_X, cfg, dann)
-        return FittedMethod(method.kind, (dann, classes))
-    if method.kind == "ADDA":
-        adda = make_adda(ext_spec, pred_spec, adv_spec, seed)
-        adda = train_adda(train_X, y_pos, test_X, cfg, adda)
-        return FittedMethod(method.kind, (adda, classes))
-    raise ConfigError(f"unknown method kind {method.kind!r}")
+    return FittedMethod(method.kind, METHODS[method.kind].fit(method, train_X, train_y, test_X, seed))
 
 
 def predict_method(fitted: FittedMethod, X: np.ndarray) -> np.ndarray:
-    if fitted.kind == "noDA-SVM":
-        return svm_predict(fitted.payload[0], X)
-    if fitted.kind == "TCA-SVM":
-        tca, svm = fitted.payload
-        return svm_predict(svm, tca_transform(tca, X))
-    if fitted.kind == "KPCA-SVM":
-        kpca, svm = fitted.payload
-        return svm_predict(svm, kpca_transform(kpca, X))
-    classes = np.asarray(fitted.payload[1], dtype=np.int64)
-    model = fitted.payload[0]
-    if fitted.kind == "noDA-ANN":
-        return classes[predict_composite(model.extractor, model.predictor, X)]
-    if fitted.kind == "DANN":
-        return classes[predict_composite(model.extractor, model.predictor, X)]
-    if fitted.kind == "ADDA":
-        return classes[predict_composite(model.target_encoder, model.classifier, X)]
-    raise ConfigError(f"unknown method kind {fitted.kind!r}")
+    return METHODS[fitted.kind].predict(fitted.payload, X)
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +362,8 @@ def apply_grid_point(method: MethodSpec, point: dict) -> MethodSpec:
     spec_updates: dict = {}
     train_updates: dict = {}
     for key, value in point.items():
-        if key in ("C", "dim", "mu_reg", "lam", "feature_dim", "activation"):
+        if key in ("C", "dim", "mu_reg", "lam", "hidden", "feature_dim", "activation"):
             spec_updates[key] = value
-        elif key == "hidden":
-            spec_updates[key] = tuple(value)
         elif key in ("kernel", "svm_kernel"):
             spec_updates[key] = KernelSpec(**value) if isinstance(value, dict) else value
         elif key == "gamma":
@@ -576,7 +599,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
                         seconds,
                     )
                 )
-    return ExperimentReport(cfg, fold_names, tuple(cells))
+    return ExperimentReport(cfg, fold_names, tuple(cells), ds, tuple(folds))
 
 
 # ---------------------------------------------------------------------------
@@ -683,82 +706,41 @@ def projection_csv(rows: list[dict]) -> str:
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    def kernel_dict(k: KernelSpec) -> dict:
-        return {"kind": k.kind, "gamma": k.gamma}
-
-    methods = []
-    for m in cfg.methods:
-        methods.append(
-            {
-                "kind": m.kind,
-                "kernel": kernel_dict(m.kernel),
-                "svm_kernel": kernel_dict(m.svm_kernel),
-                "dim": m.dim,
-                "mu_reg": m.mu_reg,
-                "C": m.C,
-                "svm_tol": m.svm_tol,
-                "svm_max_passes": m.svm_max_passes,
-                "hidden": list(m.hidden),
-                "feature_dim": m.feature_dim,
-                "activation": m.activation,
-                "lam": m.lam,
-                "train": {
-                    "learning_rate": m.train.learning_rate,
-                    "batch_size": m.train.batch_size,
-                    "max_epochs": m.train.max_epochs,
-                    "patience": m.train.patience,
-                    "seed": m.train.seed,
-                    "val_fraction": m.train.val_fraction,
-                },
-            }
-        )
+    """JSON-ready echo of a config; config_from_dict reads it back."""
+    out = asdict(cfg)
     if isinstance(cfg.dataset, SyntheticShiftConfig):
-        dataset = {"synthetic": dict(vars(cfg.dataset))}
+        out["dataset"] = {"synthetic": out["dataset"]}
     else:
-        dataset = {"csv": str(cfg.dataset)}
-    return {
-        "dataset": dataset,
-        "protocol": cfg.protocol,
-        "strategies": [s.value for s in cfg.strategies],
-        "methods": methods,
-        "grids": cfg.grids,
-        "seed": cfg.seed,
-        "output_dir": cfg.output_dir,
-        "emit_projections": cfg.emit_projections,
-    }
+        out["dataset"] = {"csv": str(cfg.dataset)}
+    out["strategies"] = [s.value for s in cfg.strategies]
+    return out
+
+
+# MethodSpec fields given in a config as nested dicts.
+_NESTED_FIELDS = {"kernel": KernelSpec, "svm_kernel": KernelSpec, "train": TrainConfig}
+
+
+def _check_keys(raw: dict, cls, what: str) -> None:
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigError(f"unknown {what}: {unknown}")
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    if "dataset" not in raw:
-        raise ConfigError("config needs a 'dataset' entry ('synthetic' or 'csv')")
-    ds_raw = raw["dataset"]
+    _check_keys(raw, ExperimentConfig, "config keys")
+    ds_raw = raw.get("dataset", {})
+    if set(ds_raw) not in ({"synthetic"}, {"csv"}):
+        raise ConfigError("config needs a 'dataset' entry with exactly one of 'synthetic' or 'csv'")
     if "synthetic" in ds_raw:
         dataset: SyntheticShiftConfig | str = SyntheticShiftConfig(**ds_raw["synthetic"])
-    elif "csv" in ds_raw:
-        dataset = str(ds_raw["csv"])
     else:
-        raise ConfigError("dataset must declare either 'synthetic' or 'csv'")
+        dataset = str(ds_raw["csv"])
 
     methods = []
     for m in raw.get("methods", [{"kind": "noDA-SVM"}]):
-        m = dict(m)
-        kwargs: dict = {"kind": m.pop("kind")}
-        if "kernel" in m:
-            kwargs["kernel"] = KernelSpec(**{k: v for k, v in m.pop("kernel").items() if v is not None})
-        if "svm_kernel" in m:
-            kwargs["svm_kernel"] = KernelSpec(
-                **{k: v for k, v in m.pop("svm_kernel").items() if v is not None}
-            )
-        if "train" in m:
-            kwargs["train"] = TrainConfig(**m.pop("train"))
-        if "hidden" in m:
-            kwargs["hidden"] = tuple(m.pop("hidden"))
-        for key in ("dim", "mu_reg", "C", "svm_tol", "svm_max_passes", "feature_dim", "activation", "lam"):
-            if key in m:
-                kwargs[key] = m.pop(key)
-        if m:
-            raise ConfigError(f"unknown method fields: {sorted(m)}")
-        methods.append(MethodSpec(**kwargs))
+        _check_keys(m, MethodSpec, "method fields")
+        nested = {k: cls(**m[k]) for k, cls in _NESTED_FIELDS.items() if k in m}
+        methods.append(MethodSpec(**{**m, **nested}))
 
     strategies = tuple(NormStrategy.from_name(s) for s in raw.get("strategies", ["noNorm", "Z2"]))
     return ExperimentConfig(
@@ -800,11 +782,10 @@ def write_report(report: ExperimentReport, outdir) -> Path:
     (outdir / "report.md").write_text("\n".join(md) + "\n", encoding="utf-8")
 
     if report.config.emit_projections:
-        ds = resolve_dataset(report.config)
         for strategy in report.config.strategies:
-            for fold in folds_for(ds, report.config.protocol):
+            for fold in report.folds:
                 try:
-                    rows = emit_projection(ds, fold, strategy)
+                    rows = emit_projection(report.dataset, fold, strategy)
                 except Exception:
                     continue  # skip strategies that reject this fold
                 name = f"projection_{strategy.value}_{fold.name}.csv"

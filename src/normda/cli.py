@@ -63,26 +63,29 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def cmd_run(args) -> int:
-    raw = _load_json(args.config)
+def _read_config(path: str) -> bench.ExperimentConfig:
     try:
-        cfg = bench.config_from_dict(raw)
-    except (TypeError, NormdaError) as exc:
+        return bench.config_from_dict(_load_json(path))
+    except (TypeError, ValueError, NormdaError) as exc:
         raise _CliConfigError(f"bad experiment config: {exc}") from exc
+
+
+def cmd_run(args) -> int:
+    cfg = _read_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if args.out is not None:
         cfg = replace(cfg, output_dir=args.out)
 
-    # Surface protocol violations as configuration errors before running.
-    try:
-        ds = bench.resolve_dataset(cfg)
-        bench.folds_for(ds, cfg.protocol)
-    except NormdaError as exc:
-        raise _CliConfigError(str(exc)) from exc
-
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    report = bench.run_experiment(cfg, jobs=jobs)
+    try:
+        report = bench.run_experiment(cfg, jobs=jobs)
+    except NormdaError as exc:
+        # Cells catch their own failures, so this is the dataset or the
+        # protocol rejected before any fold ran.
+        raise _CliConfigError(str(exc)) from exc
+    except OSError as exc:
+        raise _CliIoError(f"cannot read dataset: {exc}") from exc
     try:
         outdir = bench.write_report(report, cfg.output_dir)
     except OSError as exc:
@@ -130,25 +133,24 @@ def cmd_table(args) -> int:
         raise _CliIoError(f"cannot read {folds_path}: {exc}") from exc
     if not lines or lines[0] != "strategy,method,fold,accuracy":
         raise _CliConfigError(f"{folds_path}: unexpected header")
-    by_cell: dict[tuple[str, str], list] = {}
-    for line in lines[1:]:
-        strategy, method, _, acc = line.split(",")
-        by_cell.setdefault((strategy, method), []).append(acc)
-
-    strategies = [s for s in bench.STRATEGY_ORDER if any(k[0] == s for k in by_cell)]
-    methods = [m for m in bench.METHOD_ORDER if any(k[1] == m for k in by_cell)]
-    out = ["| strategy | " + " | ".join(methods) + " |", "| --- |" + " --- |" * len(methods)]
-    for s in strategies:
-        row = [s]
-        for m in methods:
-            accs = by_cell.get((s, m), [])
-            if not accs or "FAIL" in accs:
-                row.append("FAIL")
+    cfg = _read_config(str(Path(args.report) / "config.json"))
+    by_cell: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    cells = []
+    try:
+        for line in lines[1:]:
+            strategy, method, fold, acc = line.split(",")
+            by_cell.setdefault((strategy, method), []).append((fold, acc))
+        for (strategy, method), rows in by_cell.items():
+            fold_names, accs = zip(*rows)
+            if "FAIL" in accs:
+                cells.append(bench.CellResult(strategy, method, fold_names, None, "FAIL", 0.0))
             else:
-                mean, std = bench.aggregate([float(a) for a in accs])
-                row.append(bench.format_cell(mean, std))
-        out.append("| " + " | ".join(row) + " |")
-    print("\n".join(out))
+                accs = tuple(float(a) for a in accs)
+                cells.append(bench.CellResult(strategy, method, fold_names, accs, None, 0.0))
+    except ValueError as exc:
+        raise _CliConfigError(f"{folds_path}: {exc}") from exc
+    report = bench.ExperimentReport(cfg, cells[0].fold_names if cells else (), tuple(cells))
+    print(bench.emit_table(report, "markdown"), end="")
     return EXIT_OK
 
 

@@ -93,9 +93,6 @@ class DomainDataset:
         pairs = {(int(s), int(e)) for s, e in zip(self.subjects, self.sessions)}
         return [DomainKey(*p) for p in sorted(pairs)]
 
-    def domain_of(self, i: int) -> DomainKey:
-        return DomainKey(int(self.subjects[i]), int(self.sessions[i]))
-
     def rows_of(self, key: DomainKey) -> np.ndarray:
         return np.flatnonzero((self.subjects == key.subject) & (self.sessions == key.session))
 
@@ -349,16 +346,6 @@ def stratified_indices(
         val_parts.append(rng.permutation(rows)[:n_val])
     val = np.sort(np.concatenate(val_parts))
     return np.setdiff1d(idx, val), val
-
-
-def stratified_split(
-    ds: DomainDataset, idx: Sequence[int], fraction: float, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split `idx` into (train, validation) index sets stratified by class."""
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.size == 0:
-        raise EmptyInputError("cannot split an empty index set")
-    return stratified_indices(ds.labels[idx], fraction, seed, idx=idx)
 
 
 def subsample_per_subject(ds: DomainDataset, k: int, seed: int) -> DomainDataset:

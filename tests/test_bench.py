@@ -37,6 +37,17 @@ SMALL_SYNTH = SyntheticShiftConfig(
 )
 
 
+# One spec of every method kind, small enough to fit in well under a second.
+ALL_KINDS = (
+    MethodSpec("noDA-SVM"),
+    MethodSpec("TCA-SVM", dim=2),
+    MethodSpec("KPCA-SVM", dim=2),
+    MethodSpec("noDA-ANN", train=FAST_TRAIN, hidden=(8,), feature_dim=4),
+    MethodSpec("DANN", train=FAST_TRAIN, hidden=(8,), feature_dim=4),
+    MethodSpec("ADDA", train=FAST_TRAIN, hidden=(8,), feature_dim=4),
+)
+
+
 def small_cfg(**overrides):
     base = dict(
         dataset=SMALL_SYNTH,
@@ -329,21 +340,95 @@ def test_label_leakage_audit_fitted_parameters_bit_identical():
         ds.features, np.where(np.isin(np.arange(ds.n), fold.test_idx), 0, ds.labels),
         ds.subjects, ds.sessions,
     )
-    methods = [
-        MethodSpec("noDA-SVM"),
-        MethodSpec("TCA-SVM", dim=2),
-        MethodSpec("KPCA-SVM", dim=2),
-        MethodSpec("noDA-ANN", train=FAST_TRAIN, hidden=(8,), feature_dim=4),
-        MethodSpec("DANN", train=FAST_TRAIN, hidden=(8,), feature_dim=4),
-        MethodSpec("ADDA", train=FAST_TRAIN, hidden=(8,), feature_dim=4),
-    ]
-    for method in methods:
+    for method in ALL_KINDS:
         fitted = []
         for source in (ds, constant):
             train_X, test_X = apply_strategy(source, fold, NormStrategy.Z2)
             fitted.append(fit_method(method, train_X, source.labels[fold.train_idx], test_X, seed=9))
         for pa, pb in zip(fitted[0].parameters(), fitted[1].parameters()):
             np.testing.assert_array_equal(pa, pb)
+
+
+def reference_parameters(fitted) -> list[np.ndarray]:
+    """The per-model-type walk FittedMethod.parameters replaced."""
+    from normda.deep import AddaModel, DannModel, Mlp, PlainModel
+    from normda.shallow import KpcaModel, TcaModel
+    from normda.svm import SvmModel
+
+    out = []
+
+    def collect(obj):
+        if isinstance(obj, np.ndarray):
+            out.append(obj)
+        elif isinstance(obj, Mlp):
+            for w, b in obj.params:
+                out.extend([w, b])
+        elif isinstance(obj, (PlainModel, DannModel)):
+            collect(obj.extractor)
+            collect(obj.predictor)
+            if isinstance(obj, DannModel):
+                collect(obj.domain_classifier)
+        elif isinstance(obj, AddaModel):
+            for part in (obj.source_encoder, obj.target_encoder, obj.classifier, obj.discriminator):
+                collect(part)
+        elif isinstance(obj, SvmModel):
+            out.extend([obj.dual_coefs, obj.biases, obj.support_rows])
+        elif isinstance(obj, TcaModel):
+            out.extend([obj.projection, obj.basis])
+        elif isinstance(obj, KpcaModel):
+            out.extend([obj.alphas, obj.basis, obj.col_means])
+
+    for item in fitted.payload:
+        collect(item)
+    return out
+
+
+def fitted_all_kinds():
+    ds = generate_synthetic(SMALL_SYNTH)
+    from normda.dataset import loso_folds
+    from normda.normalize import apply_strategy
+
+    fold = loso_folds(ds)[0]
+    train_X, test_X = apply_strategy(ds, fold, NormStrategy.Z2)
+    train_y = ds.labels[fold.train_idx]
+    return [fit_method(m, train_X, train_y, test_X, seed=9) for m in ALL_KINDS], test_X
+
+
+def test_parameters_match_per_type_walk_for_every_kind():
+    def keys(arrays):
+        return sorted((a.dtype.str, a.shape, a.tobytes()) for a in arrays)
+
+    fitted, _ = fitted_all_kinds()
+    assert [f.kind for f in fitted] == [m.kind for m in ALL_KINDS]
+    for f in fitted:
+        reference = reference_parameters(f)
+        assert reference, f.kind
+        assert keys(f.parameters()) == keys(reference), f.kind
+
+
+def test_fit_and_predict_call_solvers_through_module_names(monkeypatch):
+    # Tracing and tests rebind these module attributes; a registry that held
+    # the function objects would bypass the rebinding without any error.
+    import normda.bench as bench
+
+    calls = {"svm_train": 0, "kpca_transform": 0, "train_adda": 0}
+
+    def counting(name):
+        real = getattr(bench, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(bench, name, counting(name))
+    fitted, test_X = fitted_all_kinds()
+    assert calls == {"svm_train": 3, "kpca_transform": 1, "train_adda": 1}
+    for f in fitted:
+        predict_method(f, test_X)
+    assert calls == {"svm_train": 3, "kpca_transform": 2, "train_adda": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -399,9 +484,41 @@ def test_write_report_layout(tmp_path):
 
 
 def test_config_dict_roundtrip():
-    cfg = small_cfg(methods=(MethodSpec("noDA-SVM"), MethodSpec("TCA-SVM", dim=3)))
-    back = config_from_dict(config_to_dict(cfg))
+    from normda.shallow import KernelSpec
+
+    rbf = KernelSpec("rbf", 0.25)
+    train = TrainConfig(learning_rate=0.003, batch_size=16, max_epochs=7, patience=3, seed=4, val_fraction=0.2)
+    methods = (
+        MethodSpec("noDA-ANN", hidden=(12, 6), feature_dim=5, activation="sigmoid", train=train),
+        MethodSpec("DANN", hidden=(9,), lam=0.5, train=train),
+        MethodSpec("ADDA", hidden=(7, 7), activation="leaky_relu", train=train),
+        MethodSpec("noDA-SVM", kernel=rbf, C=2.0, svm_tol=1e-4, svm_max_passes=5),
+        MethodSpec("TCA-SVM", kernel=rbf, svm_kernel=KernelSpec("rbf"), dim=3, mu_reg=0.5),
+        MethodSpec("KPCA-SVM", kernel=KernelSpec("rbf", 2.0), svm_kernel=rbf, dim=4),
+    )
+    cfg = small_cfg(methods=methods, grids={"DANN": {"hidden": [[8], [16]]}}, emit_projections=True)
+    raw = config_to_dict(cfg)
+    back = config_from_dict(raw)
     assert back == cfg
+    assert json.loads(json.dumps(raw)) == json.loads(json.dumps(config_to_dict(back)))
+    assert config_from_dict(dict(raw, dataset={"csv": "data.csv"})).dataset == "data.csv"
+
+
+@pytest.mark.parametrize(
+    "change, named",
+    [
+        ({"emit_projection": True}, "emit_projection"),
+        ({"dataset": {"synthetic": {}, "csv": "d.csv"}}, "dataset"),
+        ({"methods": [{"kind": "DANN", "lamda": 2.0}]}, "lamda"),
+        ({"grids": {"DAN": {"lam": [1.0]}}}, "DAN"),
+    ],
+)
+def test_config_from_dict_rejects_unknown_keys(change, named):
+    from normda.errors import ConfigError
+
+    raw = dict(config_to_dict(small_cfg()), **change)
+    with pytest.raises(ConfigError, match=named):
+        config_from_dict(raw)
 
 
 # ---------------------------------------------------------------------------

@@ -144,3 +144,78 @@ def test_table_rerenders_report(tmp_path, capsys):
     rendered = capsys.readouterr().out.strip().splitlines()
     assert rendered[0] == "| strategy | noDA-SVM |"
     assert rendered == first[: len(rendered)]
+
+
+def test_run_missing_csv_exits_3_and_names_path(tmp_path, capsys):
+    missing = tmp_path / "absent.csv"
+    cfg = write_json(
+        tmp_path / "exp.json",
+        dict(RUN_CFG, dataset={"csv": str(missing)}, output_dir=str(tmp_path / "r")),
+    )
+    assert main(["run", "--config", cfg, "--jobs", "1"]) == 3
+    assert str(missing) in capsys.readouterr().err
+
+
+def test_run_loads_csv_once(tmp_path, monkeypatch, capsys):
+    import normda.bench as bench
+
+    synth = write_json(tmp_path / "synth.json", dict(SYNTH_CFG, n_sessions=2))
+    data = tmp_path / "d.csv"
+    assert main(["synth", "--config", synth, "--out", str(data)]) == 0
+    calls = []
+    real_load_csv = bench.load_csv
+
+    def counting_load_csv(*args, **kwargs):
+        calls.append(args)
+        return real_load_csv(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "load_csv", counting_load_csv)
+    cfg = write_json(
+        tmp_path / "exp.json",
+        dict(
+            RUN_CFG, dataset={"csv": str(data)}, protocol="hlso", emit_projections=True,
+            output_dir=str(tmp_path / "r"),
+        ),
+    )
+    assert main(["run", "--config", cfg, "--jobs", "1"]) == 0
+    assert len(calls) == 1
+    assert len(list((tmp_path / "r").glob("projection_*.csv"))) == 2 * 3  # strategies x folds
+
+
+def test_run_unknown_config_key_exits_2(tmp_path, capsys):
+    cfg = write_json(
+        tmp_path / "exp.json",
+        dict(RUN_CFG, emit_projection=True, output_dir=str(tmp_path / "r")),
+    )
+    assert main(["run", "--config", cfg]) == 2
+    assert "emit_projection" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_run_unknown_strategy_exits_2(tmp_path, capsys):
+    cfg = write_json(tmp_path / "exp.json", dict(RUN_CFG, strategies=["noNorm", "Z9"]))
+    assert main(["run", "--config", cfg]) == 2
+    assert "Z9" in capsys.readouterr().err
+
+
+def test_table_rerenders_failed_cells(tmp_path, capsys):
+    # A one-row subject cannot be standardized per domain on the test side,
+    # so its Z2 fold fails and the Z2 cell renders as FAIL.
+    synth = write_json(tmp_path / "synth.json", SYNTH_CFG)
+    data = tmp_path / "d.csv"
+    main(["synth", "--config", synth, "--out", str(data)])
+    header = data.read_text().splitlines()[0].split(",")
+    row = {"subject": "9", "session": "0", "label": "0"}
+    with data.open("a") as fh:
+        fh.write(",".join(row.get(col, "0.0") for col in header) + "\n")
+    cfg = write_json(
+        tmp_path / "exp.json",
+        dict(RUN_CFG, dataset={"csv": str(data)}, output_dir=str(tmp_path / "r")),
+    )
+    capsys.readouterr()
+    assert main(["run", "--config", cfg, "--jobs", "1"]) == 0
+    first = capsys.readouterr().out.strip().splitlines()
+    assert main(["table", "--report", str(tmp_path / "r")]) == 0
+    rendered = capsys.readouterr().out.strip().splitlines()
+    assert any("FAIL" in line for line in rendered)
+    assert rendered == first[: len(rendered)]

@@ -15,7 +15,7 @@ from normda.dataset import (
     load_csv,
     loso_folds,
     save_csv,
-    stratified_split,
+    stratified_indices,
     subsample_per_subject,
 )
 from normda.errors import (
@@ -227,7 +227,8 @@ def test_fold_rejects_overlap():
 
 def test_stratified_split_even_classes():
     ds = make_ds([0] * 100, [0] * 100, [0] * 50 + [1] * 50)
-    train, val = stratified_split(ds, np.arange(100), 0.1, seed=0)
+    idx = np.arange(100)
+    train, val = stratified_indices(ds.labels[idx], 0.1, seed=0, idx=idx)
     assert val.size == 10
     assert np.sum(ds.labels[val] == 0) == 5 and np.sum(ds.labels[val] == 1) == 5
     assert np.array_equal(np.sort(np.concatenate([train, val])), np.arange(100))
@@ -235,22 +236,25 @@ def test_stratified_split_even_classes():
 
 def test_stratified_split_skewed_classes():
     ds = make_ds([0] * 100, [0] * 100, [0] * 90 + [1] * 10)
-    _, val = stratified_split(ds, np.arange(100), 0.1, seed=0)
+    idx = np.arange(100)
+    _, val = stratified_indices(ds.labels[idx], 0.1, seed=0, idx=idx)
     assert np.sum(ds.labels[val] == 0) == 9 and np.sum(ds.labels[val] == 1) == 1
 
 
 def test_stratified_split_deterministic():
     ds = make_ds([0] * 40, [0] * 40, [0, 1] * 20)
-    a = stratified_split(ds, np.arange(40), 0.25, seed=7)
-    b = stratified_split(ds, np.arange(40), 0.25, seed=7)
+    idx = np.arange(40)
+    a = stratified_indices(ds.labels[idx], 0.25, seed=7, idx=idx)
+    b = stratified_indices(ds.labels[idx], 0.25, seed=7, idx=idx)
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
 
 
 def test_stratified_split_single_row_class_rejected():
     ds = make_ds([0] * 5, [0] * 5, [0, 0, 0, 0, 1])
+    idx = np.arange(5)
     with pytest.raises(StratificationError):
-        stratified_split(ds, np.arange(5), 0.2, seed=0)
+        stratified_indices(ds.labels[idx], 0.2, seed=0, idx=idx)
 
 
 def test_subsample_caps_and_preserves_ratios():
