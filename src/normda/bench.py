@@ -40,10 +40,11 @@ from .deep import (
     train_dann,
     train_plain,
 )
-from .errors import ConfigError, EmptyInputError, ExperimentError, ShapeError
+from .errors import ConfigError, EmptyInputError, ExperimentError, NormdaError, ShapeError
 from .normalize import NormStrategy, apply_strategy
 from .shallow import (
     KernelSpec,
+    _fix_signs,
     kpca_fit,
     kpca_transform,
     tca_fit,
@@ -53,6 +54,13 @@ from .svm import SvmModel, svm_predict, svm_train
 
 STRATEGY_ORDER = ("noNorm", "Z0", "Z1", "Z2", "Z3", "MinMax")
 ARCH_KEYS = ("hidden", "feature_dim", "activation")
+# The hyperparameters a grid may search. TrainConfig fields overlay the
+# method's `train`, `gamma` sets the gamma of its `kernel`, and the rest
+# replace the MethodSpec field of the same name.
+GRID_KEYS = (
+    "C", "dim", "mu_reg", "lam", *ARCH_KEYS, "kernel", "svm_kernel", "gamma",
+    "learning_rate", "batch_size", "max_epochs", "patience",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -214,9 +222,18 @@ class ExperimentConfig:
         names = [m.kind for m in self.methods]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate method kinds in config")
-        unknown = sorted(set(self.grids) - set(METHOD_ORDER))
+        unknown = sorted(set(self.grids) - set(names))
         if unknown:
-            raise ConfigError(f"grids for unknown method kinds: {unknown}")
+            raise ConfigError(f"grids for kinds not in methods: {unknown}; methods are {names}")
+        for kind, grid in self.grids.items():
+            unknown = sorted(set(grid) - set(GRID_KEYS))
+            if unknown:
+                raise ConfigError(
+                    f"{kind} grid: unknown parameters {unknown}; searchable: {list(GRID_KEYS)}"
+                )
+            empty = sorted(k for k, values in grid.items() if len(values) == 0)
+            if empty:
+                raise ConfigError(f"{kind} grid: no values for {empty}")
         object.__setattr__(self, "strategies", tuple(self.strategies))
         object.__setattr__(self, "methods", tuple(self.methods))
 
@@ -359,19 +376,20 @@ def predict_method(fitted: FittedMethod, X: np.ndarray) -> np.ndarray:
 
 def apply_grid_point(method: MethodSpec, point: dict) -> MethodSpec:
     """Overlay one grid point onto a method spec."""
+    train_fields = {f.name for f in fields(TrainConfig)}
     spec_updates: dict = {}
     train_updates: dict = {}
     for key, value in point.items():
-        if key in ("C", "dim", "mu_reg", "lam", "hidden", "feature_dim", "activation"):
-            spec_updates[key] = value
-        elif key in ("kernel", "svm_kernel"):
-            spec_updates[key] = KernelSpec(**value) if isinstance(value, dict) else value
+        if key not in GRID_KEYS:
+            raise ConfigError(f"unknown grid parameter {key!r}")
+        if key in train_fields:
+            train_updates[key] = value
         elif key == "gamma":
             spec_updates["kernel"] = KernelSpec(method.kernel.kind, value)
-        elif key in ("learning_rate", "batch_size", "max_epochs", "patience"):
-            train_updates[key] = value
+        elif key in ("kernel", "svm_kernel") and isinstance(value, dict):
+            spec_updates[key] = KernelSpec(**value)
         else:
-            raise ConfigError(f"unknown grid parameter {key!r}")
+            spec_updates[key] = value
     if train_updates:
         spec_updates["train"] = replace(method.train, **train_updates)
     return replace(method, **spec_updates)
@@ -441,73 +459,36 @@ def folds_for(ds: DomainDataset, protocol: str) -> list[Fold]:
 
 
 def resolve_fold_specs(
-    methods: tuple[MethodSpec, ...],
-    grids: dict,
+    method: MethodSpec,
+    grid: dict,
+    pinned: dict,
     train_X: np.ndarray,
     train_y: np.ndarray,
     test_X: np.ndarray,
-    strategy: NormStrategy,
-    fold_name: str,
-    root_seed: int,
-) -> tuple[dict, dict[str, str], dict[str, float]]:
-    """Per-fold hyperparameter resolution with the architecture-fairness rule.
+    seed: int,
+) -> MethodSpec:
+    """One method's spec for one fold, with the architecture-fairness rule.
 
-    When the DANN grid searches network shape, that search runs once and
-    the winning architecture is pinned onto noDA-ANN and ADDA (their own
-    grids drop any architecture keys). Returns (kind -> final spec,
-    kind -> grid-search failure message for methods that could not resolve,
-    kind -> grid-search seconds, with the DANN architecture search charged
-    to DANN).
+    `pinned` is the architecture DANN's grid search chose on this fold, or
+    empty. When it is set, it replaces noDA-ANN's and ADDA's own
+    architecture and the grid drops its architecture keys, so the three
+    deep methods share one shape. The rest of the grid is searched on a
+    stratified split of the training rows.
     """
-    specs = {m.kind: m for m in methods}
-    grid_by_kind = {k: dict(v) for k, v in grids.items()}
-    pinned: dict = {}
-    failures: dict[str, str] = {}
-    search_s: dict[str, float] = {}
-
-    dann_grid = grid_by_kind.get("DANN", {})
-    if "DANN" in specs and dann_grid:
-        seed = derive_seed(root_seed, strategy.value, "DANN", fold_name)
-        start = time.perf_counter()
-        try:
-            tr2, val2 = stratified_indices(train_y, specs["DANN"].train.val_fraction, seed)
-            best = grid_search(
-                specs["DANN"], grid_by_kind.pop("DANN"),
-                train_X[tr2], train_y[tr2], train_X[val2], train_y[val2],
-                target_X=test_X, seed=seed,
-            )
-            specs["DANN"] = best
-            if any(k in ARCH_KEYS for k in dann_grid):
-                pinned = {k: getattr(best, k) for k in ARCH_KEYS}
-        except Exception as exc:
-            failures["DANN"] = f"architecture search failed: {exc}"
-        search_s["DANN"] = time.perf_counter() - start
-
-    for method in methods:
-        if method.kind == "DANN":
-            continue
-        spec = specs[method.kind]
-        if pinned and method.kind in ("noDA-ANN", "ADDA"):
-            spec = replace(spec, **pinned)
-        grid = {
-            k: v
-            for k, v in grid_by_kind.get(method.kind, {}).items()
-            if not (pinned and k in ARCH_KEYS)
-        }
-        if grid:
-            seed = derive_seed(root_seed, strategy.value, method.kind, fold_name)
-            start = time.perf_counter()
-            try:
-                tr2, val2 = stratified_indices(train_y, spec.train.val_fraction, seed)
-                spec = grid_search(
-                    spec, grid, train_X[tr2], train_y[tr2], train_X[val2], train_y[val2],
-                    target_X=test_X, seed=seed,
-                )
-            except Exception as exc:
-                failures[method.kind] = f"grid search failed: {exc}"
-            search_s[method.kind] = time.perf_counter() - start
-        specs[method.kind] = spec
-    return specs, failures, search_s
+    if pinned:
+        grid = {k: v for k, v in grid.items() if k not in ARCH_KEYS}
+        if method.kind in ("noDA-ANN", "ADDA"):
+            method = replace(method, **pinned)
+    if not grid:
+        return method
+    try:
+        tr, val = stratified_indices(train_y, method.train.val_fraction, seed)
+        return grid_search(
+            method, grid, train_X[tr], train_y[tr], train_X[val], train_y[val],
+            target_X=test_X, seed=seed,
+        )
+    except NormdaError as exc:
+        raise ExperimentError(f"grid search failed: {exc}") from exc
 
 
 def _run_fold_group(
@@ -518,8 +499,12 @@ def _run_fold_group(
     grids: dict,
     root_seed: int,
 ) -> list[_FoldOutcome]:
-    """All methods on one (strategy, fold) cell group over shared normalization."""
-    outcomes = []
+    """All methods on one (strategy, fold) cell group over shared normalization.
+
+    DANN goes first: when its grid searches the architecture, the winner
+    is pinned onto the deep methods resolved after it. A method's seconds
+    cover its grid search, fit and prediction.
+    """
     try:
         train_X, test_X = apply_strategy(ds, fold, strategy)
     except Exception as exc:
@@ -530,22 +515,22 @@ def _run_fold_group(
     train_y = ds.labels[fold.train_idx]
     test_y = ds.labels[fold.test_idx]
 
-    specs, failures, search_s = resolve_fold_specs(
-        methods, grids, train_X, train_y, test_X, strategy, fold.name, root_seed
-    )
-
-    for method in methods:
+    pinned: dict = {}
+    outcomes = []
+    for method in sorted(methods, key=lambda m: m.kind != "DANN"):
         seed = derive_seed(root_seed, strategy.value, method.kind, fold.name)
+        grid = grids.get(method.kind, {})
         start = time.perf_counter()
         acc, error = None, None
         try:
-            if method.kind in failures:
-                raise ExperimentError(failures[method.kind])
-            fitted = fit_method(specs[method.kind], train_X, train_y, test_X, seed)
+            spec = resolve_fold_specs(method, grid, pinned, train_X, train_y, test_X, seed)
+            if method.kind == "DANN" and any(k in ARCH_KEYS for k in grid):
+                pinned = {k: getattr(spec, k) for k in ARCH_KEYS}
+            fitted = fit_method(spec, train_X, train_y, test_X, seed)
             acc = accuracy(predict_method(fitted, test_X), test_y)
         except Exception as exc:
             error = f"fold={fold.name} strategy={strategy.value} method={method.kind}: {exc}"
-        seconds = search_s.get(method.kind, 0.0) + time.perf_counter() - start
+        seconds = time.perf_counter() - start
         outcomes.append(_FoldOutcome(strategy.value, method.kind, fold.name, acc, error, seconds))
     return outcomes
 
@@ -580,25 +565,20 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     cells = []
     for strategy in cfg.strategies:
         for method in cfg.methods:
-            key = (strategy.value, method.kind)
-            ordered = sorted(by_cell[key], key=lambda o: fold_names.index(o.fold_name))
-            seconds = float(sum(o.seconds for o in ordered))
+            ordered = sorted(
+                by_cell[(strategy.value, method.kind)], key=lambda o: fold_names.index(o.fold_name)
+            )
             errors = [o.error for o in ordered if o.error is not None]
-            if errors:
-                cells.append(
-                    CellResult(key[0], key[1], fold_names, None, "; ".join(errors), seconds)
+            cells.append(
+                CellResult(
+                    strategy.value,
+                    method.kind,
+                    fold_names,
+                    None if errors else tuple(o.accuracy for o in ordered),
+                    "; ".join(errors) or None,
+                    float(sum(o.seconds for o in ordered)),
                 )
-            else:
-                cells.append(
-                    CellResult(
-                        key[0],
-                        key[1],
-                        fold_names,
-                        tuple(o.accuracy for o in ordered),
-                        None,
-                        seconds,
-                    )
-                )
+            )
     return ExperimentReport(cfg, fold_names, tuple(cells), ds, tuple(folds))
 
 
@@ -670,11 +650,7 @@ def emit_projection(ds: DomainDataset, fold: Fold, strategy: NormStrategy) -> li
         from .errors import DegenerateDataError
 
         raise DegenerateDataError("projection input has no variance")
-    axes = vt[: min(2, vt.shape[0])]
-    for r in range(axes.shape[0]):
-        j = int(np.argmax(np.abs(axes[r])))
-        if axes[r, j] < 0:
-            axes[r] = -axes[r]
+    axes = _fix_signs(vt[: min(2, vt.shape[0])].T).T
     scores = centered @ axes.T
     if scores.shape[1] < 2:
         scores = np.hstack([scores, np.zeros((scores.shape[0], 1))])

@@ -8,6 +8,7 @@ inputs plus an explicit seed.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -219,13 +220,19 @@ def load_csv(path, schema: Sequence[str] = DEFAULT_SCHEMA) -> DomainDataset:
     """Read a dataset from CSV: schema columns are integer ids, the rest features.
 
     Raises SchemaError for missing columns, ParseError naming the offending
-    row (1-based, header excluded) and column, EmptyInputError for a file
-    without data rows.
+    row (1-based, header excluded) and column or the first byte that is not
+    UTF-8, EmptyInputError for a file without data rows.
     """
     if len(schema) != 3:
         raise SchemaError("schema must name the subject, session and label columns")
     subject_col, session_col, label_col = schema
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start} is not valid UTF-8 ({exc.reason})") from None
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

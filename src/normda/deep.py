@@ -25,6 +25,8 @@ from .errors import ConfigError, DegenerateLabelsError, NumericError, ShapeError
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+LEAKY_SLOPE = 0.01
+ADDA_ENCODER_LR_SCALE = 0.1
 
 Params = list[tuple[np.ndarray, np.ndarray]]
 
@@ -35,7 +37,6 @@ class MlpSpec:
 
     layer_sizes: tuple[int, ...]
     activation: str = "relu"
-    leaky_slope: float = 0.01
     head: str = "softmax"  # softmax (classifier) or identity (feature extractor)
 
     def __post_init__(self):
@@ -146,7 +147,7 @@ def _activate(spec: MlpSpec, z: np.ndarray) -> np.ndarray:
         return np.maximum(z, 0.0)
     if spec.activation == "sigmoid":
         return expit(z)
-    return np.where(z > 0, z, spec.leaky_slope * z)
+    return np.where(z > 0, z, LEAKY_SLOPE * z)
 
 
 def _activate_grad(spec: MlpSpec, z: np.ndarray) -> np.ndarray:
@@ -155,7 +156,7 @@ def _activate_grad(spec: MlpSpec, z: np.ndarray) -> np.ndarray:
     if spec.activation == "sigmoid":
         s = expit(z)
         return s * (1.0 - s)
-    return np.where(z > 0, 1.0, spec.leaky_slope)
+    return np.where(z > 0, 1.0, LEAKY_SLOPE)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -395,6 +396,14 @@ def _epoch_batches(n: int, batch_size: int, rng) -> list[np.ndarray]:
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
+def _paired_batches(n_src: int, n_tgt: int, batch_size: int, rng) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One epoch of shuffled source batches, each paired with as many rows of
+    a shuffled target order that is cycled to the source length."""
+    batches = _epoch_batches(n_src, batch_size, rng)
+    t_stream = np.resize(rng.permutation(n_tgt), n_src)
+    return [(b, t_stream[k * batch_size : k * batch_size + b.size]) for k, b in enumerate(batches)]
+
+
 def _val_split(y: np.ndarray, cfg: TrainConfig, rng) -> tuple[np.ndarray, np.ndarray]:
     seed = int(rng.integers(2**32))
     return stratified_indices(y, cfg.val_fraction, seed)
@@ -495,14 +504,8 @@ def train_dann(
     state = AdamState.zeros_like(theta)
 
     def run_epoch():
-        batches = _epoch_batches(train_idx.size, cfg.batch_size, rng)
-        t_order = rng.permutation(Xt.shape[0])
-        t_stream = np.resize(t_order, sum(b.size for b in batches))
-        pos = 0
-        for batch in batches:
+        for batch, ti in _paired_batches(train_idx.size, Xt.shape[0], cfg.batch_size, rng):
             bi = train_idx[batch]
-            ti = t_stream[pos : pos + batch.size]
-            pos += batch.size
             egrads, pgrads, dgrads, _, _ = dann_batch_grads(current, Xs[bi], ys[bi], Xt[ti])
             adam_step(theta, flatten(egrads, pgrads, dgrads), state, cfg.learning_rate)
 
@@ -521,7 +524,6 @@ def train_adda(
     cfg: TrainConfig,
     model: AddaModel,
     stage2_epochs: int | None = None,
-    encoder_lr_scale: float = 0.1,
 ) -> AddaModel:
     """Two-stage adversarial encoder alignment.
 
@@ -533,7 +535,7 @@ def train_adda(
     classifier(target_encoder(x)).
 
     Two stabilizers keep the minimax from cycling at small scale: the
-    encoder steps at `encoder_lr_scale` times the discriminator rate, and
+    encoder steps at ADDA_ENCODER_LR_SCALE times the discriminator rate, and
     the returned (target encoder, discriminator) pair is the epoch-end
     snapshot whose discriminator accuracy sat closest to chance (ties keep
     the earliest epoch).
@@ -567,13 +569,7 @@ def train_adda(
     best_gap = np.inf
     best_pair = (enc_theta.copy(), disc_theta.copy())
     for _ in range(stage2_epochs):
-        s_batches = _epoch_batches(Xs.shape[0], cfg.batch_size, rng)
-        t_order = rng.permutation(Xt.shape[0])
-        t_stream = np.resize(t_order, sum(b.size for b in s_batches))
-        pos = 0
-        for s_batch in s_batches:
-            ti = t_stream[pos : pos + s_batch.size]
-            pos += s_batch.size
+        for s_batch, ti in _paired_batches(Xs.shape[0], Xt.shape[0], cfg.batch_size, rng):
             # Discriminator step: source encodings 0, target encodings 1.
             real = src_feats_all[s_batch]
             fake, tcache = forward(target_enc.spec, target_enc.params, Xt[ti])
@@ -595,7 +591,7 @@ def train_adda(
             )
             tgrads, _ = backward(target_enc.spec, target_enc.params, tcache, gfeats)
             adam_step(
-                enc_theta, flatten(tgrads), enc_state, cfg.learning_rate * encoder_lr_scale
+                enc_theta, flatten(tgrads), enc_state, cfg.learning_rate * ADDA_ENCODER_LR_SCALE
             )
         fake_all = forward(target_enc.spec, target_enc.params, Xt)[0]
         dprobs = forward(disc.spec, disc.params, np.vstack([src_feats_all, fake_all]))[0]

@@ -19,6 +19,7 @@ import scipy.linalg
 from scipy.signal import butter, filtfilt
 
 from .errors import ConfigError, DegenerateDataError, ShapeError
+from .shallow import _fix_signs
 
 DE_SIGMA_FLOOR = 1e-12
 
@@ -158,12 +159,7 @@ def csp_fit(
     for i in range(half):
         picked.append(eigvecs[:, i])  # large eigenvalue: class-a-dominant
         picked.append(eigvecs[:, channels - 1 - i])  # small: class-b-dominant
-    filters = np.array(picked)
-    for r in range(filters.shape[0]):
-        j = int(np.argmax(np.abs(filters[r])))
-        if filters[r, j] < 0:
-            filters[r] = -filters[r]
-    return CspModel(filters)
+    return CspModel(_fix_signs(np.array(picked).T).T)
 
 
 def csp_features(epoch: SignalEpoch, model: CspModel) -> np.ndarray:

@@ -1,4 +1,8 @@
+import ast
+import importlib
+import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -251,9 +255,34 @@ def test_run_experiment_records_failed_cells():
     assert "test-subject-9" in outcomes[0].error and "Z2" in outcomes[0].error
 
 
-def test_dann_architecture_search_shared_across_deep_methods():
-    from normda.bench import resolve_fold_specs
+def final_specs(monkeypatch, methods, grids, train_X, train_y, test_X, root_seed):
+    """Run one noNorm fold group and return the spec each method was last
+    fit with, which is its cell's final fit; grid-search fits come first."""
+    import normda.bench as bench
+    from normda.bench import _run_fold_group
 
+    n_train, n_test = len(train_X), len(test_X)
+    ds = DomainDataset(
+        np.vstack([train_X, test_X]),
+        np.r_[train_y, np.zeros(n_test, dtype=np.int64)],
+        np.r_[np.zeros(n_train, dtype=np.int64), np.ones(n_test, dtype=np.int64)],
+        np.zeros(n_train + n_test, dtype=np.int64),
+    )
+    fold = Fold(np.arange(n_train), np.arange(n_train, n_train + n_test), "fold-0")
+    specs = {}
+    real_fit_method = bench.fit_method
+
+    def recording_fit_method(spec, *args, **kwargs):
+        specs[spec.kind] = spec
+        return real_fit_method(spec, *args, **kwargs)
+
+    monkeypatch.setattr(bench, "fit_method", recording_fit_method)
+    outcomes = _run_fold_group(ds, fold, NormStrategy.NO_NORM, methods, grids, root_seed)
+    assert [o.error for o in outcomes] == [None] * len(methods)
+    return specs
+
+
+def test_dann_architecture_search_shared_across_deep_methods(monkeypatch):
     rng = np.random.default_rng(0)
     train_X = np.vstack([rng.normal(size=(40, 4)) + [3, 0, 0, 0], rng.normal(size=(40, 4)) - [3, 0, 0, 0]])
     train_y = np.array([0] * 40 + [1] * 40)
@@ -265,10 +294,7 @@ def test_dann_architecture_search_shared_across_deep_methods():
         MethodSpec("noDA-SVM"),
     )
     grids = {"DANN": {"hidden": [[8], [12]]}, "noDA-ANN": {"hidden": [[30]], "learning_rate": [0.01]}}
-    specs, failures, _ = resolve_fold_specs(
-        methods, grids, train_X, train_y, test_X, NormStrategy.Z2, "fold-0", 3
-    )
-    assert not failures
+    specs = final_specs(monkeypatch, methods, grids, train_X, train_y, test_X, 3)
     winner = specs["DANN"].hidden
     assert winner in ((8,), (12,))
     # fairness rule: the searched architecture is shared, so noDA-ANN's own
@@ -278,9 +304,7 @@ def test_dann_architecture_search_shared_across_deep_methods():
     assert specs["noDA-SVM"] == methods[3]
 
 
-def test_no_arch_search_leaves_per_method_architectures_alone():
-    from normda.bench import resolve_fold_specs
-
+def test_no_arch_search_leaves_per_method_architectures_alone(monkeypatch):
     rng = np.random.default_rng(1)
     train_X = rng.normal(size=(60, 4))
     train_y = np.array([0, 1] * 30)
@@ -288,13 +312,25 @@ def test_no_arch_search_leaves_per_method_architectures_alone():
         MethodSpec("noDA-ANN", train=FAST_TRAIN, hidden=(6,), feature_dim=4),
         MethodSpec("DANN", train=FAST_TRAIN, hidden=(10,), feature_dim=4),
     )
-    specs, failures, _ = resolve_fold_specs(
-        methods, {"DANN": {"learning_rate": [0.01, 0.001]}},
-        train_X, train_y, train_X[:10], NormStrategy.Z0, "fold-0", 4,
+    specs = final_specs(
+        monkeypatch, methods, {"DANN": {"learning_rate": [0.01, 0.001]}},
+        train_X, train_y, train_X[:10], 4,
     )
-    assert not failures
     assert specs["noDA-ANN"].hidden == (6,)  # no architecture search, no pinning
     assert specs["DANN"].train.learning_rate in (0.01, 0.001)
+
+
+def test_dann_architecture_search_independent_of_method_order():
+    deep = dict(train=FAST_TRAIN, hidden=(4,), feature_dim=4)
+    dann_first = (MethodSpec("DANN", **deep), MethodSpec("noDA-ANN", **deep), MethodSpec("ADDA", **deep))
+    dann_last = dann_first[1:] + dann_first[:1]
+    grids = {"DANN": {"hidden": [[4], [8]]}}
+    reports = [
+        run_experiment(small_cfg(strategies=(NormStrategy.Z2,), methods=methods, grids=grids))
+        for methods in (dann_first, dann_last)
+    ]
+    assert all(cell.ok for cell in reports[0].cells)
+    assert folds_csv(reports[0]) == folds_csv(reports[1])
 
 
 def test_headline_ordering_holds_for_deep_methods():
@@ -519,6 +555,37 @@ def test_config_from_dict_rejects_unknown_keys(change, named):
     raw = dict(config_to_dict(small_cfg()), **change)
     with pytest.raises(ConfigError, match=named):
         config_from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "grids, named",
+    [
+        ({"noDA-SVM": {"Cc": [1.0]}}, r"unknown parameters \['Cc'\]"),
+        ({"noDA-SVM": {"C": []}}, r"no values for \['C'\]"),
+        ({"TCA-SVM": {"C": [1.0]}}, r"not in methods: \['TCA-SVM'\]"),
+    ],
+)
+def test_config_rejects_bad_grids_at_load(grids, named):
+    from normda.errors import ConfigError
+
+    with pytest.raises(ConfigError, match=named):
+        small_cfg(grids=grids)
+
+
+def test_traced_names_are_functions_of_their_modules():
+    # The benchmark's tracer wraps these functions by name, so a rename
+    # would break its traced runs. TRACED is read from its source.
+    source = (Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text()
+    (traced,) = [
+        ast.literal_eval(node.value)
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TRACED"]
+    ]
+    assert "bench" in traced
+    for layer, names in traced.items():
+        module = importlib.import_module(f"normda.{layer}")
+        for name in names:
+            assert inspect.isfunction(getattr(module, name, None)), f"normda.{layer}.{name}"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from normda.cli import main
 
 SYNTH_CFG = {
@@ -219,3 +221,31 @@ def test_table_rerenders_failed_cells(tmp_path, capsys):
     rendered = capsys.readouterr().out.strip().splitlines()
     assert any("FAIL" in line for line in rendered)
     assert rendered == first[: len(rendered)]
+
+
+@pytest.mark.parametrize("grid, named", [({"Cc": [1.0]}, "Cc"), ({"C": []}, "no values")])
+def test_run_bad_grid_exits_2(tmp_path, capsys, grid, named):
+    cfg = write_json(
+        tmp_path / "exp.json",
+        dict(RUN_CFG, grids={"noDA-SVM": grid}, output_dir=str(tmp_path / "r")),
+    )
+    assert main(["run", "--config", cfg, "--jobs", "1"]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_non_utf8_csv_exits_2_and_names_byte(tmp_path, capsys, command):
+    data = tmp_path / "latin1.csv"
+    data.write_bytes("subject,session,label,fé\n0,0,0,1.0\n1,0,1,2.0\n".encode("latin-1"))
+    if command == "run":
+        cfg = write_json(
+            tmp_path / "exp.json",
+            dict(RUN_CFG, dataset={"csv": str(data)}, output_dir=str(tmp_path / "r")),
+        )
+        argv = ["run", "--config", cfg, "--jobs", "1"]
+    else:
+        argv = ["validate", "--data", str(data)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(data) in err and "byte 23 is not valid UTF-8" in err
