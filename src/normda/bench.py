@@ -40,7 +40,16 @@ from .deep import (
     train_dann,
     train_plain,
 )
-from .errors import ConfigError, EmptyInputError, ExperimentError, NormdaError, ShapeError
+from .errors import (
+    ConfigError,
+    DegenerateDataError,
+    EmptyInputError,
+    ExperimentError,
+    NormdaError,
+    NumericError,
+    ShapeError,
+    check_field_types,
+)
 from .normalize import NormStrategy, apply_strategy
 from .shallow import (
     KernelSpec,
@@ -200,6 +209,10 @@ class MethodSpec:
     def __post_init__(self):
         if self.kind not in METHOD_ORDER:
             raise ConfigError(f"unknown method kind {self.kind!r}; expected one of {METHOD_ORDER}")
+        check_field_types(self)
+        for name in ("kernel", "svm_kernel"):
+            if not isinstance(getattr(self, name), KernelSpec):
+                raise ConfigError(f"{name} must be a KernelSpec, got {getattr(self, name)!r}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
 
@@ -219,21 +232,22 @@ class ExperimentConfig:
             raise ConfigError(f"protocol must be 'loso' or 'hlso', got {self.protocol!r}")
         if not self.strategies or not self.methods:
             raise ConfigError("strategies and methods must be nonempty")
-        names = [m.kind for m in self.methods]
-        if len(set(names)) != len(names):
+        by_kind = {m.kind: m for m in self.methods}
+        if len(by_kind) != len(self.methods):
             raise ConfigError("duplicate method kinds in config")
-        unknown = sorted(set(self.grids) - set(names))
+        if not isinstance(self.grids, dict) or not all(isinstance(g, dict) for g in self.grids.values()):
+            raise ConfigError("grids must map method kinds to {parameter: [values]} objects")
+        unknown = sorted(set(self.grids) - set(by_kind))
         if unknown:
-            raise ConfigError(f"grids for kinds not in methods: {unknown}; methods are {names}")
+            raise ConfigError(f"grids for kinds not in methods: {unknown}; methods are {list(by_kind)}")
         for kind, grid in self.grids.items():
-            unknown = sorted(set(grid) - set(GRID_KEYS))
-            if unknown:
-                raise ConfigError(
-                    f"{kind} grid: unknown parameters {unknown}; searchable: {list(GRID_KEYS)}"
-                )
-            empty = sorted(k for k, values in grid.items() if len(values) == 0)
-            if empty:
-                raise ConfigError(f"{kind} grid: no values for {empty}")
+            for key, values in grid.items():
+                if not isinstance(values, (list, tuple)) or not values:
+                    raise ConfigError(
+                        f"{kind} grid: no values for {[key]}; need a non-empty list, got {values!r}"
+                    )
+                for value in values:  # each value must make a valid spec
+                    apply_grid_point(by_kind[kind], {key: value})
         object.__setattr__(self, "strategies", tuple(self.strategies))
         object.__setattr__(self, "methods", tuple(self.methods))
 
@@ -315,9 +329,9 @@ def deap_valence_labels(ratings) -> np.ndarray:
     for i, r in enumerate(ratings):
         r = float(r)
         if not 1.0 <= r <= 9.0:
-            raise ValueError(f"rating {r} outside the 1..9 scale")
+            raise ConfigError(f"rating {r} outside the 1..9 scale")
         if r == 3.0 or r == 7.0:
-            raise ValueError(f"rating {r} lies on an unassigned class boundary")
+            raise ConfigError(f"rating {r} lies on an unassigned class boundary")
         out[i] = 2 if r > 7.0 else (1 if r > 3.0 else 0)
     return out
 
@@ -381,7 +395,7 @@ def apply_grid_point(method: MethodSpec, point: dict) -> MethodSpec:
     train_updates: dict = {}
     for key, value in point.items():
         if key not in GRID_KEYS:
-            raise ConfigError(f"unknown grid parameter {key!r}")
+            raise ConfigError(f"unknown parameters {[key]}; searchable: {list(GRID_KEYS)}")
         if key in train_fields:
             train_updates[key] = value
         elif key == "gamma":
@@ -412,8 +426,6 @@ def grid_search(
     error that aggregates the individual messages.
     """
     keys = list(grid.keys())
-    if not keys or any(len(grid[k]) == 0 for k in keys):
-        raise ConfigError("grid must declare at least one value per parameter")
     target = target_X if target_X is not None else Xval
     best: tuple[float, MethodSpec] | None = None
     failures: list[str] = []
@@ -422,7 +434,7 @@ def grid_search(
         try:
             fitted = fit_method(candidate, Xtr, ytr, target, seed)
             score = accuracy(predict_method(fitted, Xval), yval)
-        except Exception as exc:  # failed points lose to any finite result
+        except NormdaError as exc:  # failed points lose to any finite result
             failures.append(f"{dict(zip(keys, values))}: {exc}")
             continue
         if best is None or score > best[0]:
@@ -507,7 +519,7 @@ def _run_fold_group(
     """
     try:
         train_X, test_X = apply_strategy(ds, fold, strategy)
-    except Exception as exc:
+    except NormdaError as exc:
         msg = f"fold={fold.name} strategy={strategy.value}: {exc}"
         return [
             _FoldOutcome(strategy.value, m.kind, fold.name, None, msg, 0.0) for m in methods
@@ -528,7 +540,7 @@ def _run_fold_group(
                 pinned = {k: getattr(spec, k) for k in ARCH_KEYS}
             fitted = fit_method(spec, train_X, train_y, test_X, seed)
             acc = accuracy(predict_method(fitted, test_X), test_y)
-        except Exception as exc:
+        except NormdaError as exc:
             error = f"fold={fold.name} strategy={strategy.value} method={method.kind}: {exc}"
         seconds = time.perf_counter() - start
         outcomes.append(_FoldOutcome(strategy.value, method.kind, fold.name, acc, error, seconds))
@@ -645,10 +657,11 @@ def emit_projection(ds: DomainDataset, fold: Fold, strategy: NormStrategy) -> li
     split = ["train"] * len(fold.train_idx) + ["test"] * len(fold.test_idx)
 
     centered = combined - combined.mean(axis=0, keepdims=True)
-    u, s_vals, vt = np.linalg.svd(centered, full_matrices=False)
+    try:
+        _, s_vals, vt = np.linalg.svd(centered, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"projection SVD failed: {exc}") from exc
     if s_vals.size == 0 or s_vals[0] <= 1e-12:
-        from .errors import DegenerateDataError
-
         raise DegenerateDataError("projection input has no variance")
     axes = _fix_signs(vt[: min(2, vt.shape[0])].T).T
     scores = centered @ axes.T
@@ -697,6 +710,8 @@ _NESTED_FIELDS = {"kernel": KernelSpec, "svm_kernel": KernelSpec, "train": Train
 
 
 def _check_keys(raw: dict, cls, what: str) -> None:
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{what}: expected an object, got {raw!r}")
     unknown = sorted(set(raw) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"unknown {what}: {unknown}")
@@ -732,7 +747,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 
 def write_report(report: ExperimentReport, outdir) -> Path:
-    """Write report.md, report.csv, folds.csv, config.json and projections."""
+    """Write report.md, report.csv, folds.csv, config.json and projections;
+    report.md lists each projection a strategy rejects instead."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.csv").write_text(emit_table(report, "csv"), encoding="utf-8")
@@ -741,6 +757,17 @@ def write_report(report: ExperimentReport, outdir) -> Path:
         json.dumps(config_to_dict(report.config), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
+    skipped = []  # "* " bullets: tools reading report.md take "- " lines for cell timings
+    if report.config.emit_projections:
+        for strategy in report.config.strategies:
+            for fold in report.folds:
+                name = f"projection_{strategy.value}_{fold.name}.csv"
+                try:
+                    rows = emit_projection(report.dataset, fold, strategy)
+                except NormdaError as exc:
+                    skipped.append(f"* {name}: {exc}")
+                    continue
+                (outdir / name).write_text(projection_csv(rows), encoding="utf-8")
 
     md = ["# Experiment report", ""]
     md.append(f"- protocol: {report.config.protocol}")
@@ -755,15 +782,7 @@ def write_report(report: ExperimentReport, outdir) -> Path:
         md.append(f"- {cell.strategy} / {cell.method}: {cell.seconds:.3f}")
         if not cell.ok:
             md.append(f"  - FAILED: {cell.error}")
+    if skipped:
+        md += ["", "## Skipped projections", "", *skipped]
     (outdir / "report.md").write_text("\n".join(md) + "\n", encoding="utf-8")
-
-    if report.config.emit_projections:
-        for strategy in report.config.strategies:
-            for fold in report.folds:
-                try:
-                    rows = emit_projection(report.dataset, fold, strategy)
-                except Exception:
-                    continue  # skip strategies that reject this fold
-                name = f"projection_{strategy.value}_{fold.name}.csv"
-                (outdir / name).write_text(projection_csv(rows), encoding="utf-8")
     return outdir

@@ -3,8 +3,9 @@
 Subcommands: synth (write a synthetic dataset CSV), run (execute an
 experiment config and write a report directory), project (2-D projection
 CSV for one fold and strategy), table (re-render a report directory),
-validate (dataset diagnostics). Exit codes: 0 ok, 2 configuration,
-3 I/O, 4 experiment failure under --strict.
+validate (dataset diagnostics). Exit codes: 0 ok, 2 an input the command
+rejects (any NormdaError), 3 an OS error, 4 a failed cell under
+`run --strict`. Any other exception is a bug and shows its traceback.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bench, dataset
-from .errors import NormdaError
+from .errors import ConfigError, NormdaError
 from .normalize import NormStrategy
 
 EXIT_OK = 0
@@ -28,46 +29,28 @@ EXIT_IO = 3
 EXIT_EXPERIMENT = 4
 
 
-def _load_json(path: str) -> dict:
+def _parse_file(path, parse):
+    """`parse` applied to the UTF-8 text of `path`. Text that does not
+    decode, or that `parse` rejects with a TypeError or ValueError (JSON
+    syntax, unknown or wrong-typed fields), is a ConfigError naming the path."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise _CliIoError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise _CliConfigError(f"{path}: invalid JSON: {exc}") from exc
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
-class _CliConfigError(Exception):
-    pass
-
-
-class _CliIoError(Exception):
-    pass
+def _read_config(path) -> bench.ExperimentConfig:
+    return _parse_file(path, lambda text: bench.config_from_dict(json.loads(text)))
 
 
 def cmd_synth(args) -> int:
-    raw = _load_json(args.config)
-    try:
-        cfg = dataset.SyntheticShiftConfig(**raw)
-    except (TypeError, NormdaError) as exc:
-        raise _CliConfigError(f"bad synthetic config: {exc}") from exc
+    cfg = _parse_file(args.config, lambda text: dataset.SyntheticShiftConfig(**json.loads(text)))
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     ds = dataset.generate_synthetic(cfg)
-    try:
-        dataset.save_csv(ds, args.out)
-    except OSError as exc:
-        raise _CliIoError(f"cannot write {args.out}: {exc}") from exc
+    dataset.save_csv(ds, args.out)
     print(f"wrote {args.out}: n={ds.n} m={ds.m} domains={len(ds.domain_keys())}")
     return EXIT_OK
-
-
-def _read_config(path: str) -> bench.ExperimentConfig:
-    try:
-        return bench.config_from_dict(_load_json(path))
-    except (TypeError, ValueError, NormdaError) as exc:
-        raise _CliConfigError(f"bad experiment config: {exc}") from exc
 
 
 def cmd_run(args) -> int:
@@ -78,18 +61,8 @@ def cmd_run(args) -> int:
         cfg = replace(cfg, output_dir=args.out)
 
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    try:
-        report = bench.run_experiment(cfg, jobs=jobs)
-    except NormdaError as exc:
-        # Cells catch their own failures, so this is the dataset or the
-        # protocol rejected before any fold ran.
-        raise _CliConfigError(str(exc)) from exc
-    except OSError as exc:
-        raise _CliIoError(f"cannot read dataset: {exc}") from exc
-    try:
-        outdir = bench.write_report(report, cfg.output_dir)
-    except OSError as exc:
-        raise _CliIoError(f"cannot write report: {exc}") from exc
+    report = bench.run_experiment(cfg, jobs=jobs)
+    outdir = bench.write_report(report, cfg.output_dir)
     print(bench.emit_table(report, "markdown"), end="")
     failed = [c for c in report.cells if not c.ok]
     for cell in failed:
@@ -101,70 +74,53 @@ def cmd_run(args) -> int:
 
 
 def cmd_project(args) -> int:
-    ds = _read_dataset(args.data)
-    try:
-        strategy = NormStrategy.from_name(args.strategy)
-        folds = (
-            dataset.loso_folds(ds) if args.protocol == "loso" else dataset.hlso_folds(ds)
-        )
-    except (ValueError, NormdaError) as exc:
-        raise _CliConfigError(str(exc)) from exc
+    ds = dataset.load_csv(args.data)
+    strategy = NormStrategy.from_name(args.strategy)
+    folds = bench.folds_for(ds, args.protocol)
     if not 0 <= args.fold_index < len(folds):
-        raise _CliConfigError(f"fold index {args.fold_index} out of range [0, {len(folds)})")
+        raise ConfigError(f"fold index {args.fold_index} out of range [0, {len(folds)})")
     fold = folds[args.fold_index]
     rows = bench.emit_projection(ds, fold, strategy)
     text = bench.projection_csv(rows)
     if args.out:
-        try:
-            Path(args.out).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise _CliIoError(f"cannot write {args.out}: {exc}") from exc
+        Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote {args.out}: {len(rows)} rows ({fold.name}, {strategy.value})")
     else:
         print(text, end="")
     return EXIT_OK
 
 
-def cmd_table(args) -> int:
-    folds_path = Path(args.report) / "folds.csv"
-    try:
-        lines = folds_path.read_text(encoding="utf-8").strip().splitlines()
-    except OSError as exc:
-        raise _CliIoError(f"cannot read {folds_path}: {exc}") from exc
+def _cells_from_folds_csv(text: str) -> list[bench.CellResult]:
+    """One CellResult per (strategy, method) of a folds.csv; a cell with a
+    FAIL fold is an error. Malformed lines raise ValueError."""
+    lines = text.strip().splitlines()
     if not lines or lines[0] != "strategy,method,fold,accuracy":
-        raise _CliConfigError(f"{folds_path}: unexpected header")
-    cfg = _read_config(str(Path(args.report) / "config.json"))
+        raise ValueError("unexpected header")
     by_cell: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    for line in lines[1:]:
+        strategy, method, fold, acc = line.split(",")
+        by_cell.setdefault((strategy, method), []).append((fold, acc))
     cells = []
-    try:
-        for line in lines[1:]:
-            strategy, method, fold, acc = line.split(",")
-            by_cell.setdefault((strategy, method), []).append((fold, acc))
-        for (strategy, method), rows in by_cell.items():
-            fold_names, accs = zip(*rows)
-            if "FAIL" in accs:
-                cells.append(bench.CellResult(strategy, method, fold_names, None, "FAIL", 0.0))
-            else:
-                accs = tuple(float(a) for a in accs)
-                cells.append(bench.CellResult(strategy, method, fold_names, accs, None, 0.0))
-    except ValueError as exc:
-        raise _CliConfigError(f"{folds_path}: {exc}") from exc
+    for (strategy, method), rows in by_cell.items():
+        fold_names, accs = zip(*rows)
+        if "FAIL" in accs:
+            cells.append(bench.CellResult(strategy, method, fold_names, None, "FAIL", 0.0))
+        else:
+            accs = tuple(float(a) for a in accs)
+            cells.append(bench.CellResult(strategy, method, fold_names, accs, None, 0.0))
+    return cells
+
+
+def cmd_table(args) -> int:
+    cells = _parse_file(Path(args.report) / "folds.csv", _cells_from_folds_csv)
+    cfg = _read_config(Path(args.report) / "config.json")
     report = bench.ExperimentReport(cfg, cells[0].fold_names if cells else (), tuple(cells))
     print(bench.emit_table(report, "markdown"), end="")
     return EXIT_OK
 
 
-def _read_dataset(path: str) -> dataset.DomainDataset:
-    if not os.path.exists(path):
-        raise _CliIoError(f"no such file: {path}")
-    try:
-        return dataset.load_csv(path)
-    except NormdaError as exc:
-        raise _CliConfigError(str(exc)) from exc
-
-
 def cmd_validate(args) -> int:
-    ds = _read_dataset(args.data)
+    ds = dataset.load_csv(args.data)
     print(f"rows={ds.n} features={ds.m} classes={ds.n_classes}")
     counts = np.bincount(ds.labels, minlength=ds.n_classes)
     print("label counts: " + ", ".join(f"{c}:{int(n)}" for c, n in enumerate(counts)))
@@ -229,19 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _CliConfigError as exc:
+    except (NormdaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _CliIoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except NormdaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EXPERIMENT
+        return EXIT_CONFIG if isinstance(exc, NormdaError) else EXIT_IO
 
 
 if __name__ == "__main__":

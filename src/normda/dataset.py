@@ -22,6 +22,7 @@ from .errors import (
     ProtocolError,
     SchemaError,
     StratificationError,
+    check_field_types,
 )
 
 DEFAULT_SCHEMA = ("subject", "session", "label")
@@ -58,6 +59,8 @@ class DomainDataset:
         feats = np.asarray(self.features, dtype=np.float64)
         if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
             raise ConfigError("features must be a nonempty 2-D matrix")
+        if not np.all(np.isfinite(feats)):
+            raise ConfigError("features must be finite")
         labels = np.asarray(self.labels, dtype=np.int64)
         subjects = np.asarray(self.subjects, dtype=np.int64)
         sessions = np.asarray(self.sessions, dtype=np.int64)
@@ -150,8 +153,9 @@ class SyntheticShiftConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("n_subjects", "n_sessions", "n_classes", "samples_per_class_per_domain", "dim"):
-            if int(getattr(self, name)) < 1:
+            if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
         if self.class_separation <= 0:
             raise ConfigError("class_separation must be > 0")
@@ -220,8 +224,9 @@ def load_csv(path, schema: Sequence[str] = DEFAULT_SCHEMA) -> DomainDataset:
     """Read a dataset from CSV: schema columns are integer ids, the rest features.
 
     Raises SchemaError for missing columns, ParseError naming the offending
-    row (1-based, header excluded) and column or the first byte that is not
-    UTF-8, EmptyInputError for a file without data rows.
+    row (1-based, header excluded) and column of a cell that is not a
+    finite number, or the first byte that is not UTF-8, EmptyInputError
+    for a file without data rows.
     """
     if len(schema) != 3:
         raise SchemaError("schema must name the subject, session and label columns")
@@ -267,11 +272,14 @@ def load_csv(path, schema: Sequence[str] = DEFAULT_SCHEMA) -> DomainDataset:
             values = []
             for j, name in feature_cols:
                 try:
-                    values.append(float(row[j]))
+                    value = float(row[j])
                 except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
                     raise ParseError(
-                        f"{path}: row {row_num}, column {name}: {row[j]!r} is not a number"
-                    ) from None
+                        f"{path}: row {row_num}, column {name}: {row[j]!r} is not a finite number"
+                    )
+                values.append(value)
             feats.append(values)
 
     if not feats:

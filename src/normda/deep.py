@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import expit
 
 from .dataset import stratified_indices
-from .errors import ConfigError, DegenerateLabelsError, NumericError, ShapeError
+from .errors import ConfigError, DegenerateLabelsError, NumericError, ShapeError, check_field_types
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -83,6 +83,7 @@ class TrainConfig:
     val_fraction: float = 0.1
 
     def __post_init__(self):
+        check_field_types(self)
         # learning_rate 0 is allowed: it trains nothing but exercises the
         # early-stopping path deterministically.
         if self.learning_rate < 0:

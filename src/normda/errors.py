@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package. NormdaError is the only
+expected failure; any other exception is a bug and propagates."""
+
+import numbers
+from dataclasses import fields
 
 
 class NormdaError(Exception):
@@ -51,3 +55,14 @@ class NumericError(NormdaError, ArithmeticError):
 
 class ExperimentError(NormdaError, RuntimeError):
     """One or more experiment cells failed."""
+
+
+def check_field_types(obj) -> None:
+    """Raise ConfigError unless each field of the dataclass `obj` annotated
+    `int` holds an integer and each annotated `float` a real number; a bool
+    is neither."""
+    for f in fields(obj):
+        value, kind = getattr(obj, f.name), getattr(f.type, "__name__", f.type)
+        wanted = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}.get(kind)
+        if wanted and (isinstance(value, bool) or not isinstance(value, wanted[0])):
+            raise ConfigError(f"{f.name} must be {wanted[1]}, got {value!r}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import DomainDataset, Fold
-from .errors import DegenerateDomainError, EmptyInputError, ShapeError
+from .errors import ConfigError, DegenerateDomainError, EmptyInputError, ShapeError
 
 EPS = 1e-8
 
@@ -40,10 +40,11 @@ class NormStrategy(enum.Enum):
 
     @classmethod
     def from_name(cls, name: str) -> "NormStrategy":
+        key = str(name).lower()
         for member in cls:
-            if member.value.lower() == name.lower() or member.name.lower() == name.lower():
+            if key in (member.value.lower(), member.name.lower()):
                 return member
-        raise ValueError(f"unknown normalization strategy {name!r}")
+        raise ConfigError(f"unknown normalization strategy {name!r}")
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ class FeatureStats:
         if mu.shape != sigma.shape or mu.ndim != 1:
             raise ShapeError("mu and sigma must be 1-D vectors of equal length")
         if np.any(sigma < 0):
-            raise ValueError("sigma must be non-negative")
+            raise ConfigError("sigma must be non-negative")
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "sigma", sigma)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DegenerateDataError, EmptyInputError, NumericError, ShapeError
+from .errors import ConfigError, DegenerateDataError, EmptyInputError, NumericError, ShapeError
 
 KPCA_EIGVAL_RTOL = 1e-10
 
@@ -26,9 +26,9 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.kind not in ("linear", "rbf"):
-            raise ValueError(f"unknown kernel kind {self.kind!r}")
+            raise ConfigError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "rbf" and self.gamma is not None and self.gamma <= 0:
-            raise ValueError("rbf gamma must be positive")
+            raise ConfigError("rbf gamma must be positive")
 
 
 def median_heuristic_gamma(X: np.ndarray) -> float:
@@ -125,7 +125,7 @@ def tca_fit(
     if Xs.size == 0 or Xt.size == 0:
         raise EmptyInputError("tca_fit needs two nonempty sample sets")
     if mu_reg <= 0:
-        raise ValueError("mu_reg must be positive")
+        raise ConfigError("mu_reg must be positive")
     ns, nt = Xs.shape[0], Xt.shape[0]
     n = ns + nt
     if not 1 <= dim <= n:
@@ -197,7 +197,10 @@ def kpca_fit(X: np.ndarray, k: KernelSpec, dim: int) -> KpcaModel:
     total_mean = float(K.mean())
     Kc = K - col_means[None, :] - col_means[:, None] + total_mean
 
-    eigvals, eigvecs = scipy.linalg.eigh(Kc)
+    try:
+        eigvals, eigvecs = scipy.linalg.eigh(Kc)
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericError(f"kernel-PCA eigenproblem failed: {exc}") from exc
     order = np.argsort(eigvals)[::-1]
     eigvals, eigvecs = eigvals[order], eigvecs[:, order]
     cutoff = KPCA_EIGVAL_RTOL * max(float(eigvals[0]), 0.0)

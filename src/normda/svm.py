@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLabelsError, NumericError, ShapeError
+from .errors import ConfigError, DegenerateLabelsError, NumericError, ShapeError
 from .shallow import KernelSpec, gram, median_heuristic_gamma
 
 _STEP_EPS = 1e-10
@@ -162,7 +162,7 @@ def svm_train(
     if not np.all(np.isfinite(X)):
         raise NumericError("training features contain non-finite values")
     if C <= 0:
-        raise ValueError("C must be positive")
+        raise ConfigError("C must be positive")
     classes = tuple(sorted({int(v) for v in y}))
     if len(classes) < 2:
         raise DegenerateLabelsError("training labels contain a single class")

@@ -563,6 +563,14 @@ def test_config_from_dict_rejects_unknown_keys(change, named):
         ({"noDA-SVM": {"Cc": [1.0]}}, r"unknown parameters \['Cc'\]"),
         ({"noDA-SVM": {"C": []}}, r"no values for \['C'\]"),
         ({"TCA-SVM": {"C": [1.0]}}, r"not in methods: \['TCA-SVM'\]"),
+        ({"noDA-SVM": {"C": "10"}}, r"no values for \['C'\]; need a non-empty list, got '10'"),
+        ({"noDA-SVM": {"C": 1.0}}, r"need a non-empty list, got 1.0"),
+        ({"noDA-SVM": {"C": [1.0, "x"]}}, r"C must be a number, got 'x'"),
+        ({"noDA-SVM": {"dim": [2.5]}}, r"dim must be an integer"),
+        ({"noDA-SVM": {"batch_size": [2.5]}}, r"batch_size must be an integer"),
+        ({"noDA-SVM": {"kernel": [{"kind": "poly"}]}}, r"unknown kernel kind 'poly'"),
+        ({"noDA-SVM": {"kernel": ["rbf"]}}, r"kernel must be a KernelSpec"),
+        ({"noDA-SVM": {"kernel": [{"kind": "rbf", "gamma": -1.0}]}}, r"rbf gamma must be positive"),
     ],
 )
 def test_config_rejects_bad_grids_at_load(grids, named):
@@ -570,6 +578,24 @@ def test_config_rejects_bad_grids_at_load(grids, named):
 
     with pytest.raises(ConfigError, match=named):
         small_cfg(grids=grids)
+
+
+@pytest.mark.parametrize(
+    "build, named",
+    [
+        (lambda: MethodSpec("noDA-SVM", C="x"), r"C must be a number, got 'x'"),
+        (lambda: MethodSpec("TCA-SVM", dim=2.0), r"dim must be an integer"),
+        (lambda: MethodSpec("DANN", lam=True), r"lam must be a number"),
+        (lambda: MethodSpec("noDA-SVM", kernel="rbf"), r"kernel must be a KernelSpec"),
+        (lambda: TrainConfig(batch_size=2.5), r"batch_size must be an integer, got 2.5"),
+        (lambda: TrainConfig(learning_rate="0.1"), r"learning_rate must be a number"),
+    ],
+)
+def test_specs_reject_wrong_typed_numbers(build, named):
+    from normda.errors import ConfigError
+
+    with pytest.raises(ConfigError, match=named):
+        build()
 
 
 def test_traced_names_are_functions_of_their_modules():

@@ -200,9 +200,10 @@ def test_run_unknown_strategy_exits_2(tmp_path, capsys):
     assert "Z9" in capsys.readouterr().err
 
 
-def test_table_rerenders_failed_cells(tmp_path, capsys):
-    # A one-row subject cannot be standardized per domain on the test side,
-    # so its Z2 fold fails and the Z2 cell renders as FAIL.
+def one_row_subject_csv(tmp_path):
+    """A synthetic CSV plus subject 9 with a single row: a one-row domain
+    cannot be standardized per domain on the test side (Z2/Z3). Its LOSO
+    fold is the last one, index 3."""
     synth = write_json(tmp_path / "synth.json", SYNTH_CFG)
     data = tmp_path / "d.csv"
     main(["synth", "--config", synth, "--out", str(data)])
@@ -210,6 +211,13 @@ def test_table_rerenders_failed_cells(tmp_path, capsys):
     row = {"subject": "9", "session": "0", "label": "0"}
     with data.open("a") as fh:
         fh.write(",".join(row.get(col, "0.0") for col in header) + "\n")
+    return data
+
+
+def test_table_rerenders_failed_cells(tmp_path, capsys):
+    # A one-row subject cannot be standardized per domain on the test side,
+    # so its Z2 fold fails and the Z2 cell renders as FAIL.
+    data = one_row_subject_csv(tmp_path)
     cfg = write_json(
         tmp_path / "exp.json",
         dict(RUN_CFG, dataset={"csv": str(data)}, output_dir=str(tmp_path / "r")),
@@ -223,7 +231,19 @@ def test_table_rerenders_failed_cells(tmp_path, capsys):
     assert rendered == first[: len(rendered)]
 
 
-@pytest.mark.parametrize("grid, named", [({"Cc": [1.0]}, "Cc"), ({"C": []}, "no values")])
+@pytest.mark.parametrize(
+    "grid, named",
+    [
+        ({"Cc": [1.0]}, "Cc"),
+        ({"C": []}, "no values"),
+        ({"C": "10"}, "no values for ['C']; need a non-empty list, got '10'"),
+        ({"C": 1.0}, "need a non-empty list, got 1.0"),
+        ({"C": ["x"]}, "C must be a number, got 'x'"),
+        ({"batch_size": [2.5]}, "batch_size must be an integer"),
+        ({"kernel": [{"kind": "poly"}]}, "poly"),
+        ({"kernel": [{"kind": "rbf", "bogus": 1}]}, "bogus"),
+    ],
+)
 def test_run_bad_grid_exits_2(tmp_path, capsys, grid, named):
     cfg = write_json(
         tmp_path / "exp.json",
@@ -249,3 +269,81 @@ def test_non_utf8_csv_exits_2_and_names_byte(tmp_path, capsys, command):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert str(data) in err and "byte 23 is not valid UTF-8" in err
+
+
+@pytest.mark.parametrize(
+    "method, named",
+    [
+        ({"kind": "noDA-SVM", "C": "x"}, "C must be a number, got 'x'"),
+        ({"kind": "noDA-SVM", "train": {"batch_size": 2.5}}, "batch_size must be an integer, got 2.5"),
+    ],
+)
+def test_run_wrong_typed_method_field_exits_2(tmp_path, capsys, method, named):
+    cfg = write_json(
+        tmp_path / "exp.json", dict(RUN_CFG, methods=[method], output_dir=str(tmp_path / "r"))
+    )
+    assert main(["run", "--config", cfg, "--jobs", "1"]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_non_finite_csv_exits_2_and_names_row_and_column(tmp_path, capsys, command, cell):
+    data = tmp_path / "d.csv"
+    data.write_text(f"subject,session,label,f1,f2\n0,0,0,1.0,2.0\n1,0,1,{cell},2.0\n")
+    if command == "run":
+        cfg = write_json(
+            tmp_path / "exp.json",
+            dict(RUN_CFG, dataset={"csv": str(data)}, output_dir=str(tmp_path / "r")),
+        )
+        argv = ["run", "--config", cfg, "--jobs", "1"]
+    else:
+        argv = ["validate", "--data", str(data)]
+    assert main(argv) == 2
+    assert f"row 2, column f1: {cell!r} is not a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["validate", "project"])
+def test_directory_as_data_exits_3(tmp_path, capsys, command):
+    assert main([command, "--data", str(tmp_path)]) == 3
+    assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_project_rejected_fold_exits_2(tmp_path, capsys):
+    data = one_row_subject_csv(tmp_path)
+    argv = ["project", "--data", str(data), "--fold-index", "3", "--strategy", "Z2"]
+    assert main(argv) == 2
+    assert "subject=9" in capsys.readouterr().err
+
+
+def test_run_strict_exits_4_only_for_failed_cells(tmp_path, capsys):
+    data = one_row_subject_csv(tmp_path)
+    cfg = write_json(
+        tmp_path / "exp.json",
+        dict(RUN_CFG, dataset={"csv": str(data)}, output_dir=str(tmp_path / "r")),
+    )
+    assert main(["run", "--config", cfg, "--jobs", "1", "--strict"]) == 4
+    assert "FAILED Z2/noDA-SVM" in capsys.readouterr().err
+    ok = write_json(tmp_path / "ok.json", dict(RUN_CFG, output_dir=str(tmp_path / "ok")))
+    assert main(["run", "--config", ok, "--jobs", "1", "--strict"]) == 0
+
+
+@pytest.mark.parametrize(
+    "command, content, named",
+    [
+        ("run", b"{", "Expecting property name"),
+        ("synth", b"{", "Expecting property name"),
+        ("run", b"[1]", "config keys: expected an object, got [1]"),
+        ("synth", b"[1]", "must be a mapping, not list"),
+        ("run", b'{"seed": "\xe9"}', "can't decode byte 0xe9"),
+        ("synth", b'{"seed": "\xe9"}', "can't decode byte 0xe9"),
+    ],
+)
+def test_malformed_json_config_exits_2(tmp_path, capsys, command, content, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    argv = [command, "--config", str(cfg), *(["--out", str(tmp_path / "d.csv")] if command == "synth" else [])]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(cfg) in err and named in err

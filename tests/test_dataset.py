@@ -67,6 +67,21 @@ def test_load_csv_parse_error_names_row_and_column(tmp_path):
         load_csv(p)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+def test_load_csv_rejects_non_finite_and_names_row_and_column(tmp_path, cell):
+    p = tmp_path / "d.csv"
+    p.write_text(f"subject,session,label,f1,f2\n0,0,0,1.0,2.0\n0,0,1,3.0,{cell}\n")
+    with pytest.raises(ParseError, match=rf"row 2, column f2: {cell!r} is not a finite number"):
+        load_csv(p)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_dataset_rejects_non_finite_features(value):
+    feats = np.array([[0.0, 1.0], [2.0, value]])
+    with pytest.raises(ConfigError, match="features must be finite"):
+        DomainDataset(feats, [0, 1], [0, 0], [0, 0])
+
+
 def test_load_csv_empty_file(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("")
@@ -156,6 +171,14 @@ def test_synthetic_config_validation():
         SyntheticShiftConfig(n_classes=0)
     with pytest.raises(ConfigError):
         SyntheticShiftConfig(n_classes=5, dim=3)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("n_subjects", 2.5), ("dim", "4"), ("seed", True), ("noise_std", "x")]
+)
+def test_synthetic_config_rejects_wrong_typed_numbers(field, value):
+    with pytest.raises(ConfigError, match=field):
+        SyntheticShiftConfig(**{field: value})
 
 
 # ---------------------------------------------------------------------------
