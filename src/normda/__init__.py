@@ -11,7 +11,6 @@ from .dataset import (
     load_csv,
     loso_folds,
     save_csv,
-    subsample_per_subject,
 )
 from .normalize import FeatureStats, NormStrategy, apply_strategy, compute_stats, minmax, zscore
 from .shallow import (

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -24,6 +25,7 @@ from .dataset import (
     DomainDataset,
     Fold,
     SyntheticShiftConfig,
+    accuracy,
     generate_synthetic,
     hlso_folds,
     load_csv,
@@ -31,6 +33,7 @@ from .dataset import (
     stratified_indices,
 )
 from .deep import (
+    ACTIVATIONS,
     MlpSpec,
     TrainConfig,
     make_adda,
@@ -47,7 +50,6 @@ from .errors import (
     ExperimentError,
     NormdaError,
     NumericError,
-    ShapeError,
     check_field_types,
 )
 from .normalize import NormStrategy, apply_strategy
@@ -213,6 +215,12 @@ class MethodSpec:
         for name in ("kernel", "svm_kernel"):
             if not isinstance(getattr(self, name), KernelSpec):
                 raise ConfigError(f"{name} must be a KernelSpec, got {getattr(self, name)!r}")
+        if not isinstance(self.hidden, (list, tuple)) or not all(
+            isinstance(h, numbers.Integral) and not isinstance(h, bool) for h in self.hidden
+        ):
+            raise ConfigError(f"hidden must be a list of integers, got {self.hidden!r}")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError(f"unknown activation {self.activation!r}; expected one of {ACTIVATIONS}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
 
 
@@ -228,6 +236,7 @@ class ExperimentConfig:
     emit_projections: bool = False
 
     def __post_init__(self):
+        check_field_types(self)
         if self.protocol not in ("loso", "hlso"):
             raise ConfigError(f"protocol must be 'loso' or 'hlso', got {self.protocol!r}")
         if not self.strategies or not self.methods:
@@ -290,17 +299,6 @@ class ExperimentReport:
             if c.strategy == strategy and c.method == method:
                 return c
         raise KeyError((strategy, method))
-
-
-def accuracy(predicted, actual) -> float:
-    """Fraction of exact label matches."""
-    predicted = np.asarray(predicted)
-    actual = np.asarray(actual)
-    if predicted.shape != actual.shape:
-        raise ShapeError("predicted and actual label vectors differ in length")
-    if predicted.size == 0:
-        raise EmptyInputError("cannot score empty label vectors")
-    return float(np.mean(predicted == actual))
 
 
 def aggregate(accuracies) -> tuple[float, float]:
@@ -718,6 +716,8 @@ def _check_keys(raw: dict, cls, what: str) -> None:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
+    """Read a config_to_dict-shaped dict; a key it omits takes the
+    ExperimentConfig default."""
     _check_keys(raw, ExperimentConfig, "config keys")
     ds_raw = raw.get("dataset", {})
     if set(ds_raw) not in ({"synthetic"}, {"csv"}):
@@ -726,24 +726,18 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         dataset: SyntheticShiftConfig | str = SyntheticShiftConfig(**ds_raw["synthetic"])
     else:
         dataset = str(ds_raw["csv"])
+    parsed = dict(raw, dataset=dataset)
 
-    methods = []
-    for m in raw.get("methods", [{"kind": "noDA-SVM"}]):
-        _check_keys(m, MethodSpec, "method fields")
-        nested = {k: cls(**m[k]) for k, cls in _NESTED_FIELDS.items() if k in m}
-        methods.append(MethodSpec(**{**m, **nested}))
-
-    strategies = tuple(NormStrategy.from_name(s) for s in raw.get("strategies", ["noNorm", "Z2"]))
-    return ExperimentConfig(
-        dataset=dataset,
-        protocol=raw.get("protocol", "loso"),
-        strategies=strategies,
-        methods=tuple(methods),
-        grids=raw.get("grids", {}),
-        seed=int(raw.get("seed", 0)),
-        output_dir=str(raw.get("output_dir", "report")),
-        emit_projections=bool(raw.get("emit_projections", False)),
-    )
+    if "methods" in raw:
+        methods = []
+        for m in raw["methods"]:
+            _check_keys(m, MethodSpec, "method fields")
+            nested = {k: cls(**m[k]) for k, cls in _NESTED_FIELDS.items() if k in m}
+            methods.append(MethodSpec(**{**m, **nested}))
+        parsed["methods"] = tuple(methods)
+    if "strategies" in raw:
+        parsed["strategies"] = tuple(NormStrategy.from_name(s) for s in raw["strategies"])
+    return ExperimentConfig(**parsed)
 
 
 def write_report(report: ExperimentReport, outdir) -> Path:

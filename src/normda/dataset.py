@@ -21,11 +21,10 @@ from .errors import (
     ParseError,
     ProtocolError,
     SchemaError,
+    ShapeError,
     StratificationError,
     check_field_types,
 )
-
-DEFAULT_SCHEMA = ("subject", "session", "label")
 
 
 class DomainKey(NamedTuple):
@@ -100,16 +99,6 @@ class DomainDataset:
     def rows_of(self, key: DomainKey) -> np.ndarray:
         return np.flatnonzero((self.subjects == key.subject) & (self.sessions == key.session))
 
-    def take(self, idx: Sequence[int]) -> "DomainDataset":
-        idx = np.asarray(idx, dtype=np.int64)
-        return DomainDataset(
-            self.features[idx],
-            self.labels[idx],
-            self.subjects[idx],
-            self.sessions[idx],
-            self.feature_names,
-        )
-
 
 @dataclass(frozen=True)
 class Fold:
@@ -165,6 +154,8 @@ class SyntheticShiftConfig:
             raise ConfigError("domain_shift_scale must be >= 0")
         if self.domain_scale_jitter < 0:
             raise ConfigError("domain_scale_jitter must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.dim < self.n_classes:
             raise ConfigError("dim must be >= n_classes for simplex class-mean placement")
 
@@ -220,17 +211,16 @@ def generate_synthetic(cfg: SyntheticShiftConfig) -> DomainDataset:
     )
 
 
-def load_csv(path, schema: Sequence[str] = DEFAULT_SCHEMA) -> DomainDataset:
-    """Read a dataset from CSV: schema columns are integer ids, the rest features.
+def load_csv(path) -> DomainDataset:
+    """Read a dataset from CSV: the subject, session and label columns are
+    integer ids, every other column a feature.
 
     Raises SchemaError for missing columns, ParseError naming the offending
     row (1-based, header excluded) and column of a cell that is not a
     finite number, or the first byte that is not UTF-8, EmptyInputError
     for a file without data rows.
     """
-    if len(schema) != 3:
-        raise SchemaError("schema must name the subject, session and label columns")
-    subject_col, session_col, label_col = schema
+    schema = ("subject", "session", "label")
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -266,9 +256,9 @@ def load_csv(path, schema: Sequence[str] = DEFAULT_SCHEMA) -> DomainDataset:
                         f"{path}: row {row_num}, column {col}: {cell!r} is not an integer"
                     ) from None
 
-            subjects.append(parse_int(subject_col))
-            sessions.append(parse_int(session_col))
-            labels.append(parse_int(label_col))
+            subjects.append(parse_int("subject"))
+            sessions.append(parse_int("session"))
+            labels.append(parse_int("label"))
             values = []
             for j, name in feature_cols:
                 try:
@@ -337,62 +327,37 @@ def hlso_folds(ds: DomainDataset) -> list[Fold]:
 
 
 def stratified_indices(
-    labels: Sequence[int], fraction: float, seed: int, idx: np.ndarray | None = None
+    labels: Sequence[int], fraction: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Split row indices into (rest, held-out) preserving class proportions.
+    """Split the row indices of `labels` into (rest, held-out) preserving
+    class proportions.
 
     Per class the held-out side gets ceil(fraction * count) rows, never
     fewer than one. Deterministic given the seed; both outputs are sorted.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    if idx is None:
-        idx = np.arange(labels.shape[0], dtype=np.int64)
-    if idx.size == 0:
+    if labels.size == 0:
         raise EmptyInputError("cannot split an empty index set")
     if not 0.0 < fraction < 1.0:
         raise ConfigError("fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
     val_parts = []
     for c in sorted({int(v) for v in labels}):
-        rows = idx[labels == c]
+        rows = np.flatnonzero(labels == c)
         if rows.size < 2:
             raise StratificationError(f"class {c} has a single row; cannot stratify")
         n_val = max(1, math.ceil(fraction * rows.size))
         val_parts.append(rng.permutation(rows)[:n_val])
     val = np.sort(np.concatenate(val_parts))
-    return np.setdiff1d(idx, val), val
+    return np.setdiff1d(np.arange(labels.size), val), val
 
 
-def subsample_per_subject(ds: DomainDataset, k: int, seed: int) -> DomainDataset:
-    """Cap each subject at k rows via class-stratified sampling.
-
-    Per-class quotas start at ceil(k * count / total) and are then trimmed
-    to sum exactly to k, removing from the smallest classes first, so a
-    single retained row always comes from the majority class. Subjects
-    already at or under k rows are kept whole.
-    """
-    if k < 1:
-        raise ConfigError("k must be >= 1")
-    rng = np.random.default_rng(seed)
-    kept: list[np.ndarray] = []
-    for s in sorted({int(v) for v in ds.subjects}):
-        rows = np.flatnonzero(ds.subjects == s)
-        if rows.size <= k:
-            kept.append(rows)
-            continue
-        labels = ds.labels[rows]
-        classes = sorted({int(v) for v in labels})
-        counts = {c: int(np.sum(labels == c)) for c in classes}
-        quotas = {c: math.ceil(k * counts[c] / rows.size) for c in classes}
-        # Trim the ceil overshoot: smallest classes shed rows first.
-        trim_order = sorted(classes, key=lambda c: (counts[c], c))
-        excess = sum(quotas.values()) - k
-        while excess > 0:
-            for c in trim_order:
-                if excess > 0 and quotas[c] > 0:
-                    quotas[c] -= 1
-                    excess -= 1
-        for c in classes:
-            class_rows = rows[labels == c]
-            kept.append(np.sort(rng.permutation(class_rows)[: quotas[c]]))
-    return ds.take(np.sort(np.concatenate(kept)))
+def accuracy(predicted, actual) -> float:
+    """Fraction of exact label matches."""
+    predicted = np.asarray(predicted)
+    actual = np.asarray(actual)
+    if predicted.shape != actual.shape:
+        raise ShapeError("predicted and actual label vectors differ in length")
+    if predicted.size == 0:
+        raise EmptyInputError("cannot score empty label vectors")
+    return float(np.mean(predicted == actual))

@@ -19,13 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .dataset import stratified_indices
+from .dataset import accuracy, stratified_indices
 from .errors import ConfigError, DegenerateLabelsError, NumericError, ShapeError, check_field_types
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 LEAKY_SLOPE = 0.01
+ACTIVATIONS = ("relu", "sigmoid", "leaky_relu")
 ADDA_ENCODER_LR_SCALE = 0.1
 
 Params = list[tuple[np.ndarray, np.ndarray]]
@@ -45,7 +46,7 @@ class MlpSpec:
             raise ConfigError("layer_sizes needs >= 2 entries, all >= 1")
         if len(sizes) - 2 > 3:
             raise ConfigError("at most 3 hidden layers are supported")
-        if self.activation not in ("relu", "sigmoid", "leaky_relu"):
+        if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
         if self.head not in ("softmax", "identity"):
             raise ConfigError(f"unknown head {self.head!r}")
@@ -349,10 +350,6 @@ def predict_composite(extractor: Mlp, head: Mlp, X: np.ndarray) -> np.ndarray:
     return np.argmax(probs, axis=1)
 
 
-def _accuracy(pred: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean(pred == y))
-
-
 def class_grads(
     extractor: Mlp, predictor: Mlp, X: np.ndarray, y: np.ndarray
 ) -> tuple[Params, Params, float]:
@@ -449,7 +446,7 @@ def _fit_classifier(
             adam_step(theta, flatten(egrads, pgrads), state, cfg.learning_rate)
 
     def val_accuracy():
-        return _accuracy(predict_composite(ext, pred, X[val_idx]), y[val_idx])
+        return accuracy(predict_composite(ext, pred, X[val_idx]), y[val_idx])
 
     best = _early_stopping(theta, cfg, run_epoch, val_accuracy)
     return _views(best, [ext.spec, pred.spec])
@@ -512,7 +509,7 @@ def train_dann(
 
     def val_accuracy():
         pred = predict_composite(current.extractor, current.predictor, Xs[val_idx])
-        return _accuracy(pred, ys[val_idx])
+        return accuracy(pred, ys[val_idx])
 
     best = _early_stopping(theta, cfg, run_epoch, val_accuracy)
     return DannModel(*_views(best, [m.spec for m in parts]), model.lam)
@@ -596,7 +593,7 @@ def train_adda(
             )
         fake_all = forward(target_enc.spec, target_enc.params, Xt)[0]
         dprobs = forward(disc.spec, disc.params, np.vstack([src_feats_all, fake_all]))[0]
-        gap = abs(_accuracy(np.argmax(dprobs, axis=1), domain_truth) - 0.5)
+        gap = abs(accuracy(np.argmax(dprobs, axis=1), domain_truth) - 0.5)
         if gap < best_gap:
             best_gap = gap
             best_pair = (enc_theta.copy(), disc_theta.copy())

@@ -57,12 +57,22 @@ class ExperimentError(NormdaError, RuntimeError):
     """One or more experiment cells failed."""
 
 
+_FIELD_TYPES = {
+    "int": (numbers.Integral, "an integer"),
+    "float": (numbers.Real, "a number"),
+    "bool": (bool, "a boolean"),
+    "str": (str, "a string"),
+}
+
+
 def check_field_types(obj) -> None:
     """Raise ConfigError unless each field of the dataclass `obj` annotated
-    `int` holds an integer and each annotated `float` a real number; a bool
-    is neither."""
+    `int`, `float`, `bool` or `str` holds a value of that type; an integer
+    is a number, but a bool is neither."""
     for f in fields(obj):
         value, kind = getattr(obj, f.name), getattr(f.type, "__name__", f.type)
-        wanted = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a number")}.get(kind)
-        if wanted and (isinstance(value, bool) or not isinstance(value, wanted[0])):
-            raise ConfigError(f"{f.name} must be {wanted[1]}, got {value!r}")
+        if kind not in _FIELD_TYPES:
+            continue
+        wanted, what = _FIELD_TYPES[kind]
+        if not isinstance(value, wanted) or (isinstance(value, bool) and wanted is not bool):
+            raise ConfigError(f"{f.name} must be {what}, got {value!r}")

@@ -22,6 +22,7 @@ from .errors import ConfigError, DegenerateDataError, ShapeError
 from .shallow import _fix_signs
 
 DE_SIGMA_FLOOR = 1e-12
+FILTER_ORDER = 5
 
 STANDARD_BANDS = (
     ("delta", 1.0, 3.0),
@@ -68,23 +69,19 @@ def standard_bands() -> list[BandSpec]:
     return [BandSpec(name, lo, hi) for name, lo, hi in STANDARD_BANDS]
 
 
-def butter_bandpass(epoch: SignalEpoch, low: float, high: float, order: int = 5) -> SignalEpoch:
-    """Zero-phase Butterworth bandpass across every channel."""
-    if order < 1:
-        raise ConfigError("filter order must be >= 1")
+def butter_bandpass(epoch: SignalEpoch, low: float, high: float) -> SignalEpoch:
+    """Zero-phase Butterworth bandpass of order FILTER_ORDER across every channel."""
     nyquist = epoch.fs / 2.0
     if not 0 < low < high < nyquist:
         raise ConfigError(
             f"band [{low}, {high}] Hz must satisfy 0 < low < high < {nyquist} (Nyquist)"
         )
-    b, a = butter(order, [low, high], btype="bandpass", fs=epoch.fs)
+    b, a = butter(FILTER_ORDER, [low, high], btype="bandpass", fs=epoch.fs)
     filtered = filtfilt(b, a, epoch.samples, axis=1)
     return SignalEpoch(filtered, epoch.fs)
 
 
-def differential_entropy(
-    epoch: SignalEpoch, bands: Sequence[BandSpec | None], order: int = 5
-) -> np.ndarray:
+def differential_entropy(epoch: SignalEpoch, bands: Sequence[BandSpec | None]) -> np.ndarray:
     """Per-channel, per-band Gaussian differential entropy, channel-major.
 
     A None entry means no filtering (full-spectrum entropy). Zero-variance
@@ -94,7 +91,7 @@ def differential_entropy(
         raise ConfigError("at least one band is required")
     values = np.empty((epoch.n_channels, len(bands)))
     for j, band in enumerate(bands):
-        sig = epoch if band is None else butter_bandpass(epoch, band.low, band.high, order)
+        sig = epoch if band is None else butter_bandpass(epoch, band.low, band.high)
         var = sig.samples.var(axis=1, ddof=0)
         floored = np.maximum(var, DE_SIGMA_FLOOR**2)
         if np.any(var < DE_SIGMA_FLOOR**2):

@@ -73,27 +73,25 @@ def compute_stats(X: np.ndarray) -> FeatureStats:
     return FeatureStats(X.mean(axis=0), X.std(axis=0, ddof=0))
 
 
-def zscore(X: np.ndarray, stats: FeatureStats, eps: float = EPS) -> np.ndarray:
-    """(X - mu) / sigma with sigma floored at eps, so constant columns map to 0."""
+def zscore(X: np.ndarray, stats: FeatureStats) -> np.ndarray:
+    """(X - mu) / sigma with sigma floored at EPS, so constant columns map to 0."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != stats.mu.shape[0]:
         raise ShapeError(f"matrix has {X.shape[-1]} features, stats have {stats.mu.shape[0]}")
-    return (X - stats.mu) / np.maximum(stats.sigma, eps)
+    return (X - stats.mu) / np.maximum(stats.sigma, EPS)
 
 
-def minmax(X: np.ndarray, mins: np.ndarray, maxs: np.ndarray, eps: float = EPS) -> np.ndarray:
-    """(X - mins) / (maxs - mins) with the range floored at eps; no clipping."""
+def minmax(X: np.ndarray, mins: np.ndarray, maxs: np.ndarray) -> np.ndarray:
+    """(X - mins) / (maxs - mins) with the range floored at EPS; no clipping."""
     X = np.asarray(X, dtype=np.float64)
     mins = np.asarray(mins, dtype=np.float64)
     maxs = np.asarray(maxs, dtype=np.float64)
     if mins.shape != maxs.shape or mins.ndim != 1 or X.shape[1] != mins.shape[0]:
         raise ShapeError("mins/maxs must be length-m vectors matching the matrix")
-    return (X - mins) / np.maximum(maxs - mins, eps)
+    return (X - mins) / np.maximum(maxs - mins, EPS)
 
 
-def _per_domain_zscore(
-    ds: DomainDataset, idx: np.ndarray, eps: float, *, min_rows: int = 1
-) -> np.ndarray:
+def _per_domain_zscore(ds: DomainDataset, idx: np.ndarray, *, min_rows: int = 1) -> np.ndarray:
     """Z-score each domain's block within `idx` using that block's own stats."""
     out = np.empty((idx.size, ds.m))
     sub, ses = ds.subjects[idx], ds.sessions[idx]
@@ -105,13 +103,11 @@ def _per_domain_zscore(
                 f"domain (subject={key[0]}, session={key[1]}) has {block.shape[0]} row(s); "
                 "per-domain statistics need at least 2"
             )
-        out[mask] = zscore(block, compute_stats(block), eps)
+        out[mask] = zscore(block, compute_stats(block))
     return out
 
 
-def apply_strategy(
-    ds: DomainDataset, fold: Fold, strategy: NormStrategy, eps: float = EPS
-) -> tuple[np.ndarray, np.ndarray]:
+def apply_strategy(ds: DomainDataset, fold: Fold, strategy: NormStrategy) -> tuple[np.ndarray, np.ndarray]:
     """Return normalized (train, test) feature matrices for one fold.
 
     Training-side statistics are always fit before the test side is read,
@@ -126,23 +122,23 @@ def apply_strategy(
         mins = train_raw.min(axis=0)
         maxs = train_raw.max(axis=0)
         return (
-            minmax(train_raw, mins, maxs, eps),
-            minmax(ds.features[fold.test_idx], mins, maxs, eps),
+            minmax(train_raw, mins, maxs),
+            minmax(ds.features[fold.test_idx], mins, maxs),
         )
 
     pooled = compute_stats(train_raw)
     if strategy is NormStrategy.Z0:
-        train = zscore(train_raw, pooled, eps)
-        test = zscore(ds.features[fold.test_idx], pooled, eps)
+        train = zscore(train_raw, pooled)
+        test = zscore(ds.features[fold.test_idx], pooled)
     elif strategy is NormStrategy.Z1:
-        train = _per_domain_zscore(ds, fold.train_idx, eps)
-        test = zscore(ds.features[fold.test_idx], pooled, eps)
+        train = _per_domain_zscore(ds, fold.train_idx)
+        test = zscore(ds.features[fold.test_idx], pooled)
     elif strategy is NormStrategy.Z2:
-        train = _per_domain_zscore(ds, fold.train_idx, eps)
-        test = _per_domain_zscore(ds, fold.test_idx, eps, min_rows=2)
+        train = _per_domain_zscore(ds, fold.train_idx)
+        test = _per_domain_zscore(ds, fold.test_idx, min_rows=2)
     elif strategy is NormStrategy.Z3:
-        train = zscore(train_raw, pooled, eps)
-        test = _per_domain_zscore(ds, fold.test_idx, eps, min_rows=2)
+        train = zscore(train_raw, pooled)
+        test = _per_domain_zscore(ds, fold.test_idx, min_rows=2)
     else:
         raise ValueError(f"unhandled strategy {strategy}")
     return train, test

@@ -6,6 +6,7 @@ summary lines; a failing assert marks the criterion red.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from normda.deep import (
     make_dann,
     train_dann,
 )
+from normda.cli import _read_config
 from normda.features import SignalEpoch, butter_bandpass, csp_fit, differential_entropy
 from normda.normalize import NormStrategy, apply_strategy
 from normda.shallow import KernelSpec, kpca_fit, kpca_transform, mmd_sq, tca_fit, tca_transform
@@ -44,6 +46,7 @@ from normda.svm import svm_predict, svm_train
 from test_svm import kkt_holds
 
 LINEAR = KernelSpec("linear")
+HEADLINE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "headline.json"
 
 
 def ok(criterion, detail):
@@ -51,16 +54,7 @@ def ok(criterion, detail):
 
 
 def test_criterion_1_normalization_dominance():
-    cfg = ExperimentConfig(
-        dataset=SyntheticShiftConfig(
-            n_subjects=6, n_sessions=1, n_classes=2, samples_per_class_per_domain=100,
-            dim=8, class_separation=4.0, domain_shift_scale=10.0, noise_std=1.0, seed=7,
-        ),
-        protocol="loso",
-        strategies=(NormStrategy.NO_NORM, NormStrategy.Z2),
-        methods=(MethodSpec("noDA-SVM"), MethodSpec("TCA-SVM")),
-        seed=7,
-    )
+    cfg = _read_config(HEADLINE_CONFIG)
     start = time.perf_counter()
     report = run_experiment(cfg, jobs=1)
     elapsed = time.perf_counter() - start
@@ -249,8 +243,8 @@ def test_criterion_9_csp_and_de_oracles():
     stopband = SignalEpoch(np.sin(2 * np.pi * 2.0 * t)[None, :], 250.0)
     def _rms(x):
         return float(np.sqrt(np.mean(x**2)))
-    kept = _rms(butter_bandpass(passband, 8.0, 30.0, 5).samples) / _rms(passband.samples)
-    removed = _rms(butter_bandpass(stopband, 8.0, 30.0, 5).samples) / _rms(stopband.samples)
+    kept = _rms(butter_bandpass(passband, 8.0, 30.0).samples) / _rms(passband.samples)
+    removed = _rms(butter_bandpass(stopband, 8.0, 30.0).samples) / _rms(stopband.samples)
     assert kept >= 0.9 and removed <= 0.1
     ok(9, f"CSP ratio {ratio:.1f} > 10; DE {de:.4f} ~ 1.4189; RMS kept {kept:.2f} / removed {removed:.3f}")
 

@@ -558,6 +558,29 @@ def test_config_from_dict_rejects_unknown_keys(change, named):
 
 
 @pytest.mark.parametrize(
+    "change, named",
+    [
+        ({"seed": 2.7}, r"seed must be an integer, got 2.7"),
+        ({"seed": True}, r"seed must be an integer, got True"),
+        ({"emit_projections": "false"}, r"emit_projections must be a boolean, got 'false'"),
+        ({"output_dir": 5}, r"output_dir must be a string, got 5"),
+        ({"dataset": {"synthetic": {"seed": -1}}}, r"seed must be >= 0"),
+        ({"methods": [{"kind": "noDA-ANN", "activation": "bogus"}]}, r"unknown activation 'bogus'"),
+        ({"methods": [{"kind": "DANN", "hidden": [2.5]}]}, r"hidden must be a list of integers, got \[2.5\]"),
+        ({"methods": [{"kind": "DANN", "hidden": 16}]}, r"hidden must be a list of integers, got 16"),
+        ({"methods": [{"kind": "DANN", "hidden": ["x"]}]}, r"hidden must be a list of integers, got \['x'\]"),
+        ({"methods": [{"kind": "DANN", "hidden": [True]}]}, r"hidden must be a list of integers, got \[True\]"),
+    ],
+)
+def test_config_from_dict_rejects_wrong_values(change, named):
+    from normda.errors import ConfigError
+
+    raw = dict(config_to_dict(small_cfg()), **change)
+    with pytest.raises(ConfigError, match=named):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize(
     "grids, named",
     [
         ({"noDA-SVM": {"Cc": [1.0]}}, r"unknown parameters \['Cc'\]"),
@@ -571,6 +594,8 @@ def test_config_from_dict_rejects_unknown_keys(change, named):
         ({"noDA-SVM": {"kernel": [{"kind": "poly"}]}}, r"unknown kernel kind 'poly'"),
         ({"noDA-SVM": {"kernel": ["rbf"]}}, r"kernel must be a KernelSpec"),
         ({"noDA-SVM": {"kernel": [{"kind": "rbf", "gamma": -1.0}]}}, r"rbf gamma must be positive"),
+        ({"noDA-SVM": {"activation": ["bogus"]}}, r"unknown activation 'bogus'"),
+        ({"noDA-SVM": {"hidden": [[16], [2.5]]}}, r"hidden must be a list of integers, got \[2.5\]"),
     ],
 )
 def test_config_rejects_bad_grids_at_load(grids, named):

@@ -1,8 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from normda.cli import main
+from normda.bench import config_from_dict, config_to_dict
+from normda.cli import _read_config, main
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
 SYNTH_CFG = {
     "n_subjects": 3,
@@ -242,6 +246,7 @@ def test_table_rerenders_failed_cells(tmp_path, capsys):
         ({"batch_size": [2.5]}, "batch_size must be an integer"),
         ({"kernel": [{"kind": "poly"}]}, "poly"),
         ({"kernel": [{"kind": "rbf", "bogus": 1}]}, "bogus"),
+        ({"activation": ["bogus"]}, "unknown activation 'bogus'"),
     ],
 )
 def test_run_bad_grid_exits_2(tmp_path, capsys, grid, named):
@@ -276,6 +281,10 @@ def test_non_utf8_csv_exits_2_and_names_byte(tmp_path, capsys, command):
     [
         ({"kind": "noDA-SVM", "C": "x"}, "C must be a number, got 'x'"),
         ({"kind": "noDA-SVM", "train": {"batch_size": 2.5}}, "batch_size must be an integer, got 2.5"),
+        ({"kind": "noDA-ANN", "activation": "bogus"}, "unknown activation 'bogus'"),
+        ({"kind": "noDA-ANN", "hidden": [2.5]}, "hidden must be a list of integers, got [2.5]"),
+        ({"kind": "noDA-ANN", "hidden": 16}, "hidden must be a list of integers, got 16"),
+        ({"kind": "noDA-ANN", "hidden": ["x"]}, "hidden must be a list of integers, got ['x']"),
     ],
 )
 def test_run_wrong_typed_method_field_exits_2(tmp_path, capsys, method, named):
@@ -338,6 +347,11 @@ def test_run_strict_exits_4_only_for_failed_cells(tmp_path, capsys):
         ("synth", b"[1]", "must be a mapping, not list"),
         ("run", b'{"seed": "\xe9"}', "can't decode byte 0xe9"),
         ("synth", b'{"seed": "\xe9"}', "can't decode byte 0xe9"),
+        ("run", b'{"dataset": {"csv": "d.csv"}, "emit_projections": "false"}', "emit_projections must be a boolean"),
+        ("run", b'{"dataset": {"csv": "d.csv"}, "seed": 2.7}', "seed must be an integer, got 2.7"),
+        ("run", b'{"dataset": {"csv": "d.csv"}, "seed": true}', "seed must be an integer, got True"),
+        ("run", b'{"dataset": {"synthetic": {"seed": -1}}}', "seed must be >= 0"),
+        ("synth", b'{"seed": -1}', "seed must be >= 0"),
     ],
 )
 def test_malformed_json_config_exits_2(tmp_path, capsys, command, content, named):
@@ -347,3 +361,9 @@ def test_malformed_json_config_exits_2(tmp_path, capsys, command, content, named
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert str(cfg) in err and named in err
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_config_files_load_and_round_trip(path):
+    cfg = _read_config(path)
+    assert config_from_dict(config_to_dict(cfg)) == cfg

@@ -16,7 +16,6 @@ from normda.dataset import (
     loso_folds,
     save_csv,
     stratified_indices,
-    subsample_per_subject,
 )
 from normda.errors import (
     ConfigError,
@@ -92,15 +91,6 @@ def test_load_csv_empty_file(tmp_path):
         load_csv(p)
 
 
-def test_load_csv_custom_schema_columns(tmp_path):
-    p = tmp_path / "d.csv"
-    p.write_text("pid,run,target,f1\n3,1,0,0.5\n4,1,1,0.7\n")
-    ds = load_csv(p, schema=("pid", "run", "target"))
-    assert ds.n == 2 and ds.m == 1
-    np.testing.assert_array_equal(ds.subjects, [3, 4])
-    np.testing.assert_array_equal(ds.labels, [0, 1])
-
-
 def test_save_load_roundtrip(tmp_path):
     ds = generate_synthetic(SyntheticShiftConfig(n_subjects=2, n_classes=2, seed=1))
     p = tmp_path / "d.csv"
@@ -171,6 +161,8 @@ def test_synthetic_config_validation():
         SyntheticShiftConfig(n_classes=0)
     with pytest.raises(ConfigError):
         SyntheticShiftConfig(n_classes=5, dim=3)
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        SyntheticShiftConfig(seed=-1)
 
 
 @pytest.mark.parametrize(
@@ -245,13 +237,12 @@ def test_fold_rejects_overlap():
 
 
 # ---------------------------------------------------------------------------
-# Stratified split and subsampling
+# Stratified split
 
 
 def test_stratified_split_even_classes():
     ds = make_ds([0] * 100, [0] * 100, [0] * 50 + [1] * 50)
-    idx = np.arange(100)
-    train, val = stratified_indices(ds.labels[idx], 0.1, seed=0, idx=idx)
+    train, val = stratified_indices(ds.labels, 0.1, seed=0)
     assert val.size == 10
     assert np.sum(ds.labels[val] == 0) == 5 and np.sum(ds.labels[val] == 1) == 5
     assert np.array_equal(np.sort(np.concatenate([train, val])), np.arange(100))
@@ -259,56 +250,22 @@ def test_stratified_split_even_classes():
 
 def test_stratified_split_skewed_classes():
     ds = make_ds([0] * 100, [0] * 100, [0] * 90 + [1] * 10)
-    idx = np.arange(100)
-    _, val = stratified_indices(ds.labels[idx], 0.1, seed=0, idx=idx)
+    _, val = stratified_indices(ds.labels, 0.1, seed=0)
     assert np.sum(ds.labels[val] == 0) == 9 and np.sum(ds.labels[val] == 1) == 1
 
 
 def test_stratified_split_deterministic():
     ds = make_ds([0] * 40, [0] * 40, [0, 1] * 20)
-    idx = np.arange(40)
-    a = stratified_indices(ds.labels[idx], 0.25, seed=7, idx=idx)
-    b = stratified_indices(ds.labels[idx], 0.25, seed=7, idx=idx)
+    a = stratified_indices(ds.labels, 0.25, seed=7)
+    b = stratified_indices(ds.labels, 0.25, seed=7)
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
 
 
 def test_stratified_split_single_row_class_rejected():
     ds = make_ds([0] * 5, [0] * 5, [0, 0, 0, 0, 1])
-    idx = np.arange(5)
     with pytest.raises(StratificationError):
-        stratified_indices(ds.labels[idx], 0.2, seed=0, idx=idx)
-
-
-def test_subsample_caps_and_preserves_ratios():
-    labels = np.array([0] * 900 + [1] * 600)
-    ds = make_ds([0] * 1500, [0] * 1500, labels, features=np.ones((1500, 2)))
-    out = subsample_per_subject(ds, 1000, seed=0)
-    assert out.n == 1000
-    # ceil quotas: 600, 400
-    assert np.sum(out.labels == 0) == 600 and np.sum(out.labels == 1) == 400
-
-
-def test_subsample_keeps_small_subjects_whole():
-    ds = make_ds([0] * 300, [0] * 300, [0, 1] * 150)
-    out = subsample_per_subject(ds, 1000, seed=0)
-    assert out.n == 300
-
-
-def test_subsample_k1_keeps_majority_class():
-    # 4-row toy, 3 majority rows: ceil quotas are 1 and 1, and the trim rule
-    # drops the minority first, so the single kept row is majority-class.
-    ds = make_ds([0, 0, 0, 0], [0] * 4, [1, 1, 1, 0])
-    for seed in range(8):
-        out = subsample_per_subject(ds, 1, seed=seed)
-        assert out.n == 1 and out.labels[0] == 1
-
-
-def test_subsample_deterministic():
-    ds = make_ds([0] * 50 + [1] * 50, [0] * 100, [0, 1] * 50)
-    a = subsample_per_subject(ds, 30, seed=3)
-    b = subsample_per_subject(ds, 30, seed=3)
-    np.testing.assert_array_equal(a.features, b.features)
+        stratified_indices(ds.labels, 0.2, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ def test_zscore_hand_case():
 
 def test_zscore_constant_column_maps_to_zero():
     X = column([3.0, 3.0, 3.0])
-    out = zscore(X, compute_stats(X), eps=1e-8)
+    out = zscore(X, compute_stats(X))
     np.testing.assert_array_equal(out, np.zeros((3, 1)))
 
 
