@@ -6,6 +6,7 @@ from .dataset import (
     DomainKey,
     Fold,
     SyntheticShiftConfig,
+    deap_valence_labels,
     generate_synthetic,
     hlso_folds,
     load_csv,
@@ -55,8 +56,6 @@ from .bench import (
     ExperimentReport,
     MethodSpec,
     accuracy,
-    aggregate,
-    deap_valence_labels,
     emit_projection,
     emit_table,
     grid_search,

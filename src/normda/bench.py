@@ -22,6 +22,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dataset import (
+    VAL_FRACTION,
     DomainDataset,
     Fold,
     SyntheticShiftConfig,
@@ -33,7 +34,6 @@ from .dataset import (
     stratified_indices,
 )
 from .deep import (
-    ACTIVATIONS,
     MlpSpec,
     TrainConfig,
     make_adda,
@@ -46,7 +46,6 @@ from .deep import (
 from .errors import (
     ConfigError,
     DegenerateDataError,
-    EmptyInputError,
     ExperimentError,
     NormdaError,
     NumericError,
@@ -90,7 +89,7 @@ class MethodEntry(NamedTuple):
 
 
 def _svm(method: MethodSpec, kernel: KernelSpec, X: np.ndarray, y: np.ndarray, seed: int) -> SvmModel:
-    return svm_train(X, y, kernel, method.C, method.svm_tol, method.svm_max_passes, seed)
+    return svm_train(X, y, kernel, method.C, seed=seed)
 
 
 def _fit_svm(method, train_X, train_y, test_X, seed):
@@ -125,10 +124,9 @@ def _predict_kpca_svm(payload, X):
 def _deep(train):
     """Adapt a network trainer to the registry's fit signature.
 
-    `train(method, X, y, test_X, cfg, extractor, predictor, adversary)`
-    sees labels remapped to 0..k-1, the training config seeded for this
-    fit, and the MLP specs the method's shape asks for. The payload is
-    (model, original class labels).
+    `train(method, X, y, test_X, seed, extractor, predictor, adversary)`
+    sees labels remapped to 0..k-1, this fit's seed, and the MLP specs the
+    method's shape asks for. The payload is (model, original class labels).
     """
 
     def fit(method, train_X, train_y, test_X, seed):
@@ -140,25 +138,25 @@ def _deep(train):
         )
         predictor = MlpSpec((method.feature_dim, len(classes)), method.activation, head="softmax")
         adversary = MlpSpec((method.feature_dim, 2), method.activation, head="softmax")
-        cfg = replace(method.train, seed=seed)
-        return train(method, train_X, y_pos, test_X, cfg, extractor, predictor, adversary), classes
+        return train(method, train_X, y_pos, test_X, seed, extractor, predictor, adversary), classes
 
     return fit
 
 
 @_deep
-def _fit_ann(method, X, y, test_X, cfg, extractor, predictor, adversary):
-    return train_plain(X, y, cfg, extractor, predictor)
+def _fit_ann(method, X, y, test_X, seed, extractor, predictor, adversary):
+    return train_plain(X, y, method.train, extractor, predictor, seed)
 
 
 @_deep
-def _fit_dann(method, X, y, test_X, cfg, extractor, predictor, adversary):
-    return train_dann(X, y, test_X, cfg, make_dann(extractor, predictor, adversary, method.lam, cfg.seed))
+def _fit_dann(method, X, y, test_X, seed, extractor, predictor, adversary):
+    model = make_dann(extractor, predictor, adversary, method.lam, seed)
+    return train_dann(X, y, test_X, method.train, model, seed)
 
 
 @_deep
-def _fit_adda(method, X, y, test_X, cfg, extractor, predictor, adversary):
-    return train_adda(X, y, test_X, cfg, make_adda(extractor, predictor, adversary, cfg.seed))
+def _fit_adda(method, X, y, test_X, seed, extractor, predictor, adversary):
+    return train_adda(X, y, test_X, method.train, make_adda(extractor, predictor, adversary, seed), seed)
 
 
 def _predict_ann(payload, X):
@@ -191,7 +189,8 @@ class MethodSpec:
     `kernel` drives the TCA/KPCA projection (and the SVM itself for
     noDA-SVM); `svm_kernel` is the downstream classifier kernel once data
     has been projected. `hidden`/`feature_dim`/`activation` shape the
-    network components of the deep methods.
+    network components of the deep methods, checked here at input width 1
+    because the real width is known only per fold.
     """
 
     kind: str
@@ -200,8 +199,6 @@ class MethodSpec:
     dim: int = 2
     mu_reg: float = 1.0
     C: float = 1.0
-    svm_tol: float = 1e-3
-    svm_max_passes: int = 20
     hidden: tuple[int, ...] = (16,)
     feature_dim: int = 8
     activation: str = "relu"
@@ -219,9 +216,8 @@ class MethodSpec:
             isinstance(h, numbers.Integral) and not isinstance(h, bool) for h in self.hidden
         ):
             raise ConfigError(f"hidden must be a list of integers, got {self.hidden!r}")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}; expected one of {ACTIVATIONS}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        MlpSpec((1, *self.hidden, self.feature_dim), self.activation, head="identity")
 
 
 @dataclass(frozen=True)
@@ -301,14 +297,6 @@ class ExperimentReport:
         raise KeyError((strategy, method))
 
 
-def aggregate(accuracies) -> tuple[float, float]:
-    """Arithmetic mean and population standard deviation over folds."""
-    accs = np.asarray(accuracies, dtype=np.float64)
-    if accs.size == 0:
-        raise EmptyInputError("aggregate needs at least one fold")
-    return float(accs.mean()), float(accs.std(ddof=0))
-
-
 def format_cell(mean: float, std: float) -> str:
     """Render fractions as 'MM.MM (SS.SS)' percent, round half to even."""
     return f"{mean * 100:.2f} ({std * 100:.2f})"
@@ -318,20 +306,6 @@ def derive_seed(root: int, *parts) -> int:
     """Stable per-job seed from the root seed and job coordinates."""
     text = "|".join([str(root)] + [str(p) for p in parts])
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
-
-
-def deap_valence_labels(ratings) -> np.ndarray:
-    """Discretize valence ratings: <3 negative (0), 3..7 open neutral (1),
-    >7 positive (2); ratings exactly 3 or 7 are unassigned and rejected."""
-    out = np.empty(len(ratings), dtype=np.int64)
-    for i, r in enumerate(ratings):
-        r = float(r)
-        if not 1.0 <= r <= 9.0:
-            raise ConfigError(f"rating {r} outside the 1..9 scale")
-        if r == 3.0 or r == 7.0:
-            raise ConfigError(f"rating {r} lies on an unassigned class boundary")
-        out[i] = 2 if r > 7.0 else (1 if r > 3.0 else 0)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +466,7 @@ def resolve_fold_specs(
     if not grid:
         return method
     try:
-        tr, val = stratified_indices(train_y, method.train.val_fraction, seed)
+        tr, val = stratified_indices(train_y, VAL_FRACTION, seed)
         return grid_search(
             method, grid, train_X[tr], train_y[tr], train_X[val], train_y[val],
             target_X=test_X, seed=seed,
@@ -720,19 +694,27 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     ExperimentConfig default."""
     _check_keys(raw, ExperimentConfig, "config keys")
     ds_raw = raw.get("dataset", {})
-    if set(ds_raw) not in ({"synthetic"}, {"csv"}):
+    if not isinstance(ds_raw, dict) or set(ds_raw) not in ({"synthetic"}, {"csv"}):
         raise ConfigError("config needs a 'dataset' entry with exactly one of 'synthetic' or 'csv'")
     if "synthetic" in ds_raw:
+        _check_keys(ds_raw["synthetic"], SyntheticShiftConfig, "synthetic fields")
         dataset: SyntheticShiftConfig | str = SyntheticShiftConfig(**ds_raw["synthetic"])
     else:
         dataset = str(ds_raw["csv"])
     parsed = dict(raw, dataset=dataset)
+    for key in ("methods", "strategies"):
+        if not isinstance(raw.get(key, []), (list, tuple)):
+            raise ConfigError(f"{key} must be a list, got {raw[key]!r}")
 
     if "methods" in raw:
         methods = []
         for m in raw["methods"]:
             _check_keys(m, MethodSpec, "method fields")
-            nested = {k: cls(**m[k]) for k, cls in _NESTED_FIELDS.items() if k in m}
+            nested = {}
+            for k, cls in _NESTED_FIELDS.items():
+                if k in m:
+                    _check_keys(m[k], cls, f"{k} fields")
+                    nested[k] = cls(**m[k])
             methods.append(MethodSpec(**{**m, **nested}))
         parsed["methods"] = tuple(methods)
     if "strategies" in raw:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .dataset import accuracy, stratified_indices
+from .dataset import VAL_FRACTION, accuracy, stratified_indices
 from .errors import ConfigError, DegenerateLabelsError, NumericError, ShapeError, check_field_types
 
 ADAM_BETA1 = 0.9
@@ -43,11 +43,11 @@ class MlpSpec:
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.layer_sizes)
         if len(sizes) < 2 or any(s < 1 for s in sizes):
-            raise ConfigError("layer_sizes needs >= 2 entries, all >= 1")
+            raise ConfigError(f"layer sizes need an input and an output size, all >= 1; got {sizes}")
         if len(sizes) - 2 > 3:
-            raise ConfigError("at most 3 hidden layers are supported")
+            raise ConfigError(f"at most 3 hidden layers are supported; got {len(sizes) - 2}")
         if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
+            raise ConfigError(f"unknown activation {self.activation!r}; expected one of {ACTIVATIONS}")
         if self.head not in ("softmax", "identity"):
             raise ConfigError(f"unknown head {self.head!r}")
         object.__setattr__(self, "layer_sizes", sizes)
@@ -80,8 +80,6 @@ class TrainConfig:
     batch_size: int = 64
     max_epochs: int = 200
     patience: int = 20
-    seed: int = 0
-    val_fraction: float = 0.1
 
     def __post_init__(self):
         check_field_types(self)
@@ -93,8 +91,6 @@ class TrainConfig:
             raise ConfigError("patience must be >= 1")
         if self.batch_size < 1 or self.max_epochs < 1:
             raise ConfigError("batch_size and max_epochs must be >= 1")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ConfigError("val_fraction must be in (0, 1)")
 
 
 def init_params(spec: MlpSpec, seed_or_rng) -> Params:
@@ -402,26 +398,41 @@ def _paired_batches(n_src: int, n_tgt: int, batch_size: int, rng) -> list[tuple[
     return [(b, t_stream[k * batch_size : k * batch_size + b.size]) for k, b in enumerate(batches)]
 
 
-def _val_split(y: np.ndarray, cfg: TrainConfig, rng) -> tuple[np.ndarray, np.ndarray]:
+def _val_split(y: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
     seed = int(rng.integers(2**32))
-    return stratified_indices(y, cfg.val_fraction, seed)
+    return stratified_indices(y, VAL_FRACTION, seed)
 
 
-def _early_stopping(theta: np.ndarray, cfg: TrainConfig, run_epoch, val_accuracy) -> np.ndarray:
-    """Call run_epoch() up to max_epochs times, scoring val_accuracy() after
-    each; stop after `patience` epochs without a strict improvement and
-    return a copy of theta as it was after the best-scoring epoch."""
-    best_acc, best, stale = -1.0, theta.copy(), 0
-    for _ in range(cfg.max_epochs):
+def _early_stopping(theta: np.ndarray, epochs: int, patience: int, run_epoch, score) -> np.ndarray:
+    """Call run_epoch() up to `epochs` times, calling score() after each;
+    stop after `patience` epochs without a strict improvement and return a
+    copy of theta as it was after the best-scoring epoch (the earliest on
+    ties). Scores must exceed -1."""
+    best_score, best, stale = -1.0, theta.copy(), 0
+    for _ in range(epochs):
         run_epoch()
-        acc = val_accuracy()
-        if acc > best_acc:
-            best_acc, best, stale = acc, theta.copy(), 0
+        current = score()
+        if current > best_score:
+            best_score, best, stale = current, theta.copy(), 0
         else:
             stale += 1
-            if stale >= cfg.patience:
+            if stale >= patience:
                 break
     return best
+
+
+def _trainer_inputs(X, y, Xt=None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Features as float64 and labels as int64; rejects an empty target set
+    (when one is given) and labels of a single class."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if Xt is not None:
+        Xt = np.asarray(Xt, dtype=np.float64)
+        if Xt.shape[0] == 0:
+            raise ShapeError("target set must be nonempty")
+    if len({int(v) for v in y}) < 2:
+        raise DegenerateLabelsError("training labels contain a single class")
+    return X, y, Xt
 
 
 def _fit_classifier(
@@ -448,7 +459,7 @@ def _fit_classifier(
     def val_accuracy():
         return accuracy(predict_composite(ext, pred, X[val_idx]), y[val_idx])
 
-    best = _early_stopping(theta, cfg, run_epoch, val_accuracy)
+    best = _early_stopping(theta, cfg.max_epochs, cfg.patience, run_epoch, val_accuracy)
     return _views(best, [ext.spec, pred.spec])
 
 
@@ -458,17 +469,15 @@ def train_plain(
     cfg: TrainConfig,
     extractor_spec: MlpSpec,
     predictor_spec: MlpSpec,
+    seed: int,
 ) -> PlainModel:
     """Minimize cross-entropy with Adam and mini-batches; early-stops on
     validation accuracy and returns the best-validation snapshot."""
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
-    if len({int(v) for v in y}) < 2:
-        raise DegenerateLabelsError("training needs at least 2 classes")
-    rng = np.random.default_rng(cfg.seed)
+    X, y, _ = _trainer_inputs(X, y)
+    rng = np.random.default_rng(seed)
     ext = init_mlp(extractor_spec, rng)
     pred = init_mlp(predictor_spec, rng)
-    train_idx, val_idx = _val_split(y, cfg, rng)
+    train_idx, val_idx = _val_split(y, rng)
     return PlainModel(*_fit_classifier(X, y, train_idx, val_idx, cfg, rng, ext, pred))
 
 
@@ -478,6 +487,7 @@ def train_dann(
     Xt: np.ndarray,
     cfg: TrainConfig,
     model: DannModel,
+    seed: int,
 ) -> DannModel:
     """Adversarial training with a gradient-reversal layer.
 
@@ -486,15 +496,9 @@ def train_dann(
     receives the domain gradient scaled by -lambda. Early stopping watches
     source-validation accuracy only (target labels are never read).
     """
-    Xs = np.asarray(Xs, dtype=np.float64)
-    Xt = np.asarray(Xt, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.int64)
-    if Xt.shape[0] == 0:
-        raise ShapeError("target set must be nonempty")
-    if len({int(v) for v in ys}) < 2:
-        raise DegenerateLabelsError("source labels contain a single class")
-    rng = np.random.default_rng(cfg.seed)
-    train_idx, val_idx = _val_split(ys, cfg, rng)
+    Xs, ys, Xt = _trainer_inputs(Xs, ys, Xt)
+    rng = np.random.default_rng(seed)
+    train_idx, val_idx = _val_split(ys, rng)
 
     parts = [model.extractor, model.predictor, model.domain_classifier]
     theta, views = flat_copy(parts)
@@ -511,7 +515,7 @@ def train_dann(
         pred = predict_composite(current.extractor, current.predictor, Xs[val_idx])
         return accuracy(pred, ys[val_idx])
 
-    best = _early_stopping(theta, cfg, run_epoch, val_accuracy)
+    best = _early_stopping(theta, cfg.max_epochs, cfg.patience, run_epoch, val_accuracy)
     return DannModel(*_views(best, [m.spec for m in parts]), model.lam)
 
 
@@ -521,6 +525,7 @@ def train_adda(
     Xt: np.ndarray,
     cfg: TrainConfig,
     model: AddaModel,
+    seed: int,
     stage2_epochs: int | None = None,
 ) -> AddaModel:
     """Two-stage adversarial encoder alignment.
@@ -536,19 +541,14 @@ def train_adda(
     encoder steps at ADDA_ENCODER_LR_SCALE times the discriminator rate, and
     the returned (target encoder, discriminator) pair is the epoch-end
     snapshot whose discriminator accuracy sat closest to chance (ties keep
-    the earliest epoch).
+    the earliest epoch). Stage 2 runs all `stage2_epochs` (default
+    `cfg.max_epochs`); it never stops early.
     """
-    Xs = np.asarray(Xs, dtype=np.float64)
-    Xt = np.asarray(Xt, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.int64)
-    if Xt.shape[0] == 0:
-        raise ShapeError("target set must be nonempty")
+    Xs, ys, Xt = _trainer_inputs(Xs, ys, Xt)
     if stage2_epochs is None:
         stage2_epochs = cfg.max_epochs
-    rng = np.random.default_rng(cfg.seed)
-    train_idx, val_idx = _val_split(ys, cfg, rng)
-    if len({int(v) for v in ys}) < 2:
-        raise DegenerateLabelsError("source labels contain a single class")
+    rng = np.random.default_rng(seed)
+    train_idx, val_idx = _val_split(ys, rng)
 
     # Stage 1: source encoder + classifier.
     source_enc, clf = _fit_classifier(
@@ -556,17 +556,19 @@ def train_adda(
     )
 
     # Stage 2: adversarial target-encoder alignment against frozen pieces.
-    enc_theta, (target_enc,) = flat_copy([source_enc])
-    disc_theta, (disc,) = flat_copy([model.discriminator])
+    # Target encoder and discriminator share one vector; each slice keeps
+    # its own Adam state and learning rate.
+    theta, (target_enc, disc) = flat_copy([source_enc, model.discriminator])
+    n_enc = sum(a.size for pair in target_enc.params for a in pair)
+    enc_theta, disc_theta = theta[:n_enc], theta[n_enc:]
     disc_state = AdamState.zeros_like(disc_theta)
     enc_state = AdamState.zeros_like(enc_theta)
     src_feats_all = forward(source_enc.spec, source_enc.params, Xs)[0]
     domain_truth = np.concatenate(
         [np.zeros(Xs.shape[0], dtype=np.int64), np.ones(Xt.shape[0], dtype=np.int64)]
     )
-    best_gap = np.inf
-    best_pair = (enc_theta.copy(), disc_theta.copy())
-    for _ in range(stage2_epochs):
+
+    def run_epoch():
         for s_batch, ti in _paired_batches(Xs.shape[0], Xt.shape[0], cfg.batch_size, rng):
             # Discriminator step: source encodings 0, target encodings 1.
             real = src_feats_all[s_batch]
@@ -591,13 +593,12 @@ def train_adda(
             adam_step(
                 enc_theta, flatten(tgrads), enc_state, cfg.learning_rate * ADDA_ENCODER_LR_SCALE
             )
+
+    def chance_closeness():
         fake_all = forward(target_enc.spec, target_enc.params, Xt)[0]
         dprobs = forward(disc.spec, disc.params, np.vstack([src_feats_all, fake_all]))[0]
-        gap = abs(accuracy(np.argmax(dprobs, axis=1), domain_truth) - 0.5)
-        if gap < best_gap:
-            best_gap = gap
-            best_pair = (enc_theta.copy(), disc_theta.copy())
+        return -abs(accuracy(np.argmax(dprobs, axis=1), domain_truth) - 0.5)
 
-    (best_enc,) = _views(best_pair[0], [target_enc.spec])
-    (best_disc,) = _views(best_pair[1], [disc.spec])
+    best = _early_stopping(theta, stage2_epochs, stage2_epochs, run_epoch, chance_closeness)
+    best_enc, best_disc = _views(best, [target_enc.spec, disc.spec])
     return AddaModel(source_enc, best_enc, clf, best_disc)

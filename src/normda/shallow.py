@@ -48,24 +48,26 @@ def _sq_dists(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.maximum(xx + yy - 2.0 * X @ Y.T, 0.0)
 
 
-def _resolve_gamma(k: KernelSpec, X: np.ndarray) -> float:
-    return k.gamma if k.gamma is not None else median_heuristic_gamma(X)
+def resolve_kernel(k: KernelSpec, X: np.ndarray) -> KernelSpec:
+    """`k` with its gamma set: an rbf spec without one takes the median
+    heuristic on X. Fits resolve once, and their transforms reuse the result."""
+    if k.kind == "rbf" and k.gamma is None:
+        return KernelSpec("rbf", median_heuristic_gamma(X))
+    return k
 
 
 def gram(X: np.ndarray, Y: np.ndarray, k: KernelSpec) -> np.ndarray:
-    """Pairwise kernel evaluations, |X| x |Y|.
-
-    An rbf spec without gamma uses the median heuristic on X, so fit-side
-    callers should resolve gamma once and reuse it for transforms.
-    """
+    """Pairwise kernel evaluations, |X| x |Y|, under a resolved kernel (see
+    resolve_kernel)."""
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     if X.ndim != 2 or Y.ndim != 2 or X.shape[1] != Y.shape[1]:
         raise ShapeError("X and Y must be 2-D with a shared feature dimension")
     if k.kind == "linear":
         return X @ Y.T
-    gamma = _resolve_gamma(k, X)
-    return np.exp(-gamma * _sq_dists(X, Y))
+    if k.gamma is None:
+        raise ConfigError("gram needs an rbf gamma; resolve the kernel first")
+    return np.exp(-k.gamma * _sq_dists(X, Y))
 
 
 def mmd_sq(Xs: np.ndarray, Xt: np.ndarray, k: KernelSpec) -> float:
@@ -78,9 +80,7 @@ def mmd_sq(Xs: np.ndarray, Xt: np.ndarray, k: KernelSpec) -> float:
     # result, exactly invariant under swapping the two sets.
     if (Xs.shape[0], Xs.tobytes()) > (Xt.shape[0], Xt.tobytes()):
         Xs, Xt = Xt, Xs
-    if k.kind == "rbf" and k.gamma is None:
-        # One bandwidth for all three blocks, from the pooled sample.
-        k = KernelSpec("rbf", median_heuristic_gamma(np.vstack([Xs, Xt])))
+    k = resolve_kernel(k, np.vstack([Xs, Xt]))  # one bandwidth for all three blocks
     return float(
         gram(Xs, Xs, k).mean() - 2.0 * gram(Xs, Xt, k).mean() + gram(Xt, Xt, k).mean()
     )
@@ -132,8 +132,7 @@ def tca_fit(
         raise ShapeError(f"dim must be in [1, {n}], got {dim}")
 
     X = np.vstack([Xs, Xt])
-    if k.kind == "rbf" and k.gamma is None:
-        k = KernelSpec("rbf", median_heuristic_gamma(X))
+    k = resolve_kernel(k, X)
     K = gram(X, X, k)
 
     e = np.concatenate([np.full(ns, 1.0 / ns), np.full(nt, -1.0 / nt)])
@@ -189,8 +188,7 @@ def kpca_fit(X: np.ndarray, k: KernelSpec, dim: int) -> KpcaModel:
     n = X.shape[0]
     if not 1 <= dim <= n:
         raise ShapeError(f"dim must be in [1, {n}], got {dim}")
-    if k.kind == "rbf" and k.gamma is None:
-        k = KernelSpec("rbf", median_heuristic_gamma(X))
+    k = resolve_kernel(k, X)
 
     K = gram(X, X, k)
     col_means = K.mean(axis=0)

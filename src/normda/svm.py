@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DegenerateLabelsError, NumericError, ShapeError
-from .shallow import KernelSpec, gram, median_heuristic_gamma
+from .shallow import KernelSpec, gram, resolve_kernel
 
 _STEP_EPS = 1e-10
 
@@ -166,9 +166,7 @@ def svm_train(
     classes = tuple(sorted({int(v) for v in y}))
     if len(classes) < 2:
         raise DegenerateLabelsError("training labels contain a single class")
-    if k.kind == "rbf" and k.gamma is None:
-        k = KernelSpec("rbf", median_heuristic_gamma(X))
-
+    k = resolve_kernel(k, X)
     K = gram(X, X, k)
     rng = np.random.default_rng(seed)
     coefs = np.zeros((len(classes), X.shape[0]))

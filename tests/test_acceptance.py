@@ -186,9 +186,9 @@ def test_criterion_7_dann_alignment():
     rng = np.random.default_rng(4)
     X = np.vstack([rng.normal(size=(60, 3)) + [2, 0, 0], rng.normal(size=(60, 3)) - [2, 0, 0]])
     y = np.array([0] * 60 + [1] * 60)
-    cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=60, patience=20, seed=1)
+    cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=60, patience=20)
     model = make_dann(MlpSpec((3, 8), head="identity"), MlpSpec((8, 2)), MlpSpec((8, 2)), 1.0, seed=1)
-    trained = train_dann(X, y, X.copy(), cfg, model)
+    trained = train_dann(X, y, X.copy(), cfg, model, seed=1)
     feats, _ = forward(trained.extractor.spec, trained.extractor.params, X)
     dprobs, _ = forward(
         trained.domain_classifier.spec, trained.domain_classifier.params, np.vstack([feats, feats])

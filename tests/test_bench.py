@@ -11,11 +11,9 @@ from normda.bench import (
     ExperimentConfig,
     MethodSpec,
     accuracy,
-    aggregate,
     apply_grid_point,
     config_from_dict,
     config_to_dict,
-    deap_valence_labels,
     derive_seed,
     emit_projection,
     emit_table,
@@ -33,7 +31,7 @@ from normda.deep import TrainConfig
 from normda.errors import EmptyInputError, ExperimentError, ShapeError
 from normda.normalize import NormStrategy
 
-FAST_TRAIN = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=15, patience=5, seed=0)
+FAST_TRAIN = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=15, patience=5)
 
 SMALL_SYNTH = SyntheticShiftConfig(
     n_subjects=3, n_sessions=1, n_classes=2, samples_per_class_per_domain=20,
@@ -78,28 +76,8 @@ def test_accuracy_cases():
         accuracy([], [])
 
 
-def test_aggregate_cases():
-    mean, std = aggregate([0.8, 0.6])
-    assert format_cell(mean, std) == "70.00 (10.00)"
-    mean, std = aggregate([0.77])
-    assert std == 0.0
-    mean, std = aggregate([0.5, 0.5, 0.5])
-    assert format_cell(mean, std) == "50.00 (0.00)"
-
-
 def test_format_cell_matches_published_shape():
     assert format_cell(0.8152, 0.0726) == "81.52 (7.26)"
-
-
-def test_deap_valence_labels():
-    out = deap_valence_labels([8.0, 5.0, 2.0, 7.5, 3.5])
-    np.testing.assert_array_equal(out, [2, 1, 0, 2, 1])
-    with pytest.raises(ValueError):
-        deap_valence_labels([7.0])  # boundary left unassigned
-    with pytest.raises(ValueError):
-        deap_valence_labels([3.0])
-    with pytest.raises(ValueError):
-        deap_valence_labels([9.5])
 
 
 def test_derive_seed_stable_and_distinct():
@@ -523,12 +501,12 @@ def test_config_dict_roundtrip():
     from normda.shallow import KernelSpec
 
     rbf = KernelSpec("rbf", 0.25)
-    train = TrainConfig(learning_rate=0.003, batch_size=16, max_epochs=7, patience=3, seed=4, val_fraction=0.2)
+    train = TrainConfig(learning_rate=0.003, batch_size=16, max_epochs=7, patience=3)
     methods = (
         MethodSpec("noDA-ANN", hidden=(12, 6), feature_dim=5, activation="sigmoid", train=train),
         MethodSpec("DANN", hidden=(9,), lam=0.5, train=train),
         MethodSpec("ADDA", hidden=(7, 7), activation="leaky_relu", train=train),
-        MethodSpec("noDA-SVM", kernel=rbf, C=2.0, svm_tol=1e-4, svm_max_passes=5),
+        MethodSpec("noDA-SVM", kernel=rbf, C=2.0),
         MethodSpec("TCA-SVM", kernel=rbf, svm_kernel=KernelSpec("rbf"), dim=3, mu_reg=0.5),
         MethodSpec("KPCA-SVM", kernel=KernelSpec("rbf", 2.0), svm_kernel=rbf, dim=4),
     )
@@ -547,6 +525,10 @@ def test_config_dict_roundtrip():
         ({"dataset": {"synthetic": {}, "csv": "d.csv"}}, "dataset"),
         ({"methods": [{"kind": "DANN", "lamda": 2.0}]}, "lamda"),
         ({"grids": {"DAN": {"lam": [1.0]}}}, "DAN"),
+        ({"methods": [{"kind": "noDA-SVM", "svm_tol": 1e-3}]}, r"unknown method fields: \['svm_tol'\]"),
+        ({"methods": [{"kind": "noDA-SVM", "svm_max_passes": 20}]}, r"unknown method fields: \['svm_max_passes'\]"),
+        ({"methods": [{"kind": "DANN", "train": {"seed": 99}}]}, r"unknown train fields: \['seed'\]"),
+        ({"methods": [{"kind": "DANN", "train": {"val_fraction": 0.2}}]}, r"unknown train fields: \['val_fraction'\]"),
     ],
 )
 def test_config_from_dict_rejects_unknown_keys(change, named):
@@ -570,6 +552,12 @@ def test_config_from_dict_rejects_unknown_keys(change, named):
         ({"methods": [{"kind": "DANN", "hidden": 16}]}, r"hidden must be a list of integers, got 16"),
         ({"methods": [{"kind": "DANN", "hidden": ["x"]}]}, r"hidden must be a list of integers, got \['x'\]"),
         ({"methods": [{"kind": "DANN", "hidden": [True]}]}, r"hidden must be a list of integers, got \[True\]"),
+        ({"methods": [{"kind": "DANN", "hidden": [0]}]}, r"all >= 1; got \(1, 0, 8\)"),
+        ({"methods": [{"kind": "DANN", "hidden": [2, 2, 2, 2]}]}, r"at most 3 hidden layers are supported; got 4"),
+        ({"methods": [{"kind": "DANN", "feature_dim": 0}]}, r"all >= 1; got \(1, 16, 0\)"),
+        ({"methods": 5}, r"methods must be a list, got 5"),
+        ({"strategies": 5}, r"strategies must be a list, got 5"),
+        ({"dataset": {"synthetic": None}}, r"synthetic fields: expected an object, got None"),
     ],
 )
 def test_config_from_dict_rejects_wrong_values(change, named):
@@ -637,6 +625,15 @@ def test_traced_names_are_functions_of_their_modules():
         module = importlib.import_module(f"normda.{layer}")
         for name in names:
             assert inspect.isfunction(getattr(module, name, None)), f"normda.{layer}.{name}"
+
+
+def test_probed_parameters_exist():
+    # The benchmark's probes bind traced calls' arguments by name, so a
+    # renamed parameter would break its traced runs.
+    from normda.svm import svm_train
+
+    assert {"X", "y"} <= set(inspect.signature(svm_train).parameters)
+    assert "fitted" in inspect.signature(predict_method).parameters
 
 
 # ---------------------------------------------------------------------------

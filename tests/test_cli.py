@@ -285,6 +285,10 @@ def test_non_utf8_csv_exits_2_and_names_byte(tmp_path, capsys, command):
         ({"kind": "noDA-ANN", "hidden": [2.5]}, "hidden must be a list of integers, got [2.5]"),
         ({"kind": "noDA-ANN", "hidden": 16}, "hidden must be a list of integers, got 16"),
         ({"kind": "noDA-ANN", "hidden": ["x"]}, "hidden must be a list of integers, got ['x']"),
+        ({"kind": "noDA-ANN", "hidden": [0]}, "all >= 1; got (1, 0, 8)"),
+        ({"kind": "noDA-ANN", "hidden": [2, 2, 2, 2]}, "at most 3 hidden layers are supported; got 4"),
+        ({"kind": "noDA-ANN", "feature_dim": 0}, "all >= 1; got (1, 16, 0)"),
+        ({"kind": "noDA-ANN", "train": {"seed": 99}}, "unknown train fields: ['seed']"),
     ],
 )
 def test_run_wrong_typed_method_field_exits_2(tmp_path, capsys, method, named):

@@ -303,18 +303,18 @@ def test_adam_two_step_hand_trace():
 
 def test_train_plain_fits_separable_blobs():
     X, y = blobs(seed=10)
-    cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=200, patience=20, seed=0)
-    model = train_plain(X, y, cfg, MlpSpec((2, 8), head="identity"), MlpSpec((8, 2)))
+    cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=200, patience=20)
+    model = train_plain(X, y, cfg, MlpSpec((2, 8), head="identity"), MlpSpec((8, 2)), seed=0)
     acc = np.mean(predict_composite(model.extractor, model.predictor, X) == y)
     assert acc >= 0.99
 
 
 def test_train_plain_lr_zero_returns_initial_snapshot():
     X, y = blobs(n_per=40, seed=11)
-    cfg = TrainConfig(learning_rate=0.0, batch_size=16, max_epochs=300, patience=1, seed=5)
+    cfg = TrainConfig(learning_rate=0.0, batch_size=16, max_epochs=300, patience=1)
     ext_spec, pred_spec = MlpSpec((2, 4), head="identity"), MlpSpec((4, 2))
-    model = train_plain(X, y, cfg, ext_spec, pred_spec)
-    rng = np.random.default_rng(cfg.seed)
+    model = train_plain(X, y, cfg, ext_spec, pred_spec, seed=5)
+    rng = np.random.default_rng(5)
     init_ext = init_mlp(ext_spec, rng)
     init_pred = init_mlp(pred_spec, rng)
     assert params_equal(model.extractor.params, init_ext.params)
@@ -323,18 +323,20 @@ def test_train_plain_lr_zero_returns_initial_snapshot():
 
 def test_train_plain_deterministic():
     X, y = blobs(n_per=50, seed=12)
-    cfg = TrainConfig(learning_rate=0.01, batch_size=16, max_epochs=30, patience=10, seed=3)
-    a = train_plain(X, y, cfg, MlpSpec((2, 6), head="identity"), MlpSpec((6, 2)))
-    b = train_plain(X, y, cfg, MlpSpec((2, 6), head="identity"), MlpSpec((6, 2)))
+    cfg = TrainConfig(learning_rate=0.01, batch_size=16, max_epochs=30, patience=10)
+    a = train_plain(X, y, cfg, MlpSpec((2, 6), head="identity"), MlpSpec((6, 2)), seed=3)
+    b = train_plain(X, y, cfg, MlpSpec((2, 6), head="identity"), MlpSpec((6, 2)), seed=3)
     assert params_equal(a.extractor.params, b.extractor.params)
     assert params_equal(a.predictor.params, b.predictor.params)
 
 
 def test_train_plain_single_class_rejected():
     X = np.random.default_rng(0).normal(size=(10, 2))
-    cfg = TrainConfig(seed=0)
+    cfg = TrainConfig()
     with pytest.raises(DegenerateLabelsError):
-        train_plain(X, np.zeros(10, dtype=int), cfg, MlpSpec((2, 4), head="identity"), MlpSpec((4, 2)))
+        train_plain(
+            X, np.zeros(10, dtype=int), cfg, MlpSpec((2, 4), head="identity"), MlpSpec((4, 2)), seed=0
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +345,9 @@ def test_train_plain_single_class_rejected():
 
 def test_dann_target_equals_source_confuses_domain_head():
     X, y = blobs(n_per=60, seed=13, dim=3)
-    cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=60, patience=20, seed=1)
+    cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=60, patience=20)
     model = make_dann(MlpSpec((3, 8), head="identity"), MlpSpec((8, 2)), MlpSpec((8, 2)), lam=1.0, seed=1)
-    trained = train_dann(X, y, X.copy(), cfg, model)
+    trained = train_dann(X, y, X.copy(), cfg, model, seed=1)
     feats, _ = forward(trained.extractor.spec, trained.extractor.params, X)
     dprobs, _ = forward(
         trained.domain_classifier.spec, trained.domain_classifier.params, np.vstack([feats, feats])
@@ -363,12 +365,12 @@ def test_dann_reduces_extractor_mmd_on_shifted_domains():
     Xt = ds.features[ds.subjects == 1]
     k = KernelSpec("linear")
     raw = mmd_sq(Xs, Xt, k)
-    cfg = TrainConfig(learning_rate=0.003, batch_size=32, max_epochs=60, patience=15, seed=2)
+    cfg = TrainConfig(learning_rate=0.003, batch_size=32, max_epochs=60, patience=15)
     model = make_dann(
         MlpSpec((8, 16, 2), activation="sigmoid", head="identity"),
         MlpSpec((2, 2)), MlpSpec((2, 2)), lam=1.0, seed=2,
     )
-    trained = train_dann(Xs, ys, Xt, cfg, model)
+    trained = train_dann(Xs, ys, Xt, cfg, model, seed=2)
     fs, _ = forward(trained.extractor.spec, trained.extractor.params, Xs)
     ft, _ = forward(trained.extractor.spec, trained.extractor.params, Xt)
     assert mmd_sq(fs, ft, k) < raw
@@ -376,11 +378,11 @@ def test_dann_reduces_extractor_mmd_on_shifted_domains():
 
 def test_dann_deterministic():
     X, y = blobs(n_per=30, seed=14, dim=3)
-    cfg = TrainConfig(learning_rate=0.01, batch_size=16, max_epochs=10, patience=5, seed=4)
+    cfg = TrainConfig(learning_rate=0.01, batch_size=16, max_epochs=10, patience=5)
     runs = []
     for _ in range(2):
         model = make_dann(MlpSpec((3, 4), head="identity"), MlpSpec((4, 2)), MlpSpec((4, 2)), seed=4)
-        runs.append(train_dann(X, y, X + 1.0, cfg, model))
+        runs.append(train_dann(X, y, X + 1.0, cfg, model, seed=4))
     assert params_equal(runs[0].extractor.params, runs[1].extractor.params)
     assert params_equal(runs[0].domain_classifier.params, runs[1].domain_classifier.params)
 
@@ -389,7 +391,7 @@ def test_dann_empty_target_rejected():
     X, y = blobs(n_per=10, seed=15)
     model = make_dann(MlpSpec((2, 4), head="identity"), MlpSpec((4, 2)), MlpSpec((4, 2)))
     with pytest.raises(ShapeError):
-        train_dann(X, y, np.empty((0, 2)), TrainConfig(seed=0), model)
+        train_dann(X, y, np.empty((0, 2)), TrainConfig(), model, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -407,8 +409,8 @@ def adda_model(seed, dim=8):
 
 def test_adda_stage2_zero_epochs_copies_source_encoder():
     X, y = blobs(n_per=30, seed=16, dim=8)
-    cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=20, patience=5, seed=6)
-    trained = train_adda(X, y, X.copy(), cfg, adda_model(6), stage2_epochs=0)
+    cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=20, patience=5)
+    trained = train_adda(X, y, X.copy(), cfg, adda_model(6), seed=6, stage2_epochs=0)
     assert params_equal(trained.source_encoder.params, trained.target_encoder.params)
     pred_s = predict_composite(trained.source_encoder, trained.classifier, X)
     pred_t = predict_composite(trained.target_encoder, trained.classifier, X)
@@ -417,14 +419,14 @@ def test_adda_stage2_zero_epochs_copies_source_encoder():
 
 def test_dann_and_adda_leave_the_given_model_unchanged():
     X, y = blobs(n_per=30, seed=19, dim=3)
-    cfg = TrainConfig(learning_rate=0.05, batch_size=16, max_epochs=5, patience=5, seed=7)
+    cfg = TrainConfig(learning_rate=0.05, batch_size=16, max_epochs=5, patience=5)
     dann = make_dann(MlpSpec((3, 4), head="identity"), MlpSpec((4, 2)), MlpSpec((4, 2)), seed=7)
     adda = adda_model(7, dim=3)
     mlps = [dann.extractor, dann.predictor, dann.domain_classifier]
     mlps += [adda.source_encoder, adda.target_encoder, adda.classifier, adda.discriminator]
     before = [copy_params(m.params) for m in mlps]
-    dann_out = train_dann(X, y, X + 1.0, cfg, dann)
-    adda_out = train_adda(X, y, X + 1.0, cfg, adda, stage2_epochs=3)
+    dann_out = train_dann(X, y, X + 1.0, cfg, dann, seed=7)
+    adda_out = train_adda(X, y, X + 1.0, cfg, adda, seed=7, stage2_epochs=3)
     assert all(params_equal(m.params, b) for m, b in zip(mlps, before))
     # and training did move the returned parameters
     assert not params_equal(dann_out.extractor.params, dann.extractor.params)
@@ -439,8 +441,8 @@ def test_adda_target_equals_source_discriminator_near_chance():
     X, y = ds.features, ds.labels
     perm = np.random.default_rng(9).permutation(len(X))
     fit, held = perm[:160], perm[160:]
-    cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=40, patience=10, seed=1)
-    trained = train_adda(X[fit], y[fit], X[fit].copy(), cfg, adda_model(1), stage2_epochs=30)
+    cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=40, patience=10)
+    trained = train_adda(X[fit], y[fit], X[fit].copy(), cfg, adda_model(1), seed=1, stage2_epochs=30)
     fs, _ = forward(trained.source_encoder.spec, trained.source_encoder.params, X[held])
     ft, _ = forward(trained.target_encoder.spec, trained.target_encoder.params, X[held])
     dprobs, _ = forward(trained.discriminator.spec, trained.discriminator.params, np.vstack([fs, ft]))
@@ -455,8 +457,8 @@ def test_adda_improves_target_accuracy_under_translation_shift():
     ))
     Xs, ys = ds.features[ds.subjects == 0], ds.labels[ds.subjects == 0]
     Xt, yt = ds.features[ds.subjects == 1], ds.labels[ds.subjects == 1]
-    cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=80, patience=15, seed=1)
-    trained = train_adda(Xs, ys, Xt, cfg, adda_model(1), stage2_epochs=240)
+    cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=80, patience=15)
+    trained = train_adda(Xs, ys, Xt, cfg, adda_model(1), seed=1, stage2_epochs=240)
     acc_through_source = np.mean(predict_composite(trained.source_encoder, trained.classifier, Xt) == yt)
     acc_through_target = np.mean(predict_composite(trained.target_encoder, trained.classifier, Xt) == yt)
     assert acc_through_target > acc_through_source

@@ -14,8 +14,8 @@ import pytest
 import scipy.linalg
 
 import normda.bench as bench
-from normda.bench import MethodSpec, deap_valence_labels, grid_search, run_experiment, write_report
-from normda.dataset import DomainDataset, Fold, SyntheticShiftConfig
+from normda.bench import MethodSpec, grid_search, run_experiment, write_report
+from normda.dataset import DomainDataset, Fold, SyntheticShiftConfig, deap_valence_labels
 from normda.errors import ConfigError, NumericError
 from normda.normalize import FeatureStats, NormStrategy
 from normda.shallow import KernelSpec, kpca_fit, tca_fit

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normda.errors import DegenerateDataError, EmptyInputError, ShapeError
+from normda.errors import ConfigError, DegenerateDataError, EmptyInputError, ShapeError
 from normda.shallow import (
     KernelSpec,
     gram,
@@ -13,6 +13,7 @@ from normda.shallow import (
     kpca_transform,
     median_heuristic_gamma,
     mmd_sq,
+    resolve_kernel,
     tca_fit,
     tca_transform,
 )
@@ -64,6 +65,15 @@ def test_rbf_gram_entries_and_psd():
 def test_median_heuristic_positive():
     X = np.random.default_rng(2).normal(size=(15, 3))
     assert median_heuristic_gamma(X) > 0
+
+
+def test_gram_needs_a_resolved_rbf_gamma():
+    X = np.random.default_rng(3).normal(size=(6, 2))
+    with pytest.raises(ConfigError, match="rbf gamma"):
+        gram(X, X, KernelSpec("rbf"))
+    assert resolve_kernel(KernelSpec("rbf"), X) == KernelSpec("rbf", median_heuristic_gamma(X))
+    assert resolve_kernel(KernelSpec("rbf", 0.3), X) == KernelSpec("rbf", 0.3)
+    assert resolve_kernel(LINEAR, X) == LINEAR
 
 
 # ---------------------------------------------------------------------------
