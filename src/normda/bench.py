@@ -373,6 +373,7 @@ def apply_grid_point(method: MethodSpec, point: dict) -> MethodSpec:
         elif key == "gamma":
             spec_updates["kernel"] = KernelSpec(method.kernel.kind, value)
         elif key in ("kernel", "svm_kernel") and isinstance(value, dict):
+            _check_keys(value, KernelSpec, "kernel fields")
             spec_updates[key] = KernelSpec(**value)
         else:
             spec_updates[key] = value
@@ -708,8 +709,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
     if "methods" in raw:
         methods = []
-        for m in raw["methods"]:
+        for i, m in enumerate(raw["methods"]):
             _check_keys(m, MethodSpec, "method fields")
+            if "kind" not in m:
+                raise ConfigError(f"method {i} has no 'kind'; expected one of {METHOD_ORDER}")
             nested = {}
             for k, cls in _NESTED_FIELDS.items():
                 if k in m:

@@ -9,6 +9,7 @@ doubles the effective filter order.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -76,9 +77,23 @@ def butter_bandpass(epoch: SignalEpoch, low: float, high: float) -> SignalEpoch:
         raise ConfigError(
             f"band [{low}, {high}] Hz must satisfy 0 < low < high < {nyquist} (Nyquist)"
         )
-    b, a = butter(FILTER_ORDER, [low, high], btype="bandpass", fs=epoch.fs)
+    b, a = _bandpass_design(low, high, epoch.fs)
     filtered = filtfilt(b, a, epoch.samples, axis=1)
     return SignalEpoch(filtered, epoch.fs)
+
+
+@functools.lru_cache(maxsize=64)
+def _bandpass_design(low: float, high: float, fs: float) -> tuple[np.ndarray, np.ndarray]:
+    """Butterworth (b, a) for one band at one sampling rate.
+
+    A feature run filters every epoch with the same few bands, so each
+    design is computed once per process. The arrays are shared by every
+    caller and therefore read-only.
+    """
+    b, a = butter(FILTER_ORDER, [low, high], btype="bandpass", fs=fs)
+    b.setflags(write=False)
+    a.setflags(write=False)
+    return b, a
 
 
 def differential_entropy(epoch: SignalEpoch, bands: Sequence[BandSpec | None]) -> np.ndarray:

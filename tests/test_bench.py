@@ -529,6 +529,10 @@ def test_config_dict_roundtrip():
         ({"methods": [{"kind": "noDA-SVM", "svm_max_passes": 20}]}, r"unknown method fields: \['svm_max_passes'\]"),
         ({"methods": [{"kind": "DANN", "train": {"seed": 99}}]}, r"unknown train fields: \['seed'\]"),
         ({"methods": [{"kind": "DANN", "train": {"val_fraction": 0.2}}]}, r"unknown train fields: \['val_fraction'\]"),
+        (
+            {"grids": {"noDA-SVM": {"kernel": [{"kind": "rbf", "bogus": 1}]}}},
+            r"unknown kernel fields: \['bogus'\]",
+        ),
     ],
 )
 def test_config_from_dict_rejects_unknown_keys(change, named):
@@ -558,6 +562,7 @@ def test_config_from_dict_rejects_unknown_keys(change, named):
         ({"methods": 5}, r"methods must be a list, got 5"),
         ({"strategies": 5}, r"strategies must be a list, got 5"),
         ({"dataset": {"synthetic": None}}, r"synthetic fields: expected an object, got None"),
+        ({"methods": [{"kind": "noDA-SVM"}, {"C": 1.0}]}, r"method 1 has no 'kind'"),
     ],
 )
 def test_config_from_dict_rejects_wrong_values(change, named):

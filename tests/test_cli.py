@@ -1,4 +1,6 @@
+import csv
 import json
+import runpy
 from pathlib import Path
 
 import pytest
@@ -6,7 +8,8 @@ import pytest
 from normda.bench import config_from_dict, config_to_dict
 from normda.cli import _read_config, main
 
-CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = sorted((ROOT / "configs").glob("*.json"))
 
 SYNTH_CFG = {
     "n_subjects": 3,
@@ -371,3 +374,20 @@ def test_malformed_json_config_exits_2(tmp_path, capsys, command, content, named
 def test_config_files_load_and_round_trip(path):
     cfg = _read_config(path)
     assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+def test_signal_pipeline_demo_writes_features_and_prints_table(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "features.csv"
+    argv = ["signal_pipeline_demo.py", "--subjects", "2", "--epochs-per-class", "5", "--out", str(out)]
+    monkeypatch.setattr("sys.argv", argv)
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(ROOT / "scripts" / "signal_pipeline_demo.py"), run_name="__main__")
+    assert exit_info.value.code == 0
+    with open(out, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header[:3] == ["subject", "session", "label"]
+    assert len(header[3:]) == 20  # 4 channels x 5 bands
+    assert len(rows) == 2 * 2 * 5
+    printed = capsys.readouterr().out
+    assert "| strategy | noDA-SVM | TCA-SVM |" in printed
+    assert "| --- | --- | --- |" in printed

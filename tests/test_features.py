@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import butter, filtfilt
 
 from normda.errors import ConfigError, DegenerateDataError, ShapeError
 from normda.features import (
+    DE_SIGMA_FLOOR,
+    FILTER_ORDER,
     BandSpec,
     SignalEpoch,
+    _bandpass_design,
     butter_bandpass,
     csp_features,
     csp_fit,
@@ -49,10 +53,29 @@ def test_zero_signal_passes_through_as_zero():
 
 def test_band_outside_nyquist_rejected():
     epoch = tone(20.0, fs=100.0)
-    with pytest.raises(ConfigError):
-        butter_bandpass(epoch, 8.0, 60.0)
-    with pytest.raises(ConfigError):
-        butter_bandpass(epoch, 30.0, 8.0)
+    for _ in range(2):  # a cached design for this fs must not bypass the check
+        butter_bandpass(epoch, 8.0, 30.0)
+        with pytest.raises(ConfigError):
+            butter_bandpass(epoch, 8.0, 60.0)
+        with pytest.raises(ConfigError):
+            butter_bandpass(epoch, 30.0, 8.0)
+
+
+def test_bandpass_design_is_read_only():
+    b, a = _bandpass_design(8.0, 13.0, 200.0)
+    with pytest.raises(ValueError):
+        b[0] = 1.0
+    with pytest.raises(ValueError):
+        a[0] = 1.0
+
+
+def test_bandpass_design_computed_once_per_band_and_rate():
+    rng = np.random.default_rng(4)
+    _bandpass_design.cache_clear()
+    for _ in range(50):
+        differential_entropy(SignalEpoch(rng.normal(size=(2, 200)), 200.0), standard_bands())
+    info = _bandpass_design.cache_info()
+    assert (info.misses, info.hits) == (5, 245)
 
 
 def test_zero_phase_no_lag_on_passband_tone():
@@ -102,6 +125,21 @@ def test_de_shift_invariance():
     a = differential_entropy(SignalEpoch(samples, fs), bands)
     b = differential_entropy(SignalEpoch(samples + 42.0, fs), bands)
     np.testing.assert_allclose(a, b, atol=1e-9)
+
+
+def test_de_bit_identical_to_fresh_designs_across_rates():
+    # The reference designs every filter anew, so a design cached for one
+    # sampling rate and reused at another would show as a mismatch.
+    rng = np.random.default_rng(5)
+    bands = standard_bands()
+    for channels, fs in [(1, 200.0), (4, 250.0), (4, 200.0), (1, 250.0)] * 2:
+        samples = rng.normal(size=(channels, int(2 * fs)))
+        expected = np.empty((channels, len(bands)))
+        for j, band in enumerate(bands):
+            b, a = butter(FILTER_ORDER, [band.low, band.high], btype="bandpass", fs=fs)
+            var = filtfilt(b, a, samples, axis=1).var(axis=1, ddof=0)
+            expected[:, j] = 0.5 * np.log(2.0 * math.pi * math.e * np.maximum(var, DE_SIGMA_FLOOR**2))
+        assert np.array_equal(differential_entropy(SignalEpoch(samples, fs), bands), expected.reshape(-1))
 
 
 def test_de_zero_variance_floored_and_flagged():
