@@ -17,7 +17,7 @@ import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,6 @@ from .dataset import (
 from .deep import (
     MlpSpec,
     TrainConfig,
-    make_adda,
-    make_dann,
     predict_composite,
     train_adda,
     train_dann,
@@ -65,10 +63,10 @@ from .svm import SvmModel, svm_predict, svm_train
 STRATEGY_ORDER = ("noNorm", "Z0", "Z1", "Z2", "Z3", "MinMax")
 ARCH_KEYS = ("hidden", "feature_dim", "activation")
 # The hyperparameters a grid may search. TrainConfig fields overlay the
-# method's `train`, `gamma` sets the gamma of its `kernel`, and the rest
-# replace the MethodSpec field of the same name.
+# method's `train`, and the rest replace the MethodSpec field of the same
+# name.
 GRID_KEYS = (
-    "C", "dim", "mu_reg", "lam", *ARCH_KEYS, "kernel", "svm_kernel", "gamma",
+    "C", "dim", "mu_reg", "lam", *ARCH_KEYS, "kernel", "svm_kernel",
     "learning_rate", "batch_size", "max_epochs", "patience",
 )
 
@@ -150,13 +148,12 @@ def _fit_ann(method, X, y, test_X, seed, extractor, predictor, adversary):
 
 @_deep
 def _fit_dann(method, X, y, test_X, seed, extractor, predictor, adversary):
-    model = make_dann(extractor, predictor, adversary, method.lam, seed)
-    return train_dann(X, y, test_X, method.train, model, seed)
+    return train_dann(X, y, test_X, method.train, extractor, predictor, adversary, method.lam, seed)
 
 
 @_deep
 def _fit_adda(method, X, y, test_X, seed, extractor, predictor, adversary):
-    return train_adda(X, y, test_X, method.train, make_adda(extractor, predictor, adversary, seed), seed)
+    return train_adda(X, y, test_X, method.train, extractor, predictor, adversary, seed)
 
 
 def _predict_ann(payload, X):
@@ -218,6 +215,13 @@ class MethodSpec:
             raise ConfigError(f"hidden must be a list of integers, got {self.hidden!r}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         MlpSpec((1, *self.hidden, self.feature_dim), self.activation, head="identity")
+        for name in ("C", "mu_reg"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if self.dim < 1:
+            raise ConfigError(f"dim must be >= 1, got {self.dim!r}")
+        if self.lam < 0:
+            raise ConfigError(f"lam must be >= 0, got {self.lam!r}")
 
 
 @dataclass(frozen=True)
@@ -277,6 +281,35 @@ class CellResult:
     @property
     def std(self) -> float | None:
         return float(np.std(self.accuracies, ddof=0)) if self.ok else None
+
+
+@dataclass(frozen=True)
+class FoldOutcome:
+    """One (strategy, method, fold) result: an accuracy, or an error."""
+
+    strategy: str
+    method: str
+    fold_name: str
+    accuracy: float | None
+    error: str | None
+    seconds: float
+
+
+def cells_from_rows(rows: Iterable[FoldOutcome]) -> tuple[CellResult, ...]:
+    """One CellResult per (strategy, method) of the FoldOutcome rows, in
+    order of first appearance, with its folds in row order. A cell with
+    any failed fold is failed, and its error joins the fold errors."""
+    by_cell: dict[tuple[str, str], list[FoldOutcome]] = {}
+    for row in rows:
+        by_cell.setdefault((row.strategy, row.method), []).append(row)
+    cells = []
+    for (strategy, method), group in by_cell.items():
+        folds = tuple(o.fold_name for o in group)
+        errors = [o.error for o in group if o.error is not None]
+        accuracies = None if errors else tuple(o.accuracy for o in group)
+        seconds = float(sum(o.seconds for o in group))
+        cells.append(CellResult(strategy, method, folds, accuracies, "; ".join(errors) or None, seconds))
+    return tuple(cells)
 
 
 @dataclass(frozen=True)
@@ -370,8 +403,6 @@ def apply_grid_point(method: MethodSpec, point: dict) -> MethodSpec:
             raise ConfigError(f"unknown parameters {[key]}; searchable: {list(GRID_KEYS)}")
         if key in train_fields:
             train_updates[key] = value
-        elif key == "gamma":
-            spec_updates["kernel"] = KernelSpec(method.kernel.kind, value)
         elif key in ("kernel", "svm_kernel") and isinstance(value, dict):
             _check_keys(value, KernelSpec, "kernel fields")
             spec_updates[key] = KernelSpec(**value)
@@ -389,23 +420,24 @@ def grid_search(
     ytr: np.ndarray,
     Xval: np.ndarray,
     yval: np.ndarray,
-    target_X: np.ndarray | None = None,
-    seed: int = 0,
+    target_X: np.ndarray,
+    seed: int,
 ) -> MethodSpec:
     """Pick the grid point with the best validation accuracy.
 
-    Points are scored in declared order and ties keep the earliest; points
-    that fail to fit rank below every success. All points failing is an
-    error that aggregates the individual messages.
+    Each point is fit on (Xtr, ytr), with target_X as the DA methods'
+    unlabeled target rows. Points are scored in declared order and ties
+    keep the earliest; points that are rejected or fail to fit rank below
+    every success. All points failing is an error that aggregates the
+    individual messages.
     """
     keys = list(grid.keys())
-    target = target_X if target_X is not None else Xval
     best: tuple[float, MethodSpec] | None = None
     failures: list[str] = []
     for values in itertools.product(*(grid[k] for k in keys)):
-        candidate = apply_grid_point(method, dict(zip(keys, values)))
         try:
-            fitted = fit_method(candidate, Xtr, ytr, target, seed)
+            candidate = apply_grid_point(method, dict(zip(keys, values)))
+            fitted = fit_method(candidate, Xtr, ytr, target_X, seed)
             score = accuracy(predict_method(fitted, Xval), yval)
         except NormdaError as exc:  # failed points lose to any finite result
             failures.append(f"{dict(zip(keys, values))}: {exc}")
@@ -421,16 +453,6 @@ def grid_search(
 
 # ---------------------------------------------------------------------------
 # The harness
-
-
-@dataclass(frozen=True)
-class _FoldOutcome:
-    strategy: str
-    method: str
-    fold_name: str
-    accuracy: float | None
-    error: str | None
-    seconds: float
 
 
 def resolve_dataset(cfg: ExperimentConfig) -> DomainDataset:
@@ -469,8 +491,7 @@ def resolve_fold_specs(
     try:
         tr, val = stratified_indices(train_y, VAL_FRACTION, seed)
         return grid_search(
-            method, grid, train_X[tr], train_y[tr], train_X[val], train_y[val],
-            target_X=test_X, seed=seed,
+            method, grid, train_X[tr], train_y[tr], train_X[val], train_y[val], test_X, seed
         )
     except NormdaError as exc:
         raise ExperimentError(f"grid search failed: {exc}") from exc
@@ -483,25 +504,24 @@ def _run_fold_group(
     methods: tuple[MethodSpec, ...],
     grids: dict,
     root_seed: int,
-) -> list[_FoldOutcome]:
+) -> list[FoldOutcome]:
     """All methods on one (strategy, fold) cell group over shared normalization.
 
     DANN goes first: when its grid searches the architecture, the winner
-    is pinned onto the deep methods resolved after it. A method's seconds
-    cover its grid search, fit and prediction.
+    is pinned onto the deep methods resolved after it. Outcomes come back
+    in `methods` order. A method's seconds cover its grid search, fit and
+    prediction.
     """
     try:
         train_X, test_X = apply_strategy(ds, fold, strategy)
     except NormdaError as exc:
         msg = f"fold={fold.name} strategy={strategy.value}: {exc}"
-        return [
-            _FoldOutcome(strategy.value, m.kind, fold.name, None, msg, 0.0) for m in methods
-        ]
+        return [FoldOutcome(strategy.value, m.kind, fold.name, None, msg, 0.0) for m in methods]
     train_y = ds.labels[fold.train_idx]
     test_y = ds.labels[fold.test_idx]
 
     pinned: dict = {}
-    outcomes = []
+    outcomes: dict[str, FoldOutcome] = {}
     for method in sorted(methods, key=lambda m: m.kind != "DANN"):
         seed = derive_seed(root_seed, strategy.value, method.kind, fold.name)
         grid = grids.get(method.kind, {})
@@ -516,8 +536,8 @@ def _run_fold_group(
         except NormdaError as exc:
             error = f"fold={fold.name} strategy={strategy.value} method={method.kind}: {exc}"
         seconds = time.perf_counter() - start
-        outcomes.append(_FoldOutcome(strategy.value, method.kind, fold.name, acc, error, seconds))
-    return outcomes
+        outcomes[method.kind] = FoldOutcome(strategy.value, method.kind, fold.name, acc, error, seconds)
+    return [outcomes[m.kind] for m in methods]
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
@@ -541,83 +561,58 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
             for strategy, fold in groups
         ]
 
-    by_cell: dict[tuple[str, str], list[_FoldOutcome]] = {}
-    for outcomes in outcome_lists:
-        for o in outcomes:
-            by_cell.setdefault((o.strategy, o.method), []).append(o)
-
+    cells = cells_from_rows(o for outcomes in outcome_lists for o in outcomes)
     fold_names = tuple(f.name for f in folds)
-    cells = []
-    for strategy in cfg.strategies:
-        for method in cfg.methods:
-            ordered = sorted(
-                by_cell[(strategy.value, method.kind)], key=lambda o: fold_names.index(o.fold_name)
-            )
-            errors = [o.error for o in ordered if o.error is not None]
-            cells.append(
-                CellResult(
-                    strategy.value,
-                    method.kind,
-                    fold_names,
-                    None if errors else tuple(o.accuracy for o in ordered),
-                    "; ".join(errors) or None,
-                    float(sum(o.seconds for o in ordered)),
-                )
-            )
-    return ExperimentReport(cfg, fold_names, tuple(cells), ds, tuple(folds))
+    return ExperimentReport(cfg, fold_names, cells, ds, tuple(folds))
 
 
 # ---------------------------------------------------------------------------
 # Rendering and persistence
 
 
-def _ordered(report: ExperimentReport) -> tuple[list[str], list[str]]:
-    strategies = [s for s in STRATEGY_ORDER if any(c.strategy == s for c in report.cells)]
-    methods = [m for m in METHOD_ORDER if any(c.method == m for c in report.cells)]
-    return strategies, methods
+def _ordered(cells: Iterable[CellResult]) -> list[list[CellResult]]:
+    """The cells as table rows: strategies in STRATEGY_ORDER, methods in
+    METHOD_ORDER, keeping those that occur."""
+    by_key = {(c.strategy, c.method): c for c in cells}
+    strategies = [s for s in STRATEGY_ORDER if any(k[0] == s for k in by_key)]
+    methods = [m for m in METHOD_ORDER if any(k[1] == m for k in by_key)]
+    return [[by_key[s, m] for m in methods] for s in strategies]
 
 
-def emit_table(report: ExperimentReport, fmt: str = "markdown") -> str:
-    """Render the strategy-by-method accuracy table.
+def emit_table(cells: Iterable[CellResult], fmt: str = "markdown") -> str:
+    """Render the strategy-by-method accuracy table of the cells.
 
     markdown: rows are strategies, columns methods (deep first), cells
     'MM.MM (SS.SS)' in percent, 'FAIL' for failed cells. csv: long format
     with full-precision mean/std fractions that reload as reals.
     """
-    strategies, methods = _ordered(report)
+    rows = _ordered(cells)
     if fmt == "markdown":
+        methods = [c.method for c in rows[0]] if rows else []
         lines = ["| strategy | " + " | ".join(methods) + " |"]
         lines.append("| --- |" + " --- |" * len(methods))
-        for s in strategies:
-            row = [s]
-            for m in methods:
-                cell = report.cell(s, m)
-                row.append(format_cell(cell.mean, cell.std) if cell.ok else "FAIL")
-            lines.append("| " + " | ".join(row) + " |")
+        for row in rows:
+            marks = [format_cell(c.mean, c.std) if c.ok else "FAIL" for c in row]
+            lines.append("| " + " | ".join([row[0].strategy, *marks]) + " |")
         return "\n".join(lines) + "\n"
     if fmt == "csv":
         lines = ["strategy,method,n_folds,mean,std,status"]
-        for s in strategies:
-            for m in methods:
-                cell = report.cell(s, m)
-                if cell.ok:
-                    lines.append(f"{s},{m},{len(cell.fold_names)},{cell.mean!r},{cell.std!r},ok")
-                else:
-                    lines.append(f"{s},{m},{len(cell.fold_names)},,,FAIL")
+        for row in rows:
+            for c in row:
+                head = f"{c.strategy},{c.method},{len(c.fold_names)}"
+                lines.append(f"{head},{c.mean!r},{c.std!r},ok" if c.ok else f"{head},,,FAIL")
         return "\n".join(lines) + "\n"
     raise ConfigError(f"unknown table format {fmt!r}")
 
 
-def folds_csv(report: ExperimentReport) -> str:
+def folds_csv(cells: Iterable[CellResult]) -> str:
     """Per-fold accuracy detail at full precision."""
     lines = ["strategy,method,fold,accuracy"]
-    strategies, methods = _ordered(report)
-    for s in strategies:
-        for m in methods:
-            cell = report.cell(s, m)
-            for i, fold in enumerate(cell.fold_names):
-                value = repr(cell.accuracies[i]) if cell.ok else "FAIL"
-                lines.append(f"{s},{m},{fold},{value}")
+    for row in _ordered(cells):
+        for c in row:
+            for i, fold in enumerate(c.fold_names):
+                value = repr(c.accuracies[i]) if c.ok else "FAIL"
+                lines.append(f"{c.strategy},{c.method},{fold},{value}")
     return "\n".join(lines) + "\n"
 
 
@@ -690,6 +685,12 @@ def _check_keys(raw: dict, cls, what: str) -> None:
         raise ConfigError(f"unknown {what}: {unknown}")
 
 
+def synthetic_from_dict(raw: dict) -> SyntheticShiftConfig:
+    """A SyntheticShiftConfig from its fields; a key it omits takes the default."""
+    _check_keys(raw, SyntheticShiftConfig, "synthetic fields")
+    return SyntheticShiftConfig(**raw)
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Read a config_to_dict-shaped dict; a key it omits takes the
     ExperimentConfig default."""
@@ -698,8 +699,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(ds_raw, dict) or set(ds_raw) not in ({"synthetic"}, {"csv"}):
         raise ConfigError("config needs a 'dataset' entry with exactly one of 'synthetic' or 'csv'")
     if "synthetic" in ds_raw:
-        _check_keys(ds_raw["synthetic"], SyntheticShiftConfig, "synthetic fields")
-        dataset: SyntheticShiftConfig | str = SyntheticShiftConfig(**ds_raw["synthetic"])
+        dataset: SyntheticShiftConfig | str = synthetic_from_dict(ds_raw["synthetic"])
     else:
         dataset = str(ds_raw["csv"])
     parsed = dict(raw, dataset=dataset)
@@ -730,8 +730,8 @@ def write_report(report: ExperimentReport, outdir) -> Path:
     report.md lists each projection a strategy rejects instead."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "report.csv").write_text(emit_table(report, "csv"), encoding="utf-8")
-    (outdir / "folds.csv").write_text(folds_csv(report), encoding="utf-8")
+    (outdir / "report.csv").write_text(emit_table(report.cells, "csv"), encoding="utf-8")
+    (outdir / "folds.csv").write_text(folds_csv(report.cells), encoding="utf-8")
     (outdir / "config.json").write_text(
         json.dumps(config_to_dict(report.config), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
@@ -754,7 +754,7 @@ def write_report(report: ExperimentReport, outdir) -> Path:
     md.append(f"- folds: {', '.join(report.fold_names)}")
     md.append("- projection method: PCA (top 2 components)")
     md.append("")
-    md.append(emit_table(report, "markdown"))
+    md.append(emit_table(report.cells, "markdown"))
     md.append("## Cell timings (seconds)")
     md.append("")
     for cell in report.cells:

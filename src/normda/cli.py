@@ -31,11 +31,11 @@ EXIT_EXPERIMENT = 4
 
 def _parse_file(path, parse):
     """`parse` applied to the UTF-8 text of `path`. Text that does not
-    decode, or that `parse` rejects with a TypeError or ValueError (JSON
-    syntax, unknown or wrong-typed fields), is a ConfigError naming the path."""
+    decode, or that `parse` rejects with a ValueError (JSON syntax, unknown
+    or wrong-typed fields), is a ConfigError naming the path."""
     try:
         return parse(Path(path).read_text(encoding="utf-8"))
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -44,7 +44,7 @@ def _read_config(path) -> bench.ExperimentConfig:
 
 
 def cmd_synth(args) -> int:
-    cfg = _parse_file(args.config, lambda text: dataset.SyntheticShiftConfig(**json.loads(text)))
+    cfg = _parse_file(args.config, lambda text: bench.synthetic_from_dict(json.loads(text)))
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     ds = dataset.generate_synthetic(cfg)
@@ -63,7 +63,7 @@ def cmd_run(args) -> int:
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     report = bench.run_experiment(cfg, jobs=jobs)
     outdir = bench.write_report(report, cfg.output_dir)
-    print(bench.emit_table(report, "markdown"), end="")
+    print(bench.emit_table(report.cells, "markdown"), end="")
     failed = [c for c in report.cells if not c.ok]
     for cell in failed:
         print(f"FAILED {cell.strategy}/{cell.method}: {cell.error}", file=sys.stderr)
@@ -90,32 +90,23 @@ def cmd_project(args) -> int:
     return EXIT_OK
 
 
-def _cells_from_folds_csv(text: str) -> list[bench.CellResult]:
-    """One CellResult per (strategy, method) of a folds.csv; a cell with a
-    FAIL fold is an error. Malformed lines raise ValueError."""
+def _rows_from_folds_csv(text: str) -> list[bench.FoldOutcome]:
+    """One FoldOutcome per line of a folds.csv; a FAIL fold is an error.
+    Malformed lines raise ValueError."""
     lines = text.strip().splitlines()
     if not lines or lines[0] != "strategy,method,fold,accuracy":
         raise ValueError("unexpected header")
-    by_cell: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    rows = []
     for line in lines[1:]:
         strategy, method, fold, acc = line.split(",")
-        by_cell.setdefault((strategy, method), []).append((fold, acc))
-    cells = []
-    for (strategy, method), rows in by_cell.items():
-        fold_names, accs = zip(*rows)
-        if "FAIL" in accs:
-            cells.append(bench.CellResult(strategy, method, fold_names, None, "FAIL", 0.0))
-        else:
-            accs = tuple(float(a) for a in accs)
-            cells.append(bench.CellResult(strategy, method, fold_names, accs, None, 0.0))
-    return cells
+        error = "FAIL" if acc == "FAIL" else None
+        rows.append(bench.FoldOutcome(strategy, method, fold, None if error else float(acc), error, 0.0))
+    return rows
 
 
 def cmd_table(args) -> int:
-    cells = _parse_file(Path(args.report) / "folds.csv", _cells_from_folds_csv)
-    cfg = _read_config(Path(args.report) / "config.json")
-    report = bench.ExperimentReport(cfg, cells[0].fold_names if cells else (), tuple(cells))
-    print(bench.emit_table(report, "markdown"), end="")
+    rows = _parse_file(Path(args.report) / "folds.csv", _rows_from_folds_csv)
+    print(bench.emit_table(bench.cells_from_rows(rows), "markdown"), end="")
     return EXIT_OK
 
 

@@ -5,10 +5,10 @@ training, and two-stage adversarial encoder alignment.
 Every model is a composition of small MLPs, each an MlpSpec plus a list of
 (weights, bias) pairs. While a regime trains, all of its trainable
 parameters live in one contiguous float64 vector and each Mlp's pairs are
-views into it, so one Adam update per step covers every layer. Trainers
-copy the parameters they are given and return models over a snapshot
-copy, so no caller's arrays are ever written. Training is a pure function
-of (data, config, seed): repeated runs produce bit-identical parameters.
+views into it, so one Adam update per step covers every layer. Each
+trainer builds its networks from their specs and the seed, and returns
+models over a snapshot copy. Training is a pure function of (data,
+config, specs, seed): repeated runs produce bit-identical parameters.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ class Mlp:
     """A spec plus its parameters, one (weights, bias) pair per layer.
 
     The pairs may be views into a flat vector (see flat_copy); trainers
-    write only through vectors they own, so params handed to or returned
-    from a trainer are never modified afterwards.
+    write only through vectors they own, so params returned from a trainer
+    are never modified afterwards.
     """
 
     spec: MlpSpec
@@ -93,26 +93,15 @@ class TrainConfig:
             raise ConfigError("batch_size and max_epochs must be >= 1")
 
 
-def init_params(spec: MlpSpec, seed_or_rng) -> Params:
-    """Glorot-uniform weights (limit sqrt(6/(fan_in+fan_out))), zero biases."""
-    rng = (
-        seed_or_rng
-        if isinstance(seed_or_rng, np.random.Generator)
-        else np.random.default_rng(seed_or_rng)
-    )
+def init_mlp(spec: MlpSpec, seed_or_rng) -> Mlp:
+    """Glorot-uniform weights (limit sqrt(6/(fan_in+fan_out))), zero biases,
+    drawn from a seed or from a given Generator."""
+    rng = np.random.default_rng(seed_or_rng)
     params: Params = []
     for fan_in, fan_out in zip(spec.layer_sizes[:-1], spec.layer_sizes[1:]):
         limit = math.sqrt(6.0 / (fan_in + fan_out))
         params.append((rng.uniform(-limit, limit, (fan_in, fan_out)), np.zeros(fan_out)))
-    return params
-
-
-def init_mlp(spec: MlpSpec, seed_or_rng) -> Mlp:
-    return Mlp(spec, init_params(spec, seed_or_rng))
-
-
-def copy_params(params: Params) -> Params:
-    return [(w.copy(), b.copy()) for w, b in params]
+    return Mlp(spec, params)
 
 
 def _views(theta: np.ndarray, specs: list[MlpSpec]) -> list[Mlp]:
@@ -290,9 +279,6 @@ class DannModel:
     lam: float = 1.0
 
     def __post_init__(self):
-        width = self.extractor.spec.out_dim
-        if self.predictor.spec.in_dim != width or self.domain_classifier.spec.in_dim != width:
-            raise ShapeError("predictor and domain classifier must accept the extractor output")
         if self.lam < 0:
             raise ConfigError("lambda must be >= 0")
 
@@ -305,39 +291,6 @@ class AddaModel:
     target_encoder: Mlp
     classifier: Mlp
     discriminator: Mlp
-
-    def __post_init__(self):
-        if self.source_encoder.spec != self.target_encoder.spec:
-            raise ShapeError("source and target encoders must share a spec")
-        width = self.source_encoder.spec.out_dim
-        if self.classifier.spec.in_dim != width or self.discriminator.spec.in_dim != width:
-            raise ShapeError("classifier and discriminator must accept the encoder output")
-
-
-def make_dann(
-    extractor: MlpSpec,
-    predictor: MlpSpec,
-    domain_classifier: MlpSpec,
-    lam: float = 1.0,
-    seed: int = 0,
-) -> DannModel:
-    rng = np.random.default_rng(seed)
-    return DannModel(
-        init_mlp(extractor, rng), init_mlp(predictor, rng), init_mlp(domain_classifier, rng), lam
-    )
-
-
-def make_adda(
-    encoder: MlpSpec, classifier: MlpSpec, discriminator: MlpSpec, seed: int = 0
-) -> AddaModel:
-    rng = np.random.default_rng(seed)
-    enc = init_mlp(encoder, rng)
-    return AddaModel(
-        enc,
-        Mlp(encoder, copy_params(enc.params)),
-        init_mlp(classifier, rng),
-        init_mlp(discriminator, rng),
-    )
 
 
 def predict_composite(extractor: Mlp, head: Mlp, X: np.ndarray) -> np.ndarray:
@@ -421,6 +374,12 @@ def _early_stopping(theta: np.ndarray, epochs: int, patience: int, run_epoch, sc
     return best
 
 
+def _init_mlps(specs: list[MlpSpec], seed: int) -> list[Mlp]:
+    """Glorot-initialized Mlps drawn in order from one default_rng(seed)."""
+    rng = np.random.default_rng(seed)
+    return [init_mlp(spec, rng) for spec in specs]
+
+
 def _trainer_inputs(X, y, Xt=None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Features as float64 and labels as int64; rejects an empty target set
     (when one is given) and labels of a single class."""
@@ -486,7 +445,10 @@ def train_dann(
     ys: np.ndarray,
     Xt: np.ndarray,
     cfg: TrainConfig,
-    model: DannModel,
+    extractor_spec: MlpSpec,
+    predictor_spec: MlpSpec,
+    domain_spec: MlpSpec,
+    lam: float,
     seed: int,
 ) -> DannModel:
     """Adversarial training with a gradient-reversal layer.
@@ -494,16 +456,17 @@ def train_dann(
     Per batch the classifier path minimizes source cross-entropy while the
     domain head learns to separate source from target; the extractor
     receives the domain gradient scaled by -lambda. Early stopping watches
-    source-validation accuracy only (target labels are never read).
+    source-validation accuracy only (target labels are never read). The
+    three networks are drawn from one default_rng(seed), in argument order;
+    the split and batches from a second one.
     """
     Xs, ys, Xt = _trainer_inputs(Xs, ys, Xt)
+    specs = [extractor_spec, predictor_spec, domain_spec]
+    theta, views = flat_copy(_init_mlps(specs, seed))
+    current = DannModel(*views, lam)
+    state = AdamState.zeros_like(theta)
     rng = np.random.default_rng(seed)
     train_idx, val_idx = _val_split(ys, rng)
-
-    parts = [model.extractor, model.predictor, model.domain_classifier]
-    theta, views = flat_copy(parts)
-    current = DannModel(*views, model.lam)
-    state = AdamState.zeros_like(theta)
 
     def run_epoch():
         for batch, ti in _paired_batches(train_idx.size, Xt.shape[0], cfg.batch_size, rng):
@@ -516,7 +479,7 @@ def train_dann(
         return accuracy(pred, ys[val_idx])
 
     best = _early_stopping(theta, cfg.max_epochs, cfg.patience, run_epoch, val_accuracy)
-    return DannModel(*_views(best, [m.spec for m in parts]), model.lam)
+    return DannModel(*_views(best, specs), lam)
 
 
 def train_adda(
@@ -524,7 +487,9 @@ def train_adda(
     ys: np.ndarray,
     Xt: np.ndarray,
     cfg: TrainConfig,
-    model: AddaModel,
+    encoder_spec: MlpSpec,
+    classifier_spec: MlpSpec,
+    discriminator_spec: MlpSpec,
     seed: int,
     stage2_epochs: int | None = None,
 ) -> AddaModel:
@@ -535,7 +500,9 @@ def train_adda(
     from the source encoder, then alternates discriminator updates
     (source encodings labeled 0, target 1) with target-encoder updates
     against inverted labels. Target rows are classified through
-    classifier(target_encoder(x)).
+    classifier(target_encoder(x)). The three networks are drawn from one
+    default_rng(seed), in argument order; the split and batches of both
+    stages from a second one.
 
     Two stabilizers keep the minimax from cycling at small scale: the
     encoder steps at ADDA_ENCODER_LR_SCALE times the discriminator rate, and
@@ -547,18 +514,19 @@ def train_adda(
     Xs, ys, Xt = _trainer_inputs(Xs, ys, Xt)
     if stage2_epochs is None:
         stage2_epochs = cfg.max_epochs
+    encoder, classifier, discriminator = _init_mlps(
+        [encoder_spec, classifier_spec, discriminator_spec], seed
+    )
     rng = np.random.default_rng(seed)
     train_idx, val_idx = _val_split(ys, rng)
 
     # Stage 1: source encoder + classifier.
-    source_enc, clf = _fit_classifier(
-        Xs, ys, train_idx, val_idx, cfg, rng, model.source_encoder, model.classifier
-    )
+    source_enc, clf = _fit_classifier(Xs, ys, train_idx, val_idx, cfg, rng, encoder, classifier)
 
     # Stage 2: adversarial target-encoder alignment against frozen pieces.
     # Target encoder and discriminator share one vector; each slice keeps
     # its own Adam state and learning rate.
-    theta, (target_enc, disc) = flat_copy([source_enc, model.discriminator])
+    theta, (target_enc, disc) = flat_copy([source_enc, discriminator])
     n_enc = sum(a.size for pair in target_enc.params for a in pair)
     enc_theta, disc_theta = theta[:n_enc], theta[n_enc:]
     disc_state = AdamState.zeros_like(disc_theta)

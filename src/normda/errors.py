@@ -1,6 +1,7 @@
 """Exception types shared across the package. NormdaError is the only
 expected failure; any other exception is a bug and propagates."""
 
+import math
 import numbers
 from dataclasses import fields
 
@@ -67,12 +68,16 @@ _FIELD_TYPES = {
 
 def check_field_types(obj) -> None:
     """Raise ConfigError unless each field of the dataclass `obj` annotated
-    `int`, `float`, `bool` or `str` holds a value of that type; an integer
-    is a number, but a bool is neither."""
+    `int`, `float`, `bool` or `str`, or one of these `| None`, holds a
+    value of that type (or None); an integer is a number, but a bool is
+    neither, and a number must be finite."""
     for f in fields(obj):
-        value, kind = getattr(obj, f.name), getattr(f.type, "__name__", f.type)
-        if kind not in _FIELD_TYPES:
+        value = getattr(obj, f.name)
+        kind, _, rest = str(getattr(f.type, "__name__", f.type)).partition(" | ")
+        if kind not in _FIELD_TYPES or (rest == "None" and value is None):
             continue
         wanted, what = _FIELD_TYPES[kind]
         if not isinstance(value, wanted) or (isinstance(value, bool) and wanted is not bool):
             raise ConfigError(f"{f.name} must be {what}, got {value!r}")
+        if wanted is numbers.Real and not math.isfinite(value):
+            raise ConfigError(f"{f.name} must be finite, got {value!r}")

@@ -12,22 +12,28 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigError, DegenerateDataError, EmptyInputError, NumericError, ShapeError
+from .errors import (
+    ConfigError, DegenerateDataError, EmptyInputError, NumericError, ShapeError, check_field_types
+)
 
 KPCA_EIGVAL_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel choice: "linear" or "rbf" (gamma is the rbf bandwidth)."""
+    """Kernel choice: "linear" or "rbf" (gamma is the rbf bandwidth; None
+    takes the median heuristic, see resolve_kernel)."""
 
     kind: str = "linear"
     gamma: float | None = None
 
     def __post_init__(self):
+        check_field_types(self)
         if self.kind not in ("linear", "rbf"):
             raise ConfigError(f"unknown kernel kind {self.kind!r}")
-        if self.kind == "rbf" and self.gamma is not None and self.gamma <= 0:
+        if self.kind == "linear" and self.gamma is not None:
+            raise ConfigError(f"a linear kernel takes no gamma, got {self.gamma!r}")
+        if self.gamma is not None and self.gamma <= 0:
             raise ConfigError("rbf gamma must be positive")
 
 

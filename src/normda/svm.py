@@ -3,7 +3,7 @@
 Binary subproblems follow Platt's working-pair selection: a KKT-violating
 example is paired first with the largest error gap over non-bound points,
 then with every non-bound point, then with every point, so termination
-(a full sweep with no progress) certifies the KKT conditions within tol.
+(a full sweep with no progress) certifies the KKT conditions within SMO_TOL.
 Multi-class uses one-vs-rest with argmax over per-class decision values.
 """
 
@@ -17,6 +17,9 @@ from .errors import ConfigError, DegenerateLabelsError, NumericError, ShapeError
 from .shallow import KernelSpec, gram, resolve_kernel
 
 _STEP_EPS = 1e-10
+# KKT tolerance, and the cap on full sweeps after a no-progress pass.
+SMO_TOL = 1e-3
+SMO_MAX_PASSES = 20
 
 
 @dataclass(frozen=True)
@@ -29,12 +32,10 @@ class SvmModel:
     classes: tuple[int, ...]
 
 
-def _smo_binary(
-    K: np.ndarray, y: np.ndarray, C: float, tol: float, max_passes: int, rng
-) -> tuple[np.ndarray, float]:
+def _smo_binary(K: np.ndarray, y: np.ndarray, C: float, rng) -> tuple[np.ndarray, float]:
     """Solve one binary soft-margin dual; returns (alpha, bias).
 
-    `max_passes` caps the number of full sweeps triggered after a
+    SMO_MAX_PASSES caps the number of full sweeps triggered after a
     no-progress pass; normal termination is the first full sweep that
     changes nothing. A generous step budget bounds runtime on degenerately
     scaled inputs where convergence would take microscopic steps forever.
@@ -103,7 +104,7 @@ def _smo_binary(
 
     def examine(i2: int) -> bool:
         r2 = errors[i2] * y[i2]
-        if not ((r2 < -tol and alpha[i2] < C) or (r2 > tol and alpha[i2] > 0)):
+        if not ((r2 < -SMO_TOL and alpha[i2] < C) or (r2 > SMO_TOL and alpha[i2] > 0)):
             return False
         non_bound = np.flatnonzero((alpha > 0) & (alpha < C))
         if non_bound.size > 1:
@@ -127,7 +128,7 @@ def _smo_binary(
         num_changed = 0
         if examine_all:
             full_sweeps += 1
-            if full_sweeps > max_passes:
+            if full_sweeps > SMO_MAX_PASSES:
                 break
             for i in range(n):
                 num_changed += examine(i)
@@ -150,8 +151,6 @@ def svm_train(
     y: np.ndarray,
     k: KernelSpec,
     C: float = 1.0,
-    tol: float = 1e-3,
-    max_passes: int = 20,
     seed: int = 0,
 ) -> SvmModel:
     """Train a one-vs-rest kernel SVM; deterministic given the seed."""
@@ -173,7 +172,7 @@ def svm_train(
     biases = np.zeros(len(classes))
     for ci, c in enumerate(classes):
         y_pm = np.where(y == c, 1.0, -1.0)
-        alpha, b = _smo_binary(K, y_pm, C, tol, max_passes, rng)
+        alpha, b = _smo_binary(K, y_pm, C, rng)
         coefs[ci] = alpha * y_pm
         biases[ci] = b
 

@@ -2,7 +2,9 @@
 
 import numpy as np
 
-from normda.deep import copy_params
+
+def copy_params(params):
+    return [(w.copy(), b.copy()) for w, b in params]
 
 
 def max_relative_error(params, grads, loss_fn, h=1e-5, limit=None, rng=None):

@@ -26,6 +26,7 @@ from normda.dataset import (
     loso_folds,
 )
 from normda.deep import (
+    DannModel,
     MlpSpec,
     TrainConfig,
     backward,
@@ -35,7 +36,6 @@ from normda.deep import (
     dann_batch_grads,
     forward,
     init_mlp,
-    make_dann,
     train_dann,
 )
 from normda.cli import _read_config
@@ -151,7 +151,9 @@ def test_criterion_6_gradient_fidelity():
 
     # GRL composite objective w.r.t. extractor parameters
     lam = 1.3
-    model = make_dann(MlpSpec((5, 6), head="identity"), MlpSpec((6, 3)), MlpSpec((6, 2)), lam, seed=2)
+    init_rng = np.random.default_rng(2)
+    specs = (MlpSpec((5, 6), head="identity"), MlpSpec((6, 3)), MlpSpec((6, 2)))
+    model = DannModel(*(init_mlp(spec, init_rng) for spec in specs), lam)
     Xs, ys, Xt = rng.normal(size=(9, 5)), rng.integers(0, 3, 9), rng.normal(size=(6, 5))
     egrads, _, _, _, _ = dann_batch_grads(model, Xs, ys, Xt)
 
@@ -187,8 +189,8 @@ def test_criterion_7_dann_alignment():
     X = np.vstack([rng.normal(size=(60, 3)) + [2, 0, 0], rng.normal(size=(60, 3)) - [2, 0, 0]])
     y = np.array([0] * 60 + [1] * 60)
     cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=60, patience=20)
-    model = make_dann(MlpSpec((3, 8), head="identity"), MlpSpec((8, 2)), MlpSpec((8, 2)), 1.0, seed=1)
-    trained = train_dann(X, y, X.copy(), cfg, model, seed=1)
+    specs = (MlpSpec((3, 8), head="identity"), MlpSpec((8, 2)), MlpSpec((8, 2)))
+    trained = train_dann(X, y, X.copy(), cfg, *specs, 1.0, seed=1)
     feats, _ = forward(trained.extractor.spec, trained.extractor.params, X)
     dprobs, _ = forward(
         trained.domain_classifier.spec, trained.domain_classifier.params, np.vstack([feats, feats])
@@ -196,7 +198,8 @@ def test_criterion_7_dann_alignment():
     domain_acc = float(np.mean(np.argmax(dprobs, axis=1) == np.array([0] * len(X) + [1] * len(X))))
     assert 0.4 <= domain_acc <= 0.6
 
-    zero = make_dann(MlpSpec((3, 8), head="identity"), MlpSpec((8, 2)), MlpSpec((8, 2)), 0.0, seed=2)
+    init_rng = np.random.default_rng(2)
+    zero = DannModel(*(init_mlp(spec, init_rng) for spec in specs), 0.0)
     plain_e, _, _ = class_grads(zero.extractor, zero.predictor, X[:32], y[:32])
     dann_e, _, _, _, _ = dann_batch_grads(zero, X[:32], y[:32], X[32:64])
     for (pw, pb), (dw, db) in zip(plain_e, dann_e):
@@ -213,7 +216,7 @@ def test_criterion_8_svm_soundness():
         if len(set(y.tolist())) < 2:
             y[0] = 1 - y[0]
         kernel = KernelSpec("rbf", 0.7) if trial % 3 else LINEAR
-        model = svm_train(X, y, kernel, C=1.0, tol=1e-3, seed=trial)
+        model = svm_train(X, y, kernel, C=1.0, seed=trial)
         assert kkt_holds(model, X, y, 1e-3), f"KKT violated on trial {trial}"
 
     X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
@@ -281,7 +284,7 @@ def test_criterion_10_protocol_and_leakage():
         strategies=(NormStrategy.NO_NORM, NormStrategy.Z2),
         methods=(MethodSpec("noDA-SVM"),), seed=13,
     )
-    assert emit_table(run_experiment(cfg), "csv") == emit_table(run_experiment(cfg), "csv")
+    assert emit_table(run_experiment(cfg).cells, "csv") == emit_table(run_experiment(cfg).cells, "csv")
     ok(10, "LOSO partitions rows; constant test labels leave fitted bits identical; reruns byte-identical")
 
 

@@ -30,6 +30,7 @@ from normda.dataset import DomainDataset, Fold, SyntheticShiftConfig, generate_s
 from normda.deep import TrainConfig
 from normda.errors import EmptyInputError, ExperimentError, ShapeError
 from normda.normalize import NormStrategy
+from normda.shallow import KernelSpec
 
 FAST_TRAIN = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=15, patience=5)
 
@@ -101,25 +102,25 @@ def separable_split(seed=0):
 def test_grid_single_point_returned():
     Xtr, ytr, Xv, yv = separable_split()
     method = MethodSpec("noDA-SVM")
-    best = grid_search(method, {"C": [2.5]}, Xtr, ytr, Xv, yv)
+    best = grid_search(method, {"C": [2.5]}, Xtr, ytr, Xv, yv, Xv, 0)
     assert best.C == 2.5
 
 
 def test_grid_failing_point_loses_to_finite_one():
     Xtr, ytr, Xv, yv = separable_split(1)
     method = MethodSpec("noDA-SVM")
-    # dim is invalid for TCA only; for SVM use an invalid C to force failure
-    best = grid_search(method, {"C": [-1.0, 1.0]}, Xtr, ytr, Xv, yv)
+    # C = -1 is rejected when the point is built, which fails it like a fit
+    best = grid_search(method, {"C": [-1.0, 1.0]}, Xtr, ytr, Xv, yv, Xv, 0)
     assert best.C == 1.0
     with pytest.raises(ExperimentError):
-        grid_search(method, {"C": [-1.0, -2.0]}, Xtr, ytr, Xv, yv)
+        grid_search(method, {"C": [-1.0, -2.0]}, Xtr, ytr, Xv, yv, Xv, 0)
 
 
 def test_grid_learning_rates_on_separable_toy():
     Xtr, ytr, Xv, yv = separable_split(2)
     method = MethodSpec("noDA-ANN", train=FAST_TRAIN, hidden=(8,), feature_dim=4)
     best = grid_search(
-        method, {"learning_rate": [0.1, 0.01, 0.001, 0.0001]}, Xtr, ytr, Xv, yv, seed=0
+        method, {"learning_rate": [0.1, 0.01, 0.001, 0.0001]}, Xtr, ytr, Xv, yv, Xv, seed=0
     )
     fitted = fit_method(best, Xtr, ytr, Xv, seed=0)
     assert accuracy(predict_method(fitted, Xv), yv) >= 0.95
@@ -128,7 +129,7 @@ def test_grid_learning_rates_on_separable_toy():
 def test_grid_tie_keeps_declared_order():
     Xtr, ytr, Xv, yv = separable_split(3)
     method = MethodSpec("noDA-SVM")
-    best = grid_search(method, {"C": [1.0, 2.0]}, Xtr, ytr, Xv, yv)
+    best = grid_search(method, {"C": [1.0, 2.0]}, Xtr, ytr, Xv, yv, Xv, 0)
     assert best.C == 1.0  # both reach the same validation accuracy
 
 
@@ -192,14 +193,14 @@ def test_run_experiment_hlso_protocol():
 def test_run_experiment_deterministic_report_csv(tmp_path):
     a = run_experiment(small_cfg())
     b = run_experiment(small_cfg())
-    assert emit_table(a, "csv") == emit_table(b, "csv")
-    assert folds_csv(a) == folds_csv(b)
+    assert emit_table(a.cells, "csv") == emit_table(b.cells, "csv")
+    assert folds_csv(a.cells) == folds_csv(b.cells)
 
 
 def test_run_experiment_parallel_matches_serial():
     serial = run_experiment(small_cfg())
     parallel = run_experiment(small_cfg(), jobs=2)
-    assert emit_table(serial, "csv") == emit_table(parallel, "csv")
+    assert emit_table(serial.cells, "csv") == emit_table(parallel.cells, "csv")
 
 
 def test_run_experiment_records_failed_cells():
@@ -308,7 +309,7 @@ def test_dann_architecture_search_independent_of_method_order():
         for methods in (dann_first, dann_last)
     ]
     assert all(cell.ok for cell in reports[0].cells)
-    assert folds_csv(reports[0]) == folds_csv(reports[1])
+    assert folds_csv(reports[0].cells) == folds_csv(reports[1].cells)
 
 
 def test_headline_ordering_holds_for_deep_methods():
@@ -451,7 +452,7 @@ def test_fit_and_predict_call_solvers_through_module_names(monkeypatch):
 
 def test_emit_table_markdown_shape():
     report = run_experiment(small_cfg())
-    md = emit_table(report, "markdown")
+    md = emit_table(report.cells, "markdown")
     lines = md.strip().splitlines()
     assert lines[0] == "| strategy | noDA-SVM |"
     assert len(lines) == 4  # header, rule, two strategy rows
@@ -459,22 +460,44 @@ def test_emit_table_markdown_shape():
 
 
 def test_emit_table_renders_failed_cells():
-    from normda.bench import CellResult, ExperimentReport
+    from normda.bench import CellResult
 
-    cfg = small_cfg(strategies=(NormStrategy.Z2,))
     cells = (
         CellResult("Z2", "noDA-SVM", ("f0",), None, "fold=f0: boom", 0.1),
     )
-    report = ExperimentReport(cfg, ("f0",), cells)
-    assert "FAIL" in emit_table(report, "markdown")
-    csv_lines = emit_table(report, "csv").strip().splitlines()
+    assert "FAIL" in emit_table(cells, "markdown")
+    csv_lines = emit_table(cells, "csv").strip().splitlines()
     assert csv_lines[1].endswith(",,,FAIL")
-    assert "FAIL" in folds_csv(report)
+    assert "FAIL" in folds_csv(cells)
+
+
+def test_cells_from_rows_groups_in_row_order():
+    from normda.bench import FoldOutcome, cells_from_rows
+
+    rows = [
+        FoldOutcome("Z2", "DANN", "f1", 0.5, None, 1.0),
+        FoldOutcome("Z2", "noDA-SVM", "f1", None, "boom", 0.5),
+        FoldOutcome("Z2", "DANN", "f0", 0.75, None, 2.0),
+        FoldOutcome("Z2", "noDA-SVM", "f0", 1.0, None, 0.25),
+    ]
+    dann, svm = cells_from_rows(rows)
+    assert (dann.method, dann.fold_names, dann.accuracies, dann.seconds) == ("DANN", ("f1", "f0"), (0.5, 0.75), 3.0)
+    assert (svm.method, svm.fold_names, svm.accuracies, svm.error) == ("noDA-SVM", ("f1", "f0"), None, "boom")
+
+
+def test_run_experiment_cells_follow_config_order():
+    deep = dict(train=FAST_TRAIN, hidden=(4,), feature_dim=4)
+    methods = (MethodSpec("noDA-SVM"), MethodSpec("noDA-ANN", **deep), MethodSpec("DANN", **deep))
+    report = run_experiment(small_cfg(methods=methods))
+    assert [(c.strategy, c.method) for c in report.cells] == [
+        (s, m.kind) for s in ("noNorm", "Z2") for m in methods
+    ]
+    assert all(c.fold_names == report.fold_names for c in report.cells)
 
 
 def test_emit_table_csv_roundtrips_reals():
     report = run_experiment(small_cfg())
-    lines = emit_table(report, "csv").strip().splitlines()
+    lines = emit_table(report.cells, "csv").strip().splitlines()
     assert lines[0] == "strategy,method,n_folds,mean,std,status"
     for line in lines[1:]:
         parts = line.split(",")
@@ -498,8 +521,6 @@ def test_write_report_layout(tmp_path):
 
 
 def test_config_dict_roundtrip():
-    from normda.shallow import KernelSpec
-
     rbf = KernelSpec("rbf", 0.25)
     train = TrainConfig(learning_rate=0.003, batch_size=16, max_epochs=7, patience=3)
     methods = (
@@ -533,6 +554,7 @@ def test_config_dict_roundtrip():
             {"grids": {"noDA-SVM": {"kernel": [{"kind": "rbf", "bogus": 1}]}}},
             r"unknown kernel fields: \['bogus'\]",
         ),
+        ({"grids": {"noDA-SVM": {"gamma": [0.5]}}}, r"unknown parameters \['gamma'\]"),
     ],
 )
 def test_config_from_dict_rejects_unknown_keys(change, named):
@@ -563,6 +585,28 @@ def test_config_from_dict_rejects_unknown_keys(change, named):
         ({"strategies": 5}, r"strategies must be a list, got 5"),
         ({"dataset": {"synthetic": None}}, r"synthetic fields: expected an object, got None"),
         ({"methods": [{"kind": "noDA-SVM"}, {"C": 1.0}]}, r"method 1 has no 'kind'"),
+        ({"methods": [{"kind": "noDA-SVM", "C": 0.0}]}, r"C must be positive, got 0.0"),
+        ({"methods": [{"kind": "noDA-SVM", "C": float("nan")}]}, r"C must be finite, got nan"),
+        ({"methods": [{"kind": "TCA-SVM", "mu_reg": -1.0}]}, r"mu_reg must be positive, got -1.0"),
+        ({"methods": [{"kind": "TCA-SVM", "dim": 0}]}, r"dim must be >= 1, got 0"),
+        ({"methods": [{"kind": "DANN", "lam": -0.5}]}, r"lam must be >= 0, got -0.5"),
+        (
+            {"methods": [{"kind": "noDA-SVM", "kernel": {"kind": "rbf", "gamma": "x"}}]},
+            r"gamma must be a number, got 'x'",
+        ),
+        (
+            {"methods": [{"kind": "noDA-SVM", "kernel": {"kind": "linear", "gamma": "x"}}]},
+            r"gamma must be a number, got 'x'",
+        ),
+        (
+            {"methods": [{"kind": "noDA-SVM", "kernel": {"kind": "linear", "gamma": 0.5}}]},
+            r"a linear kernel takes no gamma, got 0.5",
+        ),
+        (
+            {"methods": [{"kind": "noDA-ANN", "train": {"learning_rate": float("inf")}}]},
+            r"learning_rate must be finite, got inf",
+        ),
+        ({"dataset": {"synthetic": {"noise_std": float("nan")}}}, r"noise_std must be finite, got nan"),
     ],
 )
 def test_config_from_dict_rejects_wrong_values(change, named):
@@ -589,6 +633,9 @@ def test_config_from_dict_rejects_wrong_values(change, named):
         ({"noDA-SVM": {"kernel": [{"kind": "rbf", "gamma": -1.0}]}}, r"rbf gamma must be positive"),
         ({"noDA-SVM": {"activation": ["bogus"]}}, r"unknown activation 'bogus'"),
         ({"noDA-SVM": {"hidden": [[16], [2.5]]}}, r"hidden must be a list of integers, got \[2.5\]"),
+        ({"noDA-SVM": {"gamma": [0.5]}}, r"unknown parameters \['gamma'\]"),
+        ({"noDA-SVM": {"C": [1.0, 0.0]}}, r"C must be positive, got 0.0"),
+        ({"noDA-SVM": {"kernel": [{"kind": "linear", "gamma": 0.5}]}}, r"a linear kernel takes no gamma"),
     ],
 )
 def test_config_rejects_bad_grids_at_load(grids, named):
@@ -607,6 +654,10 @@ def test_config_rejects_bad_grids_at_load(grids, named):
         (lambda: MethodSpec("noDA-SVM", kernel="rbf"), r"kernel must be a KernelSpec"),
         (lambda: TrainConfig(batch_size=2.5), r"batch_size must be an integer, got 2.5"),
         (lambda: TrainConfig(learning_rate="0.1"), r"learning_rate must be a number"),
+        (lambda: MethodSpec("noDA-SVM", C=float("inf")), r"C must be finite, got inf"),
+        (lambda: KernelSpec("rbf", "x"), r"gamma must be a number, got 'x'"),
+        (lambda: KernelSpec("rbf", float("nan")), r"gamma must be finite, got nan"),
+        (lambda: KernelSpec(5), r"kind must be a string, got 5"),
     ],
 )
 def test_specs_reject_wrong_typed_numbers(build, named):

@@ -155,6 +155,35 @@ def test_table_rerenders_report(tmp_path, capsys):
     assert rendered == first[: len(rendered)]
 
 
+def test_table_reads_only_folds_csv(tmp_path, capsys):
+    # Report directories from older versions hold a config.json that the
+    # current config reader rejects; the table never needed it.
+    cfg = write_json(tmp_path / "exp.json", dict(RUN_CFG, output_dir=str(tmp_path / "r")))
+    main(["run", "--config", cfg, "--jobs", "1"])
+    first = capsys.readouterr().out.strip().splitlines()
+    (tmp_path / "r" / "config.json").unlink()
+    assert main(["table", "--report", str(tmp_path / "r")]) == 0
+    rendered = capsys.readouterr().out.strip().splitlines()
+    assert rendered == first[: len(rendered)]
+    (tmp_path / "r" / "config.json").write_text('{"methods": [{"kind": "noDA-SVM", "svm_tol": 0.001}]}')
+    assert main(["table", "--report", str(tmp_path / "r")]) == 0
+    assert capsys.readouterr().out.strip().splitlines() == rendered
+
+
+def test_type_error_in_config_code_propagates(tmp_path, monkeypatch):
+    # A TypeError inside config code is a bug: it keeps its traceback
+    # instead of becoming exit 2.
+    import normda.bench as bench
+
+    def broken(raw):
+        raise TypeError("bug in config code")
+
+    monkeypatch.setattr(bench, "config_from_dict", broken)
+    cfg = write_json(tmp_path / "exp.json", dict(RUN_CFG, output_dir=str(tmp_path / "r")))
+    with pytest.raises(TypeError, match="bug in config code"):
+        main(["run", "--config", cfg, "--jobs", "1"])
+
+
 def test_run_missing_csv_exits_3_and_names_path(tmp_path, capsys):
     missing = tmp_path / "absent.csv"
     cfg = write_json(
@@ -250,6 +279,7 @@ def test_table_rerenders_failed_cells(tmp_path, capsys):
         ({"kernel": [{"kind": "poly"}]}, "poly"),
         ({"kernel": [{"kind": "rbf", "bogus": 1}]}, "bogus"),
         ({"activation": ["bogus"]}, "unknown activation 'bogus'"),
+        ({"gamma": [0.5]}, "unknown parameters ['gamma']"),
     ],
 )
 def test_run_bad_grid_exits_2(tmp_path, capsys, grid, named):
@@ -292,6 +322,13 @@ def test_non_utf8_csv_exits_2_and_names_byte(tmp_path, capsys, command):
         ({"kind": "noDA-ANN", "hidden": [2, 2, 2, 2]}, "at most 3 hidden layers are supported; got 4"),
         ({"kind": "noDA-ANN", "feature_dim": 0}, "all >= 1; got (1, 16, 0)"),
         ({"kind": "noDA-ANN", "train": {"seed": 99}}, "unknown train fields: ['seed']"),
+        ({"kind": "noDA-SVM", "C": 0.0}, "C must be positive, got 0.0"),
+        ({"kind": "noDA-SVM", "C": float("nan")}, "C must be finite, got nan"),
+        ({"kind": "TCA-SVM", "mu_reg": 0.0}, "mu_reg must be positive, got 0.0"),
+        ({"kind": "TCA-SVM", "dim": 0}, "dim must be >= 1, got 0"),
+        ({"kind": "DANN", "lam": -1.0}, "lam must be >= 0, got -1.0"),
+        ({"kind": "noDA-SVM", "kernel": {"kind": "rbf", "gamma": "x"}}, "gamma must be a number, got 'x'"),
+        ({"kind": "noDA-SVM", "kernel": {"kind": "linear", "gamma": 0.5}}, "a linear kernel takes no gamma"),
     ],
 )
 def test_run_wrong_typed_method_field_exits_2(tmp_path, capsys, method, named):
@@ -351,7 +388,7 @@ def test_run_strict_exits_4_only_for_failed_cells(tmp_path, capsys):
         ("run", b"{", "Expecting property name"),
         ("synth", b"{", "Expecting property name"),
         ("run", b"[1]", "config keys: expected an object, got [1]"),
-        ("synth", b"[1]", "must be a mapping, not list"),
+        ("synth", b"[1]", "synthetic fields: expected an object"),
         ("run", b'{"seed": "\xe9"}', "can't decode byte 0xe9"),
         ("synth", b'{"seed": "\xe9"}', "can't decode byte 0xe9"),
         ("run", b'{"dataset": {"csv": "d.csv"}, "emit_projections": "false"}', "emit_projections must be a boolean"),
@@ -359,6 +396,9 @@ def test_run_strict_exits_4_only_for_failed_cells(tmp_path, capsys):
         ("run", b'{"dataset": {"csv": "d.csv"}, "seed": true}', "seed must be an integer, got True"),
         ("run", b'{"dataset": {"synthetic": {"seed": -1}}}', "seed must be >= 0"),
         ("synth", b'{"seed": -1}', "seed must be >= 0"),
+        ("synth", b'{"bogus": 1}', "unknown synthetic fields: ['bogus']"),
+        ("synth", b'{"noise_std": NaN}', "noise_std must be finite, got nan"),
+        ("run", b'{"dataset": {"csv": "d.csv"}, "methods": [{"kind": "noDA-SVM", "C": NaN}]}', "C must be finite"),
     ],
 )
 def test_malformed_json_config_exits_2(tmp_path, capsys, command, content, named):

@@ -13,12 +13,12 @@ from normda.deep import (
     ADAM_BETA2,
     ADAM_EPS,
     AdamState,
+    DannModel,
     MlpSpec,
     TrainConfig,
     adam_step,
     backward,
     class_grads,
-    copy_params,
     cross_entropy,
     cross_entropy_grad,
     dann_batch_grads,
@@ -27,8 +27,6 @@ from normda.deep import (
     forward,
     grl_backward,
     init_mlp,
-    make_adda,
-    make_dann,
     predict_composite,
     softmax,
     train_adda,
@@ -41,6 +39,12 @@ from normda.shallow import KernelSpec, mmd_sq
 
 def params_equal(a, b):
     return all(np.array_equal(x[0], y[0]) and np.array_equal(x[1], y[1]) for x, y in zip(a, b))
+
+
+def dann_model(extractor, predictor, domain, lam, seed):
+    """A freshly initialized DannModel, its networks drawn as train_dann draws them."""
+    rng = np.random.default_rng(seed)
+    return DannModel(init_mlp(extractor, rng), init_mlp(predictor, rng), init_mlp(domain, rng), lam)
 
 
 def blobs(n_per=100, sep=3.0, dim=2, seed=0):
@@ -164,9 +168,7 @@ def test_grl_backward_values():
 def test_grl_composite_objective_finite_difference():
     rng = np.random.default_rng(5)
     lam = 0.7
-    model = make_dann(
-        MlpSpec((4, 6), head="identity"), MlpSpec((6, 3)), MlpSpec((6, 2)), lam=lam, seed=6
-    )
+    model = dann_model(MlpSpec((4, 6), head="identity"), MlpSpec((6, 3)), MlpSpec((6, 2)), lam, seed=6)
     Xs = rng.normal(size=(9, 4))
     ys = rng.integers(0, 3, 9)
     Xt = rng.normal(size=(7, 4))
@@ -189,9 +191,7 @@ def test_grl_composite_objective_finite_difference():
 
 def test_dann_lambda_zero_matches_plain_gradients_bitwise():
     rng = np.random.default_rng(7)
-    model = make_dann(
-        MlpSpec((4, 6), head="identity"), MlpSpec((6, 3)), MlpSpec((6, 2)), lam=0.0, seed=8
-    )
+    model = dann_model(MlpSpec((4, 6), head="identity"), MlpSpec((6, 3)), MlpSpec((6, 2)), 0.0, seed=8)
     Xs = rng.normal(size=(10, 4))
     ys = rng.integers(0, 3, 10)
     Xt = rng.normal(size=(6, 4))
@@ -346,8 +346,8 @@ def test_train_plain_single_class_rejected():
 def test_dann_target_equals_source_confuses_domain_head():
     X, y = blobs(n_per=60, seed=13, dim=3)
     cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=60, patience=20)
-    model = make_dann(MlpSpec((3, 8), head="identity"), MlpSpec((8, 2)), MlpSpec((8, 2)), lam=1.0, seed=1)
-    trained = train_dann(X, y, X.copy(), cfg, model, seed=1)
+    specs = (MlpSpec((3, 8), head="identity"), MlpSpec((8, 2)), MlpSpec((8, 2)))
+    trained = train_dann(X, y, X.copy(), cfg, *specs, lam=1.0, seed=1)
     feats, _ = forward(trained.extractor.spec, trained.extractor.params, X)
     dprobs, _ = forward(
         trained.domain_classifier.spec, trained.domain_classifier.params, np.vstack([feats, feats])
@@ -366,11 +366,8 @@ def test_dann_reduces_extractor_mmd_on_shifted_domains():
     k = KernelSpec("linear")
     raw = mmd_sq(Xs, Xt, k)
     cfg = TrainConfig(learning_rate=0.003, batch_size=32, max_epochs=60, patience=15)
-    model = make_dann(
-        MlpSpec((8, 16, 2), activation="sigmoid", head="identity"),
-        MlpSpec((2, 2)), MlpSpec((2, 2)), lam=1.0, seed=2,
-    )
-    trained = train_dann(Xs, ys, Xt, cfg, model, seed=2)
+    specs = (MlpSpec((8, 16, 2), activation="sigmoid", head="identity"), MlpSpec((2, 2)), MlpSpec((2, 2)))
+    trained = train_dann(Xs, ys, Xt, cfg, *specs, lam=1.0, seed=2)
     fs, _ = forward(trained.extractor.spec, trained.extractor.params, Xs)
     ft, _ = forward(trained.extractor.spec, trained.extractor.params, Xt)
     assert mmd_sq(fs, ft, k) < raw
@@ -379,58 +376,101 @@ def test_dann_reduces_extractor_mmd_on_shifted_domains():
 def test_dann_deterministic():
     X, y = blobs(n_per=30, seed=14, dim=3)
     cfg = TrainConfig(learning_rate=0.01, batch_size=16, max_epochs=10, patience=5)
-    runs = []
-    for _ in range(2):
-        model = make_dann(MlpSpec((3, 4), head="identity"), MlpSpec((4, 2)), MlpSpec((4, 2)), seed=4)
-        runs.append(train_dann(X, y, X + 1.0, cfg, model, seed=4))
+    specs = (MlpSpec((3, 4), head="identity"), MlpSpec((4, 2)), MlpSpec((4, 2)))
+    runs = [train_dann(X, y, X + 1.0, cfg, *specs, lam=1.0, seed=4) for _ in range(2)]
     assert params_equal(runs[0].extractor.params, runs[1].extractor.params)
     assert params_equal(runs[0].domain_classifier.params, runs[1].domain_classifier.params)
 
 
 def test_dann_empty_target_rejected():
     X, y = blobs(n_per=10, seed=15)
-    model = make_dann(MlpSpec((2, 4), head="identity"), MlpSpec((4, 2)), MlpSpec((4, 2)))
+    specs = (MlpSpec((2, 4), head="identity"), MlpSpec((4, 2)), MlpSpec((4, 2)))
     with pytest.raises(ShapeError):
-        train_dann(X, y, np.empty((0, 2)), TrainConfig(), model, seed=0)
+        train_dann(X, y, np.empty((0, 2)), TrainConfig(), *specs, lam=1.0, seed=0)
+
+
+def test_train_dann_lr_zero_returns_initial_snapshot():
+    X, y = blobs(n_per=40, seed=11, dim=3)
+    cfg = TrainConfig(learning_rate=0.0, batch_size=16, max_epochs=300, patience=1)
+    specs = (MlpSpec((3, 5, 4), head="identity"), MlpSpec((4, 2)), MlpSpec((4, 3, 2)))
+    model = train_dann(X, y, X + 1.0, cfg, *specs, lam=0.5, seed=5)
+    initial = dann_model(*specs, 0.5, seed=5)
+    for got, want in zip(
+        (model.extractor, model.predictor, model.domain_classifier),
+        (initial.extractor, initial.predictor, initial.domain_classifier),
+    ):
+        assert params_equal(got.params, want.params)
+    assert model.lam == 0.5
+
+
+def test_train_dann_mismatched_specs_raise_shape_error():
+    X, y = blobs(n_per=20, seed=15, dim=3)
+    cfg = TrainConfig(batch_size=16, max_epochs=2, patience=1)
+    extractor = MlpSpec((3, 8), head="identity")
+    for predictor, domain in ((MlpSpec((4, 2)), MlpSpec((8, 2))), (MlpSpec((8, 2)), MlpSpec((4, 2)))):
+        with pytest.raises(ShapeError):
+            train_dann(X, y, X + 1.0, cfg, extractor, predictor, domain, lam=1.0, seed=0)
+
+
+def test_train_dann_negative_lambda_rejected():
+    X, y = blobs(n_per=10, seed=15)
+    specs = (MlpSpec((2, 4), head="identity"), MlpSpec((4, 2)), MlpSpec((4, 2)))
+    with pytest.raises(ConfigError, match="lambda must be >= 0"):
+        train_dann(X, y, X, TrainConfig(), *specs, lam=-0.1, seed=0)
 
 
 # ---------------------------------------------------------------------------
 # ADDA
 
 
-def adda_model(seed, dim=8):
-    return make_adda(
-        MlpSpec((dim, 8), head="identity"),
-        MlpSpec((8, 2)),
-        MlpSpec((8, 8, 2), activation="leaky_relu"),
-        seed=seed,
-    )
+def adda_specs(dim=8):
+    return MlpSpec((dim, 8), head="identity"), MlpSpec((8, 2)), MlpSpec((8, 8, 2), activation="leaky_relu")
 
 
 def test_adda_stage2_zero_epochs_copies_source_encoder():
     X, y = blobs(n_per=30, seed=16, dim=8)
     cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=20, patience=5)
-    trained = train_adda(X, y, X.copy(), cfg, adda_model(6), seed=6, stage2_epochs=0)
+    trained = train_adda(X, y, X.copy(), cfg, *adda_specs(), seed=6, stage2_epochs=0)
     assert params_equal(trained.source_encoder.params, trained.target_encoder.params)
     pred_s = predict_composite(trained.source_encoder, trained.classifier, X)
     pred_t = predict_composite(trained.target_encoder, trained.classifier, X)
     np.testing.assert_array_equal(pred_s, pred_t)
 
 
-def test_dann_and_adda_leave_the_given_model_unchanged():
+def test_train_adda_lr_zero_returns_initial_snapshot():
+    X, y = blobs(n_per=40, seed=11, dim=3)
+    cfg = TrainConfig(learning_rate=0.0, batch_size=16, max_epochs=300, patience=1)
+    specs = adda_specs(dim=3)
+    for stage2_epochs in (None, 0, 3):
+        model = train_adda(X, y, X + 1.0, cfg, *specs, seed=5, stage2_epochs=stage2_epochs)
+        rng = np.random.default_rng(5)
+        encoder, classifier, discriminator = (init_mlp(spec, rng) for spec in specs)
+        assert params_equal(model.source_encoder.params, encoder.params)
+        assert params_equal(model.target_encoder.params, encoder.params)
+        assert params_equal(model.classifier.params, classifier.params)
+        assert params_equal(model.discriminator.params, discriminator.params)
+
+
+def test_train_adda_mismatched_specs_raise_shape_error():
+    X, y = blobs(n_per=20, seed=15, dim=3)
+    cfg = TrainConfig(batch_size=16, max_epochs=2, patience=1)
+    encoder = MlpSpec((3, 8), head="identity")
+    for classifier, discriminator in ((MlpSpec((4, 2)), MlpSpec((8, 2))), (MlpSpec((8, 2)), MlpSpec((4, 2)))):
+        with pytest.raises(ShapeError):
+            train_adda(X, y, X + 1.0, cfg, encoder, classifier, discriminator, seed=0)
+
+
+def test_dann_and_adda_training_moves_parameters():
     X, y = blobs(n_per=30, seed=19, dim=3)
     cfg = TrainConfig(learning_rate=0.05, batch_size=16, max_epochs=5, patience=5)
-    dann = make_dann(MlpSpec((3, 4), head="identity"), MlpSpec((4, 2)), MlpSpec((4, 2)), seed=7)
-    adda = adda_model(7, dim=3)
-    mlps = [dann.extractor, dann.predictor, dann.domain_classifier]
-    mlps += [adda.source_encoder, adda.target_encoder, adda.classifier, adda.discriminator]
-    before = [copy_params(m.params) for m in mlps]
-    dann_out = train_dann(X, y, X + 1.0, cfg, dann, seed=7)
-    adda_out = train_adda(X, y, X + 1.0, cfg, adda, seed=7, stage2_epochs=3)
-    assert all(params_equal(m.params, b) for m, b in zip(mlps, before))
-    # and training did move the returned parameters
-    assert not params_equal(dann_out.extractor.params, dann.extractor.params)
-    assert not params_equal(adda_out.target_encoder.params, adda.target_encoder.params)
+    still = TrainConfig(learning_rate=0.0, batch_size=16, max_epochs=5, patience=5)
+    dann_specs = (MlpSpec((3, 4), head="identity"), MlpSpec((4, 2)), MlpSpec((4, 2)))
+    dann_out = train_dann(X, y, X + 1.0, cfg, *dann_specs, lam=1.0, seed=7)
+    dann_initial = train_dann(X, y, X + 1.0, still, *dann_specs, lam=1.0, seed=7)
+    adda_out = train_adda(X, y, X + 1.0, cfg, *adda_specs(dim=3), seed=7, stage2_epochs=3)
+    adda_initial = train_adda(X, y, X + 1.0, still, *adda_specs(dim=3), seed=7, stage2_epochs=3)
+    assert not params_equal(dann_out.extractor.params, dann_initial.extractor.params)
+    assert not params_equal(adda_out.target_encoder.params, adda_initial.target_encoder.params)
 
 
 def test_adda_target_equals_source_discriminator_near_chance():
@@ -442,7 +482,7 @@ def test_adda_target_equals_source_discriminator_near_chance():
     perm = np.random.default_rng(9).permutation(len(X))
     fit, held = perm[:160], perm[160:]
     cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=40, patience=10)
-    trained = train_adda(X[fit], y[fit], X[fit].copy(), cfg, adda_model(1), seed=1, stage2_epochs=30)
+    trained = train_adda(X[fit], y[fit], X[fit].copy(), cfg, *adda_specs(), seed=1, stage2_epochs=30)
     fs, _ = forward(trained.source_encoder.spec, trained.source_encoder.params, X[held])
     ft, _ = forward(trained.target_encoder.spec, trained.target_encoder.params, X[held])
     dprobs, _ = forward(trained.discriminator.spec, trained.discriminator.params, np.vstack([fs, ft]))
@@ -458,7 +498,7 @@ def test_adda_improves_target_accuracy_under_translation_shift():
     Xs, ys = ds.features[ds.subjects == 0], ds.labels[ds.subjects == 0]
     Xt, yt = ds.features[ds.subjects == 1], ds.labels[ds.subjects == 1]
     cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=80, patience=15)
-    trained = train_adda(Xs, ys, Xt, cfg, adda_model(1), seed=1, stage2_epochs=240)
+    trained = train_adda(Xs, ys, Xt, cfg, *adda_specs(), seed=1, stage2_epochs=240)
     acc_through_source = np.mean(predict_composite(trained.source_encoder, trained.classifier, Xt) == yt)
     acc_through_target = np.mean(predict_composite(trained.target_encoder, trained.classifier, Xt) == yt)
     assert acc_through_target > acc_through_source

@@ -87,7 +87,7 @@ def test_bug_in_a_grid_point_propagates_from_grid_search(monkeypatch):
     rng = np.random.default_rng(0)
     X, y = rng.normal(size=(20, 2)), np.array([0, 1] * 10)
     with pytest.raises(KeyError, match="injected"):
-        grid_search(MethodSpec("noDA-SVM"), {"C": [0.1, 1.0]}, X, y, X, y)
+        grid_search(MethodSpec("noDA-SVM"), {"C": [0.1, 1.0]}, X, y, X, y, X, 0)
 
 
 def test_bug_in_a_projection_propagates_from_write_report(monkeypatch, tmp_path):

@@ -76,7 +76,7 @@ def test_kkt_audit_random_problems():
         if len(set(y.tolist())) < 2:
             y[0] = 1 - y[0]
         k = KernelSpec("rbf", 0.7) if trial % 3 else LINEAR
-        model = svm_train(X, y, k, C=1.0, tol=1e-3, seed=trial)
+        model = svm_train(X, y, k, C=1.0, seed=trial)
         assert kkt_holds(model, X, y, 1e-3), f"KKT audit failed on trial {trial}"
 
 
@@ -92,7 +92,7 @@ def test_kkt_audit_small_C_all_multipliers_at_bound():
         X = rng.normal(size=(40, 4))
         y = (X[:, 0] + 0.8 * rng.normal(size=40) > 0).astype(int)
         k = KernelSpec("rbf", median_heuristic_gamma(X))
-        model = svm_train(X, y, k, C=0.1, tol=1e-3, seed=trial)
+        model = svm_train(X, y, k, C=0.1, seed=trial)
         if not kkt_holds(model, X, y, 1e-3):
             failed.append(trial)
     assert not failed, f"KKT audit failed on trials {failed}"
