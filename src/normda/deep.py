@@ -380,6 +380,16 @@ def _init_mlps(specs: list[MlpSpec], seed: int) -> list[Mlp]:
     return [init_mlp(spec, rng) for spec in specs]
 
 
+def _check_heads(body: MlpSpec, *heads: MlpSpec) -> None:
+    """Each head reads the body's output; reject a width mismatch before
+    training, since a head that training never runs would not catch it."""
+    for head in heads:
+        if head.in_dim != body.out_dim:
+            raise ShapeError(
+                f"head input width {head.in_dim} != extractor output width {body.out_dim}"
+            )
+
+
 def _trainer_inputs(X, y, Xt=None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Features as float64 and labels as int64; rejects an empty target set
     (when one is given) and labels of a single class."""
@@ -460,6 +470,7 @@ def train_dann(
     three networks are drawn from one default_rng(seed), in argument order;
     the split and batches from a second one.
     """
+    _check_heads(extractor_spec, predictor_spec, domain_spec)
     Xs, ys, Xt = _trainer_inputs(Xs, ys, Xt)
     specs = [extractor_spec, predictor_spec, domain_spec]
     theta, views = flat_copy(_init_mlps(specs, seed))
@@ -511,6 +522,7 @@ def train_adda(
     the earliest epoch). Stage 2 runs all `stage2_epochs` (default
     `cfg.max_epochs`); it never stops early.
     """
+    _check_heads(encoder_spec, classifier_spec, discriminator_spec)
     Xs, ys, Xt = _trainer_inputs(Xs, ys, Xt)
     if stage2_epochs is None:
         stage2_epochs = cfg.max_epochs

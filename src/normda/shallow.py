@@ -7,6 +7,7 @@ between the two empirical kernel mean embeddings including diagonal terms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,8 +131,8 @@ def tca_fit(
     Xt = np.asarray(Xt, dtype=np.float64)
     if Xs.size == 0 or Xt.size == 0:
         raise EmptyInputError("tca_fit needs two nonempty sample sets")
-    if mu_reg <= 0:
-        raise ConfigError("mu_reg must be positive")
+    if not (math.isfinite(mu_reg) and mu_reg > 0):
+        raise ConfigError(f"mu_reg must be positive and finite, got {mu_reg!r}")
     ns, nt = Xs.shape[0], Xt.shape[0]
     n = ns + nt
     if not 1 <= dim <= n:

@@ -408,7 +408,7 @@ def test_train_dann_mismatched_specs_raise_shape_error():
     cfg = TrainConfig(batch_size=16, max_epochs=2, patience=1)
     extractor = MlpSpec((3, 8), head="identity")
     for predictor, domain in ((MlpSpec((4, 2)), MlpSpec((8, 2))), (MlpSpec((8, 2)), MlpSpec((4, 2)))):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ShapeError, match="!= extractor output width 8"):
             train_dann(X, y, X + 1.0, cfg, extractor, predictor, domain, lam=1.0, seed=0)
 
 
@@ -455,9 +455,19 @@ def test_train_adda_mismatched_specs_raise_shape_error():
     X, y = blobs(n_per=20, seed=15, dim=3)
     cfg = TrainConfig(batch_size=16, max_epochs=2, patience=1)
     encoder = MlpSpec((3, 8), head="identity")
-    for classifier, discriminator in ((MlpSpec((4, 2)), MlpSpec((8, 2))), (MlpSpec((8, 2)), MlpSpec((4, 2)))):
-        with pytest.raises(ShapeError):
-            train_adda(X, y, X + 1.0, cfg, encoder, classifier, discriminator, seed=0)
+    cases = (
+        (MlpSpec((4, 2)), MlpSpec((8, 2)), None),
+        (MlpSpec((8, 2)), MlpSpec((4, 2)), None),
+        # With no stage-2 epoch the discriminator never runs, so only the
+        # up-front check sees that it cannot read the encodings.
+        (MlpSpec((8, 2)), MlpSpec((5, 2)), 0),
+    )
+    for classifier, discriminator, stage2_epochs in cases:
+        with pytest.raises(ShapeError, match="!= extractor output width 8"):
+            train_adda(
+                X, y, X + 1.0, cfg, encoder, classifier, discriminator, seed=0,
+                stage2_epochs=stage2_epochs,
+            )
 
 
 def test_dann_and_adda_training_moves_parameters():

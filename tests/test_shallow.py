@@ -178,6 +178,13 @@ def test_tca_dim_too_large():
         tca_fit(Xs, Xt, LINEAR, dim=11, mu_reg=1.0)
 
 
+@pytest.mark.parametrize("mu_reg", [math.nan, math.inf])
+def test_tca_non_finite_mu_reg_rejected(mu_reg):
+    Xs, Xt = shifted_pair(seed=3, n=5)
+    with pytest.raises(ConfigError, match="mu_reg must be positive and finite"):
+        tca_fit(Xs, Xt, LINEAR, dim=2, mu_reg=mu_reg)
+
+
 # ---------------------------------------------------------------------------
 # KPCA
 

@@ -1,9 +1,18 @@
 import numpy as np
 import pytest
 
-from normda.errors import DegenerateLabelsError, NumericError, ShapeError
-from normda.shallow import KernelSpec, median_heuristic_gamma
-from normda.svm import decision_values, svm_predict, svm_train
+from normda.dataset import SyntheticShiftConfig, generate_synthetic, loso_folds
+from normda.errors import ConfigError, DegenerateLabelsError, NumericError, ShapeError
+from normda.shallow import KernelSpec, gram, median_heuristic_gamma
+from normda.svm import (
+    SMO_MAX_PASSES,
+    SMO_TOL,
+    _STEP_EPS,
+    _smo_binary,
+    decision_values,
+    svm_predict,
+    svm_train,
+)
 
 LINEAR = KernelSpec("linear")
 
@@ -63,6 +72,12 @@ def test_non_finite_features_rejected():
     X = np.array([[0.0], [np.nan]])
     with pytest.raises(NumericError):
         svm_train(X, np.array([0, 1]), LINEAR)
+
+
+@pytest.mark.parametrize("C", [np.nan, np.inf])
+def test_non_finite_C_rejected(C):
+    with pytest.raises(ConfigError, match="C must be positive and finite"):
+        svm_train(np.array([[-1.0], [1.0]]), np.array([0, 1]), LINEAR, C=C)
 
 
 def test_kkt_audit_random_problems():
@@ -158,3 +173,170 @@ def test_rbf_gamma_defaults_to_median_heuristic():
     y = (X[:, 0] > 0).astype(int)
     model = svm_train(X, y, KernelSpec("rbf"))
     assert model.kernel.gamma is not None and model.kernel.gamma > 0
+
+
+# ---------------------------------------------------------------------------
+# Differential: the array-pass solver against the scalar loop
+
+
+def reference_smo_binary(K, y, C, rng):
+    """Platt's loop with one scalar take_step call per candidate row.
+
+    `_smo_binary` must visit the same pairs, draw the same rng values and
+    return the same bits. Returns (alpha, bias, unused step budget).
+    """
+    n = y.shape[0]
+    alpha = np.zeros(n)
+    b = 0.0
+    errors = -y.astype(np.float64)  # f(x) - y with f = 0 initially
+    step_budget = max(20_000, 100 * n)
+
+    def take_step(i1: int, i2: int) -> bool:
+        nonlocal b, errors, step_budget
+        if i1 == i2:
+            return False
+        a1_old, a2_old = alpha[i1], alpha[i2]
+        y1, y2 = y[i1], y[i2]
+        e1, e2 = errors[i1], errors[i2]
+        s = y1 * y2
+        if s < 0:
+            lo, hi = max(0.0, a2_old - a1_old), min(C, C + a2_old - a1_old)
+        else:
+            lo, hi = max(0.0, a1_old + a2_old - C), min(C, a1_old + a2_old)
+        if lo >= hi:
+            return False
+        k11, k12, k22 = K[i1, i1], K[i1, i2], K[i2, i2]
+        eta = k11 + k22 - 2.0 * k12
+        if eta > 0:
+            a2 = a2_old + y2 * (e1 - e2) / eta
+            a2 = min(max(a2, lo), hi)
+        else:
+            # Degenerate curvature (duplicate points): test both endpoints.
+            f1 = y1 * (e1 - b) - a1_old * k11 - s * a2_old * k12
+            f2 = y2 * (e2 - b) - s * a1_old * k12 - a2_old * k22
+            lo1 = a1_old + s * (a2_old - lo)
+            hi1 = a1_old + s * (a2_old - hi)
+            lo_obj = lo1 * f1 + lo * f2 + 0.5 * lo1**2 * k11 + 0.5 * lo**2 * k22 + s * lo * lo1 * k12
+            hi_obj = hi1 * f1 + hi * f2 + 0.5 * hi1**2 * k11 + 0.5 * hi**2 * k22 + s * hi * hi1 * k12
+            if lo_obj < hi_obj - _STEP_EPS:
+                a2 = lo
+            elif lo_obj > hi_obj + _STEP_EPS:
+                a2 = hi
+            else:
+                return False
+        if abs(a2 - a2_old) < _STEP_EPS * (a2 + a2_old + _STEP_EPS):
+            return False
+        a1 = a1_old + s * (a2_old - a2)
+
+        b1 = b - e1 - y1 * (a1 - a1_old) * k11 - y2 * (a2 - a2_old) * k12
+        b2 = b - e2 - y1 * (a1 - a1_old) * k12 - y2 * (a2 - a2_old) * k22
+        if 0.0 < a1 < C:
+            b_new = b1
+        elif 0.0 < a2 < C:
+            b_new = b2
+        else:
+            b_new = 0.5 * (b1 + b2)
+
+        errors += (
+            y1 * (a1 - a1_old) * K[i1]
+            + y2 * (a2 - a2_old) * K[i2]
+            + (b_new - b)
+        )
+        alpha[i1], alpha[i2] = a1, a2
+        b = b_new
+        step_budget -= 1
+        return True
+
+    def examine(i2: int) -> bool:
+        r2 = errors[i2] * y[i2]
+        if not ((r2 < -SMO_TOL and alpha[i2] < C) or (r2 > SMO_TOL and alpha[i2] > 0)):
+            return False
+        non_bound = np.flatnonzero((alpha > 0) & (alpha < C))
+        if non_bound.size > 1:
+            i1 = int(non_bound[np.argmax(np.abs(errors[non_bound] - errors[i2]))])
+            if take_step(i1, i2):
+                return True
+        start = int(rng.integers(n))
+        for off in range(non_bound.size):
+            if take_step(int(non_bound[(start + off) % non_bound.size]), i2):
+                return True
+        start = int(rng.integers(n))
+        for off in range(n):
+            if take_step((start + off) % n, i2):
+                return True
+        return False
+
+    num_changed = 0
+    examine_all = True
+    full_sweeps = 0
+    while (num_changed > 0 or examine_all) and step_budget > 0:
+        num_changed = 0
+        if examine_all:
+            full_sweeps += 1
+            if full_sweeps > SMO_MAX_PASSES:
+                break
+            for i in range(n):
+                num_changed += examine(i)
+                if step_budget <= 0:
+                    break
+        else:
+            for i in np.flatnonzero((alpha > 0) & (alpha < C)):
+                num_changed += examine(int(i))
+                if step_budget <= 0:
+                    break
+        if examine_all:
+            examine_all = False
+        elif num_changed == 0:
+            examine_all = True
+    return alpha, b, step_budget
+
+
+def assert_same_solve(K, y, C, seed):
+    """Both solvers from one seed: same alpha and bias bytes, same rng state
+    afterwards (the next one-vs-rest problem draws from the same rng).
+    Returns the reference's unused step budget."""
+    ref_rng, new_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    ref_alpha, ref_b, budget_left = reference_smo_binary(K, y, C, ref_rng)
+    alpha, b = _smo_binary(K, y, C, new_rng)
+    assert alpha.tobytes() == ref_alpha.tobytes()
+    assert np.float64(b).tobytes() == np.float64(ref_b).tobytes()
+    assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+    return budget_left
+
+
+ROW_VARIANTS = ("distinct", "duplicates", "asymmetric")
+
+
+@pytest.mark.parametrize("rows", ROW_VARIANTS)
+@pytest.mark.parametrize("C", [0.01, 0.1, 1.0, 10.0, 1000.0])
+@pytest.mark.parametrize("kind", ["linear", "rbf"])
+def test_smo_matches_scalar_reference_bitwise(kind, C, rows):
+    rng = np.random.default_rng([ROW_VARIANTS.index(rows), int(C * 100)])
+    X = rng.normal(size=(40, 3)) * 3.0 + 5.0
+    k = LINEAR if kind == "linear" else KernelSpec("rbf", median_heuristic_gamma(X))
+    K = gram(X, X, k)
+    y = np.where(X[:, 0] + rng.normal(size=40) > 5.0, 1.0, -1.0)
+    if rows != "distinct":
+        # 20 rows, each repeated about twice with labels drawn per copy:
+        # every pair of copies has eta == 0 exactly, many of opposite label.
+        picks = rng.integers(0, 20, 40)
+        K, y = K[np.ix_(picks, picks)], rng.choice([-1.0, 1.0], 40)
+    if rows == "asymmetric":
+        # K[i, j] != K[j, i], so eta has either sign and a solver that
+        # reads K[i2, i1] for K[i1, i2] visits other pairs.
+        K = K + rng.normal(size=K.shape) * 0.1 * np.abs(K).max()
+    assert_same_solve(K, y, C, seed=int(rng.integers(1000)))
+
+
+def test_smo_matches_scalar_reference_when_step_budget_runs_out():
+    # headline-loso instance 7, noNorm linear noDA-SVM, test subject 1:
+    # the 250-row solve stops on its 25,000-step budget, not on KKT.
+    ds = generate_synthetic(SyntheticShiftConfig(
+        n_subjects=6, n_sessions=1, n_classes=2, samples_per_class_per_domain=25,
+        dim=8, class_separation=4.0, domain_shift_scale=10.0, noise_std=1.0, seed=7,
+    ))
+    train = loso_folds(ds)[1].train_idx
+    X = ds.features[train]
+    y = np.where(ds.labels[train] == 0, 1.0, -1.0)
+    assert X.shape[0] == 250
+    assert assert_same_solve(gram(X, X, LINEAR), y, 1.0, seed=7) == 0
