@@ -5,16 +5,25 @@ training, and two-stage adversarial encoder alignment.
 Every model is a composition of small MLPs, each an MlpSpec plus a list of
 (weights, bias) pairs. While a regime trains, all of its trainable
 parameters live in one contiguous float64 vector and each Mlp's pairs are
-views into it, so one Adam update per step covers every layer. Each
-trainer builds its networks from their specs and the seed, and returns
-models over a snapshot copy. Training is a pure function of (data,
+views into it, so one Adam update per step covers every layer. A second
+flat vector mirrors it for the gradients: the trainers' backward passes
+write each layer's dW and db straight into its views, and adam_step
+computes the new moments and the update into spare arrays of its
+AdamState, so a training step neither concatenates per-layer gradients
+nor allocates new moment vectors. The training path computes no loss values, and it skips
+gradient products that nothing reads (the first layer's input gradient,
+the discriminator's weights while ADDA moves the encoder). The public
+forward and backward are checked wrappers over the same layer code.
+
+Each trainer builds its networks from their specs and the seed, and
+returns models over a snapshot copy. Training is a pure function of (data,
 config, specs, seed): repeated runs produce bit-identical parameters.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -137,19 +146,21 @@ def _activate(spec: MlpSpec, z: np.ndarray) -> np.ndarray:
     return np.where(z > 0, z, LEAKY_SLOPE * z)
 
 
-def _activate_grad(spec: MlpSpec, z: np.ndarray) -> np.ndarray:
+def _activate_grad(spec: MlpSpec, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Derivative of the activation at pre-activation z, whose activation is
+    a; relu's comes as a boolean mask."""
     if spec.activation == "relu":
-        return (z > 0).astype(np.float64)
+        return z > 0
     if spec.activation == "sigmoid":
-        s = expit(z)
-        return s * (1.0 - s)
+        return a * (1.0 - a)
     return np.where(z > 0, 1.0, LEAKY_SLOPE)
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = z - np.maximum.reduce(z, axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=1, keepdims=True)
+    return e
 
 
 @dataclass
@@ -159,25 +170,64 @@ class ForwardCache:
     out: np.ndarray
 
 
-def forward(spec: MlpSpec, params: Params, X: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
-    """Dense forward pass; a softmax head returns per-row probabilities."""
-    X = np.asarray(X, dtype=np.float64)
+def _check_input(spec: MlpSpec, params: Params, X: np.ndarray) -> None:
     if X.ndim != 2 or X.shape[1] != spec.in_dim:
         raise ShapeError(f"input width {X.shape[-1]} != spec input size {spec.in_dim}")
     if len(params) != len(spec.layer_sizes) - 1:
         raise ShapeError("params do not match spec layer count")
+
+
+def _forward(spec: MlpSpec, params: Params, X: np.ndarray) -> ForwardCache:
+    """forward without its checks: X is a float64 batch of the right width."""
     inputs, pre = [], []
     a = X
     last = len(params) - 1
     for l, (w, b) in enumerate(params):
         inputs.append(a)
-        z = a @ w + b
+        z = a @ w
+        z += b
         pre.append(z)
         a = _activate(spec, z) if l < last else z
     out = softmax(a) if spec.head == "softmax" else a
-    if not np.all(np.isfinite(out)):
+    return ForwardCache(inputs, pre, out)
+
+
+def forward(spec: MlpSpec, params: Params, X: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+    """Dense forward pass; a softmax head returns per-row probabilities."""
+    X = np.asarray(X, dtype=np.float64)
+    _check_input(spec, params, X)
+    cache = _forward(spec, params, X)
+    if not np.all(np.isfinite(cache.out)):
         raise NumericError("forward pass produced non-finite outputs")
-    return out, ForwardCache(inputs, pre, out)
+    return cache.out, cache
+
+
+def _backward(
+    spec: MlpSpec,
+    params: Params,
+    cache: ForwardCache,
+    g: np.ndarray,
+    grads: Params | None,
+    input_grad: bool = True,
+) -> np.ndarray | None:
+    """backward without its checks, skipping what the caller does not read.
+
+    Writes each layer's (dW, db) into the given arrays (views into a flat
+    gradient vector in the trainers), or computes none when grads is None.
+    Returns the gradient w.r.t. the input batch, or None when input_grad is
+    false. g itself is never written.
+    """
+    for l in range(len(params) - 1, -1, -1):
+        if grads is not None:
+            dw, db = grads[l]
+            np.matmul(cache.inputs[l].T, g, out=dw)
+            np.add.reduce(g, axis=0, out=db)
+        if l == 0 and not input_grad:
+            return None
+        g = g @ params[l][0].T
+        if l > 0:
+            g *= _activate_grad(spec, cache.pre[l - 1], cache.inputs[l])
+    return g
 
 
 def backward(
@@ -194,14 +244,8 @@ def backward(
     g = np.asarray(grad_out, dtype=np.float64)
     if g.shape != cache.pre[-1].shape:
         raise ShapeError("grad_out shape does not match the forward output")
-    grads: Params = [None] * len(params)  # type: ignore[list-item]
-    for l in range(len(params) - 1, -1, -1):
-        w, _ = params[l]
-        grads[l] = (cache.inputs[l].T @ g, g.sum(axis=0))
-        g = g @ w.T
-        if l > 0:
-            g = g * _activate_grad(spec, cache.pre[l - 1])
-    return grads, g
+    grads = [(np.empty(w.shape), np.empty(b.shape)) for w, b in params]
+    return grads, _backward(spec, params, cache, g, grads)
 
 
 def cross_entropy(probs: np.ndarray, y: np.ndarray) -> float:
@@ -212,9 +256,24 @@ def cross_entropy(probs: np.ndarray, y: np.ndarray) -> float:
 
 def cross_entropy_grad(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of the mean cross-entropy w.r.t. the softmax logits."""
-    g = probs.copy()
-    g[np.arange(len(y)), y] -= 1.0
-    return g / len(y)
+    return _ce_grad_inplace(probs.copy(), np.arange(len(y)), y)
+
+
+def _ce_grad_inplace(probs: np.ndarray, rows, labels) -> np.ndarray:
+    """cross_entropy_grad in place over probs, whose label entries are
+    probs[rows, labels] (index arrays or slices)."""
+    probs[rows, labels] -= 1.0
+    probs /= probs.shape[0]
+    return probs
+
+
+def _domain_grad_inplace(probs: np.ndarray, n_source: int) -> np.ndarray:
+    """cross_entropy_grad in place for domain labels: the first n_source
+    rows are labeled 0 (source), the rest 1 (target)."""
+    probs[:n_source, 0] -= 1.0
+    probs[n_source:, 1] -= 1.0
+    probs /= probs.shape[0]
+    return probs
 
 
 def grl_backward(upstream: np.ndarray, lam: float) -> np.ndarray:
@@ -226,11 +285,22 @@ def grl_backward(upstream: np.ndarray, lam: float) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """First and second moments of one flat parameter vector, and the step count."""
+    """First and second moments of one flat parameter vector, and the step count.
+
+    adam_step computes the new moments into spare arrays and swaps them
+    with m and v only when the update succeeds, so the arrays behind m and
+    v are overwritten on alternate steps: copy them to keep one step's
+    moments.
+    """
 
     m: np.ndarray
     v: np.ndarray
     t: int = 0
+    # next m, next v, and two work vectors
+    _spare: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._spare = tuple(np.empty_like(self.m) for _ in range(4))
 
     @classmethod
     def zeros_like(cls, theta: np.ndarray) -> "AdamState":
@@ -248,12 +318,28 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) 
     t = state.t + 1
     c1 = 1.0 - ADAM_BETA1**t
     c2 = 1.0 - ADAM_BETA2**t
-    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grad * grad
-    new = theta - lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
+    # m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g and
+    # new = theta - lr*(m/c1) / (sqrt(v/c2) + eps), each product and sum
+    # rounded as written.
+    m, v, work, new = state._spare
+    np.multiply(state.m, ADAM_BETA1, out=m)
+    np.multiply(grad, 1.0 - ADAM_BETA1, out=work)
+    m += work
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=work)
+    work *= grad
+    np.multiply(state.v, ADAM_BETA2, out=v)
+    v += work
+    np.divide(v, c2, out=work)
+    np.sqrt(work, out=work)
+    work += ADAM_EPS
+    np.divide(m, c1, out=new)
+    new *= lr
+    new /= work
+    np.subtract(theta, new, out=new)
     if not np.isfinite(new).all():
         raise NumericError("Adam update produced non-finite parameters")
     theta[...] = new
+    state._spare = (state.m, state.v, work, new)
     state.m, state.v, state.t = m, v, t
 
 
@@ -299,16 +385,68 @@ def predict_composite(extractor: Mlp, head: Mlp, X: np.ndarray) -> np.ndarray:
     return np.argmax(probs, axis=1)
 
 
+def _grad_views(specs: list[MlpSpec]) -> tuple[np.ndarray, list[Params]]:
+    """A new flat gradient vector laid out as flat_copy lays out parameters
+    of `specs`, and each network's (dW, db) views into it."""
+    size = sum(i * o + o for spec in specs for i, o in zip(spec.layer_sizes[:-1], spec.layer_sizes[1:]))
+    flat = np.empty(size)
+    return flat, [m.params for m in _views(flat, specs)]
+
+
+def _checked_loss(probs: np.ndarray, y: np.ndarray) -> float:
+    if not np.all(np.isfinite(probs)):
+        raise NumericError("forward pass produced non-finite outputs")
+    return cross_entropy(probs, y)
+
+
+def _class_pass(
+    extractor: Mlp, predictor: Mlp, X, y, rows, egrads: Params, pgrads: Params, loss: bool = False
+) -> float | None:
+    """Write class_grads' gradients into egrads and pgrads; rows is
+    np.arange(len(y)) or a prefix of a longer one. Returns the loss only
+    when asked."""
+    ecache = _forward(extractor.spec, extractor.params, X)
+    pcache = _forward(predictor.spec, predictor.params, ecache.out)
+    value = _checked_loss(pcache.out, y) if loss else None
+    g = _ce_grad_inplace(pcache.out, rows, y)
+    gfeats = _backward(predictor.spec, predictor.params, pcache, g, pgrads)
+    _backward(extractor.spec, extractor.params, ecache, gfeats, egrads, input_grad=False)
+    return value
+
+
 def class_grads(
     extractor: Mlp, predictor: Mlp, X: np.ndarray, y: np.ndarray
 ) -> tuple[Params, Params, float]:
     """Cross-entropy gradients through predictor(extractor(X))."""
-    feats, ecache = forward(extractor.spec, extractor.params, X)
-    probs, pcache = forward(predictor.spec, predictor.params, feats)
-    loss = cross_entropy(probs, y)
-    pgrads, gfeats = backward(predictor.spec, predictor.params, pcache, cross_entropy_grad(probs, y))
-    egrads, _ = backward(extractor.spec, extractor.params, ecache, gfeats)
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
+    _check_input(extractor.spec, extractor.params, X)
+    _check_heads(extractor.spec, predictor.spec)
+    _, (egrads, pgrads) = _grad_views([extractor.spec, predictor.spec])
+    loss = _class_pass(extractor, predictor, X, y, np.arange(len(y)), egrads, pgrads, loss=True)
     return egrads, pgrads, loss
+
+
+def _dann_pass(
+    model: DannModel, Xs, ys, Xt, rows, grads: list[Params], rev: Params, losses: bool = False
+) -> tuple[float | None, float | None]:
+    """Write dann_batch_grads' gradients into grads (extractor, predictor,
+    domain classifier); rev is scratch shaped like the extractor's
+    gradients. Returns the two losses only when asked."""
+    ext, pred, dom = model.extractor, model.predictor, model.domain_classifier
+    egrads, pgrads, dgrads = grads
+    class_loss = _class_pass(ext, pred, Xs, ys, rows, egrads, pgrads, losses)
+
+    ecache = _forward(ext.spec, ext.params, np.concatenate([Xs, Xt]))
+    dcache = _forward(dom.spec, dom.params, ecache.out)
+    domain_loss = _checked_loss(dcache.out, np.repeat([0, 1], [len(Xs), len(Xt)])) if losses else None
+    g = _domain_grad_inplace(dcache.out, len(Xs))
+    gfeats = _backward(dom.spec, dom.params, dcache, g, dgrads, input_grad=model.lam > 0)
+    if model.lam > 0:
+        _backward(ext.spec, ext.params, ecache, grl_backward(gfeats, model.lam), rev, input_grad=False)
+        for (gw, gb), (rw, rb) in zip(egrads, rev):
+            gw += rw
+            gb += rb
+    return class_loss, domain_loss
 
 
 def dann_batch_grads(
@@ -321,21 +459,16 @@ def dann_batch_grads(
     classifier normally and into the extractor through the reversal layer,
     scaled by -lambda.
     """
-    ext, pred, dom = model.extractor, model.predictor, model.domain_classifier
-
-    egrads, pgrads, class_loss = class_grads(ext, pred, Xs, ys)
-
-    X_all = np.vstack([Xs, Xt])
-    d_labels = np.concatenate([np.zeros(len(Xs), dtype=np.int64), np.ones(len(Xt), dtype=np.int64)])
-    feats, ecache = forward(ext.spec, ext.params, X_all)
-    dprobs, dcache = forward(dom.spec, dom.params, feats)
-    domain_loss = cross_entropy(dprobs, d_labels)
-    dgrads, gfeats = backward(dom.spec, dom.params, dcache, cross_entropy_grad(dprobs, d_labels))
-    if model.lam > 0:
-        rev = grl_backward(gfeats, model.lam)
-        erev, _ = backward(ext.spec, ext.params, ecache, rev)
-        egrads = [(gw + rw, gb + rb) for (gw, gb), (rw, rb) in zip(egrads, erev)]
-    return egrads, pgrads, dgrads, class_loss, domain_loss
+    ext = model.extractor
+    Xs, ys = np.asarray(Xs, dtype=np.float64), np.asarray(ys)
+    Xt = np.asarray(Xt, dtype=np.float64)
+    _check_input(ext.spec, ext.params, Xs)
+    _check_input(ext.spec, ext.params, Xt)
+    _check_heads(ext.spec, model.predictor.spec, model.domain_classifier.spec)
+    _, grads = _grad_views([ext.spec, model.predictor.spec, model.domain_classifier.spec])
+    _, (rev,) = _grad_views([ext.spec])
+    losses = _dann_pass(model, Xs, ys, Xt, np.arange(len(ys)), grads, rev, losses=True)
+    return (*grads, *losses)
 
 
 def _epoch_batches(n: int, batch_size: int, rng) -> list[np.ndarray]:
@@ -391,14 +524,18 @@ def _check_heads(body: MlpSpec, *heads: MlpSpec) -> None:
 
 
 def _trainer_inputs(X, y, Xt=None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Features as float64 and labels as int64; rejects an empty target set
-    (when one is given) and labels of a single class."""
+    """Features as float64 and labels as int64; rejects non-finite features,
+    an empty target set (when one is given) and labels of a single class."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
+    if not np.isfinite(X).all():
+        raise NumericError("training features contain non-finite values")
     if Xt is not None:
         Xt = np.asarray(Xt, dtype=np.float64)
         if Xt.shape[0] == 0:
             raise ShapeError("target set must be nonempty")
+        if not np.isfinite(Xt).all():
+            raise NumericError("target features contain non-finite values")
     if len({int(v) for v in y}) < 2:
         raise DegenerateLabelsError("training labels contain a single class")
     return X, y, Xt
@@ -417,13 +554,15 @@ def _fit_classifier(
     """Cross-entropy through predictor(extractor(x)) with Adam on mini-batches,
     early-stopped on validation accuracy; returns the best snapshot."""
     theta, (ext, pred) = flat_copy([extractor, predictor])
+    grad, (egrads, pgrads) = _grad_views([ext.spec, pred.spec])
     state = AdamState.zeros_like(theta)
+    rows = np.arange(min(cfg.batch_size, train_idx.size))
 
     def run_epoch():
         for batch in _epoch_batches(train_idx.size, cfg.batch_size, rng):
             bi = train_idx[batch]
-            egrads, pgrads, _ = class_grads(ext, pred, X[bi], y[bi])
-            adam_step(theta, flatten(egrads, pgrads), state, cfg.learning_rate)
+            _class_pass(ext, pred, X[bi], y[bi], rows[: bi.size], egrads, pgrads)
+            adam_step(theta, grad, state, cfg.learning_rate)
 
     def val_accuracy():
         return accuracy(predict_composite(ext, pred, X[val_idx]), y[val_idx])
@@ -475,15 +614,18 @@ def train_dann(
     specs = [extractor_spec, predictor_spec, domain_spec]
     theta, views = flat_copy(_init_mlps(specs, seed))
     current = DannModel(*views, lam)
+    grad, grads = _grad_views(specs)
+    _, (rev,) = _grad_views([extractor_spec])
     state = AdamState.zeros_like(theta)
     rng = np.random.default_rng(seed)
     train_idx, val_idx = _val_split(ys, rng)
+    rows = np.arange(min(cfg.batch_size, train_idx.size))
 
     def run_epoch():
         for batch, ti in _paired_batches(train_idx.size, Xt.shape[0], cfg.batch_size, rng):
             bi = train_idx[batch]
-            egrads, pgrads, dgrads, _, _ = dann_batch_grads(current, Xs[bi], ys[bi], Xt[ti])
-            adam_step(theta, flatten(egrads, pgrads, dgrads), state, cfg.learning_rate)
+            _dann_pass(current, Xs[bi], ys[bi], Xt[ti], rows[: bi.size], grads, rev)
+            adam_step(theta, grad, state, cfg.learning_rate)
 
     def val_accuracy():
         pred = predict_composite(current.extractor, current.predictor, Xs[val_idx])
@@ -539,8 +681,10 @@ def train_adda(
     # Target encoder and discriminator share one vector; each slice keeps
     # its own Adam state and learning rate.
     theta, (target_enc, disc) = flat_copy([source_enc, discriminator])
+    grad, (enc_grads, disc_grads) = _grad_views([target_enc.spec, disc.spec])
     n_enc = sum(a.size for pair in target_enc.params for a in pair)
     enc_theta, disc_theta = theta[:n_enc], theta[n_enc:]
+    enc_grad, disc_grad = grad[:n_enc], grad[n_enc:]
     disc_state = AdamState.zeros_like(disc_theta)
     enc_state = AdamState.zeros_like(enc_theta)
     src_feats_all = forward(source_enc.spec, source_enc.params, Xs)[0]
@@ -551,27 +695,21 @@ def train_adda(
     def run_epoch():
         for s_batch, ti in _paired_batches(Xs.shape[0], Xt.shape[0], cfg.batch_size, rng):
             # Discriminator step: source encodings 0, target encodings 1.
-            real = src_feats_all[s_batch]
-            fake, tcache = forward(target_enc.spec, target_enc.params, Xt[ti])
-            feats = np.vstack([real, fake])
-            d_labels = np.concatenate(
-                [np.zeros(len(real), dtype=np.int64), np.ones(len(fake), dtype=np.int64)]
-            )
-            dprobs, dcache = forward(disc.spec, disc.params, feats)
-            dgrads, _ = backward(
-                disc.spec, disc.params, dcache, cross_entropy_grad(dprobs, d_labels)
-            )
-            adam_step(disc_theta, flatten(dgrads), disc_state, cfg.learning_rate)
-            # Encoder step: fool the updated discriminator (inverted labels).
-            # The target encoder has not moved, so `fake` and `tcache` still hold.
-            dprobs, dcache = forward(disc.spec, disc.params, fake)
-            inverted = np.zeros(len(fake), dtype=np.int64)
-            _, gfeats = backward(
-                disc.spec, disc.params, dcache, cross_entropy_grad(dprobs, inverted)
-            )
-            tgrads, _ = backward(target_enc.spec, target_enc.params, tcache, gfeats)
+            tcache = _forward(target_enc.spec, target_enc.params, Xt[ti])
+            fake = tcache.out
+            dcache = _forward(disc.spec, disc.params, np.concatenate([src_feats_all[s_batch], fake]))
+            g = _domain_grad_inplace(dcache.out, s_batch.size)
+            _backward(disc.spec, disc.params, dcache, g, disc_grads, input_grad=False)
+            adam_step(disc_theta, disc_grad, disc_state, cfg.learning_rate)
+            # Encoder step: fool the updated discriminator (inverted labels:
+            # every target row labeled source). The target encoder has not
+            # moved, so `fake` and `tcache` still hold.
+            dcache = _forward(disc.spec, disc.params, fake)
+            g = _domain_grad_inplace(dcache.out, fake.shape[0])
+            gfeats = _backward(disc.spec, disc.params, dcache, g, None)
+            _backward(target_enc.spec, target_enc.params, tcache, gfeats, enc_grads, input_grad=False)
             adam_step(
-                enc_theta, flatten(tgrads), enc_state, cfg.learning_rate * ADDA_ENCODER_LR_SCALE
+                enc_theta, enc_grad, enc_state, cfg.learning_rate * ADDA_ENCODER_LR_SCALE
             )
 
     def chance_closeness():

@@ -3,6 +3,8 @@
 The squared maximum mean discrepancy is the biased V-statistic
 mean(K_ss) - 2 mean(K_st) + mean(K_tt), i.e. the squared RKHS distance
 between the two empirical kernel mean embeddings including diagonal terms.
+Under the linear kernel that distance is ||mean(X_s) - mean(X_t)||^2,
+which mmd_sq computes directly.
 """
 
 from __future__ import annotations
@@ -83,6 +85,13 @@ def mmd_sq(Xs: np.ndarray, Xt: np.ndarray, k: KernelSpec) -> float:
     Xt = np.asarray(Xt, dtype=np.float64)
     if Xs.size == 0 or Xt.size == 0:
         raise EmptyInputError("mmd_sq needs two nonempty sample sets")
+    if k.kind == "linear":
+        # With k(x, y) = x.y the three Gram means collapse to the squared
+        # distance between the two sample means; no Gram matrix is built.
+        if Xs.ndim != 2 or Xt.ndim != 2 or Xs.shape[1] != Xt.shape[1]:
+            raise ShapeError("X and Y must be 2-D with a shared feature dimension")
+        d = Xs.mean(axis=0) - Xt.mean(axis=0)
+        return float(d @ d)
     # Canonical argument order makes the float arithmetic, and hence the
     # result, exactly invariant under swapping the two sets.
     if (Xs.shape[0], Xs.tobytes()) > (Xt.shape[0], Xt.tobytes()):

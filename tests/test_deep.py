@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import deep_reference
 from gradcheck import max_relative_error
 from normda.dataset import SyntheticShiftConfig, generate_synthetic
 from normda.deep import (
+    ACTIVATIONS,
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
@@ -257,6 +260,16 @@ def test_adam_non_finite_update_writes_nothing():
     np.testing.assert_array_equal(state.m, before[1])
     np.testing.assert_array_equal(state.v, before[2])
     assert state.t == 4
+    # The failed step's work arrays must not leak into the next one.
+    grad = np.array([0.5, -1.5, 2.0])
+    adam_step(theta, grad, state, lr=0.1)
+    ref, (ref_m, ref_v, ref_t) = reference_adam_step(
+        [(before[0],)], [(grad,)], ([(before[1],)], [(before[2],)], 4), 0.1
+    )
+    assert theta.tobytes() == ref[0][0].tobytes()
+    assert state.m.tobytes() == ref_m[0][0].tobytes()
+    assert state.v.tobytes() == ref_v[0][0].tobytes()
+    assert state.t == ref_t == 5
 
 
 def test_adam_first_step_magnitude():
@@ -328,6 +341,35 @@ def test_train_plain_deterministic():
     b = train_plain(X, y, cfg, MlpSpec((2, 6), head="identity"), MlpSpec((6, 2)), seed=3)
     assert params_equal(a.extractor.params, b.extractor.params)
     assert params_equal(a.predictor.params, b.predictor.params)
+
+
+NON_FINITE_INPUTS = [
+    ("plain", "X", "training"),
+    ("dann", "Xs", "training"),
+    ("dann", "Xt", "target"),
+    ("adda", "Xs", "training"),
+    ("adda", "Xt", "target"),
+]
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("trainer, name, kind", NON_FINITE_INPUTS)
+def test_trainers_reject_non_finite_inputs(trainer, name, kind, value):
+    X, y = blobs(n_per=20, seed=41, dim=3)
+    inputs = {"X": X.copy(), "Xs": X.copy(), "Xt": X + 1.0}
+    inputs[name][7, 1] = value
+    cfg = TrainConfig(batch_size=16, max_epochs=2, patience=1)
+    ext, head = MlpSpec((3, 4), head="identity"), MlpSpec((4, 2))
+    # Rejected before any network runs: no matmul warning, no forward error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match=f"^{kind} features contain non-finite values$"):
+            if trainer == "plain":
+                train_plain(inputs["X"], y, cfg, ext, head, seed=0)
+            elif trainer == "dann":
+                train_dann(inputs["Xs"], y, inputs["Xt"], cfg, ext, head, head, lam=0.5, seed=0)
+            else:
+                train_adda(inputs["Xs"], y, inputs["Xt"], cfg, ext, head, head, seed=0)
 
 
 def test_train_plain_single_class_rejected():
@@ -528,3 +570,71 @@ def test_adda_discriminator_gradients_match_finite_differences():
 
     err, _ = max_relative_error(disc.params, grads, loss_fn)
     assert err < 1e-4
+
+
+# ---------------------------------------------------------------------------
+# Differential: the trainers against the frozen allocating loops
+
+
+def all_params(model):
+    return [a for mlp in vars(model).values() if hasattr(mlp, "params") for pair in mlp.params for a in pair]
+
+
+def assert_same_bits(model, ref):
+    got, want = all_params(model), all_params(ref)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+def reference_case(activation, hidden, batch_size):
+    """Three-class source of 45 rows (39 train after the split), 30 shifted
+    target rows, and specs whose heads have hidden layers too: the domain
+    head all of the extractor's, the predictor its first."""
+    X, y = blobs(n_per=15, dim=3, seed=51)
+    X = np.vstack([X, np.random.default_rng(52).normal(size=(15, 3)) + [0.0, 4.0, 0.0]])
+    y = np.r_[y, [2] * 15]
+    Xt = np.random.default_rng(53).normal(size=(30, 3)) * 1.5 + 0.7
+    ext = MlpSpec((3, *hidden, 4), activation, head="identity")
+    pred = MlpSpec((4, *hidden[:1], 3), activation)
+    dom = MlpSpec((4, *hidden, 2), activation)
+    cfg = TrainConfig(learning_rate=0.05, batch_size=batch_size, max_epochs=6, patience=3)
+    return X, y, Xt, cfg, ext, pred, dom
+
+
+# 16 leaves a partial last batch of the 39 training rows (and of ADDA's 45
+# stage-2 rows); 64 is larger than either.
+REFERENCE_GRID = pytest.mark.parametrize("batch_size", [16, 64])
+REFERENCE_ARCH = pytest.mark.parametrize("hidden", [(), (5,), (5, 4, 3)], ids=["h0", "h1", "h3"])
+REFERENCE_ACT = pytest.mark.parametrize("activation", ACTIVATIONS)
+
+
+@REFERENCE_ACT
+@REFERENCE_ARCH
+@REFERENCE_GRID
+def test_train_plain_matches_frozen_reference_bitwise(activation, hidden, batch_size):
+    X, y, _, cfg, ext, pred, _ = reference_case(activation, hidden, batch_size)
+    model = train_plain(X, y, cfg, ext, pred, seed=3)
+    assert_same_bits(model, deep_reference.train_plain(X, y, cfg, ext, pred, seed=3))
+
+
+@REFERENCE_ACT
+@REFERENCE_ARCH
+@REFERENCE_GRID
+@pytest.mark.parametrize("lam", [0.0, 0.5])
+def test_train_dann_matches_frozen_reference_bitwise(activation, hidden, batch_size, lam):
+    X, y, Xt, cfg, ext, pred, dom = reference_case(activation, hidden, batch_size)
+    model = train_dann(X, y, Xt, cfg, ext, pred, dom, lam=lam, seed=4)
+    assert_same_bits(model, deep_reference.train_dann(X, y, Xt, cfg, ext, pred, dom, lam=lam, seed=4))
+
+
+@REFERENCE_ACT
+@REFERENCE_ARCH
+@REFERENCE_GRID
+@pytest.mark.parametrize("stage2_epochs", [None, 0, 3])
+def test_train_adda_matches_frozen_reference_bitwise(activation, hidden, batch_size, stage2_epochs):
+    X, y, Xt, cfg, ext, pred, dom = reference_case(activation, hidden, batch_size)
+    model = train_adda(X, y, Xt, cfg, ext, pred, dom, seed=5, stage2_epochs=stage2_epochs)
+    ref = deep_reference.train_adda(X, y, Xt, cfg, ext, pred, dom, seed=5, stage2_epochs=stage2_epochs)
+    assert_same_bits(model, ref)
+

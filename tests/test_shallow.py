@@ -101,6 +101,22 @@ def test_mmd_symmetry_exact():
         assert mmd_sq(A, B, k) == mmd_sq(B, A, k)
 
 
+def test_mmd_linear_matches_three_gram_form():
+    # The two forms agree in real arithmetic. In float64 each Gram mean of
+    # these sizes carries a relative round-off below (dim + log2 n) * eps,
+    # about 5e-15, so the forms must agree to 1e-12 of the Gram terms' size.
+    rng = np.random.default_rng(61)
+    for _ in range(40):
+        na, nb, dim = (int(v) for v in rng.integers(1, 40, size=3))
+        offset = rng.normal(size=dim) * rng.choice([0.0, 1.0, 100.0])
+        A = rng.normal(size=(na, dim)) + offset
+        B = rng.normal(size=(nb, dim)) * rng.uniform(0.5, 2.0) + offset + rng.normal(size=dim)
+        terms = [gram(A, A, LINEAR).mean(), gram(A, B, LINEAR).mean(), gram(B, B, LINEAR).mean()]
+        three = terms[0] - 2.0 * terms[1] + terms[2]
+        size = abs(terms[0]) + 2.0 * abs(terms[1]) + abs(terms[2])
+        assert abs(mmd_sq(A, B, LINEAR) - three) <= 1e-12 * size
+
+
 def test_mmd_empty_set():
     with pytest.raises(EmptyInputError):
         mmd_sq(np.empty((0, 2)), np.ones((3, 2)), LINEAR)
