@@ -22,15 +22,15 @@ from typing import Callable, Iterable, NamedTuple
 import numpy as np
 
 from .dataset import (
+    PROTOCOLS,
     VAL_FRACTION,
     DomainDataset,
     Fold,
     SyntheticShiftConfig,
     accuracy,
+    folds_for,
     generate_synthetic,
-    hlso_folds,
     load_csv,
-    loso_folds,
     stratified_indices,
 )
 from .deep import (
@@ -60,15 +60,8 @@ from .shallow import (
 )
 from .svm import SvmModel, svm_predict, svm_train
 
-STRATEGY_ORDER = ("noNorm", "Z0", "Z1", "Z2", "Z3", "MinMax")
+STRATEGY_ORDER = tuple(s.value for s in NormStrategy)
 ARCH_KEYS = ("hidden", "feature_dim", "activation")
-# The hyperparameters a grid may search. TrainConfig fields overlay the
-# method's `train`, and the rest replace the MethodSpec field of the same
-# name.
-GRID_KEYS = (
-    "C", "dim", "mu_reg", "lam", *ARCH_KEYS, "kernel", "svm_kernel",
-    "learning_rate", "batch_size", "max_epochs", "patience",
-)
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +112,14 @@ def _predict_kpca_svm(payload, X):
     return svm_predict(svm, kpca_transform(kpca, X))
 
 
+def network_specs(method: MethodSpec, in_dim: int, n_classes: int) -> tuple[MlpSpec, MlpSpec, MlpSpec]:
+    """The extractor, label predictor and domain adversary of `method`'s shape."""
+    extractor = MlpSpec((in_dim, *method.hidden, method.feature_dim), method.activation, head="identity")
+    predictor = MlpSpec((method.feature_dim, n_classes), method.activation, head="softmax")
+    adversary = MlpSpec((method.feature_dim, 2), method.activation, head="softmax")
+    return extractor, predictor, adversary
+
+
 def _deep(train):
     """Adapt a network trainer to the registry's fit signature.
 
@@ -131,12 +132,8 @@ def _deep(train):
         classes = tuple(sorted({int(v) for v in train_y}))
         remap = {c: i for i, c in enumerate(classes)}
         y_pos = np.array([remap[int(v)] for v in train_y], dtype=np.int64)
-        extractor = MlpSpec(
-            (train_X.shape[1], *method.hidden, method.feature_dim), method.activation, head="identity"
-        )
-        predictor = MlpSpec((method.feature_dim, len(classes)), method.activation, head="softmax")
-        adversary = MlpSpec((method.feature_dim, 2), method.activation, head="softmax")
-        return train(method, train_X, y_pos, test_X, seed, extractor, predictor, adversary), classes
+        specs = network_specs(method, train_X.shape[1], len(classes))
+        return train(method, train_X, y_pos, test_X, seed, *specs), classes
 
     return fit
 
@@ -179,6 +176,10 @@ METHODS = {
 METHOD_ORDER = tuple(METHODS)
 
 
+# MethodSpec fields given in a config as nested dicts.
+_NESTED_FIELDS = {"kernel": KernelSpec, "svm_kernel": KernelSpec, "train": TrainConfig}
+
+
 @dataclass(frozen=True)
 class MethodSpec:
     """One column of the benchmark table plus its hyperparameters.
@@ -186,8 +187,8 @@ class MethodSpec:
     `kernel` drives the TCA/KPCA projection (and the SVM itself for
     noDA-SVM); `svm_kernel` is the downstream classifier kernel once data
     has been projected. `hidden`/`feature_dim`/`activation` shape the
-    network components of the deep methods, checked here at input width 1
-    because the real width is known only per fold.
+    deep methods' networks (network_specs), checked here at input width 1
+    and 2 classes because the real ones are known only per fold.
     """
 
     kind: str
@@ -206,15 +207,15 @@ class MethodSpec:
         if self.kind not in METHOD_ORDER:
             raise ConfigError(f"unknown method kind {self.kind!r}; expected one of {METHOD_ORDER}")
         check_field_types(self)
-        for name in ("kernel", "svm_kernel"):
-            if not isinstance(getattr(self, name), KernelSpec):
-                raise ConfigError(f"{name} must be a KernelSpec, got {getattr(self, name)!r}")
+        for name, cls in _NESTED_FIELDS.items():
+            if not isinstance(getattr(self, name), cls):
+                raise ConfigError(f"{name} must be a {cls.__name__}, got {getattr(self, name)!r}")
         if not isinstance(self.hidden, (list, tuple)) or not all(
             isinstance(h, numbers.Integral) and not isinstance(h, bool) for h in self.hidden
         ):
             raise ConfigError(f"hidden must be a list of integers, got {self.hidden!r}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        MlpSpec((1, *self.hidden, self.feature_dim), self.activation, head="identity")
+        network_specs(self, 1, 2)
         for name in ("C", "mu_reg"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
@@ -222,6 +223,12 @@ class MethodSpec:
             raise ConfigError(f"dim must be >= 1, got {self.dim!r}")
         if self.lam < 0:
             raise ConfigError(f"lam must be >= 0, got {self.lam!r}")
+
+
+# A grid may search every MethodSpec field but `kind` and `train`, and the
+# TrainConfig fields, which overlay the method's `train`.
+_TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
+GRID_KEYS = (*(f.name for f in fields(MethodSpec) if f.name not in ("kind", "train")), *_TRAIN_KEYS)
 
 
 @dataclass(frozen=True)
@@ -237,8 +244,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.protocol not in ("loso", "hlso"):
-            raise ConfigError(f"protocol must be 'loso' or 'hlso', got {self.protocol!r}")
+        if self.protocol not in PROTOCOLS:
+            raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
         if not self.strategies or not self.methods:
             raise ConfigError("strategies and methods must be nonempty")
         by_kind = {m.kind: m for m in self.methods}
@@ -395,19 +402,14 @@ def predict_method(fitted: FittedMethod, X: np.ndarray) -> np.ndarray:
 
 def apply_grid_point(method: MethodSpec, point: dict) -> MethodSpec:
     """Overlay one grid point onto a method spec."""
-    train_fields = {f.name for f in fields(TrainConfig)}
     spec_updates: dict = {}
     train_updates: dict = {}
     for key, value in point.items():
         if key not in GRID_KEYS:
             raise ConfigError(f"unknown parameters {[key]}; searchable: {list(GRID_KEYS)}")
-        if key in train_fields:
-            train_updates[key] = value
-        elif key in ("kernel", "svm_kernel") and isinstance(value, dict):
-            _check_keys(value, KernelSpec, "kernel fields")
-            spec_updates[key] = KernelSpec(**value)
-        else:
-            spec_updates[key] = value
+        if key in _NESTED_FIELDS and isinstance(value, dict):
+            value = _from_dict(_NESTED_FIELDS[key], value, f"{key} fields")
+        (train_updates if key in _TRAIN_KEYS else spec_updates)[key] = value
     if train_updates:
         spec_updates["train"] = replace(method.train, **train_updates)
     return replace(method, **spec_updates)
@@ -459,10 +461,6 @@ def resolve_dataset(cfg: ExperimentConfig) -> DomainDataset:
     if isinstance(cfg.dataset, SyntheticShiftConfig):
         return generate_synthetic(cfg.dataset)
     return load_csv(cfg.dataset)
-
-
-def folds_for(ds: DomainDataset, protocol: str) -> list[Fold]:
-    return loso_folds(ds) if protocol == "loso" else hlso_folds(ds)
 
 
 def resolve_fold_specs(
@@ -541,25 +539,25 @@ def _run_fold_group(
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
-    """Run the full strategy-by-method grid over the protocol's folds."""
+    """Run the full strategy-by-method grid over the protocol's folds on
+    `jobs` worker processes (1: in this process)."""
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     ds = resolve_dataset(cfg)
     folds = folds_for(ds, cfg.protocol)
-    groups = [(strategy, fold) for strategy in cfg.strategies for fold in folds]
+    groups = [
+        (ds, fold, strategy, cfg.methods, cfg.grids, cfg.seed)
+        for strategy in cfg.strategies for fold in folds
+    ]
 
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [
-                pool.submit(_run_fold_group, ds, fold, strategy, cfg.methods, cfg.grids, cfg.seed)
-                for strategy, fold in groups
-            ]
+            futures = [pool.submit(_run_fold_group, *group) for group in groups]
             outcome_lists = [f.result() for f in futures]
     else:
-        outcome_lists = [
-            _run_fold_group(ds, fold, strategy, cfg.methods, cfg.grids, cfg.seed)
-            for strategy, fold in groups
-        ]
+        outcome_lists = [_run_fold_group(*group) for group in groups]
 
     cells = cells_from_rows(o for outcomes in outcome_lists for o in outcomes)
     fold_names = tuple(f.name for f in folds)
@@ -605,15 +603,56 @@ def emit_table(cells: Iterable[CellResult], fmt: str = "markdown") -> str:
     raise ConfigError(f"unknown table format {fmt!r}")
 
 
+FOLDS_CSV = "folds.csv"  # a report's per-fold detail; `normda table` reads it back
+_FOLDS_HEADER = "strategy,method,fold,accuracy"
+
+
 def folds_csv(cells: Iterable[CellResult]) -> str:
     """Per-fold accuracy detail at full precision."""
-    lines = ["strategy,method,fold,accuracy"]
+    lines = [_FOLDS_HEADER]
     for row in _ordered(cells):
         for c in row:
             for i, fold in enumerate(c.fold_names):
                 value = repr(c.accuracies[i]) if c.ok else "FAIL"
                 lines.append(f"{c.strategy},{c.method},{fold},{value}")
     return "\n".join(lines) + "\n"
+
+
+def rows_from_folds_csv(text: str) -> list[FoldOutcome]:
+    """One FoldOutcome per line of a folds_csv text; a FAIL fold is an error.
+    Any line the writer could not have produced, or a (strategy, method,
+    fold) it would have written that has no line, is a ConfigError naming it."""
+    lines = text.strip().splitlines()
+    if not lines or lines[0] != _FOLDS_HEADER:
+        raise ConfigError(f"expected the header {_FOLDS_HEADER!r}")
+    rows: dict[tuple[str, str, str], FoldOutcome] = {}
+    for number, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise ConfigError(f"line {number}: expected 4 fields, got {len(parts)}")
+        strategy, method, fold, acc = parts
+        if strategy not in STRATEGY_ORDER:
+            raise ConfigError(f"line {number}: unknown strategy {strategy!r}")
+        if method not in METHOD_ORDER:
+            raise ConfigError(f"line {number}: unknown method {method!r}")
+        if (strategy, method, fold) in rows:
+            raise ConfigError(f"line {number}: duplicate row for {strategy}/{method} fold {fold}")
+        try:
+            value = None if acc == "FAIL" else float(acc)
+            if value is not None and not 0.0 <= value <= 1.0:
+                raise ValueError
+        except ValueError:
+            raise ConfigError(f"line {number}: accuracy {acc!r} is not FAIL or a number in [0, 1]") from None
+        rows[strategy, method, fold] = FoldOutcome(
+            strategy, method, fold, value, "FAIL" if value is None else None, 0.0
+        )
+    if not rows:
+        raise ConfigError("no rows after the header")
+    strategies, methods, folds = ({key[i] for key in rows} for i in range(3))
+    missing = sorted(set(itertools.product(strategies, methods, folds)) - set(rows))
+    if missing:
+        raise ConfigError("no rows for " + ", ".join(f"{s}/{m} fold {f}" for s, m, f in missing))
+    return list(rows.values())
 
 
 def emit_projection(ds: DomainDataset, fold: Fold, strategy: NormStrategy) -> list[dict]:
@@ -673,10 +712,6 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return out
 
 
-# MethodSpec fields given in a config as nested dicts.
-_NESTED_FIELDS = {"kernel": KernelSpec, "svm_kernel": KernelSpec, "train": TrainConfig}
-
-
 def _check_keys(raw: dict, cls, what: str) -> None:
     if not isinstance(raw, dict):
         raise ConfigError(f"{what}: expected an object, got {raw!r}")
@@ -685,10 +720,16 @@ def _check_keys(raw: dict, cls, what: str) -> None:
         raise ConfigError(f"unknown {what}: {unknown}")
 
 
+def _from_dict(cls, raw: dict, what: str, nested: dict | None = None):
+    """A `cls` from the object `raw`, whose keys must be fields of `cls`; an
+    omitted field takes its default, and a `nested` field is read into its class."""
+    _check_keys(raw, cls, what)
+    nested = nested or {}
+    return cls(**{k: _from_dict(nested[k], v, f"{k} fields") if k in nested else v for k, v in raw.items()})
+
+
 def synthetic_from_dict(raw: dict) -> SyntheticShiftConfig:
-    """A SyntheticShiftConfig from its fields; a key it omits takes the default."""
-    _check_keys(raw, SyntheticShiftConfig, "synthetic fields")
-    return SyntheticShiftConfig(**raw)
+    return _from_dict(SyntheticShiftConfig, raw, "synthetic fields")
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -710,15 +751,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if "methods" in raw:
         methods = []
         for i, m in enumerate(raw["methods"]):
-            _check_keys(m, MethodSpec, "method fields")
-            if "kind" not in m:
+            if isinstance(m, dict) and "kind" not in m:
                 raise ConfigError(f"method {i} has no 'kind'; expected one of {METHOD_ORDER}")
-            nested = {}
-            for k, cls in _NESTED_FIELDS.items():
-                if k in m:
-                    _check_keys(m[k], cls, f"{k} fields")
-                    nested[k] = cls(**m[k])
-            methods.append(MethodSpec(**{**m, **nested}))
+            methods.append(_from_dict(MethodSpec, m, "method fields", _NESTED_FIELDS))
         parsed["methods"] = tuple(methods)
     if "strategies" in raw:
         parsed["strategies"] = tuple(NormStrategy.from_name(s) for s in raw["strategies"])
@@ -731,7 +766,7 @@ def write_report(report: ExperimentReport, outdir) -> Path:
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.csv").write_text(emit_table(report.cells, "csv"), encoding="utf-8")
-    (outdir / "folds.csv").write_text(folds_csv(report.cells), encoding="utf-8")
+    (outdir / FOLDS_CSV).write_text(folds_csv(report.cells), encoding="utf-8")
     (outdir / "config.json").write_text(
         json.dumps(config_to_dict(report.config), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bench, dataset
 from .errors import ConfigError, NormdaError
-from .normalize import NormStrategy
+from .normalize import ZSCORE_SIDES, NormStrategy
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -76,7 +76,7 @@ def cmd_run(args) -> int:
 def cmd_project(args) -> int:
     ds = dataset.load_csv(args.data)
     strategy = NormStrategy.from_name(args.strategy)
-    folds = bench.folds_for(ds, args.protocol)
+    folds = dataset.folds_for(ds, args.protocol)
     if not 0 <= args.fold_index < len(folds):
         raise ConfigError(f"fold index {args.fold_index} out of range [0, {len(folds)})")
     fold = folds[args.fold_index]
@@ -90,22 +90,8 @@ def cmd_project(args) -> int:
     return EXIT_OK
 
 
-def _rows_from_folds_csv(text: str) -> list[bench.FoldOutcome]:
-    """One FoldOutcome per line of a folds.csv; a FAIL fold is an error.
-    Malformed lines raise ValueError."""
-    lines = text.strip().splitlines()
-    if not lines or lines[0] != "strategy,method,fold,accuracy":
-        raise ValueError("unexpected header")
-    rows = []
-    for line in lines[1:]:
-        strategy, method, fold, acc = line.split(",")
-        error = "FAIL" if acc == "FAIL" else None
-        rows.append(bench.FoldOutcome(strategy, method, fold, None if error else float(acc), error, 0.0))
-    return rows
-
-
 def cmd_table(args) -> int:
-    rows = _parse_file(Path(args.report) / "folds.csv", _rows_from_folds_csv)
+    rows = _parse_file(Path(args.report) / bench.FOLDS_CSV, bench.rows_from_folds_csv)
     print(bench.emit_table(bench.cells_from_rows(rows), "markdown"), end="")
     return EXIT_OK
 
@@ -128,10 +114,11 @@ def cmd_validate(args) -> int:
     ]
     for name in constant:
         print(f"warning: feature {name} is constant")
+    own_test = "/".join(s.value for s, (_, test) in ZSCORE_SIDES.items() if test == "own")
     for key in single_row_domains:
         print(
             f"warning: domain subject={key.subject} session={key.session} has 1 row; "
-            "incompatible with Z2/Z3 per-domain statistics on the test side"
+            f"incompatible with {own_test} per-domain statistics on the test side"
         )
     return EXIT_OK
 
@@ -159,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("project", help="emit a 2-D projection CSV for one fold")
     p.add_argument("--data", required=True, help="dataset CSV")
-    p.add_argument("--protocol", choices=("loso", "hlso"), default="loso")
+    p.add_argument("--protocol", choices=dataset.PROTOCOLS, default="loso")
     p.add_argument("--fold-index", type=int, default=0)
     p.add_argument("--strategy", default="Z2")
     p.add_argument("--out", default=None, help="output CSV (default: stdout)")

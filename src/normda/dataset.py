@@ -344,6 +344,14 @@ def hlso_folds(ds: DomainDataset) -> list[Fold]:
     return folds
 
 
+PROTOCOLS = ("loso", "hlso")
+
+
+def folds_for(ds: DomainDataset, protocol: str) -> list[Fold]:
+    """The folds of one of PROTOCOLS; rebinding a splitter's module global reaches every caller."""
+    return loso_folds(ds) if protocol == "loso" else hlso_folds(ds)
+
+
 def stratified_indices(
     labels: Sequence[int], fraction: float, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:

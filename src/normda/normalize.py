@@ -1,13 +1,10 @@
 """Z-score and min-max transforms plus the split-aware strategies Z0-Z3.
 
-The strategies differ in whose statistics normalize which side of a fold:
-
-* Z0     fit mean/std on the pooled raw training rows, apply to both sides
-* Z1     each training domain uses its own stats; test uses pooled raw
-         training stats
-* Z2     every domain, train or test, uses its own stats
-* Z3     train uses pooled raw training stats; each test domain its own
-* MinMax min/max fit on the training rows, applied to both sides
+Z0-Z3 differ only in whose statistics standardize each side of a fold:
+the pooled raw training rows ("pooled") or each domain's own rows ("own").
+ZSCORE_SIDES states that choice once per strategy. noNorm returns the raw
+rows, and MinMax fits min/max on the training rows and applies them to
+both sides.
 
 Z2 and Z3 are transductive: their test-side transform reads test-side
 feature statistics (never labels), which matches the unsupervised-DA
@@ -91,8 +88,18 @@ def minmax(X: np.ndarray, mins: np.ndarray, maxs: np.ndarray) -> np.ndarray:
     return (X - mins) / np.maximum(maxs - mins, EPS)
 
 
-def _per_domain_zscore(ds: DomainDataset, idx: np.ndarray, *, min_rows: int = 1) -> np.ndarray:
-    """Z-score each domain's block within `idx` using that block's own stats."""
+# (training side, test side) of each z-score strategy; see the module docstring.
+ZSCORE_SIDES = {
+    NormStrategy.Z0: ("pooled", "pooled"),
+    NormStrategy.Z1: ("own", "pooled"),
+    NormStrategy.Z2: ("own", "own"),
+    NormStrategy.Z3: ("pooled", "own"),
+}
+
+
+def _zscore_side(ds: DomainDataset, idx: np.ndarray, side: str, pooled: FeatureStats, *, min_rows: int):
+    if side == "pooled":
+        return zscore(ds.features[idx], pooled)
     out = np.empty((idx.size, ds.m))
     sub, ses = ds.subjects[idx], ds.sessions[idx]
     for key in sorted({(int(a), int(b)) for a, b in zip(sub, ses)}):
@@ -101,7 +108,7 @@ def _per_domain_zscore(ds: DomainDataset, idx: np.ndarray, *, min_rows: int = 1)
         if block.shape[0] < min_rows:
             raise DegenerateDomainError(
                 f"domain (subject={key[0]}, session={key[1]}) has {block.shape[0]} row(s); "
-                "per-domain statistics need at least 2"
+                f"per-domain statistics need at least {min_rows}"
             )
         out[mask] = zscore(block, compute_stats(block))
     return out
@@ -111,8 +118,8 @@ def apply_strategy(ds: DomainDataset, fold: Fold, strategy: NormStrategy) -> tup
     """Return normalized (train, test) feature matrices for one fold.
 
     Training-side statistics are always fit before the test side is read,
-    and labels are never consulted. Z2/Z3 reject single-row test domains
-    rather than eps-normalizing a meaningless one-sample deviation.
+    and labels are never consulted. An "own" test side rejects single-row
+    domains; an "own" training side maps them to zeros.
     """
     train_raw = ds.features[fold.train_idx]
     if strategy is NormStrategy.NO_NORM:
@@ -126,19 +133,7 @@ def apply_strategy(ds: DomainDataset, fold: Fold, strategy: NormStrategy) -> tup
             minmax(ds.features[fold.test_idx], mins, maxs),
         )
 
+    train_side, test_side = ZSCORE_SIDES[strategy]
     pooled = compute_stats(train_raw)
-    if strategy is NormStrategy.Z0:
-        train = zscore(train_raw, pooled)
-        test = zscore(ds.features[fold.test_idx], pooled)
-    elif strategy is NormStrategy.Z1:
-        train = _per_domain_zscore(ds, fold.train_idx)
-        test = zscore(ds.features[fold.test_idx], pooled)
-    elif strategy is NormStrategy.Z2:
-        train = _per_domain_zscore(ds, fold.train_idx)
-        test = _per_domain_zscore(ds, fold.test_idx, min_rows=2)
-    elif strategy is NormStrategy.Z3:
-        train = zscore(train_raw, pooled)
-        test = _per_domain_zscore(ds, fold.test_idx, min_rows=2)
-    else:
-        raise ValueError(f"unhandled strategy {strategy}")
-    return train, test
+    train = _zscore_side(ds, fold.train_idx, train_side, pooled, min_rows=1)
+    return train, _zscore_side(ds, fold.test_idx, test_side, pooled, min_rows=2)

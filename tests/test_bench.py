@@ -421,6 +421,16 @@ def test_parameters_match_per_type_walk_for_every_kind():
         assert keys(f.parameters()) == keys(reference), f.kind
 
 
+def test_grid_keys_and_strategy_order_derive_from_their_types():
+    import normda.bench as bench
+
+    assert sorted(bench.GRID_KEYS) == sorted([
+        "C", "dim", "mu_reg", "lam", "hidden", "feature_dim", "activation", "kernel",
+        "svm_kernel", "learning_rate", "batch_size", "max_epochs", "patience",
+    ])
+    assert bench.STRATEGY_ORDER == ("noNorm", "Z0", "Z1", "Z2", "Z3", "MinMax")
+
+
 def test_fit_and_predict_call_solvers_through_module_names(monkeypatch):
     # Tracing and tests rebind these module attributes; a registry that held
     # the function objects would bypass the rebinding without any error.

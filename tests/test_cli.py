@@ -170,6 +170,45 @@ def test_table_reads_only_folds_csv(tmp_path, capsys):
     assert capsys.readouterr().out.strip().splitlines() == rendered
 
 
+ROW = "noNorm,noDA-SVM,f1,0.5"
+
+
+@pytest.mark.parametrize(
+    "lines, named",
+    [
+        pytest.param(
+            [ROW, "Z2,TCA-SVM,f1,0.75"], "no rows for Z2/noDA-SVM fold f1, noNorm/TCA-SVM fold f1",
+            id="missing-cell",
+        ),
+        pytest.param(
+            [ROW, "noNorm,noDA-SVM,f2,1.0", "Z2,noDA-SVM,f1,0.25"], "no rows for Z2/noDA-SVM fold f2",
+            id="missing-fold",
+        ),
+        pytest.param([ROW, "noNorm,noDA-SVM,f2,nan"], "line 3: accuracy 'nan'", id="nan"),
+        pytest.param(["noNorm,noDA-SVM,f1,7"], "line 2: accuracy '7'", id="above-one"),
+        pytest.param([ROW, "noNorm,FOO,f1,0.5"], "line 3: unknown method 'FOO'", id="unknown-method"),
+        pytest.param(["Z9,noDA-SVM,f1,0.5"], "line 2: unknown strategy 'Z9'", id="unknown-strategy"),
+        pytest.param(
+            [ROW, "noNorm,noDA-SVM,f1,0.25"], "line 3: duplicate row for noNorm/noDA-SVM fold f1", id="duplicate"
+        ),
+        pytest.param([], "no rows after the header", id="empty"),
+    ],
+)
+def test_table_rejects_inconsistent_folds_csv(tmp_path, capsys, lines, named):
+    (tmp_path / "folds.csv").write_text("\n".join(["strategy,method,fold,accuracy", *lines]) + "\n")
+    assert main(["table", "--report", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "folds.csv" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_run_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    cfg = write_json(tmp_path / "exp.json", dict(RUN_CFG, output_dir=str(tmp_path / "r")))
+    assert main(["run", "--config", cfg, "--jobs", jobs]) == 2
+    assert f"jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_type_error_in_config_code_propagates(tmp_path, monkeypatch):
     # A TypeError inside config code is a bug: it keeps its traceback
     # instead of becoming exit 2.

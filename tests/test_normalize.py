@@ -177,6 +177,27 @@ def test_single_row_test_domain_rejected_for_z2_z3():
         apply_strategy(ds, fold, strategy)
 
 
+def test_single_row_training_domain_zero_under_own_pooled_under_pooled():
+    # Subject 0 has one training row. An "own" training side (Z1/Z2) maps
+    # it to zero; a "pooled" one (Z0/Z3) standardizes it with the pooled
+    # training statistics. Neither rejects it, unlike a one-row test domain.
+    ds = DomainDataset(
+        column([5.0, 1.0, 3.0, 0.0, 2.0]),
+        np.array([0, 0, 1, 0, 1]),
+        np.array([0, 1, 1, 2, 2]),
+        np.zeros(5, dtype=int),
+    )
+    fold = Fold(np.array([0, 1, 2]), np.array([3, 4]), "toy")
+    pooled = zscore(ds.features[:3], compute_stats(ds.features[:3]))
+    assert pooled[0, 0] == pytest.approx(2.0 / math.sqrt(8.0 / 3.0))
+    for strategy in (NormStrategy.Z1, NormStrategy.Z2):
+        train, _ = apply_strategy(ds, fold, strategy)
+        np.testing.assert_array_equal(train[:, 0], [0.0, -1.0, 1.0])
+    for strategy in (NormStrategy.Z0, NormStrategy.Z3):
+        train, _ = apply_strategy(ds, fold, strategy)
+        np.testing.assert_array_equal(train, pooled)
+
+
 def test_apply_strategy_ignores_test_features_and_all_labels():
     ds = make_multidomain(seed=5)
     fold = Fold(np.flatnonzero(ds.subjects != 1), np.flatnonzero(ds.subjects == 1), "f")
