@@ -251,6 +251,8 @@ class ExperimentConfig:
         by_kind = {m.kind: m for m in self.methods}
         if len(by_kind) != len(self.methods):
             raise ConfigError("duplicate method kinds in config")
+        if len(set(self.strategies)) != len(self.strategies):
+            raise ConfigError("duplicate strategies in config")
         if not isinstance(self.grids, dict) or not all(isinstance(g, dict) for g in self.grids.values()):
             raise ConfigError("grids must map method kinds to {parameter: [values]} objects")
         unknown = sorted(set(self.grids) - set(by_kind))
@@ -273,7 +275,7 @@ class CellResult:
     strategy: str
     method: str
     fold_names: tuple[str, ...]
-    accuracies: tuple[float, ...] | None
+    accuracies: tuple[float | None, ...]  # per fold; None for a failed fold
     error: str | None
     seconds: float
 
@@ -305,7 +307,8 @@ class FoldOutcome:
 def cells_from_rows(rows: Iterable[FoldOutcome]) -> tuple[CellResult, ...]:
     """One CellResult per (strategy, method) of the FoldOutcome rows, in
     order of first appearance, with its folds in row order. A cell with
-    any failed fold is failed, and its error joins the fold errors."""
+    any failed fold is failed, and its error joins the fold errors; the
+    folds that were scored keep their accuracies."""
     by_cell: dict[tuple[str, str], list[FoldOutcome]] = {}
     for row in rows:
         by_cell.setdefault((row.strategy, row.method), []).append(row)
@@ -313,7 +316,7 @@ def cells_from_rows(rows: Iterable[FoldOutcome]) -> tuple[CellResult, ...]:
     for (strategy, method), group in by_cell.items():
         folds = tuple(o.fold_name for o in group)
         errors = [o.error for o in group if o.error is not None]
-        accuracies = None if errors else tuple(o.accuracy for o in group)
+        accuracies = tuple(o.accuracy for o in group)
         seconds = float(sum(o.seconds for o in group))
         cells.append(CellResult(strategy, method, folds, accuracies, "; ".join(errors) or None, seconds))
     return tuple(cells)
@@ -608,13 +611,12 @@ _FOLDS_HEADER = "strategy,method,fold,accuracy"
 
 
 def folds_csv(cells: Iterable[CellResult]) -> str:
-    """Per-fold accuracy detail at full precision."""
+    """Per-fold accuracy detail at full precision; FAIL for a failed fold."""
     lines = [_FOLDS_HEADER]
     for row in _ordered(cells):
         for c in row:
-            for i, fold in enumerate(c.fold_names):
-                value = repr(c.accuracies[i]) if c.ok else "FAIL"
-                lines.append(f"{c.strategy},{c.method},{fold},{value}")
+            for fold, acc in zip(c.fold_names, c.accuracies):
+                lines.append(f"{c.strategy},{c.method},{fold},{'FAIL' if acc is None else repr(acc)}")
     return "\n".join(lines) + "\n"
 
 

@@ -222,16 +222,18 @@ def load_csv(path) -> DomainDataset:
     Raises SchemaError for missing columns, ParseError naming the offending
     row (1-based, header excluded) and column of a cell that is not a
     finite number, or the first byte that is not UTF-8, EmptyInputError
-    for a file without data rows.
+    for a file without data rows. A leading byte-order mark is skipped.
     """
     schema = ("subject", "session", "label")
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        raw.decode("utf-8")
+        # Decoding the whole file (not utf-8-sig) keeps exc.start a byte
+        # offset into the file itself, BOM included.
+        text = raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: byte {exc.start} is not valid UTF-8 ({exc.reason})") from None
-    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", newline="") as fh:
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

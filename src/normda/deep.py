@@ -10,10 +10,12 @@ flat vector mirrors it for the gradients: the trainers' backward passes
 write each layer's dW and db straight into its views, and adam_step
 computes the new moments and the update into spare arrays of its
 AdamState, so a training step neither concatenates per-layer gradients
-nor allocates new moment vectors. The training path computes no loss values, and it skips
-gradient products that nothing reads (the first layer's input gradient,
-the discriminator's weights while ADDA moves the encoder). The public
-forward and backward are checked wrappers over the same layer code.
+nor allocates new moment vectors. Only cross_entropy computes a loss
+value, and only the tests call it: they compare the gradients against its
+finite differences. The training path skips gradient products that
+nothing reads (the first layer's input gradient, the discriminator's
+weights while ADDA moves the encoder). The public forward and backward
+are checked wrappers over the same layer code.
 
 Each trainer builds its networks from their specs and the seed, and
 returns models over a snapshot copy. Training is a pure function of (data,
@@ -393,52 +395,38 @@ def _grad_views(specs: list[MlpSpec]) -> tuple[np.ndarray, list[Params]]:
     return flat, [m.params for m in _views(flat, specs)]
 
 
-def _checked_loss(probs: np.ndarray, y: np.ndarray) -> float:
-    if not np.all(np.isfinite(probs)):
-        raise NumericError("forward pass produced non-finite outputs")
-    return cross_entropy(probs, y)
-
-
-def _class_pass(
-    extractor: Mlp, predictor: Mlp, X, y, rows, egrads: Params, pgrads: Params, loss: bool = False
-) -> float | None:
+def _class_pass(extractor: Mlp, predictor: Mlp, X, y, rows, egrads: Params, pgrads: Params) -> None:
     """Write class_grads' gradients into egrads and pgrads; rows is
-    np.arange(len(y)) or a prefix of a longer one. Returns the loss only
-    when asked."""
+    np.arange(len(y)) or a prefix of a longer one."""
     ecache = _forward(extractor.spec, extractor.params, X)
     pcache = _forward(predictor.spec, predictor.params, ecache.out)
-    value = _checked_loss(pcache.out, y) if loss else None
     g = _ce_grad_inplace(pcache.out, rows, y)
     gfeats = _backward(predictor.spec, predictor.params, pcache, g, pgrads)
     _backward(extractor.spec, extractor.params, ecache, gfeats, egrads, input_grad=False)
-    return value
 
 
 def class_grads(
     extractor: Mlp, predictor: Mlp, X: np.ndarray, y: np.ndarray
-) -> tuple[Params, Params, float]:
+) -> tuple[Params, Params]:
     """Cross-entropy gradients through predictor(extractor(X))."""
     X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
     _check_input(extractor.spec, extractor.params, X)
     _check_heads(extractor.spec, predictor.spec)
     _, (egrads, pgrads) = _grad_views([extractor.spec, predictor.spec])
-    loss = _class_pass(extractor, predictor, X, y, np.arange(len(y)), egrads, pgrads, loss=True)
-    return egrads, pgrads, loss
+    _class_pass(extractor, predictor, X, y, np.arange(len(y)), egrads, pgrads)
+    return egrads, pgrads
 
 
-def _dann_pass(
-    model: DannModel, Xs, ys, Xt, rows, grads: list[Params], rev: Params, losses: bool = False
-) -> tuple[float | None, float | None]:
+def _dann_pass(model: DannModel, Xs, ys, Xt, rows, grads: list[Params], rev: Params) -> None:
     """Write dann_batch_grads' gradients into grads (extractor, predictor,
     domain classifier); rev is scratch shaped like the extractor's
-    gradients. Returns the two losses only when asked."""
+    gradients."""
     ext, pred, dom = model.extractor, model.predictor, model.domain_classifier
     egrads, pgrads, dgrads = grads
-    class_loss = _class_pass(ext, pred, Xs, ys, rows, egrads, pgrads, losses)
+    _class_pass(ext, pred, Xs, ys, rows, egrads, pgrads)
 
     ecache = _forward(ext.spec, ext.params, np.concatenate([Xs, Xt]))
     dcache = _forward(dom.spec, dom.params, ecache.out)
-    domain_loss = _checked_loss(dcache.out, np.repeat([0, 1], [len(Xs), len(Xt)])) if losses else None
     g = _domain_grad_inplace(dcache.out, len(Xs))
     gfeats = _backward(dom.spec, dom.params, dcache, g, dgrads, input_grad=model.lam > 0)
     if model.lam > 0:
@@ -446,12 +434,11 @@ def _dann_pass(
         for (gw, gb), (rw, rb) in zip(egrads, rev):
             gw += rw
             gb += rb
-    return class_loss, domain_loss
 
 
 def dann_batch_grads(
     model: DannModel, Xs: np.ndarray, ys: np.ndarray, Xt: np.ndarray
-) -> tuple[Params, Params, Params, float, float]:
+) -> tuple[Params, Params, Params]:
     """Gradients for one adversarial batch.
 
     Classification loss flows through extractor and predictor on source
@@ -467,8 +454,8 @@ def dann_batch_grads(
     _check_heads(ext.spec, model.predictor.spec, model.domain_classifier.spec)
     _, grads = _grad_views([ext.spec, model.predictor.spec, model.domain_classifier.spec])
     _, (rev,) = _grad_views([ext.spec])
-    losses = _dann_pass(model, Xs, ys, Xt, np.arange(len(ys)), grads, rev, losses=True)
-    return (*grads, *losses)
+    _dann_pass(model, Xs, ys, Xt, np.arange(len(ys)), grads, rev)
+    return tuple(grads)
 
 
 def _epoch_batches(n: int, batch_size: int, rng) -> list[np.ndarray]:

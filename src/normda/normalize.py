@@ -123,7 +123,7 @@ def apply_strategy(ds: DomainDataset, fold: Fold, strategy: NormStrategy) -> tup
     """
     train_raw = ds.features[fold.train_idx]
     if strategy is NormStrategy.NO_NORM:
-        return train_raw.copy(), ds.features[fold.test_idx].copy()
+        return train_raw, ds.features[fold.test_idx]
 
     if strategy is NormStrategy.MIN_MAX:
         mins = train_raw.min(axis=0)

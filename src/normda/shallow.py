@@ -119,7 +119,6 @@ class TcaModel:
     basis: np.ndarray
     projection: np.ndarray
     kernel: KernelSpec
-    mu_reg: float
 
 
 def tca_fit(
@@ -167,7 +166,7 @@ def tca_fit(
     projection = _fix_signs(eigvecs[:, order])
     score_std = (K @ projection).std(axis=0, ddof=0)
     projection = projection / np.maximum(score_std, 1e-12)
-    return TcaModel(X.copy(), projection, k, mu_reg)
+    return TcaModel(X, projection, k)
 
 
 def tca_transform(model: TcaModel, X: np.ndarray) -> np.ndarray:
@@ -175,8 +174,6 @@ def tca_transform(model: TcaModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.basis.shape[1]:
         raise ShapeError("X feature dimension must match the fitted basis")
-    if X.shape[0] == 0:
-        return np.empty((0, model.projection.shape[1]))
     return gram(X, model.basis, model.kernel) @ model.projection
 
 
@@ -231,8 +228,6 @@ def kpca_transform(model: KpcaModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.basis.shape[1]:
         raise ShapeError("X feature dimension must match the fitted basis")
-    if X.shape[0] == 0:
-        return np.empty((0, model.alphas.shape[1]))
     Kt = gram(X, model.basis, model.kernel)
     Kt_c = (
         Kt

@@ -248,7 +248,7 @@ def svm_train(
         # All multipliers stayed at zero (cannot happen for >= 2 classes,
         # but keep the model well-formed regardless).
         support = np.arange(X.shape[0])
-    return SvmModel(X[support].copy(), coefs[:, support], biases, k, C, classes)
+    return SvmModel(X[support], coefs[:, support], biases, k, C, classes)
 
 
 def decision_values(model: SvmModel, X: np.ndarray) -> np.ndarray:
@@ -256,15 +256,10 @@ def decision_values(model: SvmModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.support_rows.shape[1]:
         raise ShapeError("X feature dimension must match the trained model")
-    if X.shape[0] == 0:
-        return np.empty((0, len(model.classes)))
     return gram(X, model.support_rows, model.kernel) @ model.dual_coefs.T + model.biases
 
 
 def svm_predict(model: SvmModel, X: np.ndarray) -> np.ndarray:
     """Argmax class per row; ties resolve to the smallest class id."""
-    values = decision_values(model, X)
-    if values.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
-    picks = np.argmax(values, axis=1)  # first maximum, classes sorted ascending
+    picks = np.argmax(decision_values(model, X), axis=1)  # first maximum, classes sorted ascending
     return np.asarray(model.classes, dtype=np.int64)[picks]

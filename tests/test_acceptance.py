@@ -155,7 +155,7 @@ def test_criterion_6_gradient_fidelity():
     specs = (MlpSpec((5, 6), head="identity"), MlpSpec((6, 3)), MlpSpec((6, 2)))
     model = DannModel(*(init_mlp(spec, init_rng) for spec in specs), lam)
     Xs, ys, Xt = rng.normal(size=(9, 5)), rng.integers(0, 3, 9), rng.normal(size=(6, 5))
-    egrads, _, _, _, _ = dann_batch_grads(model, Xs, ys, Xt)
+    egrads, _, _ = dann_batch_grads(model, Xs, ys, Xt)
 
     def composite(ext_params):
         feats, _ = forward(model.extractor.spec, ext_params, Xs)
@@ -200,8 +200,8 @@ def test_criterion_7_dann_alignment():
 
     init_rng = np.random.default_rng(2)
     zero = DannModel(*(init_mlp(spec, init_rng) for spec in specs), 0.0)
-    plain_e, _, _ = class_grads(zero.extractor, zero.predictor, X[:32], y[:32])
-    dann_e, _, _, _, _ = dann_batch_grads(zero, X[:32], y[:32], X[32:64])
+    plain_e, _ = class_grads(zero.extractor, zero.predictor, X[:32], y[:32])
+    dann_e, _, _ = dann_batch_grads(zero, X[:32], y[:32], X[32:64])
     for (pw, pb), (dw, db) in zip(plain_e, dann_e):
         np.testing.assert_array_equal(pw, dw)
         np.testing.assert_array_equal(pb, db)

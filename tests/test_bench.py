@@ -12,6 +12,7 @@ from normda.bench import (
     MethodSpec,
     accuracy,
     apply_grid_point,
+    cells_from_rows,
     config_from_dict,
     config_to_dict,
     derive_seed,
@@ -23,10 +24,11 @@ from normda.bench import (
     grid_search,
     predict_method,
     projection_csv,
+    rows_from_folds_csv,
     run_experiment,
     write_report,
 )
-from normda.dataset import DomainDataset, Fold, SyntheticShiftConfig, generate_synthetic
+from normda.dataset import DomainDataset, Fold, SyntheticShiftConfig, generate_synthetic, save_csv
 from normda.deep import TrainConfig
 from normda.errors import EmptyInputError, ExperimentError, ShapeError
 from normda.normalize import NormStrategy
@@ -473,7 +475,7 @@ def test_emit_table_renders_failed_cells():
     from normda.bench import CellResult
 
     cells = (
-        CellResult("Z2", "noDA-SVM", ("f0",), None, "fold=f0: boom", 0.1),
+        CellResult("Z2", "noDA-SVM", ("f0",), (None,), "fold=f0: boom", 0.1),
     )
     assert "FAIL" in emit_table(cells, "markdown")
     csv_lines = emit_table(cells, "csv").strip().splitlines()
@@ -492,7 +494,29 @@ def test_cells_from_rows_groups_in_row_order():
     ]
     dann, svm = cells_from_rows(rows)
     assert (dann.method, dann.fold_names, dann.accuracies, dann.seconds) == ("DANN", ("f1", "f0"), (0.5, 0.75), 3.0)
-    assert (svm.method, svm.fold_names, svm.accuracies, svm.error) == ("noDA-SVM", ("f1", "f0"), None, "boom")
+    assert (svm.method, svm.fold_names, svm.accuracies, svm.error) == ("noDA-SVM", ("f1", "f0"), (None, 1.0), "boom")
+    assert svm.mean is None and svm.std is None
+
+
+def test_folds_csv_marks_only_the_failed_fold(tmp_path):
+    # HLSO over 3 subjects; subject 2's held-out session keeps one row, so
+    # Z2 cannot standardize that fold's test side. The other folds score.
+    base = generate_synthetic(SyntheticShiftConfig(
+        n_subjects=3, n_sessions=2, n_classes=2, samples_per_class_per_domain=10,
+        dim=4, class_separation=4.0, domain_shift_scale=4.0, seed=6,
+    ))
+    keep = ~((base.subjects == 2) & (base.sessions == 1))
+    keep[np.flatnonzero(~keep)[0]] = True
+    path = tmp_path / "d.csv"
+    save_csv(DomainDataset(base.features[keep], base.labels[keep], base.subjects[keep], base.sessions[keep]), path)
+    cfg = small_cfg(dataset=str(path), protocol="hlso", strategies=(NormStrategy.Z2,))
+    (cell,) = run_experiment(cfg).cells
+    assert not cell.ok and "subject-2" in cell.error
+    text = folds_csv([cell])
+    values = [line.rsplit(",", 1)[1] for line in text.splitlines()[1:]]
+    assert values[2] == "FAIL" and all(0.0 <= float(v) <= 1.0 for v in values[:2])
+    assert folds_csv(cells_from_rows(rows_from_folds_csv(text))) == text
+    assert emit_table([cell], "csv").splitlines()[1].endswith(",,,FAIL")
 
 
 def test_run_experiment_cells_follow_config_order():
@@ -617,6 +641,7 @@ def test_config_from_dict_rejects_unknown_keys(change, named):
             r"learning_rate must be finite, got inf",
         ),
         ({"dataset": {"synthetic": {"noise_std": float("nan")}}}, r"noise_std must be finite, got nan"),
+        ({"strategies": ["Z2", "z2"]}, r"duplicate strategies in config"),
     ],
 )
 def test_config_from_dict_rejects_wrong_values(change, named):

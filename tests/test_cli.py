@@ -275,6 +275,15 @@ def test_run_unknown_strategy_exits_2(tmp_path, capsys):
     assert "Z9" in capsys.readouterr().err
 
 
+def test_run_repeated_strategy_exits_2(tmp_path, capsys):
+    cfg = write_json(
+        tmp_path / "exp.json", dict(RUN_CFG, strategies=["Z2", "z2"], output_dir=str(tmp_path / "r"))
+    )
+    assert main(["run", "--config", cfg]) == 2
+    assert "duplicate strategies in config" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def one_row_subject_csv(tmp_path):
     """A synthetic CSV plus subject 9 with a single row: a one-row domain
     cannot be standardized per domain on the test side (Z2/Z3). Its LOSO

@@ -53,6 +53,21 @@ def test_load_csv_basic(tmp_path):
     assert ds.domain_keys() == [DomainKey(0, 0), DomainKey(1, 0)]
 
 
+def test_load_csv_skips_byte_order_mark(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_bytes(b'\xef\xbb\xbfsubject,session,label,"f\r1",f2\r\n0,0,0,1.0,2.0\r\n0,0,1,3.0,4.0\r\n')
+    ds = load_csv(p)
+    assert ds.feature_names == ("f\r1", "f2")
+    np.testing.assert_array_equal(ds.features, [[1.0, 2.0], [3.0, 4.0]])
+
+
+def test_load_csv_byte_offset_counts_the_byte_order_mark(tmp_path):
+    p = tmp_path / "d.csv"
+    p.write_bytes(b"\xef\xbb\xbfsu\xffbject,session,label,f1\n")  # 0xff is the file's byte 5
+    with pytest.raises(ParseError, match=r"byte 5 is not valid UTF-8"):
+        load_csv(p)
+
+
 def test_load_csv_missing_label_column(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("subject,session,f1\n0,0,1.0\n")

@@ -178,7 +178,7 @@ def test_grl_composite_objective_finite_difference():
     X_all = np.vstack([Xs, Xt])
     d_labels = np.array([0] * 9 + [1] * 7)
 
-    egrads, _, _, _, _ = dann_batch_grads(model, Xs, ys, Xt)
+    egrads, _, _ = dann_batch_grads(model, Xs, ys, Xt)
 
     def composite(ext_params):
         feats, _ = forward(model.extractor.spec, ext_params, Xs)
@@ -198,8 +198,8 @@ def test_dann_lambda_zero_matches_plain_gradients_bitwise():
     Xs = rng.normal(size=(10, 4))
     ys = rng.integers(0, 3, 10)
     Xt = rng.normal(size=(6, 4))
-    plain_e, plain_p, _ = class_grads(model.extractor, model.predictor, Xs, ys)
-    dann_e, dann_p, dann_d, _, _ = dann_batch_grads(model, Xs, ys, Xt)
+    plain_e, plain_p = class_grads(model.extractor, model.predictor, Xs, ys)
+    dann_e, dann_p, dann_d = dann_batch_grads(model, Xs, ys, Xt)
     assert params_equal(plain_e, dann_e)
     assert params_equal(plain_p, dann_p)
     # the domain head still receives its own training gradients
@@ -241,7 +241,7 @@ def test_adam_flat_update_matches_per_array_reference_bitwise():
     ref_state = (zeros, zeros, 0)
     for step in range(6):
         rows = slice(5 * step, 5 * step + 12)
-        egrads, pgrads, _ = class_grads(fext, fpred, X[rows], y[rows])
+        egrads, pgrads = class_grads(fext, fpred, X[rows], y[rows])
         adam_step(theta, flatten(egrads, pgrads), state, 0.05)
         ref, ref_state = reference_adam_step(ref, egrads + pgrads, ref_state, 0.05)
         assert params_equal(fext.params + fpred.params, ref)

@@ -185,7 +185,9 @@ def test_tca_transform_contracts():
         basis_scores, gram(model.basis, model.basis, LINEAR) @ model.projection
     )
     assert tca_transform(model, Xs).shape == (20, 2)
-    assert tca_transform(model, np.empty((0, 5))).shape == (0, 2)
+    for kernel in (LINEAR, KernelSpec("rbf")):
+        empty = tca_transform(tca_fit(Xs, Xt, kernel, dim=2), np.empty((0, 5)))
+        assert empty.shape == (0, 2) and empty.dtype == np.float64
 
 
 def test_tca_dim_too_large():
@@ -220,6 +222,8 @@ def test_kpca_linear_equals_pca():
     for j in range(3):
         corr = np.corrcoef(scores[:, j], ref[:, j])[0, 1]
         assert abs(corr) > 1 - 1e-9
+    empty = kpca_transform(model, np.empty((0, 3)))
+    assert empty.shape == (0, 3) and empty.dtype == np.float64
 
 
 def test_kpca_degenerate_data_rejected():
@@ -242,6 +246,8 @@ def test_kpca_transform_consistency():
     train_scores = kpca_transform(model, X)
     # a duplicate of basis row i lands exactly on that row's training score
     np.testing.assert_allclose(kpca_transform(model, X[3:4]), train_scores[3:4], atol=1e-9)
+    empty = kpca_transform(model, np.empty((0, 4)))
+    assert empty.shape == (0, 4) and empty.dtype == np.float64
 
 
 def test_kpca_linear_mean_point_scores_zero():

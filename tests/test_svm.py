@@ -145,9 +145,13 @@ def test_predict_is_rowwise_pure():
 
 
 def test_predict_empty_matrix():
-    X = np.array([[-1.0], [1.0]])
-    model = svm_train(X, np.array([0, 1]), LINEAR)
-    assert svm_predict(model, np.empty((0, 1))).shape == (0,)
+    X = np.array([[-1.0], [1.0], [3.0]])
+    for kernel in (LINEAR, KernelSpec("rbf")):
+        model = svm_train(X, np.array([0, 1, 2]), kernel)
+        values = decision_values(model, np.empty((0, 1)))
+        assert values.shape == (0, 3) and values.dtype == np.float64
+        labels = svm_predict(model, np.empty((0, 1)))
+        assert labels.shape == (0,) and labels.dtype == np.int64
 
 
 def test_predict_shape_mismatch():
