@@ -13,7 +13,7 @@ from .dataset import (
     loso_folds,
     save_csv,
 )
-from .normalize import FeatureStats, NormStrategy, apply_strategy, compute_stats, minmax, zscore
+from .normalize import FeatureStats, NormStrategy, apply_strategy, compute_stats, zscore
 from .shallow import (
     KernelSpec,
     KpcaModel,

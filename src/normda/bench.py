@@ -23,7 +23,6 @@ import numpy as np
 
 from .dataset import (
     PROTOCOLS,
-    VAL_FRACTION,
     DomainDataset,
     Fold,
     SyntheticShiftConfig,
@@ -58,7 +57,7 @@ from .shallow import (
     tca_fit,
     tca_transform,
 )
-from .svm import SvmModel, svm_predict, svm_train
+from .svm import svm_predict, svm_train
 
 STRATEGY_ORDER = tuple(s.value for s in NormStrategy)
 ARCH_KEYS = ("hidden", "feature_dim", "activation")
@@ -79,12 +78,8 @@ class MethodEntry(NamedTuple):
     predict: Callable[[tuple, np.ndarray], np.ndarray]
 
 
-def _svm(method: MethodSpec, kernel: KernelSpec, X: np.ndarray, y: np.ndarray, seed: int) -> SvmModel:
-    return svm_train(X, y, kernel, method.C, seed=seed)
-
-
 def _fit_svm(method, train_X, train_y, test_X, seed):
-    return (_svm(method, method.kernel, train_X, train_y, seed),)
+    return (svm_train(train_X, train_y, method.kernel, method.C, seed=seed),)
 
 
 def _predict_svm(payload, X):
@@ -93,7 +88,7 @@ def _predict_svm(payload, X):
 
 def _fit_tca_svm(method, train_X, train_y, test_X, seed):
     tca = tca_fit(train_X, test_X, method.kernel, method.dim, method.mu_reg)
-    return tca, _svm(method, method.svm_kernel, tca_transform(tca, train_X), train_y, seed)
+    return tca, svm_train(tca_transform(tca, train_X), train_y, method.svm_kernel, method.C, seed=seed)
 
 
 def _predict_tca_svm(payload, X):
@@ -104,7 +99,7 @@ def _predict_tca_svm(payload, X):
 def _fit_kpca_svm(method, train_X, train_y, test_X, seed):
     pooled = np.vstack([train_X, test_X])
     kpca = kpca_fit(pooled, method.kernel, min(method.dim, pooled.shape[0]))
-    return kpca, _svm(method, method.svm_kernel, kpca_transform(kpca, train_X), train_y, seed)
+    return kpca, svm_train(kpca_transform(kpca, train_X), train_y, method.svm_kernel, method.C, seed=seed)
 
 
 def _predict_kpca_svm(payload, X):
@@ -490,7 +485,7 @@ def resolve_fold_specs(
     if not grid:
         return method
     try:
-        tr, val = stratified_indices(train_y, VAL_FRACTION, seed)
+        tr, val = stratified_indices(train_y, seed)
         return grid_search(
             method, grid, train_X[tr], train_y[tr], train_X[val], train_y[val], test_X, seed
         )
@@ -543,7 +538,8 @@ def _run_fold_group(
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     """Run the full strategy-by-method grid over the protocol's folds on
-    `jobs` worker processes (1: in this process)."""
+    `jobs` worker processes, at most one per (strategy, fold) group (1: in
+    this process)."""
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     ds = resolve_dataset(cfg)
@@ -556,7 +552,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
             futures = [pool.submit(_run_fold_group, *group) for group in groups]
             outcome_lists = [f.result() for f in futures]
     else:
@@ -743,8 +739,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ConfigError("config needs a 'dataset' entry with exactly one of 'synthetic' or 'csv'")
     if "synthetic" in ds_raw:
         dataset: SyntheticShiftConfig | str = synthetic_from_dict(ds_raw["synthetic"])
+    elif isinstance(ds_raw["csv"], str):
+        dataset = ds_raw["csv"]
     else:
-        dataset = str(ds_raw["csv"])
+        raise ConfigError(f"dataset 'csv' must be a path string, got {ds_raw['csv']!r}")
     parsed = dict(raw, dataset=dataset)
     for key in ("methods", "strategies"):
         if not isinstance(raw.get(key, []), (list, tuple)):

@@ -219,10 +219,11 @@ def load_csv(path) -> DomainDataset:
     """Read a dataset from CSV: the subject, session and label columns are
     integer ids, every other column a feature.
 
-    Raises SchemaError for missing columns, ParseError naming the offending
-    row (1-based, header excluded) and column of a cell that is not a
-    finite number, or the first byte that is not UTF-8, EmptyInputError
-    for a file without data rows. A leading byte-order mark is skipped.
+    Raises SchemaError for missing columns or a column name that repeats
+    after stripping whitespace, ParseError naming the offending row
+    (1-based, header excluded) and column of a cell that is not a finite
+    number, or the first byte that is not UTF-8, EmptyInputError for a
+    file without data rows. A leading byte-order mark is skipped.
     """
     schema = ("subject", "session", "label")
     with open(path, "rb") as fh:
@@ -240,6 +241,9 @@ def load_csv(path) -> DomainDataset:
         except StopIteration:
             raise EmptyInputError(f"{path}: file is empty") from None
         header = [h.strip() for h in header]
+        for j, name in enumerate(header):
+            if name in header[:j]:
+                raise SchemaError(f"{path}: column {name!r} appears more than once in the header")
         for col in schema:
             if col not in header:
                 raise SchemaError(f"{path}: missing required column {col!r}")
@@ -354,27 +358,23 @@ def folds_for(ds: DomainDataset, protocol: str) -> list[Fold]:
     return loso_folds(ds) if protocol == "loso" else hlso_folds(ds)
 
 
-def stratified_indices(
-    labels: Sequence[int], fraction: float, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
+def stratified_indices(labels: Sequence[int], seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Split the row indices of `labels` into (rest, held-out) preserving
     class proportions.
 
-    Per class the held-out side gets ceil(fraction * count) rows, never
+    Per class the held-out side gets ceil(VAL_FRACTION * count) rows, never
     fewer than one. Deterministic given the seed; both outputs are sorted.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
         raise EmptyInputError("cannot split an empty index set")
-    if not 0.0 < fraction < 1.0:
-        raise ConfigError("fraction must be in (0, 1)")
     rng = np.random.default_rng(seed)
     val_parts = []
     for c in sorted({int(v) for v in labels}):
         rows = np.flatnonzero(labels == c)
         if rows.size < 2:
             raise StratificationError(f"class {c} has a single row; cannot stratify")
-        n_val = max(1, math.ceil(fraction * rows.size))
+        n_val = max(1, math.ceil(VAL_FRACTION * rows.size))
         val_parts.append(rng.permutation(rows)[:n_val])
     val = np.sort(np.concatenate(val_parts))
     return np.setdiff1d(np.arange(labels.size), val), val

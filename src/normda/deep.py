@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .dataset import VAL_FRACTION, accuracy, stratified_indices
+from .dataset import accuracy, stratified_indices
 from .errors import ConfigError, DegenerateLabelsError, NumericError, ShapeError, check_field_types
 
 ADAM_BETA1 = 0.9
@@ -473,7 +473,7 @@ def _paired_batches(n_src: int, n_tgt: int, batch_size: int, rng) -> list[tuple[
 
 def _val_split(y: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
     seed = int(rng.integers(2**32))
-    return stratified_indices(y, VAL_FRACTION, seed)
+    return stratified_indices(y, seed)
 
 
 def _early_stopping(theta: np.ndarray, epochs: int, patience: int, run_epoch, score) -> np.ndarray:

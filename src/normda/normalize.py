@@ -1,10 +1,11 @@
-"""Z-score and min-max transforms plus the split-aware strategies Z0-Z3.
+"""The z-score transform and the split-aware strategies built on it.
 
 Z0-Z3 differ only in whose statistics standardize each side of a fold:
 the pooled raw training rows ("pooled") or each domain's own rows ("own").
 ZSCORE_SIDES states that choice once per strategy. noNorm returns the raw
-rows, and MinMax fits min/max on the training rows and applies them to
-both sides.
+rows. MinMax is the pooled standardization with location = min and
+scale = max - min of the training rows, applied to both sides by the
+same `zscore`.
 
 Z2 and Z3 are transductive: their test-side transform reads test-side
 feature statistics (never labels), which matches the unsupervised-DA
@@ -46,7 +47,8 @@ class NormStrategy(enum.Enum):
 
 @dataclass(frozen=True)
 class FeatureStats:
-    """Per-feature mean and population standard deviation."""
+    """Per-feature location and scale: the mean and population standard
+    deviation for z-scores, the min and range for MinMax."""
 
     mu: np.ndarray
     sigma: np.ndarray
@@ -76,16 +78,6 @@ def zscore(X: np.ndarray, stats: FeatureStats) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != stats.mu.shape[0]:
         raise ShapeError(f"matrix has {X.shape[-1]} features, stats have {stats.mu.shape[0]}")
     return (X - stats.mu) / np.maximum(stats.sigma, EPS)
-
-
-def minmax(X: np.ndarray, mins: np.ndarray, maxs: np.ndarray) -> np.ndarray:
-    """(X - mins) / (maxs - mins) with the range floored at EPS; no clipping."""
-    X = np.asarray(X, dtype=np.float64)
-    mins = np.asarray(mins, dtype=np.float64)
-    maxs = np.asarray(maxs, dtype=np.float64)
-    if mins.shape != maxs.shape or mins.ndim != 1 or X.shape[1] != mins.shape[0]:
-        raise ShapeError("mins/maxs must be length-m vectors matching the matrix")
-    return (X - mins) / np.maximum(maxs - mins, EPS)
 
 
 # (training side, test side) of each z-score strategy; see the module docstring.
@@ -127,11 +119,8 @@ def apply_strategy(ds: DomainDataset, fold: Fold, strategy: NormStrategy) -> tup
 
     if strategy is NormStrategy.MIN_MAX:
         mins = train_raw.min(axis=0)
-        maxs = train_raw.max(axis=0)
-        return (
-            minmax(train_raw, mins, maxs),
-            minmax(ds.features[fold.test_idx], mins, maxs),
-        )
+        ranges = FeatureStats(mins, train_raw.max(axis=0) - mins)
+        return zscore(train_raw, ranges), zscore(ds.features[fold.test_idx], ranges)
 
     train_side, test_side = ZSCORE_SIDES[strategy]
     pooled = compute_stats(train_raw)

@@ -244,10 +244,6 @@ def svm_train(
         biases[ci] = b
 
     support = np.flatnonzero(np.any(np.abs(coefs) > 0, axis=0))
-    if support.size == 0:
-        # All multipliers stayed at zero (cannot happen for >= 2 classes,
-        # but keep the model well-formed regardless).
-        support = np.arange(X.shape[0])
     return SvmModel(X[support], coefs[:, support], biases, k, C, classes)
 
 

@@ -205,6 +205,33 @@ def test_run_experiment_parallel_matches_serial():
     assert emit_table(serial.cells, "csv") == emit_table(parallel.cells, "csv")
 
 
+def test_run_experiment_starts_no_more_workers_than_groups(monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        """Runs each task in this process and records the requested size."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    report = run_experiment(small_cfg(), jobs=1000)
+    assert sizes == [len(report.config.strategies) * len(report.fold_names)]
+
+
 def test_run_experiment_records_failed_cells():
     # one subject contributes a single row: Z2 cannot standardize the test
     # side of its LOSO fold, so the Z2 cell fails while noNorm survives
@@ -642,6 +669,9 @@ def test_config_from_dict_rejects_unknown_keys(change, named):
         ),
         ({"dataset": {"synthetic": {"noise_std": float("nan")}}}, r"noise_std must be finite, got nan"),
         ({"strategies": ["Z2", "z2"]}, r"duplicate strategies in config"),
+        ({"dataset": {"csv": 5}}, r"dataset 'csv' must be a path string, got 5"),
+        ({"dataset": {"csv": None}}, r"dataset 'csv' must be a path string, got None"),
+        ({"dataset": {"csv": ["d.csv"]}}, r"dataset 'csv' must be a path string, got \['d.csv'\]"),
     ],
 )
 def test_config_from_dict_rejects_wrong_values(change, named):

@@ -447,6 +447,7 @@ def test_run_strict_exits_4_only_for_failed_cells(tmp_path, capsys):
         ("synth", b'{"bogus": 1}', "unknown synthetic fields: ['bogus']"),
         ("synth", b'{"noise_std": NaN}', "noise_std must be finite, got nan"),
         ("run", b'{"dataset": {"csv": "d.csv"}, "methods": [{"kind": "noDA-SVM", "C": NaN}]}', "C must be finite"),
+        ("run", b'{"dataset": {"csv": 5}}', "dataset 'csv' must be a path string, got 5"),
     ],
 )
 def test_malformed_json_config_exits_2(tmp_path, capsys, command, content, named):

@@ -75,6 +75,21 @@ def test_load_csv_missing_label_column(tmp_path):
         load_csv(p)
 
 
+@pytest.mark.parametrize(
+    "header, named",
+    [
+        ("subject,session,label,f0,label", "label"),
+        ("subject,session,label,f0, subject", "subject"),
+        ("subject,session,label,f0,f0", "f0"),
+    ],
+)
+def test_load_csv_rejects_repeated_column(tmp_path, header, named):
+    p = tmp_path / "d.csv"
+    p.write_text(f"{header}\n0,0,0,1.0,1\n1,0,1,2.0,0\n")
+    with pytest.raises(SchemaError, match=rf"column '{named}' appears more than once"):
+        load_csv(p)
+
+
 def test_load_csv_parse_error_names_row_and_column(tmp_path):
     p = tmp_path / "d.csv"
     p.write_text("subject,session,label,f1\n0,0,0,1.0\n0,0,0,2.0\n0,0,0,abc\n")
@@ -269,7 +284,7 @@ def test_fold_rejects_overlap():
 
 def test_stratified_split_even_classes():
     ds = make_ds([0] * 100, [0] * 100, [0] * 50 + [1] * 50)
-    train, val = stratified_indices(ds.labels, 0.1, seed=0)
+    train, val = stratified_indices(ds.labels, seed=0)
     assert val.size == 10
     assert np.sum(ds.labels[val] == 0) == 5 and np.sum(ds.labels[val] == 1) == 5
     assert np.array_equal(np.sort(np.concatenate([train, val])), np.arange(100))
@@ -277,14 +292,14 @@ def test_stratified_split_even_classes():
 
 def test_stratified_split_skewed_classes():
     ds = make_ds([0] * 100, [0] * 100, [0] * 90 + [1] * 10)
-    _, val = stratified_indices(ds.labels, 0.1, seed=0)
+    _, val = stratified_indices(ds.labels, seed=0)
     assert np.sum(ds.labels[val] == 0) == 9 and np.sum(ds.labels[val] == 1) == 1
 
 
 def test_stratified_split_deterministic():
     ds = make_ds([0] * 40, [0] * 40, [0, 1] * 20)
-    a = stratified_indices(ds.labels, 0.25, seed=7)
-    b = stratified_indices(ds.labels, 0.25, seed=7)
+    a = stratified_indices(ds.labels, seed=7)
+    b = stratified_indices(ds.labels, seed=7)
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
 
@@ -292,7 +307,7 @@ def test_stratified_split_deterministic():
 def test_stratified_split_single_row_class_rejected():
     ds = make_ds([0] * 5, [0] * 5, [0, 0, 0, 0, 1])
     with pytest.raises(StratificationError):
-        stratified_indices(ds.labels, 0.2, seed=0)
+        stratified_indices(ds.labels, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,11 @@ from hypothesis.extra.numpy import arrays
 from normda.dataset import DomainDataset, Fold
 from normda.errors import DegenerateDomainError, EmptyInputError, ShapeError
 from normda.normalize import (
+    EPS,
     FeatureStats,
     NormStrategy,
     apply_strategy,
     compute_stats,
-    minmax,
     zscore,
 )
 
@@ -60,13 +60,18 @@ def test_zscore_shape_mismatch():
         zscore(np.ones((2, 3)), FeatureStats(np.zeros(2), np.ones(2)))
 
 
+def range_stats(X):
+    """MinMax's statistics: location = column min, scale = column range."""
+    return FeatureStats(X.min(axis=0), X.max(axis=0) - X.min(axis=0))
+
+
 def test_minmax_cases():
     X = column([0.0, 10.0])
-    out = minmax(X, X.min(axis=0), X.max(axis=0))
+    out = zscore(X, range_stats(X))
     np.testing.assert_allclose(out[:, 0], [0.0, 1.0])
     const = column([4.0, 4.0])
-    np.testing.assert_array_equal(minmax(const, const.min(0), const.max(0)), np.zeros((2, 1)))
-    test = minmax(column([12.0]), np.array([0.0]), np.array([10.0]))
+    np.testing.assert_array_equal(zscore(const, range_stats(const)), np.zeros((2, 1)))
+    test = zscore(column([12.0]), range_stats(X))
     assert test[0, 0] == pytest.approx(1.2)  # out-of-range values are not clipped
 
 
@@ -155,6 +160,21 @@ def test_minmax_strategy_fit_on_train_only():
     train, test = apply_strategy(ds, fold, NormStrategy.MIN_MAX)
     assert train.min() == pytest.approx(0.0) and train.max() == pytest.approx(1.0)
     assert test.max() > 1.0 or test.min() < 0.0  # shifted test spills out of [0, 1]
+
+
+def test_minmax_strategy_matches_range_formula_bitwise():
+    ds = make_multidomain()
+    feats = np.array(ds.features)
+    feats[:, 1] = 7.0  # a constant column: range 0, floored at EPS
+    feats[ds.subjects == 2, 2] += 50.0  # test rows above the training range
+    ds = DomainDataset(feats, ds.labels, ds.subjects, ds.sessions)
+    fold = Fold(np.flatnonzero(ds.subjects != 2), np.flatnonzero(ds.subjects == 2), "f")
+    mins = feats[fold.train_idx].min(axis=0)
+    maxs = feats[fold.train_idx].max(axis=0)
+    train, test = apply_strategy(ds, fold, NormStrategy.MIN_MAX)
+    assert np.array_equal(train, (feats[fold.train_idx] - mins) / np.maximum(maxs - mins, EPS))
+    assert np.array_equal(test, (feats[fold.test_idx] - mins) / np.maximum(maxs - mins, EPS))
+    assert np.all(test[:, 1] == 0.0) and np.all(test[:, 2] > 1.0)
 
 
 def test_no_norm_returns_raw_copies():

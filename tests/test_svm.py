@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,22 @@ def test_predict_empty_matrix():
         assert values.shape == (0, 3) and values.dtype == np.float64
         labels = svm_predict(model, np.empty((0, 1)))
         assert labels.shape == (0,) and labels.dtype == np.int64
+
+
+@pytest.mark.parametrize("kernel", [LINEAR, KernelSpec("rbf")], ids=["linear", "rbf"])
+def test_no_moved_multiplier_leaves_an_empty_support(kernel):
+    # At a C this small no SMO step clears _STEP_EPS, so every multiplier
+    # stays at zero; the model keeps no rows and predicts from its biases.
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(12, 2))
+    model = svm_train(X, np.repeat([0, 1, 2], 4), kernel, C=1e-30)
+    assert model.support_rows.shape == (0, 2) and model.dual_coefs.shape == (3, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = decision_values(model, X)
+        labels = svm_predict(model, X)
+    np.testing.assert_array_equal(values, np.broadcast_to(model.biases, (12, 3)))
+    np.testing.assert_array_equal(labels, np.argmax(values, axis=1))
 
 
 def test_predict_shape_mismatch():
