@@ -147,9 +147,11 @@ class SyntheticShiftConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        for name in ("n_subjects", "n_sessions", "n_classes", "samples_per_class_per_domain", "dim"):
+        for name in ("n_subjects", "n_sessions", "samples_per_class_per_domain", "dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
+        if self.n_classes < 2:
+            raise ConfigError("n_classes must be >= 2")
         if self.class_separation <= 0:
             raise ConfigError("class_separation must be > 0")
         if self.noise_std <= 0:

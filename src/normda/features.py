@@ -45,8 +45,10 @@ class SignalEpoch:
         samples = np.asarray(self.samples, dtype=np.float64)
         if samples.ndim != 2 or samples.shape[1] < 2:
             raise ConfigError("samples must be channels x time with >= 2 samples")
-        if self.fs <= 0:
-            raise ConfigError("sampling rate must be positive")
+        if not (math.isfinite(self.fs) and self.fs > 0):
+            raise ConfigError(f"sampling rate must be positive and finite, got {self.fs!r}")
+        if not np.isfinite(samples).all():
+            raise ConfigError("samples must be finite")
         object.__setattr__(self, "samples", samples)
 
     @property

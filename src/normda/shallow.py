@@ -139,6 +139,8 @@ def tca_fit(
     Xt = np.asarray(Xt, dtype=np.float64)
     if Xs.size == 0 or Xt.size == 0:
         raise EmptyInputError("tca_fit needs two nonempty sample sets")
+    if not (np.isfinite(Xs).all() and np.isfinite(Xt).all()):
+        raise NumericError("tca_fit inputs contain non-finite values")
     if not (math.isfinite(mu_reg) and mu_reg > 0):
         raise ConfigError(f"mu_reg must be positive and finite, got {mu_reg!r}")
     ns, nt = Xs.shape[0], Xt.shape[0]
@@ -198,6 +200,8 @@ def kpca_fit(X: np.ndarray, k: KernelSpec, dim: int) -> KpcaModel:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0:
         raise EmptyInputError("kpca_fit needs a nonempty matrix")
+    if not np.isfinite(X).all():
+        raise NumericError("kpca_fit input contains non-finite values")
     n = X.shape[0]
     if not 1 <= dim <= n:
         raise ShapeError(f"dim must be in [1, {n}], got {dim}")

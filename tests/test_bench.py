@@ -672,6 +672,7 @@ def test_config_from_dict_rejects_unknown_keys(change, named):
         ({"dataset": {"csv": 5}}, r"dataset 'csv' must be a path string, got 5"),
         ({"dataset": {"csv": None}}, r"dataset 'csv' must be a path string, got None"),
         ({"dataset": {"csv": ["d.csv"]}}, r"dataset 'csv' must be a path string, got \['d.csv'\]"),
+        ({"dataset": {"synthetic": {"n_classes": 1}}}, r"n_classes must be >= 2"),
     ],
 )
 def test_config_from_dict_rejects_wrong_values(change, named):

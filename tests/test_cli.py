@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -448,6 +451,7 @@ def test_run_strict_exits_4_only_for_failed_cells(tmp_path, capsys):
         ("synth", b'{"noise_std": NaN}', "noise_std must be finite, got nan"),
         ("run", b'{"dataset": {"csv": "d.csv"}, "methods": [{"kind": "noDA-SVM", "C": NaN}]}', "C must be finite"),
         ("run", b'{"dataset": {"csv": 5}}', "dataset 'csv' must be a path string, got 5"),
+        ("synth", b'{"n_classes": 1}', "n_classes must be >= 2"),
     ],
 )
 def test_malformed_json_config_exits_2(tmp_path, capsys, command, content, named):
@@ -480,3 +484,14 @@ def test_signal_pipeline_demo_writes_features_and_prints_table(tmp_path, monkeyp
     printed = capsys.readouterr().out
     assert "| strategy | noDA-SVM | TCA-SVM |" in printed
     assert "| --- | --- | --- |" in printed
+
+
+def test_import_normda_loads_every_library_module():
+    # The set-up/run split of a benchmark timing `import normda` and the
+    # tracers that wrap functions per module both rely on this.
+    code = "import sys, normda; print(' '.join(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    modules = set(out.stdout.split())
+    layers = ("bench", "dataset", "deep", "errors", "features", "normalize", "shallow", "svm")
+    assert {f"normda.{name}" for name in layers} | {"scipy.signal"} <= modules

@@ -17,6 +17,7 @@ import normda.bench as bench
 from normda.bench import MethodSpec, grid_search, run_experiment, write_report
 from normda.dataset import DomainDataset, Fold, SyntheticShiftConfig, deap_valence_labels
 from normda.errors import ConfigError, NumericError
+from normda.features import SignalEpoch
 from normda.normalize import FeatureStats, NormStrategy
 from normda.shallow import KernelSpec, kpca_fit, tca_fit
 from normda.svm import svm_train
@@ -124,11 +125,33 @@ def test_rejected_projection_is_listed_in_report(tmp_path):
         lambda: FeatureStats(np.zeros(2), -np.ones(2)),
         lambda: deap_valence_labels([7.0]),
         lambda: deap_valence_labels([9.5]),
+        lambda: SignalEpoch(np.array([[0.0, np.nan, 1.0]]), 200.0),
+        lambda: SignalEpoch(np.array([[0.0, np.inf, 1.0]]), 200.0),
+        lambda: SignalEpoch(np.zeros((1, 3)), float("inf")),
+        lambda: SignalEpoch(np.zeros((1, 3)), float("nan")),
     ],
 )
 def test_input_checks_raise_config_error(call):
     with pytest.raises(ConfigError):
         call()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "fit",
+    [
+        lambda X, bad: tca_fit(bad, X, KernelSpec(), 1),
+        lambda X, bad: tca_fit(X, bad, KernelSpec(), 1),
+        lambda X, bad: kpca_fit(bad, KernelSpec("rbf"), 1),
+    ],
+    ids=["tca-source", "tca-target", "kpca"],
+)
+def test_projection_fits_reject_non_finite_input(fit, value):
+    X = np.random.default_rng(0).normal(size=(6, 2))
+    bad = X.copy()
+    bad[1, 0] = value
+    with pytest.raises(NumericError, match="non-finite"):
+        fit(X, bad)
 
 
 def _lin_alg_failure(*args, **kwargs):
