@@ -66,18 +66,48 @@ ARCH_KEYS = ("hidden", "feature_dim", "activation")
 # ---------------------------------------------------------------------------
 # Method registry
 #
-# Each method kind is one row of METHODS: fit(spec, train_X, train_y,
-# test_X, seed) returns a payload tuple and predict(payload, X) labels rows.
+# Each method kind is one row of METHODS: fit(spec, problems) fits every
+# FitProblem of the list and returns, per problem, (payload tuple or the
+# NormdaError that failed it, seconds); predict(payload, X) labels rows.
 # The entries call svm_train, tca_fit, train_dann and the rest through this
 # module's globals, so rebinding those names (as tests and tracing do)
 # reaches every fit and predict.
 
 
 class MethodEntry(NamedTuple):
-    fit: Callable[..., tuple]
+    fit: Callable[..., list]
     predict: Callable[[tuple, np.ndarray], np.ndarray]
 
 
+class FitProblem(NamedTuple):
+    """One fit's inputs: normalized training rows and labels, the unlabeled
+    test-side rows that DA methods read, and the fit's seed."""
+
+    train_X: np.ndarray
+    train_y: np.ndarray
+    test_X: np.ndarray
+    seed: int
+
+
+def _each(fit_one):
+    """A registry fit that fits the problems one at a time with
+    `fit_one(method, train_X, train_y, test_X, seed)`, timing each."""
+
+    def fit(method, problems):
+        out = []
+        for problem in problems:
+            start = time.perf_counter()
+            try:
+                result = fit_one(method, *problem)
+            except NormdaError as exc:
+                result = exc
+            out.append((result, time.perf_counter() - start))
+        return out
+
+    return fit
+
+
+@_each
 def _fit_svm(method, train_X, train_y, test_X, seed):
     return (svm_train(train_X, train_y, method.kernel, method.C, seed=seed),)
 
@@ -86,6 +116,7 @@ def _predict_svm(payload, X):
     return svm_predict(payload[0], X)
 
 
+@_each
 def _fit_tca_svm(method, train_X, train_y, test_X, seed):
     tca = tca_fit(train_X, test_X, method.kernel, method.dim, method.mu_reg)
     return tca, svm_train(tca_transform(tca, train_X), train_y, method.svm_kernel, method.C, seed=seed)
@@ -96,6 +127,7 @@ def _predict_tca_svm(payload, X):
     return svm_predict(svm, tca_transform(tca, X))
 
 
+@_each
 def _fit_kpca_svm(method, train_X, train_y, test_X, seed):
     pooled = np.vstack([train_X, test_X])
     kpca = kpca_fit(pooled, method.kernel, min(method.dim, pooled.shape[0]))
@@ -116,36 +148,60 @@ def network_specs(method: MethodSpec, in_dim: int, n_classes: int) -> tuple[MlpS
 
 
 def _deep(train):
-    """Adapt a network trainer to the registry's fit signature.
+    """Adapt a network trainer to the registry's fit.
 
-    `train(method, X, y, test_X, seed, extractor, predictor, adversary)`
-    sees labels remapped to 0..k-1, this fit's seed, and the MLP specs the
-    method's shape asks for. The payload is (model, original class labels).
+    `train(method, Xs, ys, test_Xs, seeds, extractor, predictor, adversary)`
+    gets the problems whose networks share a shape as lists, with labels
+    remapped to 0..k-1, and trains them in lockstep through one trainer
+    call; it returns one model or NormdaError per problem. Each problem's
+    seconds are an equal share of the whole fit. The payload is (model,
+    original class labels).
     """
 
-    def fit(method, train_X, train_y, test_X, seed):
-        classes = tuple(sorted({int(v) for v in train_y}))
-        remap = {c: i for i, c in enumerate(classes)}
-        y_pos = np.array([remap[int(v)] for v in train_y], dtype=np.int64)
-        specs = network_specs(method, train_X.shape[1], len(classes))
-        return train(method, train_X, y_pos, test_X, seed, *specs), classes
+    def fit(method, problems):
+        start = time.perf_counter()
+        results: list = [None] * len(problems)
+        calls: dict = {}
+        for i, problem in enumerate(problems):
+            classes = tuple(sorted({int(v) for v in problem.train_y}))
+            remap = {c: k for k, c in enumerate(classes)}
+            y_pos = np.array([remap[int(v)] for v in problem.train_y], dtype=np.int64)
+            try:
+                specs = network_specs(method, problem.train_X.shape[1], len(classes))
+            except NormdaError as exc:
+                results[i] = exc
+                continue
+            calls.setdefault(specs, []).append((i, problem, y_pos, classes))
+        for specs, members in calls.items():
+            models = train(
+                method,
+                [p.train_X for _, p, _, _ in members],
+                [y for _, _, y, _ in members],
+                [p.test_X for _, p, _, _ in members],
+                [p.seed for _, p, _, _ in members],
+                *specs,
+            )
+            for (i, _, _, classes), model in zip(members, models):
+                results[i] = model if isinstance(model, NormdaError) else (model, classes)
+        share = (time.perf_counter() - start) / len(problems)
+        return [(result, share) for result in results]
 
     return fit
 
 
 @_deep
-def _fit_ann(method, X, y, test_X, seed, extractor, predictor, adversary):
-    return train_plain(X, y, method.train, extractor, predictor, seed)
+def _fit_ann(method, X, y, test_X, seeds, extractor, predictor, adversary):
+    return train_plain(X, y, method.train, extractor, predictor, seeds)
 
 
 @_deep
-def _fit_dann(method, X, y, test_X, seed, extractor, predictor, adversary):
-    return train_dann(X, y, test_X, method.train, extractor, predictor, adversary, method.lam, seed)
+def _fit_dann(method, X, y, test_X, seeds, extractor, predictor, adversary):
+    return train_dann(X, y, test_X, method.train, extractor, predictor, adversary, method.lam, seeds)
 
 
 @_deep
-def _fit_adda(method, X, y, test_X, seed, extractor, predictor, adversary):
-    return train_adda(X, y, test_X, method.train, extractor, predictor, adversary, seed)
+def _fit_adda(method, X, y, test_X, seeds, extractor, predictor, adversary):
+    return train_adda(X, y, test_X, method.train, extractor, predictor, adversary, seeds)
 
 
 def _predict_ann(payload, X):
@@ -169,6 +225,7 @@ METHODS = {
     "KPCA-SVM": MethodEntry(_fit_kpca_svm, _predict_kpca_svm),
 }
 METHOD_ORDER = tuple(METHODS)
+DEEP_KINDS = ("noDA-ANN", "DANN", "ADDA")
 
 
 # MethodSpec fields given in a config as nested dicts.
@@ -376,18 +433,20 @@ class FittedMethod:
 
 
 def fit_method(
-    method: MethodSpec,
-    train_X: np.ndarray,
-    train_y: np.ndarray,
-    test_X: np.ndarray,
-    seed: int,
-) -> FittedMethod:
-    """Train one method on a normalized fold.
+    method: MethodSpec, problems: list[FitProblem]
+) -> list[tuple[FittedMethod | NormdaError, float]]:
+    """Train one method on each problem (a normalized fold) through one
+    registry call: the deep methods train them in lockstep.
 
-    DA methods receive the unlabeled test-side features; test labels are
-    not part of the signature, so fitting cannot read them.
+    Returns per problem its FittedMethod, or the NormdaError that failed
+    it, with the seconds its fit took; lockstep members share the call's
+    time equally. DA methods receive the unlabeled test-side features;
+    test labels are not part of a FitProblem, so fitting cannot read them.
     """
-    return FittedMethod(method.kind, METHODS[method.kind].fit(method, train_X, train_y, test_X, seed))
+    return [
+        (result if isinstance(result, NormdaError) else FittedMethod(method.kind, result), seconds)
+        for result, seconds in METHODS[method.kind].fit(method, problems)
+    ]
 
 
 def predict_method(fitted: FittedMethod, X: np.ndarray) -> np.ndarray:
@@ -437,7 +496,9 @@ def grid_search(
     for values in itertools.product(*(grid[k] for k in keys)):
         try:
             candidate = apply_grid_point(method, dict(zip(keys, values)))
-            fitted = fit_method(candidate, Xtr, ytr, target_X, seed)
+            [(fitted, _)] = fit_method(candidate, [FitProblem(Xtr, ytr, target_X, seed)])
+            if isinstance(fitted, NormdaError):
+                raise fitted
             score = accuracy(predict_method(fitted, Xval), yval)
         except NormdaError as exc:  # failed points lose to any finite result
             failures.append(f"{dict(zip(keys, values))}: {exc}")
@@ -480,7 +541,7 @@ def resolve_fold_specs(
     """
     if pinned:
         grid = {k: v for k, v in grid.items() if k not in ARCH_KEYS}
-        if method.kind in ("noDA-ANN", "ADDA"):
+        if method.kind in DEEP_KINDS:
             method = replace(method, **pinned)
     if not grid:
         return method
@@ -495,68 +556,97 @@ def resolve_fold_specs(
 
 def _run_fold_group(
     ds: DomainDataset,
-    fold: Fold,
-    strategy: NormStrategy,
+    groups: list[tuple[NormStrategy, Fold]],
     methods: tuple[MethodSpec, ...],
     grids: dict,
     root_seed: int,
 ) -> list[FoldOutcome]:
-    """All methods on one (strategy, fold) cell group over shared normalization.
+    """All methods on a list of (strategy, fold) cell groups, method by method.
 
-    DANN goes first: when its grid searches the architecture, the winner
-    is pinned onto the deep methods resolved after it. Outcomes come back
-    in `methods` order. A method's seconds cover its grid search, fit and
-    prediction.
+    Each group is normalized once. DANN goes first: when its grid searches
+    the architecture, each group's winner is pinned onto the deep methods
+    resolved after it. Each method's spec is resolved per group, and the
+    groups that resolve to one spec are fit through one fit_method call,
+    so the deep methods train them in lockstep. Outcomes come back group
+    by group, each group's in `methods` order. A method's seconds cover
+    its grid search, its share of the fit and its prediction.
     """
-    try:
-        train_X, test_X = apply_strategy(ds, fold, strategy)
-    except NormdaError as exc:
-        msg = f"fold={fold.name} strategy={strategy.value}: {exc}"
-        return [FoldOutcome(strategy.value, m.kind, fold.name, None, msg, 0.0) for m in methods]
-    train_y = ds.labels[fold.train_idx]
-    test_y = ds.labels[fold.test_idx]
-
-    pinned: dict = {}
-    outcomes: dict[str, FoldOutcome] = {}
-    for method in sorted(methods, key=lambda m: m.kind != "DANN"):
-        seed = derive_seed(root_seed, strategy.value, method.kind, fold.name)
-        grid = grids.get(method.kind, {})
-        start = time.perf_counter()
-        acc, error = None, None
+    outcomes: dict[tuple[int, str], FoldOutcome] = {}
+    normalized = []
+    for gi, (strategy, fold) in enumerate(groups):
         try:
-            spec = resolve_fold_specs(method, grid, pinned, train_X, train_y, test_X, seed)
-            if method.kind == "DANN" and any(k in ARCH_KEYS for k in grid):
-                pinned = {k: getattr(spec, k) for k in ARCH_KEYS}
-            fitted = fit_method(spec, train_X, train_y, test_X, seed)
-            acc = accuracy(predict_method(fitted, test_X), test_y)
+            train_X, test_X = apply_strategy(ds, fold, strategy)
         except NormdaError as exc:
-            error = f"fold={fold.name} strategy={strategy.value} method={method.kind}: {exc}"
-        seconds = time.perf_counter() - start
-        outcomes[method.kind] = FoldOutcome(strategy.value, method.kind, fold.name, acc, error, seconds)
-    return [outcomes[m.kind] for m in methods]
+            msg = f"fold={fold.name} strategy={strategy.value}: {exc}"
+            for m in methods:
+                outcomes[gi, m.kind] = FoldOutcome(strategy.value, m.kind, fold.name, None, msg, 0.0)
+            continue
+        train_y, test_y = ds.labels[fold.train_idx], ds.labels[fold.test_idx]
+        normalized.append((gi, strategy, fold, train_X, train_y, test_X, test_y))
+
+    pinned: dict[int, dict] = {}
+    for method in sorted(methods, key=lambda m: m.kind != "DANN"):
+        grid = grids.get(method.kind, {})
+        by_spec: dict[MethodSpec, list] = {}
+        fitted = []  # (group, FittedMethod or NormdaError, seconds so far)
+        for group in normalized:
+            gi, strategy, fold, train_X, train_y, test_X, _ = group
+            seed = derive_seed(root_seed, strategy.value, method.kind, fold.name)
+            start = time.perf_counter()
+            try:
+                spec = resolve_fold_specs(method, grid, pinned.get(gi, {}), train_X, train_y, test_X, seed)
+            except NormdaError as exc:
+                fitted.append((group, exc, time.perf_counter() - start))
+                continue
+            if method.kind == "DANN" and any(k in ARCH_KEYS for k in grid):
+                pinned[gi] = {k: getattr(spec, k) for k in ARCH_KEYS}
+            by_spec.setdefault(spec, []).append((group, seed, time.perf_counter() - start))
+        for spec, members in by_spec.items():
+            fits = fit_method(spec, [FitProblem(*group[3:6], seed) for group, seed, _ in members])
+            for (group, _, search_s), (fit, fit_s) in zip(members, fits):
+                fitted.append((group, fit, search_s + fit_s))
+        for (gi, strategy, fold, _, _, test_X, test_y), fit, seconds in fitted:
+            start = time.perf_counter()
+            acc, error = None, None
+            try:
+                if isinstance(fit, NormdaError):
+                    raise fit
+                acc = accuracy(predict_method(fit, test_X), test_y)
+            except NormdaError as exc:
+                error = f"fold={fold.name} strategy={strategy.value} method={method.kind}: {exc}"
+            seconds += time.perf_counter() - start
+            outcome = FoldOutcome(strategy.value, method.kind, fold.name, acc, error, seconds)
+            outcomes[gi, method.kind] = outcome
+    return [outcomes[gi, m.kind] for gi in range(len(groups)) for m in methods]
 
 
 def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     """Run the full strategy-by-method grid over the protocol's folds on
-    `jobs` worker processes, at most one per (strategy, fold) group (1: in
-    this process)."""
+    `jobs` worker processes (1: in this process).
+
+    A config with a deep method splits its (strategy, fold) groups into
+    `jobs` runs of consecutive groups, one task each, so that each task's
+    deep fits train in lockstep. A config without one gains nothing from
+    lockstep and runs one task per group, which the pool balances.
+    """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     ds = resolve_dataset(cfg)
     folds = folds_for(ds, cfg.protocol)
-    groups = [
-        (ds, fold, strategy, cfg.methods, cfg.grids, cfg.seed)
-        for strategy in cfg.strategies for fold in folds
+    groups = [(strategy, fold) for strategy in cfg.strategies for fold in folds]
+    size = -(-len(groups) // jobs) if any(m.kind in DEEP_KINDS for m in cfg.methods) else 1
+    tasks = [
+        (ds, groups[i : i + size], cfg.methods, cfg.grids, cfg.seed) for i in range(0, len(groups), size)
     ]
 
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(groups))) as pool:
-            futures = [pool.submit(_run_fold_group, *group) for group in groups]
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            futures = [pool.submit(_run_fold_group, *task) for task in tasks]
             outcome_lists = [f.result() for f in futures]
     else:
-        outcome_lists = [_run_fold_group(*group) for group in groups]
+        outcome_lists = [_run_fold_group(*task) for task in tasks]
 
     cells = cells_from_rows(o for outcomes in outcome_lists for o in outcomes)
     fold_names = tuple(f.name for f in folds)

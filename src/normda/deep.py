@@ -20,18 +20,36 @@ are checked wrappers over the same layer code.
 Each trainer builds its networks from their specs and the seed, and
 returns models over a snapshot copy. Training is a pure function of (data,
 config, specs, seed): repeated runs produce bit-identical parameters.
+
+A trainer given F seeds trains F problems of the same specs and config
+in lockstep (see _lockstep): the parameter vector, the gradient vector,
+Adam's moments and every batch gain a leading member axis, so one
+mini-batch step is one stacked forward, backward and Adam update for all
+of them. The layer code reads and writes only the last two axes, and
+np.matmul runs each member's slice through the same BLAS call as the 2-D
+product (each slice keeps BLAS-usable strides), so every member's
+parameters are bit-identical to a fit of that member alone. A single fit
+is the F = 1 stack.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
 
-from .dataset import accuracy, stratified_indices
-from .errors import ConfigError, DegenerateLabelsError, NumericError, ShapeError, check_field_types
+from .dataset import stratified_indices
+from .errors import (
+    ConfigError,
+    DegenerateLabelsError,
+    NormdaError,
+    NumericError,
+    ShapeError,
+    check_field_types,
+)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -39,6 +57,8 @@ ADAM_EPS = 1e-8
 LEAKY_SLOPE = 0.01
 ACTIVATIONS = ("relu", "sigmoid", "leaky_relu")
 ADDA_ENCODER_LR_SCALE = 0.1
+FORWARD_ERROR = "forward pass produced non-finite outputs"
+ADAM_ERROR = "Adam update produced non-finite parameters"
 
 Params = list[tuple[np.ndarray, np.ndarray]]
 
@@ -76,7 +96,7 @@ class MlpSpec:
 class Mlp:
     """A spec plus its parameters, one (weights, bias) pair per layer.
 
-    The pairs may be views into a flat vector (see flat_copy); trainers
+    The pairs may be views into a flat vector (see _views); trainers
     write only through vectors they own, so params returned from a trainer
     are never modified afterwards.
     """
@@ -116,28 +136,32 @@ def init_mlp(spec: MlpSpec, seed_or_rng) -> Mlp:
 
 
 def _views(theta: np.ndarray, specs: list[MlpSpec]) -> list[Mlp]:
-    """Mlps whose (weights, bias) pairs are views into the flat vector theta."""
+    """Mlps whose (weights, bias) pairs are views into the flat vector theta.
+
+    A stack of member rows (F, P) gives stacked pairs: weights (F, in, out)
+    and biases (F, out).
+    """
     mlps, off = [], 0
+    lead = theta.shape[:-1]
     for spec in specs:
         params: Params = []
         for fan_in, fan_out in zip(spec.layer_sizes[:-1], spec.layer_sizes[1:]):
-            w = theta[off : off + fan_in * fan_out].reshape(fan_in, fan_out)
+            w = theta[..., off : off + fan_in * fan_out].reshape(*lead, fan_in, fan_out)
             off += fan_in * fan_out
-            params.append((w, theta[off : off + fan_out]))
+            params.append((w, theta[..., off : off + fan_out]))
             off += fan_out
         mlps.append(Mlp(spec, params))
     return mlps
 
 
+def _n_params(specs: list[MlpSpec]) -> int:
+    """Length of the flat vector that holds the parameters of `specs`."""
+    return sum(i * o + o for spec in specs for i, o in zip(spec.layer_sizes[:-1], spec.layer_sizes[1:]))
+
+
 def flatten(*parts: Params) -> np.ndarray:
     """Concatenate per-layer arrays, weights row-major then bias, layer by layer."""
     return np.concatenate([a.ravel() for params in parts for pair in params for a in pair])
-
-
-def flat_copy(mlps: list[Mlp]) -> tuple[np.ndarray, list[Mlp]]:
-    """Copy the mlps' parameters into one new vector; return it and Mlps viewing it."""
-    theta = flatten(*(m.params for m in mlps))
-    return theta, _views(theta, [m.spec for m in mlps])
 
 
 def _activate(spec: MlpSpec, z: np.ndarray) -> np.ndarray:
@@ -159,9 +183,9 @@ def _activate_grad(spec: MlpSpec, z: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    e = z - np.maximum.reduce(z, axis=1, keepdims=True)
+    e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= np.add.reduce(e, axis=1, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 
@@ -180,14 +204,15 @@ def _check_input(spec: MlpSpec, params: Params, X: np.ndarray) -> None:
 
 
 def _forward(spec: MlpSpec, params: Params, X: np.ndarray) -> ForwardCache:
-    """forward without its checks: X is a float64 batch of the right width."""
+    """forward without its checks: X is a float64 batch of the right width,
+    or a stack of member batches (F, rows, width) under stacked params."""
     inputs, pre = [], []
     a = X
     last = len(params) - 1
     for l, (w, b) in enumerate(params):
         inputs.append(a)
         z = a @ w
-        z += b
+        z += b[..., None, :]
         pre.append(z)
         a = _activate(spec, z) if l < last else z
     out = softmax(a) if spec.head == "softmax" else a
@@ -200,7 +225,7 @@ def forward(spec: MlpSpec, params: Params, X: np.ndarray) -> tuple[np.ndarray, F
     _check_input(spec, params, X)
     cache = _forward(spec, params, X)
     if not np.all(np.isfinite(cache.out)):
-        raise NumericError("forward pass produced non-finite outputs")
+        raise NumericError(FORWARD_ERROR)
     return cache.out, cache
 
 
@@ -217,16 +242,17 @@ def _backward(
     Writes each layer's (dW, db) into the given arrays (views into a flat
     gradient vector in the trainers), or computes none when grads is None.
     Returns the gradient w.r.t. the input batch, or None when input_grad is
-    false. g itself is never written.
+    false. g itself is never written. Stacked caches and params give
+    stacked gradients.
     """
     for l in range(len(params) - 1, -1, -1):
         if grads is not None:
             dw, db = grads[l]
-            np.matmul(cache.inputs[l].T, g, out=dw)
-            np.add.reduce(g, axis=0, out=db)
+            np.matmul(cache.inputs[l].mT, g, out=dw)
+            np.add.reduce(g, axis=-2, out=db)
         if l == 0 and not input_grad:
             return None
-        g = g @ params[l][0].T
+        g = g @ params[l][0].mT
         if l > 0:
             g *= _activate_grad(spec, cache.pre[l - 1], cache.inputs[l])
     return g
@@ -258,23 +284,24 @@ def cross_entropy(probs: np.ndarray, y: np.ndarray) -> float:
 
 def cross_entropy_grad(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Gradient of the mean cross-entropy w.r.t. the softmax logits."""
-    return _ce_grad_inplace(probs.copy(), np.arange(len(y)), y)
+    return _ce_grad_inplace(probs.copy(), (np.arange(len(y)), y))
 
 
-def _ce_grad_inplace(probs: np.ndarray, rows, labels) -> np.ndarray:
-    """cross_entropy_grad in place over probs, whose label entries are
-    probs[rows, labels] (index arrays or slices)."""
-    probs[rows, labels] -= 1.0
-    probs /= probs.shape[0]
+def _ce_grad_inplace(probs: np.ndarray, label_index: tuple) -> np.ndarray:
+    """cross_entropy_grad in place over probs (rows, classes) or a stack of
+    them, whose label entries are probs[label_index]."""
+    probs[label_index] -= 1.0
+    probs /= probs.shape[-2]
     return probs
 
 
 def _domain_grad_inplace(probs: np.ndarray, n_source: int) -> np.ndarray:
     """cross_entropy_grad in place for domain labels: the first n_source
-    rows are labeled 0 (source), the rest 1 (target)."""
-    probs[:n_source, 0] -= 1.0
-    probs[n_source:, 1] -= 1.0
-    probs /= probs.shape[0]
+    rows (of each member's batch) are labeled 0 (source), the rest 1
+    (target)."""
+    probs[..., :n_source, 0] -= 1.0
+    probs[..., n_source:, 1] -= 1.0
+    probs /= probs.shape[-2]
     return probs
 
 
@@ -309,11 +336,15 @@ class AdamState:
         return cls(m=np.zeros_like(theta), v=np.zeros_like(theta))
 
 
-def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) -> None:
+def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float):
     """One bias-corrected Adam update of the flat vector theta, in place.
 
     If any updated parameter would be non-finite, NumericError is raised
-    before theta or state is written.
+    before theta or state is written. theta may instead be a stack of
+    member rows (F, P) that step together and share the step count; there
+    a row whose update would be non-finite is left unwritten, parameters
+    and moments alike, the other rows step, and the indices of the
+    unwritten rows are returned (an empty tuple when every row stepped).
     """
     if grad.shape != theta.shape:
         raise ShapeError("gradient shape does not match the parameter vector")
@@ -339,10 +370,15 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float) 
     new /= work
     np.subtract(theta, new, out=new)
     if not np.isfinite(new).all():
-        raise NumericError("Adam update produced non-finite parameters")
+        if theta.ndim == 1:
+            raise NumericError(ADAM_ERROR)
+        ok = np.isfinite(new).all(axis=1)
+        theta[ok], state.m[ok], state.v[ok], state.t = new[ok], m[ok], v[ok], t
+        return np.flatnonzero(~ok)
     theta[...] = new
     state._spare = (state.m, state.v, work, new)
     state.m, state.v, state.t = m, v, t
+    return ()
 
 
 # ---------------------------------------------------------------------------
@@ -387,20 +423,20 @@ def predict_composite(extractor: Mlp, head: Mlp, X: np.ndarray) -> np.ndarray:
     return np.argmax(probs, axis=1)
 
 
-def _grad_views(specs: list[MlpSpec]) -> tuple[np.ndarray, list[Params]]:
-    """A new flat gradient vector laid out as flat_copy lays out parameters
-    of `specs`, and each network's (dW, db) views into it."""
-    size = sum(i * o + o for spec in specs for i, o in zip(spec.layer_sizes[:-1], spec.layer_sizes[1:]))
-    flat = np.empty(size)
+def _grad_views(specs: list[MlpSpec], members: int | None = None) -> tuple[np.ndarray, list[Params]]:
+    """A new flat gradient vector laid out as flatten lays out parameters
+    of `specs` (one row per member when `members` is given), and each
+    network's (dW, db) views into it."""
+    flat = np.empty(_n_params(specs) if members is None else (members, _n_params(specs)))
     return flat, [m.params for m in _views(flat, specs)]
 
 
-def _class_pass(extractor: Mlp, predictor: Mlp, X, y, rows, egrads: Params, pgrads: Params) -> None:
-    """Write class_grads' gradients into egrads and pgrads; rows is
-    np.arange(len(y)) or a prefix of a longer one."""
+def _class_pass(extractor: Mlp, predictor: Mlp, X, label_index, egrads: Params, pgrads: Params) -> None:
+    """Write class_grads' gradients into egrads and pgrads; the batch's
+    label entries of the predictor's output are at label_index."""
     ecache = _forward(extractor.spec, extractor.params, X)
     pcache = _forward(predictor.spec, predictor.params, ecache.out)
-    g = _ce_grad_inplace(pcache.out, rows, y)
+    g = _ce_grad_inplace(pcache.out, label_index)
     gfeats = _backward(predictor.spec, predictor.params, pcache, g, pgrads)
     _backward(extractor.spec, extractor.params, ecache, gfeats, egrads, input_grad=False)
 
@@ -413,21 +449,21 @@ def class_grads(
     _check_input(extractor.spec, extractor.params, X)
     _check_heads(extractor.spec, predictor.spec)
     _, (egrads, pgrads) = _grad_views([extractor.spec, predictor.spec])
-    _class_pass(extractor, predictor, X, y, np.arange(len(y)), egrads, pgrads)
+    _class_pass(extractor, predictor, X, (np.arange(len(y)), y), egrads, pgrads)
     return egrads, pgrads
 
 
-def _dann_pass(model: DannModel, Xs, ys, Xt, rows, grads: list[Params], rev: Params) -> None:
+def _dann_pass(model: DannModel, Xs, label_index, Xt, grads: list[Params], rev: Params) -> None:
     """Write dann_batch_grads' gradients into grads (extractor, predictor,
     domain classifier); rev is scratch shaped like the extractor's
     gradients."""
     ext, pred, dom = model.extractor, model.predictor, model.domain_classifier
     egrads, pgrads, dgrads = grads
-    _class_pass(ext, pred, Xs, ys, rows, egrads, pgrads)
+    _class_pass(ext, pred, Xs, label_index, egrads, pgrads)
 
-    ecache = _forward(ext.spec, ext.params, np.concatenate([Xs, Xt]))
+    ecache = _forward(ext.spec, ext.params, np.concatenate([Xs, Xt], axis=-2))
     dcache = _forward(dom.spec, dom.params, ecache.out)
-    g = _domain_grad_inplace(dcache.out, len(Xs))
+    g = _domain_grad_inplace(dcache.out, Xs.shape[-2])
     gfeats = _backward(dom.spec, dom.params, dcache, g, dgrads, input_grad=model.lam > 0)
     if model.lam > 0:
         _backward(ext.spec, ext.params, ecache, grl_backward(gfeats, model.lam), rev, input_grad=False)
@@ -454,44 +490,8 @@ def dann_batch_grads(
     _check_heads(ext.spec, model.predictor.spec, model.domain_classifier.spec)
     _, grads = _grad_views([ext.spec, model.predictor.spec, model.domain_classifier.spec])
     _, (rev,) = _grad_views([ext.spec])
-    _dann_pass(model, Xs, ys, Xt, np.arange(len(ys)), grads, rev)
+    _dann_pass(model, Xs, (np.arange(len(ys)), ys), Xt, grads, rev)
     return tuple(grads)
-
-
-def _epoch_batches(n: int, batch_size: int, rng) -> list[np.ndarray]:
-    order = rng.permutation(n)
-    return [order[i : i + batch_size] for i in range(0, n, batch_size)]
-
-
-def _paired_batches(n_src: int, n_tgt: int, batch_size: int, rng) -> list[tuple[np.ndarray, np.ndarray]]:
-    """One epoch of shuffled source batches, each paired with as many rows of
-    a shuffled target order that is cycled to the source length."""
-    batches = _epoch_batches(n_src, batch_size, rng)
-    t_stream = np.resize(rng.permutation(n_tgt), n_src)
-    return [(b, t_stream[k * batch_size : k * batch_size + b.size]) for k, b in enumerate(batches)]
-
-
-def _val_split(y: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
-    seed = int(rng.integers(2**32))
-    return stratified_indices(y, seed)
-
-
-def _early_stopping(theta: np.ndarray, epochs: int, patience: int, run_epoch, score) -> np.ndarray:
-    """Call run_epoch() up to `epochs` times, calling score() after each;
-    stop after `patience` epochs without a strict improvement and return a
-    copy of theta as it was after the best-scoring epoch (the earliest on
-    ties). Scores must exceed -1."""
-    best_score, best, stale = -1.0, theta.copy(), 0
-    for _ in range(epochs):
-        run_epoch()
-        current = score()
-        if current > best_score:
-            best_score, best, stale = current, theta.copy(), 0
-        else:
-            stale += 1
-            if stale >= patience:
-                break
-    return best
 
 
 def _init_mlps(specs: list[MlpSpec], seed: int) -> list[Mlp]:
@@ -510,15 +510,32 @@ def _check_heads(body: MlpSpec, *heads: MlpSpec) -> None:
             )
 
 
-def _trainer_inputs(X, y, Xt=None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Features as float64 and labels as int64; rejects non-finite features,
-    an empty target set (when one is given) and labels of a single class."""
+def _trainer_inputs(
+    X, y, Xt, extractor: MlpSpec, predictor: MlpSpec
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Features as float64 and labels as int64.
+
+    Rejects with ShapeError features that are not rows of the extractor's
+    input width, a label count other than the row count, labels outside
+    the predictor's classes 0..out_dim-1, and (when a target set is given)
+    target rows of another width or no target rows; with NumericError
+    non-finite features; and with DegenerateLabelsError labels of a single
+    class.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
+    if X.ndim != 2 or X.shape[1] != extractor.in_dim:
+        raise ShapeError(f"training features must be rows of width {extractor.in_dim}, got shape {X.shape}")
+    if y.shape != (X.shape[0],):
+        raise ShapeError(f"{X.shape[0]} training rows but labels of shape {y.shape}")
+    if y.size and (y.min() < 0 or y.max() >= predictor.out_dim):
+        raise ShapeError(f"labels must lie in 0..{predictor.out_dim - 1}, the predictor's classes")
     if not np.isfinite(X).all():
         raise NumericError("training features contain non-finite values")
     if Xt is not None:
         Xt = np.asarray(Xt, dtype=np.float64)
+        if Xt.ndim != 2 or Xt.shape[1] != X.shape[1]:
+            raise ShapeError(f"target features must be rows of width {X.shape[1]}, got shape {Xt.shape}")
         if Xt.shape[0] == 0:
             raise ShapeError("target set must be nonempty")
         if not np.isfinite(Xt).all():
@@ -528,34 +545,215 @@ def _trainer_inputs(X, y, Xt=None) -> tuple[np.ndarray, np.ndarray, np.ndarray |
     return X, y, Xt
 
 
-def _fit_classifier(
-    X: np.ndarray,
-    y: np.ndarray,
-    train_idx: np.ndarray,
-    val_idx: np.ndarray,
-    cfg: TrainConfig,
-    rng,
-    extractor: Mlp,
-    predictor: Mlp,
-) -> list[Mlp]:
+# ---------------------------------------------------------------------------
+# Lockstep training
+
+
+@dataclass
+class _Member:
+    """One problem after its input checks: its data, its validation split,
+    the rng that draws its batches, and its initial flat parameters."""
+
+    X: np.ndarray
+    y: np.ndarray
+    Xt: np.ndarray | None
+    train_idx: np.ndarray
+    val_idx: np.ndarray
+    rng: np.random.Generator
+    theta: np.ndarray
+
+
+def _lockstep(seed, problems: tuple, setup, train):
+    """Run a trainer on one problem, or on many in lockstep.
+
+    With an int seed, `problems` holds one problem's arrays (X, y, ...):
+    the result is its model, and its failure raises. With a sequence of F
+    seeds it holds a sequence of F arrays for each, and the result lists,
+    per problem, its model or the NormdaError that failed it.
+    setup(*arrays, seed) checks one problem and returns its _Member.
+    Members whose arrays and split sizes agree go to one
+    train(members) call, which returns one result per member.
+    """
+    solo = isinstance(seed, numbers.Integral)
+    seeds = [seed] if solo else list(seed)
+    columns = [[arrays] for arrays in problems] if solo else [list(arrays) for arrays in problems]
+    if any(len(column) != len(seeds) for column in columns):
+        raise ShapeError(f"{len(seeds)} seeds but {[len(c) for c in columns]} problem arrays")
+    results: list = [None] * len(seeds)
+    stacks: dict = {}
+    for i, args in enumerate(zip(*columns, seeds)):
+        try:
+            member = setup(*args)
+        except NormdaError as exc:
+            results[i] = exc
+            continue
+        key = (member.X.shape, getattr(member.Xt, "shape", None), member.train_idx.size, member.val_idx.size)
+        stacks.setdefault(key, []).append((i, member))
+    for entries in stacks.values():
+        for (i, _), result in zip(entries, train([member for _, member in entries])):
+            results[i] = result
+    if not solo:
+        return results
+    if isinstance(results[0], NormdaError):
+        raise results[0]
+    return results[0]
+
+
+class _Stack:
+    """Members training in lockstep, one row per member in every array.
+
+    Each array attribute has a leading member axis, each list attribute one
+    entry per member, and keep() drops members from all of them (and from
+    each AdamState's moments) at once. `ids` are the members' positions in
+    the train() call; `errors` holds the NormdaError that failed a member.
+    """
+
+    def __init__(self, members: list[_Member], theta: np.ndarray | None = None):
+        """A stack of the members, training theta (by default, their
+        initial parameters)."""
+        rows = np.arange(len(members))[:, None]
+        self.ids = list(range(len(members)))
+        self.rngs = [m.rng for m in members]
+        self.errors: list = [None] * len(members)
+        self.X = np.stack([m.X for m in members])
+        self.y = np.stack([m.y for m in members])
+        self.Xt = None if members[0].Xt is None else np.stack([m.Xt for m in members])
+        self.train_idx = np.stack([m.train_idx for m in members])
+        val_idx = np.stack([m.val_idx for m in members])
+        self.Xval, self.yval = self.X[rows, val_idx], self.y[rows, val_idx]
+        self.theta = np.stack([m.theta for m in members]) if theta is None else theta
+        self.cache: dict = {}
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Member indices as a column, to index one row set per member."""
+        return np.arange(len(self.ids))[:, None]
+
+    def keep(self, mask: np.ndarray) -> None:
+        for name, value in list(vars(self).items()):
+            if isinstance(value, np.ndarray):
+                setattr(self, name, value[mask])
+            elif isinstance(value, list):
+                setattr(self, name, [v for v, k in zip(value, mask) if k])
+            elif isinstance(value, AdamState):
+                setattr(self, name, AdamState(value.m[mask], value.v[mask], value.t))
+        self.cache = {}
+
+    def views(self, specs: list[MlpSpec]) -> tuple[list[Mlp], np.ndarray, list[Params]]:
+        """Mlps of `specs` viewing theta, a gradient stack laid out like
+        them, and its per-network views; built once per member set."""
+        key = tuple(map(id, specs))
+        if key not in self.cache:
+            self.cache[key] = (_views(self.theta, specs), *_grad_views(specs, len(self.ids)))
+        return self.cache[key]
+
+    def fail(self, rows, message: str) -> None:
+        """Fail the members at `rows` that have not failed yet."""
+        for j in rows:
+            if self.errors[j] is None:
+                self.errors[j] = NumericError(message)
+
+    def check_finite(self, *outputs: np.ndarray) -> None:
+        """Fail each member with a non-finite value in a stacked forward
+        output, as forward would have raised."""
+        for out in outputs:
+            if not np.isfinite(out).all():
+                self.fail(np.flatnonzero(~np.isfinite(out).all(axis=(-2, -1))), FORWARD_ERROR)
+
+    def leave(self, mask: np.ndarray, results: list) -> None:
+        """Drop the masked members, storing at each one's id its error or a
+        copy of its best snapshot."""
+        if mask.any():
+            for j in np.flatnonzero(mask):
+                results[self.ids[j]] = self.errors[j] or self.best[j].copy()
+            self.keep(~mask)
+
+
+def _epoch_orders(rngs: list, n: int, n_target: int | None = None):
+    """Each member's shuffled order of n rows for one epoch, stacked, and,
+    when n_target is given, its shuffled order of the target rows cycled to
+    length n, drawn after it (None otherwise). Batches are consecutive
+    slices of both."""
+    orders = np.empty((len(rngs), n), dtype=np.int64)
+    targets = None if n_target is None else np.empty((len(rngs), n), dtype=np.int64)
+    for j, rng in enumerate(rngs):
+        orders[j] = rng.permutation(n)
+        if targets is not None:
+            targets[j] = np.resize(rng.permutation(n_target), n)
+    return orders, targets
+
+
+def _val_split(y: np.ndarray, rng) -> tuple[np.ndarray, np.ndarray]:
+    seed = int(rng.integers(2**32))
+    return stratified_indices(y, seed)
+
+
+def _early_stopping(stack: _Stack, epochs: int, patience: int, run_epoch, score) -> list:
+    """Call run_epoch() up to `epochs` times, calling score() after each
+    for one score per member. A member leaves after `patience` epochs
+    without a strict improvement, or at the next epoch boundary once a step
+    or score fails it. Returns, per member id, its error or a copy of its
+    parameters after its best-scoring epoch (the earliest on ties). Scores
+    must exceed -1."""
+    results: list = [None] * len(stack.ids)
+    stack.best = stack.theta.copy()
+    stack.best_score = np.full(len(stack.ids), -1.0)
+    stack.stale = np.zeros(len(stack.ids), dtype=np.int64)
+    for _ in range(epochs):
+        if any(stack.errors):
+            stack.leave(np.array([e is not None for e in stack.errors]), results)
+        if not stack.ids:
+            break
+        run_epoch()
+        current = score()
+        better = current > stack.best_score
+        stack.best[better] = stack.theta[better]
+        stack.best_score[better] = current[better]
+        stack.stale = np.where(better, 0, stack.stale + 1)
+        stack.leave(stack.stale >= patience, results)
+    stack.leave(np.ones(len(stack.ids), dtype=bool), results)
+    return results
+
+
+def _val_accuracy(stack: _Stack, specs: list[MlpSpec]) -> np.ndarray:
+    """Each member's accuracy of predictor(extractor(x)) on its validation rows."""
+    ext, pred = stack.views(specs)[0]
+    feats = _forward(ext.spec, ext.params, stack.Xval).out
+    probs = _forward(pred.spec, pred.params, feats).out
+    stack.check_finite(feats, probs)
+    return np.add.reduce(np.argmax(probs, axis=-1) == stack.yval, axis=-1) / stack.yval.shape[1]
+
+
+def _fit_classifier(stack: _Stack, cfg: TrainConfig, specs: list[MlpSpec]) -> list:
     """Cross-entropy through predictor(extractor(x)) with Adam on mini-batches,
-    early-stopped on validation accuracy; returns the best snapshot."""
-    theta, (ext, pred) = flat_copy([extractor, predictor])
-    grad, (egrads, pgrads) = _grad_views([ext.spec, pred.spec])
-    state = AdamState.zeros_like(theta)
-    rows = np.arange(min(cfg.batch_size, train_idx.size))
+    early-stopped on validation accuracy; per member, its best snapshot or
+    its error."""
+    stack.adam = AdamState.zeros_like(stack.theta)
+    batch_rows = np.arange(cfg.batch_size)
 
     def run_epoch():
-        for batch in _epoch_batches(train_idx.size, cfg.batch_size, rng):
-            bi = train_idx[batch]
-            _class_pass(ext, pred, X[bi], y[bi], rows[: bi.size], egrads, pgrads)
-            adam_step(theta, grad, state, cfg.learning_rate)
+        rows = stack.rows
+        order = stack.train_idx[rows, _epoch_orders(stack.rngs, stack.train_idx.shape[1])[0]]
+        X, y = stack.X[rows, order], stack.y[rows, order]
+        (ext, pred), grad, (egrads, pgrads) = stack.views(specs)
+        for start in range(0, order.shape[1], cfg.batch_size):
+            yb = y[:, start : start + cfg.batch_size]
+            Xb = X[:, start : start + cfg.batch_size]
+            _class_pass(ext, pred, Xb, (rows, batch_rows[: yb.shape[1]], yb), egrads, pgrads)
+            stack.fail(adam_step(stack.theta, grad, stack.adam, cfg.learning_rate), ADAM_ERROR)
 
-    def val_accuracy():
-        return accuracy(predict_composite(ext, pred, X[val_idx]), y[val_idx])
+    return _early_stopping(
+        stack, cfg.max_epochs, cfg.patience, run_epoch, lambda: _val_accuracy(stack, specs)
+    )
 
-    best = _early_stopping(theta, cfg.max_epochs, cfg.patience, run_epoch, val_accuracy)
-    return _views(best, [ext.spec, pred.spec])
+
+def _initial_member(X, y, Xt, seed, specs: list[MlpSpec]) -> _Member:
+    """A DANN or ADDA member: its networks drawn from one default_rng(seed)
+    in `specs` order, its split and batches from a second one."""
+    X, y, Xt = _trainer_inputs(X, y, Xt, specs[0], specs[1])
+    theta = flatten(*(m.params for m in _init_mlps(specs, seed)))
+    rng = np.random.default_rng(seed)
+    return _Member(X, y, Xt, *_val_split(y, rng), rng, theta)
 
 
 def train_plain(
@@ -564,16 +762,30 @@ def train_plain(
     cfg: TrainConfig,
     extractor_spec: MlpSpec,
     predictor_spec: MlpSpec,
-    seed: int,
-) -> PlainModel:
+    seed,
+):
     """Minimize cross-entropy with Adam and mini-batches; early-stops on
-    validation accuracy and returns the best-validation snapshot."""
-    X, y, _ = _trainer_inputs(X, y)
-    rng = np.random.default_rng(seed)
-    ext = init_mlp(extractor_spec, rng)
-    pred = init_mlp(predictor_spec, rng)
-    train_idx, val_idx = _val_split(y, rng)
-    return PlainModel(*_fit_classifier(X, y, train_idx, val_idx, cfg, rng, ext, pred))
+    validation accuracy and returns the best-validation snapshot as a
+    PlainModel.
+
+    With a sequence of seeds, X and y are sequences of as many problems,
+    trained in lockstep; the result lists each one's PlainModel or the
+    NormdaError that failed it (see _lockstep).
+    """
+    _check_heads(extractor_spec, predictor_spec)
+    specs = [extractor_spec, predictor_spec]
+
+    def setup(X, y, seed):
+        X, y, _ = _trainer_inputs(X, y, None, extractor_spec, predictor_spec)
+        rng = np.random.default_rng(seed)
+        theta = flatten(init_mlp(extractor_spec, rng).params, init_mlp(predictor_spec, rng).params)
+        return _Member(X, y, None, *_val_split(y, rng), rng, theta)
+
+    def train(members):
+        best = _fit_classifier(_Stack(members), cfg, specs)
+        return [b if isinstance(b, NormdaError) else PlainModel(*_views(b, specs)) for b in best]
+
+    return _lockstep(seed, (X, y), setup, train)
 
 
 def train_dann(
@@ -585,41 +797,49 @@ def train_dann(
     predictor_spec: MlpSpec,
     domain_spec: MlpSpec,
     lam: float,
-    seed: int,
-) -> DannModel:
-    """Adversarial training with a gradient-reversal layer.
+    seed,
+):
+    """Adversarial training with a gradient-reversal layer; returns a DannModel.
 
     Per batch the classifier path minimizes source cross-entropy while the
     domain head learns to separate source from target; the extractor
     receives the domain gradient scaled by -lambda. Early stopping watches
     source-validation accuracy only (target labels are never read). The
     three networks are drawn from one default_rng(seed), in argument order;
-    the split and batches from a second one.
+    the split and batches from a second one. A sequence of seeds trains
+    as many problems in lockstep, as train_plain does.
     """
     _check_heads(extractor_spec, predictor_spec, domain_spec)
-    Xs, ys, Xt = _trainer_inputs(Xs, ys, Xt)
+    if lam < 0:
+        raise ConfigError("lambda must be >= 0")
     specs = [extractor_spec, predictor_spec, domain_spec]
-    theta, views = flat_copy(_init_mlps(specs, seed))
-    current = DannModel(*views, lam)
-    grad, grads = _grad_views(specs)
-    _, (rev,) = _grad_views([extractor_spec])
-    state = AdamState.zeros_like(theta)
-    rng = np.random.default_rng(seed)
-    train_idx, val_idx = _val_split(ys, rng)
-    rows = np.arange(min(cfg.batch_size, train_idx.size))
 
-    def run_epoch():
-        for batch, ti in _paired_batches(train_idx.size, Xt.shape[0], cfg.batch_size, rng):
-            bi = train_idx[batch]
-            _dann_pass(current, Xs[bi], ys[bi], Xt[ti], rows[: bi.size], grads, rev)
-            adam_step(theta, grad, state, cfg.learning_rate)
+    def train(members):
+        stack = _Stack(members)
+        stack.adam = AdamState.zeros_like(stack.theta)
+        batch_rows = np.arange(cfg.batch_size)
 
-    def val_accuracy():
-        pred = predict_composite(current.extractor, current.predictor, Xs[val_idx])
-        return accuracy(pred, ys[val_idx])
+        def run_epoch():
+            rows = stack.rows
+            order, target = _epoch_orders(stack.rngs, stack.train_idx.shape[1], stack.Xt.shape[1])
+            order = stack.train_idx[rows, order]
+            Xs, ys, Xt = stack.X[rows, order], stack.y[rows, order], stack.Xt[rows, target]
+            nets, grad, grads = stack.views(specs)
+            _, _, (rev,) = stack.views(specs[:1])
+            current = DannModel(*nets, lam)
+            for start in range(0, order.shape[1], cfg.batch_size):
+                batch = slice(start, start + cfg.batch_size)
+                yb = ys[:, batch]
+                label_index = (rows, batch_rows[: yb.shape[1]], yb)
+                _dann_pass(current, Xs[:, batch], label_index, Xt[:, batch], grads, rev)
+                stack.fail(adam_step(stack.theta, grad, stack.adam, cfg.learning_rate), ADAM_ERROR)
 
-    best = _early_stopping(theta, cfg.max_epochs, cfg.patience, run_epoch, val_accuracy)
-    return DannModel(*_views(best, specs), lam)
+        best = _early_stopping(
+            stack, cfg.max_epochs, cfg.patience, run_epoch, lambda: _val_accuracy(stack, specs[:2])
+        )
+        return [b if isinstance(b, NormdaError) else DannModel(*_views(b, specs), lam) for b in best]
+
+    return _lockstep(seed, (Xs, ys, Xt), lambda *args: _initial_member(*args, specs), train)
 
 
 def train_adda(
@@ -630,10 +850,10 @@ def train_adda(
     encoder_spec: MlpSpec,
     classifier_spec: MlpSpec,
     discriminator_spec: MlpSpec,
-    seed: int,
+    seed,
     stage2_epochs: int | None = None,
-) -> AddaModel:
-    """Two-stage adversarial encoder alignment.
+):
+    """Two-stage adversarial encoder alignment; returns an AddaModel.
 
     Stage 1 trains source encoder plus classifier on source cross-entropy
     with early stopping. Stage 2 freezes both, seeds the target encoder
@@ -650,60 +870,94 @@ def train_adda(
     snapshot whose discriminator accuracy sat closest to chance (ties keep
     the earliest epoch). Stage 2 runs all `stage2_epochs` (default
     `cfg.max_epochs`); it never stops early.
+
+    A sequence of seeds trains as many problems in lockstep, as
+    train_plain does: each member leaves stage 1 at its own epoch, and the
+    members that finish it run stage 2 together.
     """
     _check_heads(encoder_spec, classifier_spec, discriminator_spec)
-    Xs, ys, Xt = _trainer_inputs(Xs, ys, Xt)
     if stage2_epochs is None:
         stage2_epochs = cfg.max_epochs
-    encoder, classifier, discriminator = _init_mlps(
-        [encoder_spec, classifier_spec, discriminator_spec], seed
-    )
-    rng = np.random.default_rng(seed)
-    train_idx, val_idx = _val_split(ys, rng)
+    specs = [encoder_spec, classifier_spec, discriminator_spec]
+    n_stage1 = _n_params(specs[:2])
 
-    # Stage 1: source encoder + classifier.
-    source_enc, clf = _fit_classifier(Xs, ys, train_idx, val_idx, cfg, rng, encoder, classifier)
+    def train(members):
+        sources = _fit_classifier(
+            _Stack(members, np.stack([m.theta[:n_stage1] for m in members])), cfg, specs[:2]
+        )
+        results = list(sources)
+        done = [i for i, s in enumerate(sources) if not isinstance(s, NormdaError)]
+        if done:
+            aligned = _align_target(
+                [members[i] for i in done], np.stack([sources[i] for i in done]), cfg, specs, stage2_epochs
+            )
+            for i, pair in zip(done, aligned):
+                if isinstance(pair, NormdaError):
+                    results[i] = pair
+                else:
+                    source_enc, clf = _views(sources[i], specs[:2])
+                    target_enc, disc = _views(pair, specs[::2])
+                    results[i] = AddaModel(source_enc, target_enc, clf, disc)
+        return results
 
-    # Stage 2: adversarial target-encoder alignment against frozen pieces.
-    # Target encoder and discriminator share one vector; each slice keeps
-    # its own Adam state and learning rate.
-    theta, (target_enc, disc) = flat_copy([source_enc, discriminator])
-    grad, (enc_grads, disc_grads) = _grad_views([target_enc.spec, disc.spec])
-    n_enc = sum(a.size for pair in target_enc.params for a in pair)
-    enc_theta, disc_theta = theta[:n_enc], theta[n_enc:]
-    enc_grad, disc_grad = grad[:n_enc], grad[n_enc:]
-    disc_state = AdamState.zeros_like(disc_theta)
-    enc_state = AdamState.zeros_like(enc_theta)
-    src_feats_all = forward(source_enc.spec, source_enc.params, Xs)[0]
-    domain_truth = np.concatenate(
-        [np.zeros(Xs.shape[0], dtype=np.int64), np.ones(Xt.shape[0], dtype=np.int64)]
+    return _lockstep(seed, (Xs, ys, Xt), lambda *args: _initial_member(*args, specs), train)
+
+
+def _align_target(members: list[_Member], sources: np.ndarray, cfg: TrainConfig, specs, epochs: int) -> list:
+    """ADDA's stage 2 for members with stage-1 parameters `sources` (a stack
+    of encoder + classifier rows); per member its chosen (target encoder,
+    discriminator) snapshot as one flat row, or its error.
+
+    Target encoder and discriminator share one vector per member; each
+    slice keeps its own Adam state and learning rate.
+    """
+    enc_spec, _, disc_spec = specs
+    n_enc, n_stage1 = _n_params(specs[:1]), _n_params(specs[:2])
+    stack = _Stack(
+        members,
+        np.concatenate([sources[:, :n_enc], np.stack([m.theta[n_stage1:] for m in members])], axis=1),
     )
+    source_enc = _views(sources, specs[:1])[0]
+    stack.src_feats = _forward(enc_spec, source_enc.params, stack.X).out
+    stack.check_finite(stack.src_feats)
+    stack.enc_adam = AdamState.zeros_like(stack.theta[:, :n_enc])
+    stack.disc_adam = AdamState.zeros_like(stack.theta[:, n_enc:])
+    n_src, n_tgt = stack.X.shape[1], stack.Xt.shape[1]
+    domain_truth = np.concatenate([np.zeros(n_src, dtype=np.int64), np.ones(n_tgt, dtype=np.int64)])
+    nets = [enc_spec, disc_spec]
 
     def run_epoch():
-        for s_batch, ti in _paired_batches(Xs.shape[0], Xt.shape[0], cfg.batch_size, rng):
+        rows = stack.rows
+        order, target = _epoch_orders(stack.rngs, n_src, n_tgt)
+        real, Xt = stack.src_feats[rows, order], stack.Xt[rows, target]
+        (target_enc, disc), grad, (enc_grads, disc_grads) = stack.views(nets)
+        enc_theta, disc_theta = stack.theta[:, :n_enc], stack.theta[:, n_enc:]
+        enc_grad, disc_grad = grad[:, :n_enc], grad[:, n_enc:]
+        for start in range(0, n_src, cfg.batch_size):
+            batch = slice(start, start + cfg.batch_size)
             # Discriminator step: source encodings 0, target encodings 1.
-            tcache = _forward(target_enc.spec, target_enc.params, Xt[ti])
+            tcache = _forward(enc_spec, target_enc.params, Xt[:, batch])
             fake = tcache.out
-            dcache = _forward(disc.spec, disc.params, np.concatenate([src_feats_all[s_batch], fake]))
-            g = _domain_grad_inplace(dcache.out, s_batch.size)
-            _backward(disc.spec, disc.params, dcache, g, disc_grads, input_grad=False)
-            adam_step(disc_theta, disc_grad, disc_state, cfg.learning_rate)
+            dcache = _forward(disc_spec, disc.params, np.concatenate([real[:, batch], fake], axis=-2))
+            g = _domain_grad_inplace(dcache.out, fake.shape[-2])
+            _backward(disc_spec, disc.params, dcache, g, disc_grads, input_grad=False)
+            stack.fail(adam_step(disc_theta, disc_grad, stack.disc_adam, cfg.learning_rate), ADAM_ERROR)
             # Encoder step: fool the updated discriminator (inverted labels:
             # every target row labeled source). The target encoder has not
             # moved, so `fake` and `tcache` still hold.
-            dcache = _forward(disc.spec, disc.params, fake)
-            g = _domain_grad_inplace(dcache.out, fake.shape[0])
-            gfeats = _backward(disc.spec, disc.params, dcache, g, None)
-            _backward(target_enc.spec, target_enc.params, tcache, gfeats, enc_grads, input_grad=False)
-            adam_step(
-                enc_theta, enc_grad, enc_state, cfg.learning_rate * ADDA_ENCODER_LR_SCALE
-            )
+            dcache = _forward(disc_spec, disc.params, fake)
+            g = _domain_grad_inplace(dcache.out, fake.shape[-2])
+            gfeats = _backward(disc_spec, disc.params, dcache, g, None)
+            _backward(enc_spec, target_enc.params, tcache, gfeats, enc_grads, input_grad=False)
+            lr = cfg.learning_rate * ADDA_ENCODER_LR_SCALE
+            stack.fail(adam_step(enc_theta, enc_grad, stack.enc_adam, lr), ADAM_ERROR)
 
     def chance_closeness():
-        fake_all = forward(target_enc.spec, target_enc.params, Xt)[0]
-        dprobs = forward(disc.spec, disc.params, np.vstack([src_feats_all, fake_all]))[0]
-        return -abs(accuracy(np.argmax(dprobs, axis=1), domain_truth) - 0.5)
+        target_enc, disc = stack.views(nets)[0]
+        fake_all = _forward(enc_spec, target_enc.params, stack.Xt).out
+        dprobs = _forward(disc_spec, disc.params, np.concatenate([stack.src_feats, fake_all], axis=-2)).out
+        stack.check_finite(fake_all, dprobs)
+        hits = np.add.reduce(np.argmax(dprobs, axis=-1) == domain_truth, axis=-1)
+        return -np.abs(hits / domain_truth.size - 0.5)
 
-    best = _early_stopping(theta, stage2_epochs, stage2_epochs, run_epoch, chance_closeness)
-    best_enc, best_disc = _views(best, [target_enc.spec, disc.spec])
-    return AddaModel(source_enc, best_enc, clf, best_disc)
+    return _early_stopping(stack, epochs, epochs, run_epoch, chance_closeness)

@@ -4,7 +4,9 @@ entropy, and common spatial patterns.
 Differential entropy uses the Gaussian closed form 0.5 ln(2 pi e sigma^2)
 (natural log) on the population variance of the band-limited signal.
 Filtering is zero-phase (forward pass then time-reversed pass), which
-doubles the effective filter order.
+doubles the effective filter order: scipy.signal.filtfilt's default
+odd-padded method, run step by step so each band design computes its
+initial-state vector once.
 """
 
 from __future__ import annotations
@@ -17,13 +19,16 @@ from typing import Sequence
 
 import numpy as np
 import scipy.linalg
-from scipy.signal import butter, filtfilt
+from scipy.signal import butter, lfilter, lfilter_zi
 
 from .errors import ConfigError, DegenerateDataError, ShapeError
 from .shallow import _fix_signs
 
 DE_SIGMA_FLOOR = 1e-12
 FILTER_ORDER = 5
+# filtfilt's default padding: three times the band-pass filter's 2 * order + 1
+# taps at each end. An epoch must be longer than the pad.
+PADLEN = 3 * (2 * FILTER_ORDER + 1)
 
 STANDARD_BANDS = (
     ("delta", 1.0, 3.0),
@@ -79,23 +84,45 @@ def butter_bandpass(epoch: SignalEpoch, low: float, high: float) -> SignalEpoch:
         raise ConfigError(
             f"band [{low}, {high}] Hz must satisfy 0 < low < high < {nyquist} (Nyquist)"
         )
-    b, a = _bandpass_design(low, high, epoch.fs)
-    filtered = filtfilt(b, a, epoch.samples, axis=1)
-    return SignalEpoch(filtered, epoch.fs)
+    x = epoch.samples
+    if x.shape[1] <= PADLEN:
+        raise ConfigError(
+            f"band-pass filtering needs epochs of at least {PADLEN + 1} samples, got {x.shape[1]}"
+        )
+    design = _bandpass_design(low, high, epoch.fs)
+    b, a = design
+    # scipy.signal.filtfilt(b, a, x, axis=1) step by step: odd extension by
+    # PADLEN at each end, a forward and a backward pass, each started from
+    # the steady state zi scaled by its first sample, then the pad removed.
+    ext = np.concatenate(
+        (2 * x[:, :1] - x[:, PADLEN:0:-1], x, 2 * x[:, -1:] - x[:, -2 : -(PADLEN + 2) : -1]), axis=1
+    )
+    y, _ = lfilter(b, a, ext, axis=1, zi=design.zi * ext[:, :1])
+    y, _ = lfilter(b, a, y[:, ::-1], axis=1, zi=design.zi * y[:, -1:])
+    return SignalEpoch(y[:, ::-1][:, PADLEN:-PADLEN], epoch.fs)
+
+
+class _Design(tuple):
+    """A band's Butterworth (b, a), which unpacks as that pair, and `zi`,
+    the filter's step-response steady state (lfilter_zi) as a row."""
+
+    zi: np.ndarray
 
 
 @functools.lru_cache(maxsize=64)
-def _bandpass_design(low: float, high: float, fs: float) -> tuple[np.ndarray, np.ndarray]:
-    """Butterworth (b, a) for one band at one sampling rate.
+def _bandpass_design(low: float, high: float, fs: float) -> _Design:
+    """Butterworth (b, a) for one band at one sampling rate, with its zi.
 
     A feature run filters every epoch with the same few bands, so each
     design is computed once per process. The arrays are shared by every
     caller and therefore read-only.
     """
     b, a = butter(FILTER_ORDER, [low, high], btype="bandpass", fs=fs)
-    b.setflags(write=False)
-    a.setflags(write=False)
-    return b, a
+    design = _Design((b, a))
+    design.zi = lfilter_zi(b, a).reshape(1, -1)
+    for arr in (b, a, design.zi):
+        arr.setflags(write=False)
+    return design
 
 
 def differential_entropy(epoch: SignalEpoch, bands: Sequence[BandSpec | None]) -> np.ndarray:

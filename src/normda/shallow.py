@@ -65,13 +65,17 @@ def resolve_kernel(k: KernelSpec, X: np.ndarray) -> KernelSpec:
     return k
 
 
+def _check_shared_width(X: np.ndarray, Y: np.ndarray) -> None:
+    if X.ndim != 2 or Y.ndim != 2 or X.shape[1] != Y.shape[1]:
+        raise ShapeError("X and Y must be 2-D with a shared feature dimension")
+
+
 def gram(X: np.ndarray, Y: np.ndarray, k: KernelSpec) -> np.ndarray:
     """Pairwise kernel evaluations, |X| x |Y|, under a resolved kernel (see
     resolve_kernel)."""
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    if X.ndim != 2 or Y.ndim != 2 or X.shape[1] != Y.shape[1]:
-        raise ShapeError("X and Y must be 2-D with a shared feature dimension")
+    _check_shared_width(X, Y)
     if k.kind == "linear":
         return X @ Y.T
     if k.gamma is None:
@@ -85,11 +89,10 @@ def mmd_sq(Xs: np.ndarray, Xt: np.ndarray, k: KernelSpec) -> float:
     Xt = np.asarray(Xt, dtype=np.float64)
     if Xs.size == 0 or Xt.size == 0:
         raise EmptyInputError("mmd_sq needs two nonempty sample sets")
+    _check_shared_width(Xs, Xt)
     if k.kind == "linear":
         # With k(x, y) = x.y the three Gram means collapse to the squared
         # distance between the two sample means; no Gram matrix is built.
-        if Xs.ndim != 2 or Xt.ndim != 2 or Xs.shape[1] != Xt.shape[1]:
-            raise ShapeError("X and Y must be 2-D with a shared feature dimension")
         d = Xs.mean(axis=0) - Xt.mean(axis=0)
         return float(d @ d)
     # Canonical argument order makes the float arithmetic, and hence the
@@ -139,6 +142,7 @@ def tca_fit(
     Xt = np.asarray(Xt, dtype=np.float64)
     if Xs.size == 0 or Xt.size == 0:
         raise EmptyInputError("tca_fit needs two nonempty sample sets")
+    _check_shared_width(Xs, Xt)
     if not (np.isfinite(Xs).all() and np.isfinite(Xt).all()):
         raise NumericError("tca_fit inputs contain non-finite values")
     if not (math.isfinite(mu_reg) and mu_reg > 0):

@@ -6,8 +6,10 @@ products that nothing reads. This module keeps the straightforward form
 they replaced: a fresh array for every layer gradient and every Adam
 moment, the gradients concatenated each step, and its own copy of the
 layer math. test_deep.py asserts that both produce the same parameter
-bits. Batching, the validation split, early stopping and network
-initialization are the library's own helpers, shared by both sides.
+bits. The validation split and network initialization are the library's
+own helpers, shared by both sides; batching, early stopping, the input
+checks and flat_copy are copies of the library's helpers as they were
+before the trainers ran members in lockstep.
 """
 
 from types import SimpleNamespace
@@ -24,19 +26,75 @@ from normda.deep import (
     LEAKY_SLOPE,
     AddaModel,
     DannModel,
+    Mlp,
     PlainModel,
     _check_heads,
-    _early_stopping,
-    _epoch_batches,
     _init_mlps,
-    _paired_batches,
-    _trainer_inputs,
     _val_split,
     _views,
-    flat_copy,
     flatten,
     init_mlp,
 )
+from normda.errors import DegenerateLabelsError, NumericError, ShapeError
+
+
+# Verbatim copies of the library helpers that the lockstep trainers
+# replaced, so the oracle stays as it was.
+
+
+def _epoch_batches(n: int, batch_size: int, rng) -> list[np.ndarray]:
+    order = rng.permutation(n)
+    return [order[i : i + batch_size] for i in range(0, n, batch_size)]
+
+
+def _paired_batches(n_src: int, n_tgt: int, batch_size: int, rng) -> list[tuple[np.ndarray, np.ndarray]]:
+    """One epoch of shuffled source batches, each paired with as many rows of
+    a shuffled target order that is cycled to the source length."""
+    batches = _epoch_batches(n_src, batch_size, rng)
+    t_stream = np.resize(rng.permutation(n_tgt), n_src)
+    return [(b, t_stream[k * batch_size : k * batch_size + b.size]) for k, b in enumerate(batches)]
+
+
+def _early_stopping(theta: np.ndarray, epochs: int, patience: int, run_epoch, score) -> np.ndarray:
+    """Call run_epoch() up to `epochs` times, calling score() after each;
+    stop after `patience` epochs without a strict improvement and return a
+    copy of theta as it was after the best-scoring epoch (the earliest on
+    ties). Scores must exceed -1."""
+    best_score, best, stale = -1.0, theta.copy(), 0
+    for _ in range(epochs):
+        run_epoch()
+        current = score()
+        if current > best_score:
+            best_score, best, stale = current, theta.copy(), 0
+        else:
+            stale += 1
+            if stale >= patience:
+                break
+    return best
+
+
+def flat_copy(mlps: list[Mlp]) -> tuple[np.ndarray, list[Mlp]]:
+    """Copy the mlps' parameters into one new vector; return it and Mlps viewing it."""
+    theta = flatten(*(m.params for m in mlps))
+    return theta, _views(theta, [m.spec for m in mlps])
+
+
+def _trainer_inputs(X, y, Xt=None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Features as float64 and labels as int64; rejects non-finite features,
+    an empty target set (when one is given) and labels of a single class."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.int64)
+    if not np.isfinite(X).all():
+        raise NumericError("training features contain non-finite values")
+    if Xt is not None:
+        Xt = np.asarray(Xt, dtype=np.float64)
+        if Xt.shape[0] == 0:
+            raise ShapeError("target set must be nonempty")
+        if not np.isfinite(Xt).all():
+            raise NumericError("target features contain non-finite values")
+    if len({int(v) for v in y}) < 2:
+        raise DegenerateLabelsError("training labels contain a single class")
+    return X, y, Xt
 
 
 def _activate(spec, z):

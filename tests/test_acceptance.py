@@ -13,6 +13,7 @@ import numpy as np
 from gradcheck import max_relative_error
 from normda.bench import (
     ExperimentConfig,
+    FitProblem,
     MethodSpec,
     emit_table,
     fit_method,
@@ -272,8 +273,8 @@ def test_criterion_10_protocol_and_leakage():
     params_pairs = []
     for source in (ds, constant):
         train_X, test_X = apply_strategy(source, fold, NormStrategy.Z2)
-        fitted = fit_method(
-            MethodSpec("TCA-SVM"), train_X, source.labels[fold.train_idx], test_X, seed=3
+        [(fitted, _)] = fit_method(
+            MethodSpec("TCA-SVM"), [FitProblem(train_X, source.labels[fold.train_idx], test_X, 3)]
         )
         params_pairs.append(fitted.parameters())
     for a, b in zip(*params_pairs):

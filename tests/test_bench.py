@@ -9,6 +9,7 @@ import pytest
 
 from normda.bench import (
     ExperimentConfig,
+    FitProblem,
     MethodSpec,
     accuracy,
     apply_grid_point,
@@ -124,7 +125,7 @@ def test_grid_learning_rates_on_separable_toy():
     best = grid_search(
         method, {"learning_rate": [0.1, 0.01, 0.001, 0.0001]}, Xtr, ytr, Xv, yv, Xv, seed=0
     )
-    fitted = fit_method(best, Xtr, ytr, Xv, seed=0)
+    [(fitted, _)] = fit_method(best, [FitProblem(Xtr, ytr, Xv, 0)])
     assert accuracy(predict_method(fitted, Xv), yv) >= 0.95
 
 
@@ -205,6 +206,36 @@ def test_run_experiment_parallel_matches_serial():
     assert emit_table(serial.cells, "csv") == emit_table(parallel.cells, "csv")
 
 
+def test_deep_hlso_folds_of_different_sizes_give_the_same_report_at_any_jobs(tmp_path):
+    # Each subject keeps a different share of its rows, so the HLSO folds
+    # differ in size and each run trains several lockstep stacks; jobs=2
+    # splits the (strategy, fold) groups into two tasks with other stacks.
+    base = generate_synthetic(SyntheticShiftConfig(
+        n_subjects=3, n_sessions=2, n_classes=2, samples_per_class_per_domain=12,
+        dim=4, class_separation=4.0, domain_shift_scale=4.0, seed=8,
+    ))
+    keep = np.arange(base.n) % (base.subjects + 3) != 0
+    path = tmp_path / "d.csv"
+    save_csv(DomainDataset(base.features[keep], base.labels[keep], base.subjects[keep], base.sessions[keep]), path)
+    deep = dict(train=FAST_TRAIN, hidden=(4,), feature_dim=4)
+    cfg = small_cfg(
+        dataset=str(path), protocol="hlso",
+        strategies=(NormStrategy.NO_NORM, NormStrategy.Z0, NormStrategy.Z2),
+        methods=(
+            MethodSpec("noDA-ANN", **deep), MethodSpec("DANN", **deep), MethodSpec("ADDA", **deep),
+            MethodSpec("noDA-SVM"),
+        ),
+    )
+    outputs = []
+    for jobs in (1, 2):
+        report = run_experiment(cfg, jobs=jobs)
+        assert all(c.ok for c in report.cells)
+        write_report(report, tmp_path / f"jobs{jobs}")
+        outputs.append([(tmp_path / f"jobs{jobs}" / name).read_bytes() for name in ("folds.csv", "report.csv")])
+    assert len({(f.train_idx.size, f.test_idx.size) for f in report.folds}) == 3
+    assert outputs[0] == outputs[1]
+
+
 def test_run_experiment_starts_no_more_workers_than_groups(monkeypatch):
     import concurrent.futures
 
@@ -258,7 +289,7 @@ def test_run_experiment_records_failed_cells():
 
     folds = loso_folds(ds)
     bad_fold = [f for f in folds if f.name == "test-subject-9"][0]
-    outcomes = _run_fold_group(ds, bad_fold, NormStrategy.Z2, (MethodSpec("noDA-SVM"),), {}, 0)
+    outcomes = _run_fold_group(ds, [(NormStrategy.Z2, bad_fold)], (MethodSpec("noDA-SVM"),), {}, 0)
     assert outcomes[0].error is not None
     assert "test-subject-9" in outcomes[0].error and "Z2" in outcomes[0].error
 
@@ -285,7 +316,7 @@ def final_specs(monkeypatch, methods, grids, train_X, train_y, test_X, root_seed
         return real_fit_method(spec, *args, **kwargs)
 
     monkeypatch.setattr(bench, "fit_method", recording_fit_method)
-    outcomes = _run_fold_group(ds, fold, NormStrategy.NO_NORM, methods, grids, root_seed)
+    outcomes = _run_fold_group(ds, [(NormStrategy.NO_NORM, fold)], methods, grids, root_seed)
     assert [o.error for o in outcomes] == [None] * len(methods)
     return specs
 
@@ -388,7 +419,8 @@ def test_label_leakage_audit_fitted_parameters_bit_identical():
         fitted = []
         for source in (ds, constant):
             train_X, test_X = apply_strategy(source, fold, NormStrategy.Z2)
-            fitted.append(fit_method(method, train_X, source.labels[fold.train_idx], test_X, seed=9))
+            [(fit, _)] = fit_method(method, [FitProblem(train_X, source.labels[fold.train_idx], test_X, 9)])
+            fitted.append(fit)
         for pa, pb in zip(fitted[0].parameters(), fitted[1].parameters()):
             np.testing.assert_array_equal(pa, pb)
 
@@ -435,7 +467,7 @@ def fitted_all_kinds():
     fold = loso_folds(ds)[0]
     train_X, test_X = apply_strategy(ds, fold, NormStrategy.Z2)
     train_y = ds.labels[fold.train_idx]
-    return [fit_method(m, train_X, train_y, test_X, seed=9) for m in ALL_KINDS], test_X
+    return [fit_method(m, [FitProblem(train_X, train_y, test_X, 9)])[0][0] for m in ALL_KINDS], test_X
 
 
 def test_parameters_match_per_type_walk_for_every_kind():

@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import deep_reference
+from deep_reference import flat_copy
 from gradcheck import max_relative_error
+from normda import deep
 from normda.dataset import SyntheticShiftConfig, generate_synthetic
 from normda.deep import (
     ACTIVATIONS,
@@ -25,7 +27,6 @@ from normda.deep import (
     cross_entropy,
     cross_entropy_grad,
     dann_batch_grads,
-    flat_copy,
     flatten,
     forward,
     grl_backward,
@@ -36,7 +37,7 @@ from normda.deep import (
     train_dann,
     train_plain,
 )
-from normda.errors import ConfigError, DegenerateLabelsError, NumericError, ShapeError
+from normda.errors import ConfigError, DegenerateLabelsError, NormdaError, NumericError, ShapeError
 from normda.shallow import KernelSpec, mmd_sq
 
 
@@ -370,6 +371,100 @@ def test_trainers_reject_non_finite_inputs(trainer, name, kind, value):
                 train_dann(inputs["Xs"], y, inputs["Xt"], cfg, ext, head, head, lam=0.5, seed=0)
             else:
                 train_adda(inputs["Xs"], y, inputs["Xt"], cfg, ext, head, head, seed=0)
+
+
+def call_trainer(trainer, X, y, Xt, cfg, ext, head, seed=0):
+    if trainer == "plain":
+        return train_plain(X, y, cfg, ext, head, seed)
+    if trainer == "dann":
+        return train_dann(X, y, Xt, cfg, ext, head, head, lam=0.5, seed=seed)
+    return train_adda(X, y, Xt, cfg, ext, head, head, seed=seed)
+
+
+SHAPE_CASES = [
+    ("rows", lambda X, y, Xt: (X, y[:-2], Xt), "40 training rows but labels of shape"),
+    ("width", lambda X, y, Xt: (X[:, :2], y, Xt), "must be rows of width 3"),
+    ("label", lambda X, y, Xt: (X, np.where(y == 1, 2, y), Xt), r"labels must lie in 0\.\.1"),
+    ("negative", lambda X, y, Xt: (X, np.where(y == 1, -1, y), Xt), r"labels must lie in 0\.\.1"),
+    ("target", lambda X, y, Xt: (X, y, Xt[:, :2]), "target features must be rows of width 3"),
+]
+
+
+@pytest.mark.parametrize(
+    "trainer, change, message",
+    [
+        pytest.param(trainer, change, message, id=f"{trainer}-{case}")
+        for trainer in ("plain", "dann", "adda")
+        for case, change, message in SHAPE_CASES
+        if not (trainer == "plain" and case == "target")  # train_plain reads no target rows
+    ],
+)
+def test_trainers_reject_mismatched_shapes(trainer, change, message):
+    X, y = blobs(n_per=20, seed=41, dim=3)
+    X, y, Xt = change(X, y, X + 1.0)
+    cfg = TrainConfig(batch_size=16, max_epochs=2, patience=1)
+    with pytest.raises(ShapeError, match=message):
+        call_trainer(trainer, X, y, Xt, cfg, MlpSpec((3, 4), head="identity"), MlpSpec((4, 2)))
+
+
+def lockstep_members():
+    """(X, y, Xt, seed) problems of two shapes (45 and 36 source rows). The
+    fifth holds two rows near the float64 limit, so its networks overflow
+    in its third or fourth epoch; the sixth has fewer labels than rows."""
+    X, y, Xt, *_ = reference_case("relu", (5,), 16)
+    shifted = X + np.random.default_rng(54).normal(scale=0.3, size=X.shape)
+    short = np.r_[0:12, 15:27, 30:42]
+    huge = X.copy()
+    huge[20:22] = -1.7e308
+    return [
+        (X, y, Xt, 3),
+        (X, y, Xt, 4),
+        (X[short], y[short], Xt[:20], 5),
+        (shifted, y, Xt, 6),
+        (huge, y, Xt, 13),
+        (X, y[:-1], Xt, 8),
+        (shifted[short], y[short], Xt[:20], 9),
+        (shifted, y, Xt * 0.5, 10),
+    ]
+
+
+def solo_outcome(trainer, *args):
+    try:
+        return call_trainer(trainer, *args)
+    except NormdaError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("trainer", ["plain", "dann", "adda"])
+def test_lockstep_members_match_solo_fits_bitwise(monkeypatch, trainer):
+    members = lockstep_members()
+    _, _, _, cfg, ext, pred, _ = reference_case("relu", (5,), 16)
+    cfg = TrainConfig(learning_rate=0.02, batch_size=16, max_epochs=12, patience=3)
+    scored = []
+    real_val_accuracy = deep._val_accuracy
+
+    def recording_val_accuracy(stack, specs):
+        scored.append(len(stack.ids))
+        return real_val_accuracy(stack, specs)
+
+    with np.errstate(all="ignore"):
+        monkeypatch.setattr(deep, "_val_accuracy", recording_val_accuracy)
+        Xs, ys, Xts, seeds = (list(column) for column in zip(*members))
+        together = call_trainer(trainer, Xs, ys, Xts, cfg, ext, pred, seeds)
+        monkeypatch.undo()
+        solo = [solo_outcome(trainer, X, y, Xt, cfg, ext, pred, seed) for X, y, Xt, seed in members]
+    # Members left their stacks at different epochs, so later epochs scored fewer.
+    assert len(set(scored)) >= 3
+    assert len(together) == len(members)
+    for got, want in zip(together, solo):
+        if isinstance(want, NormdaError):
+            assert type(got) is type(want) and str(got) == str(want)
+        else:
+            assert_same_bits(got, want)
+    assert isinstance(together[4], NumericError) and isinstance(together[5], ShapeError)
+    assert sum(isinstance(r, NormdaError) for r in together) == 2
+    with pytest.raises(ShapeError, match=r"^2 seeds but \[1, 1(, 1)?\] problem arrays$"):
+        call_trainer(trainer, Xs[:1], ys[:1], Xts[:1], cfg, ext, pred, seeds[:2])
 
 
 def test_train_plain_single_class_rejected():

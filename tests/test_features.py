@@ -8,6 +8,7 @@ from normda.errors import ConfigError, DegenerateDataError, ShapeError
 from normda.features import (
     DE_SIGMA_FLOOR,
     FILTER_ORDER,
+    PADLEN,
     BandSpec,
     SignalEpoch,
     _bandpass_design,
@@ -76,6 +77,25 @@ def test_bandpass_design_computed_once_per_band_and_rate():
         differential_entropy(SignalEpoch(rng.normal(size=(2, 200)), 200.0), standard_bands())
     info = _bandpass_design.cache_info()
     assert (info.misses, info.hits) == (5, 245)
+
+
+@pytest.mark.parametrize("fs", [128.0, 200.0, 250.0])
+def test_bandpass_matches_scipy_filtfilt_bitwise(fs):
+    rng = np.random.default_rng(int(fs))
+    for n in (PADLEN + 1, PADLEN + 2, 100, 2 * int(fs) + 1):
+        samples = rng.normal(size=(3, n))
+        for band in standard_bands():
+            b, a = butter(FILTER_ORDER, [band.low, band.high], btype="bandpass", fs=fs)
+            expected = filtfilt(b, a, samples, axis=1)
+            got = butter_bandpass(SignalEpoch(samples, fs), band.low, band.high).samples
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def test_bandpass_rejects_epochs_no_longer_than_the_pad():
+    epoch = SignalEpoch(np.random.default_rng(6).normal(size=(2, PADLEN)), 200.0)
+    with pytest.raises(ConfigError, match=f"at least {PADLEN + 1} samples, got {PADLEN}"):
+        differential_entropy(epoch, standard_bands())
+    assert differential_entropy(epoch, [None]).shape == (2,)
 
 
 def test_zero_phase_no_lag_on_passband_tone():

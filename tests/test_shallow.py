@@ -54,6 +54,22 @@ def test_gram_dimension_mismatch():
         gram(np.ones((2, 3)), np.ones((2, 4)), LINEAR)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda Xs, Xt: tca_fit(Xs, Xt, KernelSpec(), 1),
+        lambda Xs, Xt: tca_fit(Xs, Xt, KernelSpec("rbf"), 1),
+        lambda Xs, Xt: mmd_sq(Xs, Xt, KernelSpec("rbf")),
+        lambda Xs, Xt: mmd_sq(Xs, Xt, KernelSpec()),
+    ],
+    ids=["tca-linear", "tca-rbf", "mmd-rbf", "mmd-linear"],
+)
+def test_source_target_width_mismatch_raises_shape_error(call):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ShapeError, match="shared feature dimension"):
+        call(rng.normal(size=(5, 3)), rng.normal(size=(4, 2)))
+
+
 def test_rbf_gram_entries_and_psd():
     X = np.random.default_rng(1).normal(size=(20, 4))
     G = gram(X, X, KernelSpec("rbf", 0.7))
