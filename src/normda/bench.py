@@ -624,17 +624,17 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     """Run the full strategy-by-method grid over the protocol's folds on
     `jobs` worker processes (1: in this process).
 
-    A config with a deep method splits its (strategy, fold) groups into
-    `jobs` runs of consecutive groups, one task each, so that each task's
-    deep fits train in lockstep. A config without one gains nothing from
-    lockstep and runs one task per group, which the pool balances.
+    The (strategy, fold) groups, fold-major, are cut into at most `jobs`
+    runs of consecutive groups, one task each. Each task carries the
+    dataset once, and keeps each fold's strategies together so that its
+    same-shape deep fits train in lockstep.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     ds = resolve_dataset(cfg)
     folds = folds_for(ds, cfg.protocol)
-    groups = [(strategy, fold) for strategy in cfg.strategies for fold in folds]
-    size = -(-len(groups) // jobs) if any(m.kind in DEEP_KINDS for m in cfg.methods) else 1
+    groups = [(strategy, fold) for fold in folds for strategy in cfg.strategies]
+    size = -(-len(groups) // jobs)
     tasks = [
         (ds, groups[i : i + size], cfg.methods, cfg.grids, cfg.seed) for i in range(0, len(groups), size)
     ]
@@ -642,7 +642,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
             futures = [pool.submit(_run_fold_group, *task) for task in tasks]
             outcome_lists = [f.result() for f in futures]
     else:

@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="JSON experiment configuration")
     p.add_argument("--out", default=None, help="override the report directory")
     p.add_argument("--seed", type=int, default=None, help="override the config seed")
-    p.add_argument("--jobs", type=int, default=None, help="parallel fold groups (default: cores)")
+    p.add_argument("--jobs", type=int, default=None, help="worker processes (default: cores)")
     p.add_argument("--strict", action="store_true", help="exit 4 if any cell failed")
     p.set_defaults(func=cmd_run)
 

@@ -49,6 +49,7 @@ from .errors import (
     NumericError,
     ShapeError,
     check_field_types,
+    integer_labels,
 )
 
 ADAM_BETA1 = 0.9
@@ -516,14 +517,14 @@ def _trainer_inputs(
     """Features as float64 and labels as int64.
 
     Rejects with ShapeError features that are not rows of the extractor's
-    input width, a label count other than the row count, labels outside
-    the predictor's classes 0..out_dim-1, and (when a target set is given)
-    target rows of another width or no target rows; with NumericError
-    non-finite features; and with DegenerateLabelsError labels of a single
-    class.
+    input width, labels that are not integers, a label count other than
+    the row count, labels outside the predictor's classes 0..out_dim-1,
+    and (when a target set is given) target rows of another width or no
+    target rows; with NumericError non-finite features; and with
+    DegenerateLabelsError labels of a single class.
     """
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    y = integer_labels(y)
     if X.ndim != 2 or X.shape[1] != extractor.in_dim:
         raise ShapeError(f"training features must be rows of width {extractor.in_dim}, got shape {X.shape}")
     if y.shape != (X.shape[0],):

@@ -1,9 +1,12 @@
-"""Exception types shared across the package. NormdaError is the only
-expected failure; any other exception is a bug and propagates."""
+"""Exception types shared across the package, and the input checks that
+raise them in more than one module. NormdaError is the only expected
+failure; any other exception is a bug and propagates."""
 
 import math
 import numbers
 from dataclasses import fields
+
+import numpy as np
 
 
 class NormdaError(Exception):
@@ -81,3 +84,12 @@ def check_field_types(obj) -> None:
             raise ConfigError(f"{f.name} must be {what}, got {value!r}")
         if wanted is numbers.Real and not math.isfinite(value):
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
+
+
+def integer_labels(y) -> np.ndarray:
+    """`y` as int64 class labels. Raises ShapeError for fractional, NaN or
+    inf labels, which the cast would truncate or garble silently."""
+    y = np.asarray(y)
+    if y.dtype.kind == "f" and not (np.isfinite(y).all() and (y == np.trunc(y)).all()):
+        raise ShapeError("labels must be integers, got fractional or non-finite values")
+    return np.asarray(y, dtype=np.int64)

@@ -15,7 +15,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -89,23 +89,24 @@ def butter_bandpass(epoch: SignalEpoch, low: float, high: float) -> SignalEpoch:
         raise ConfigError(
             f"band-pass filtering needs epochs of at least {PADLEN + 1} samples, got {x.shape[1]}"
         )
-    design = _bandpass_design(low, high, epoch.fs)
-    b, a = design
+    b, a, zi = _bandpass_design(low, high, epoch.fs)
     # scipy.signal.filtfilt(b, a, x, axis=1) step by step: odd extension by
     # PADLEN at each end, a forward and a backward pass, each started from
     # the steady state zi scaled by its first sample, then the pad removed.
     ext = np.concatenate(
         (2 * x[:, :1] - x[:, PADLEN:0:-1], x, 2 * x[:, -1:] - x[:, -2 : -(PADLEN + 2) : -1]), axis=1
     )
-    y, _ = lfilter(b, a, ext, axis=1, zi=design.zi * ext[:, :1])
-    y, _ = lfilter(b, a, y[:, ::-1], axis=1, zi=design.zi * y[:, -1:])
+    y, _ = lfilter(b, a, ext, axis=1, zi=zi * ext[:, :1])
+    y, _ = lfilter(b, a, y[:, ::-1], axis=1, zi=zi * y[:, -1:])
     return SignalEpoch(y[:, ::-1][:, PADLEN:-PADLEN], epoch.fs)
 
 
-class _Design(tuple):
-    """A band's Butterworth (b, a), which unpacks as that pair, and `zi`,
-    the filter's step-response steady state (lfilter_zi) as a row."""
+class _Design(NamedTuple):
+    """A band's Butterworth (b, a) and `zi`, the filter's step-response
+    steady state (lfilter_zi) as a row."""
 
+    b: np.ndarray
+    a: np.ndarray
     zi: np.ndarray
 
 
@@ -118,9 +119,8 @@ def _bandpass_design(low: float, high: float, fs: float) -> _Design:
     caller and therefore read-only.
     """
     b, a = butter(FILTER_ORDER, [low, high], btype="bandpass", fs=fs)
-    design = _Design((b, a))
-    design.zi = lfilter_zi(b, a).reshape(1, -1)
-    for arr in (b, a, design.zi):
+    design = _Design(b, a, lfilter_zi(b, a).reshape(1, -1))
+    for arr in design:
         arr.setflags(write=False)
     return design
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateLabelsError, NumericError, ShapeError
+from .errors import ConfigError, DegenerateLabelsError, NumericError, ShapeError, integer_labels
 from .shallow import KernelSpec, gram, resolve_kernel
 
 _STEP_EPS = 1e-10
@@ -222,7 +222,7 @@ def svm_train(
 ) -> SvmModel:
     """Train a one-vs-rest kernel SVM; deterministic given the seed."""
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
+    y = integer_labels(y)
     if X.ndim != 2 or y.shape != (X.shape[0],):
         raise ShapeError("X must be (n, m) with matching length-n labels")
     if not np.all(np.isfinite(X)):

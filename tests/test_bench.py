@@ -201,9 +201,9 @@ def test_run_experiment_deterministic_report_csv(tmp_path):
 
 
 def test_run_experiment_parallel_matches_serial():
-    serial = run_experiment(small_cfg())
-    parallel = run_experiment(small_cfg(), jobs=2)
-    assert emit_table(serial.cells, "csv") == emit_table(parallel.cells, "csv")
+    serial = emit_table(run_experiment(small_cfg()).cells, "csv")
+    for jobs in (2, 3, 4):  # 6 groups: 2 runs of 3, 3 of 2, and 3 of 2 with a worker to spare
+        assert emit_table(run_experiment(small_cfg(), jobs=jobs).cells, "csv") == serial
 
 
 def test_deep_hlso_folds_of_different_sizes_give_the_same_report_at_any_jobs(tmp_path):
@@ -236,16 +236,17 @@ def test_deep_hlso_folds_of_different_sizes_give_the_same_report_at_any_jobs(tmp
     assert outputs[0] == outputs[1]
 
 
-def test_run_experiment_starts_no_more_workers_than_groups(monkeypatch):
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Swaps in a pool that runs each task in this process, and returns the
+    record of the pool sizes requested and the argument tuples submitted."""
     import concurrent.futures
 
-    sizes = []
+    record = {"sizes": [], "tasks": []}
 
     class RecordingPool:
-        """Runs each task in this process and records the requested size."""
-
         def __init__(self, max_workers):
-            sizes.append(max_workers)
+            record["sizes"].append(max_workers)
 
         def __enter__(self):
             return self
@@ -254,13 +255,29 @@ def test_run_experiment_starts_no_more_workers_than_groups(monkeypatch):
             return False
 
         def submit(self, fn, *args):
+            record["tasks"].append(args)
             future = concurrent.futures.Future()
             future.set_result(fn(*args))
             return future
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return record
+
+
+def test_run_experiment_starts_no_more_workers_than_groups(recording_pool):
     report = run_experiment(small_cfg(), jobs=1000)
-    assert sizes == [len(report.config.strategies) * len(report.fold_names)]
+    assert recording_pool["sizes"] == [len(report.config.strategies) * len(report.fold_names)]
+
+
+def test_run_experiment_sends_jobs_fold_major_runs_with_the_dataset_once(recording_pool):
+    report = run_experiment(small_cfg(), jobs=2)  # SVM only: 2 strategies x 3 folds
+    tasks = recording_pool["tasks"]
+    assert recording_pool["sizes"] == [2] and len(tasks) == 2
+    for task in tasks:
+        assert [arg is report.dataset for arg in task] == [True, False, False, False, False]
+        assert len(task[1]) == 3
+    sent = [(strategy, fold.name) for task in tasks for strategy, fold in task[1]]
+    assert sent == [(s, name) for name in report.fold_names for s in report.config.strategies]
 
 
 def test_run_experiment_records_failed_cells():

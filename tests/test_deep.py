@@ -387,6 +387,9 @@ SHAPE_CASES = [
     ("label", lambda X, y, Xt: (X, np.where(y == 1, 2, y), Xt), r"labels must lie in 0\.\.1"),
     ("negative", lambda X, y, Xt: (X, np.where(y == 1, -1, y), Xt), r"labels must lie in 0\.\.1"),
     ("target", lambda X, y, Xt: (X, y, Xt[:, :2]), "target features must be rows of width 3"),
+    ("fraction", lambda X, y, Xt: (X, np.tile([0.5, 1.7], 20), Xt), "labels must be integers"),
+    ("nan", lambda X, y, Xt: (X, np.where(y == 1, np.nan, y), Xt), "labels must be integers"),
+    ("inf", lambda X, y, Xt: (X, np.where(y == 1, np.inf, y), Xt), "labels must be integers"),
 ]
 
 

@@ -76,6 +76,20 @@ def test_non_finite_features_rejected():
         svm_train(X, np.array([0, 1]), LINEAR)
 
 
+@pytest.mark.parametrize("labels", [[0.5, 1.7] * 10, [0.0, np.nan] * 10, [0.0, -np.inf] * 10])
+def test_non_integer_labels_rejected(labels):
+    with pytest.raises(ShapeError, match="labels must be integers"):
+        svm_train(np.arange(20.0).reshape(-1, 1), np.array(labels), LINEAR)
+
+
+def test_integer_valued_float_labels_train_as_integers():
+    X = np.arange(20.0).reshape(-1, 1)
+    y = np.arange(20) % 3
+    as_int, as_float = svm_train(X, y, LINEAR), svm_train(X, y.astype(np.float64), LINEAR)
+    assert as_float.classes == as_int.classes == (0, 1, 2)
+    assert as_float.dual_coefs.tobytes() == as_int.dual_coefs.tobytes()
+
+
 @pytest.mark.parametrize("C", [np.nan, np.inf])
 def test_non_finite_C_rejected(C):
     with pytest.raises(ConfigError, match="C must be positive and finite"):
