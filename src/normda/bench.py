@@ -30,6 +30,7 @@ from .dataset import (
     folds_for,
     generate_synthetic,
     load_csv,
+    parse_numbers,
     stratified_indices,
 )
 from .deep import (
@@ -183,8 +184,8 @@ def _deep(train):
             )
             for (i, _, _, classes), model in zip(members, models):
                 results[i] = model if isinstance(model, NormdaError) else (model, classes)
-        share = (time.perf_counter() - start) / len(problems)
-        return [(result, share) for result in results]
+        elapsed = time.perf_counter() - start
+        return [(result, elapsed / len(problems)) for result in results]
 
     return fit
 
@@ -725,12 +726,10 @@ def rows_from_folds_csv(text: str) -> list[FoldOutcome]:
             raise ConfigError(f"line {number}: unknown method {method!r}")
         if (strategy, method, fold) in rows:
             raise ConfigError(f"line {number}: duplicate row for {strategy}/{method} fold {fold}")
-        try:
-            value = None if acc == "FAIL" else float(acc)
-            if value is not None and not 0.0 <= value <= 1.0:
-                raise ValueError
-        except ValueError:
-            raise ConfigError(f"line {number}: accuracy {acc!r} is not FAIL or a number in [0, 1]") from None
+        parsed = parse_numbers([acc])  # None for FAIL
+        if acc != "FAIL" and (parsed is None or not 0.0 <= parsed[0] <= 1.0):
+            raise ConfigError(f"line {number}: accuracy {acc!r} is not FAIL or a number in [0, 1]")
+        value = parsed[0] if parsed else None
         rows[strategy, method, fold] = FoldOutcome(
             strategy, method, fold, value, "FAIL" if value is None else None, 0.0
         )

@@ -30,21 +30,37 @@ EXIT_EXPERIMENT = 4
 
 
 def _parse_file(path, parse):
-    """`parse` applied to the UTF-8 text of `path`. Text that does not
-    decode, or that `parse` rejects with a ValueError (JSON syntax, unknown
-    or wrong-typed fields), is a ConfigError naming the path."""
+    """`parse` applied to dataset.read_text(path). A ValueError from `parse`
+    (JSON syntax, a key repeated in one object, unknown or wrong-typed
+    fields) is a ConfigError naming the path."""
+    text = dataset.read_text(path)
     try:
-        return parse(Path(path).read_text(encoding="utf-8"))
+        return parse(text)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _unique_keys(pairs: list) -> dict:
+    """json.loads' object hook: the object, unless a key repeats in it."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"key {key!r} appears more than once in one object")
+        obj[key] = value
+    return obj
+
+
+def _read_json(path, from_dict):
+    """from_dict applied to the JSON object in `path`."""
+    return _parse_file(path, lambda text: from_dict(json.loads(text, object_pairs_hook=_unique_keys)))
+
+
 def _read_config(path) -> bench.ExperimentConfig:
-    return _parse_file(path, lambda text: bench.config_from_dict(json.loads(text)))
+    return _read_json(path, bench.config_from_dict)
 
 
 def cmd_synth(args) -> int:
-    cfg = _parse_file(args.config, lambda text: bench.synthetic_from_dict(json.loads(text)))
+    cfg = _read_json(args.config, bench.synthetic_from_dict)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     ds = dataset.generate_synthetic(cfg)

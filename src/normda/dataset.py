@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -217,26 +218,47 @@ def generate_synthetic(cfg: SyntheticShiftConfig) -> DomainDataset:
     )
 
 
-def load_csv(path) -> DomainDataset:
-    """Read a dataset from CSV: the subject, session and label columns are
-    integer ids, every other column a feature.
-
-    Raises SchemaError for missing columns or a column name that repeats
-    after stripping whitespace, ParseError naming the offending row
-    (1-based, header excluded) and column of a cell that is not a finite
-    number, or the first byte that is not UTF-8, EmptyInputError for a
-    file without data rows. A leading byte-order mark is skipped.
-    """
-    schema = ("subject", "session", "label")
+def read_text(path) -> str:
+    """The text of the UTF-8 file at `path` without a leading byte-order
+    mark; a byte that is not UTF-8 is a ParseError naming its offset."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
         # Decoding the whole file (not utf-8-sig) keeps exc.start a byte
         # offset into the file itself, BOM included.
-        text = raw.decode("utf-8").removeprefix("\ufeff")
+        return raw.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: byte {exc.start} is not valid UTF-8 ({exc.reason})") from None
-    with io.StringIO(text, newline="") as fh:
+
+
+def parse_numbers(cells: Sequence[str], kind=float) -> list | None:
+    """[kind(cell) for cell in cells] (kind is int or float), or None if
+    the number rule rejects a cell: it accepts what kind() accepts except
+    digit-group underscores, non-ASCII characters ("1_5", "٣") and floats
+    that are not finite. A whole row costs one check and one map."""
+    text = "".join(cells)
+    if "_" in text or not text.isascii():
+        return None
+    try:
+        numbers = list(map(kind, cells))
+    except ValueError:
+        return None
+    return numbers if kind is int or all(map(math.isfinite, numbers)) else None
+
+
+def load_csv(path) -> DomainDataset:
+    """Read a dataset from CSV (decoded by read_text, each data cell read by
+    parse_numbers): the subject, session and label columns are integer ids,
+    every other column a feature.
+
+    Raises SchemaError for missing columns or a column name that repeats
+    after stripping whitespace, ParseError naming the offending row
+    (1-based, header excluded) and column of a cell that is not a finite
+    number (an integer for the ids), or the first byte that is not UTF-8,
+    EmptyInputError for a file without data rows.
+    """
+    schema = ("subject", "session", "label")
+    with io.StringIO(read_text(path), newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -249,47 +271,31 @@ def load_csv(path) -> DomainDataset:
         for col in schema:
             if col not in header:
                 raise SchemaError(f"{path}: missing required column {col!r}")
-        schema_pos = {col: header.index(col) for col in schema}
-        feature_cols = [(j, name) for j, name in enumerate(header) if name not in schema]
+        id_cols = [header.index(col) for col in schema]
+        feature_cols = [j for j, name in enumerate(header) if name not in schema]
         if not feature_cols:
             raise SchemaError(f"{path}: no feature columns beyond {list(schema)}")
+        take = operator.itemgetter(*id_cols, *feature_cols)  # a row's cells, ids first
 
-        feats, labels, subjects, sessions = [], [], [], []
+        ids, feats = [], []
         for row_num, row in enumerate(reader, start=1):
             if len(row) != len(header):
                 raise ParseError(f"{path}: row {row_num} has {len(row)} cells, expected {len(header)}")
-
-            def parse_int(col: str) -> int:
-                cell = row[schema_pos[col]]
-                try:
-                    return int(cell)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {row_num}, column {col}: {cell!r} is not an integer"
-                    ) from None
-
-            subjects.append(parse_int("subject"))
-            sessions.append(parse_int("session"))
-            labels.append(parse_int("label"))
-            values = []
-            for j, name in feature_cols:
-                try:
-                    value = float(row[j])
-                except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise ParseError(
-                        f"{path}: row {row_num}, column {name}: {row[j]!r} is not a finite number"
-                    )
-                values.append(value)
+            cells = take(row)
+            row_ids, values = parse_numbers(cells[:3], int), parse_numbers(cells[3:])
+            if row_ids is None:
+                j = next(j for j in id_cols if parse_numbers([row[j]], int) is None)
+                raise ParseError(f"{path}: row {row_num}, column {header[j]}: {row[j]!r} is not an integer")
+            if values is None:
+                j = next(j for j in feature_cols if parse_numbers([row[j]]) is None)
+                raise ParseError(f"{path}: row {row_num}, column {header[j]}: {row[j]!r} is not a finite number")
+            ids.append(row_ids)
             feats.append(values)
 
     if not feats:
         raise EmptyInputError(f"{path}: no data rows")
-    return DomainDataset(
-        np.array(feats), np.array(labels), np.array(subjects), np.array(sessions),
-        tuple(name for _, name in feature_cols),
-    )
+    subjects, sessions, labels = np.array(ids).T
+    return DomainDataset(np.array(feats), labels, subjects, sessions, tuple(header[j] for j in feature_cols))
 
 
 def save_csv(ds: DomainDataset, path) -> None:

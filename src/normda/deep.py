@@ -495,7 +495,7 @@ def dann_batch_grads(
     return tuple(grads)
 
 
-def _init_mlps(specs: list[MlpSpec], seed: int) -> list[Mlp]:
+def _init_mlps(specs: list[MlpSpec], seed) -> list[Mlp]:
     """Glorot-initialized Mlps drawn in order from one default_rng(seed)."""
     rng = np.random.default_rng(seed)
     return [init_mlp(spec, rng) for spec in specs]
@@ -623,7 +623,6 @@ class _Stack:
         val_idx = np.stack([m.val_idx for m in members])
         self.Xval, self.yval = self.X[rows, val_idx], self.y[rows, val_idx]
         self.theta = np.stack([m.theta for m in members]) if theta is None else theta
-        self.cache: dict = {}
 
     @property
     def rows(self) -> np.ndarray:
@@ -638,15 +637,6 @@ class _Stack:
                 setattr(self, name, [v for v, k in zip(value, mask) if k])
             elif isinstance(value, AdamState):
                 setattr(self, name, AdamState(value.m[mask], value.v[mask], value.t))
-        self.cache = {}
-
-    def views(self, specs: list[MlpSpec]) -> tuple[list[Mlp], np.ndarray, list[Params]]:
-        """Mlps of `specs` viewing theta, a gradient stack laid out like
-        them, and its per-network views; built once per member set."""
-        key = tuple(map(id, specs))
-        if key not in self.cache:
-            self.cache[key] = (_views(self.theta, specs), *_grad_views(specs, len(self.ids)))
-        return self.cache[key]
 
     def fail(self, rows, message: str) -> None:
         """Fail the members at `rows` that have not failed yet."""
@@ -718,7 +708,7 @@ def _early_stopping(stack: _Stack, epochs: int, patience: int, run_epoch, score)
 
 def _val_accuracy(stack: _Stack, specs: list[MlpSpec]) -> np.ndarray:
     """Each member's accuracy of predictor(extractor(x)) on its validation rows."""
-    ext, pred = stack.views(specs)[0]
+    ext, pred = _views(stack.theta, specs)
     feats = _forward(ext.spec, ext.params, stack.Xval).out
     probs = _forward(pred.spec, pred.params, feats).out
     stack.check_finite(feats, probs)
@@ -736,7 +726,8 @@ def _fit_classifier(stack: _Stack, cfg: TrainConfig, specs: list[MlpSpec]) -> li
         rows = stack.rows
         order = stack.train_idx[rows, _epoch_orders(stack.rngs, stack.train_idx.shape[1])[0]]
         X, y = stack.X[rows, order], stack.y[rows, order]
-        (ext, pred), grad, (egrads, pgrads) = stack.views(specs)
+        ext, pred = _views(stack.theta, specs)
+        grad, (egrads, pgrads) = _grad_views(specs, len(stack.ids))
         for start in range(0, order.shape[1], cfg.batch_size):
             yb = y[:, start : start + cfg.batch_size]
             Xb = X[:, start : start + cfg.batch_size]
@@ -749,8 +740,10 @@ def _fit_classifier(stack: _Stack, cfg: TrainConfig, specs: list[MlpSpec]) -> li
 
 
 def _initial_member(X, y, Xt, seed, specs: list[MlpSpec]) -> _Member:
-    """A DANN or ADDA member: its networks drawn from one default_rng(seed)
-    in `specs` order, its split and batches from a second one."""
+    """A member after its input checks: its networks drawn from one
+    default_rng(seed) in `specs` order, its split and batches from a second
+    one. default_rng returns a Generator seed unchanged, so a Generator
+    draws all of them, in that order."""
     X, y, Xt = _trainer_inputs(X, y, Xt, specs[0], specs[1])
     theta = flatten(*(m.params for m in _init_mlps(specs, seed)))
     rng = np.random.default_rng(seed)
@@ -777,10 +770,7 @@ def train_plain(
     specs = [extractor_spec, predictor_spec]
 
     def setup(X, y, seed):
-        X, y, _ = _trainer_inputs(X, y, None, extractor_spec, predictor_spec)
-        rng = np.random.default_rng(seed)
-        theta = flatten(init_mlp(extractor_spec, rng).params, init_mlp(predictor_spec, rng).params)
-        return _Member(X, y, None, *_val_split(y, rng), rng, theta)
+        return _initial_member(X, y, None, np.random.default_rng(seed), specs)
 
     def train(members):
         best = _fit_classifier(_Stack(members), cfg, specs)
@@ -825,9 +815,9 @@ def train_dann(
             order, target = _epoch_orders(stack.rngs, stack.train_idx.shape[1], stack.Xt.shape[1])
             order = stack.train_idx[rows, order]
             Xs, ys, Xt = stack.X[rows, order], stack.y[rows, order], stack.Xt[rows, target]
-            nets, grad, grads = stack.views(specs)
-            _, _, (rev,) = stack.views(specs[:1])
-            current = DannModel(*nets, lam)
+            current = DannModel(*_views(stack.theta, specs), lam)
+            grad, grads = _grad_views(specs, len(stack.ids))
+            _, (rev,) = _grad_views(specs[:1], len(stack.ids))
             for start in range(0, order.shape[1], cfg.batch_size):
                 batch = slice(start, start + cfg.batch_size)
                 yb = ys[:, batch]
@@ -931,7 +921,8 @@ def _align_target(members: list[_Member], sources: np.ndarray, cfg: TrainConfig,
         rows = stack.rows
         order, target = _epoch_orders(stack.rngs, n_src, n_tgt)
         real, Xt = stack.src_feats[rows, order], stack.Xt[rows, target]
-        (target_enc, disc), grad, (enc_grads, disc_grads) = stack.views(nets)
+        target_enc, disc = _views(stack.theta, nets)
+        grad, (enc_grads, disc_grads) = _grad_views(nets, len(stack.ids))
         enc_theta, disc_theta = stack.theta[:, :n_enc], stack.theta[:, n_enc:]
         enc_grad, disc_grad = grad[:, :n_enc], grad[:, n_enc:]
         for start in range(0, n_src, cfg.batch_size):
@@ -954,7 +945,7 @@ def _align_target(members: list[_Member], sources: np.ndarray, cfg: TrainConfig,
             stack.fail(adam_step(enc_theta, enc_grad, stack.enc_adam, lr), ADAM_ERROR)
 
     def chance_closeness():
-        target_enc, disc = stack.views(nets)[0]
+        target_enc, disc = _views(stack.theta, nets)
         fake_all = _forward(enc_spec, target_enc.params, stack.Xt).out
         dprobs = _forward(disc_spec, disc.params, np.concatenate([stack.src_feats, fake_all], axis=-2)).out
         stack.check_finite(fake_all, dprobs)

@@ -442,6 +442,13 @@ def test_label_leakage_audit_fitted_parameters_bit_identical():
             np.testing.assert_array_equal(pa, pb)
 
 
+def test_fit_method_with_no_problems_returns_no_results():
+    from normda.bench import METHODS
+
+    for kind in METHODS:
+        assert fit_method(MethodSpec(kind), []) == [], kind
+
+
 def reference_parameters(fitted) -> list[np.ndarray]:
     """The per-model-type walk FittedMethod.parameters replaced."""
     from normda.deep import AddaModel, DannModel, Mlp, PlainModel

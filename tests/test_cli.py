@@ -195,6 +195,7 @@ ROW = "noNorm,noDA-SVM,f1,0.5"
             [ROW, "noNorm,noDA-SVM,f1,0.25"], "line 3: duplicate row for noNorm/noDA-SVM fold f1", id="duplicate"
         ),
         pytest.param([], "no rows after the header", id="empty"),
+        pytest.param([ROW, "noNorm,noDA-SVM,f2,0.7_5"], "line 3: accuracy '0.7_5'", id="underscore"),
     ],
 )
 def test_table_rejects_inconsistent_folds_csv(tmp_path, capsys, lines, named):
@@ -202,6 +203,23 @@ def test_table_rejects_inconsistent_folds_csv(tmp_path, capsys, lines, named):
     assert main(["table", "--report", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert named in err and "folds.csv" in err
+
+
+def test_byte_order_mark_is_skipped_in_every_input_file(tmp_path, capsys):
+    bom = "\ufeff".encode()
+    synth = tmp_path / "synth.json"
+    synth.write_bytes(bom + json.dumps(SYNTH_CFG).encode())
+    assert main(["synth", "--config", str(synth), "--out", str(tmp_path / "d.csv")]) == 0
+    capsys.readouterr()
+    cfg = tmp_path / "exp.json"
+    cfg.write_bytes(bom + json.dumps(dict(RUN_CFG, output_dir=str(tmp_path / "r"))).encode())
+    assert main(["run", "--config", str(cfg), "--jobs", "1"]) == 0
+    first = capsys.readouterr().out.strip().splitlines()
+    folds = tmp_path / "r" / "folds.csv"
+    folds.write_bytes(bom + folds.read_bytes())
+    assert main(["table", "--report", str(tmp_path / "r")]) == 0
+    rendered = capsys.readouterr().out.strip().splitlines()
+    assert rendered[0] == "| strategy | noDA-SVM |" and rendered == first[: len(rendered)]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -440,8 +458,8 @@ def test_run_strict_exits_4_only_for_failed_cells(tmp_path, capsys):
         ("synth", b"{", "Expecting property name"),
         ("run", b"[1]", "config keys: expected an object, got [1]"),
         ("synth", b"[1]", "synthetic fields: expected an object"),
-        ("run", b'{"seed": "\xe9"}', "can't decode byte 0xe9"),
-        ("synth", b'{"seed": "\xe9"}', "can't decode byte 0xe9"),
+        ("run", b'{"seed": "\xe9"}', "byte 10 is not valid UTF-8"),
+        ("synth", b'{"seed": "\xe9"}', "byte 10 is not valid UTF-8"),
         ("run", b'{"dataset": {"csv": "d.csv"}, "emit_projections": "false"}', "emit_projections must be a boolean"),
         ("run", b'{"dataset": {"csv": "d.csv"}, "seed": 2.7}', "seed must be an integer, got 2.7"),
         ("run", b'{"dataset": {"csv": "d.csv"}, "seed": true}', "seed must be an integer, got True"),
@@ -452,6 +470,12 @@ def test_run_strict_exits_4_only_for_failed_cells(tmp_path, capsys):
         ("run", b'{"dataset": {"csv": "d.csv"}, "methods": [{"kind": "noDA-SVM", "C": NaN}]}', "C must be finite"),
         ("run", b'{"dataset": {"csv": 5}}', "dataset 'csv' must be a path string, got 5"),
         ("synth", b'{"n_classes": 1}', "n_classes must be >= 2"),
+        (
+            "run",
+            b'{"methods": [{"kind": "noDA-SVM"}], "dataset": {"csv": "d.csv"}, "methods": [{"kind": "TCA-SVM"}]}',
+            "key 'methods' appears more than once",
+        ),
+        ("synth", b'{"seed": 1, "n_classes": 2, "seed": 2}', "key 'seed' appears more than once"),
     ],
 )
 def test_malformed_json_config_exits_2(tmp_path, capsys, command, content, named):

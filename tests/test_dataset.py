@@ -97,11 +97,20 @@ def test_load_csv_parse_error_names_row_and_column(tmp_path):
         load_csv(p)
 
 
-@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400", "1_5", "٣"])
 def test_load_csv_rejects_non_finite_and_names_row_and_column(tmp_path, cell):
     p = tmp_path / "d.csv"
-    p.write_text(f"subject,session,label,f1,f2\n0,0,0,1.0,2.0\n0,0,1,3.0,{cell}\n")
+    p.write_text(f"subject,session,label,f1,f2\n0,0,0,1.0,2.0\n0,0,1,3.0,{cell}\n", encoding="utf-8")
     with pytest.raises(ParseError, match=rf"row 2, column f2: {cell!r} is not a finite number"):
+        load_csv(p)
+
+
+@pytest.mark.parametrize("column, cell", [("subject", "1_0"), ("label", "٣")])
+def test_load_csv_rejects_an_id_that_is_not_a_plain_integer(tmp_path, column, cell):
+    p = tmp_path / "d.csv"
+    ids = {"subject": "1", "session": "0", "label": "1", column: cell}
+    p.write_text("subject,session,label,f1\n0,0,0,1.0\n" + ",".join(ids.values()) + ",2.0\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=rf"row 2, column {column}: {cell!r} is not an integer"):
         load_csv(p)
 
 
