@@ -114,9 +114,9 @@ def cmd_table(args) -> int:
 
 def cmd_validate(args) -> int:
     ds = dataset.load_csv(args.data)
-    print(f"rows={ds.n} features={ds.m} classes={ds.n_classes}")
-    counts = np.bincount(ds.labels, minlength=ds.n_classes)
-    print("label counts: " + ", ".join(f"{c}:{int(n)}" for c, n in enumerate(counts)))
+    classes, counts = np.unique(ds.labels, return_counts=True)
+    print(f"rows={ds.n} features={ds.m} classes={classes.size}")
+    print("label counts: " + ", ".join(f"{c}:{n}" for c, n in zip(classes.tolist(), counts.tolist())))
     single_row_domains = []
     for key in ds.domain_keys():
         rows = ds.rows_of(key)

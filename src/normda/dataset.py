@@ -92,10 +92,6 @@ class DomainDataset:
     def m(self) -> int:
         return self.features.shape[1]
 
-    @property
-    def n_classes(self) -> int:
-        return int(self.labels.max()) + 1
-
     def domain_keys(self) -> list[DomainKey]:
         """Distinct domains, sorted by (subject, session)."""
         pairs = {(int(s), int(e)) for s, e in zip(self.subjects, self.sessions)}
@@ -234,8 +230,9 @@ def read_text(path) -> str:
 def parse_numbers(cells: Sequence[str], kind=float) -> list | None:
     """[kind(cell) for cell in cells] (kind is int or float), or None if
     the number rule rejects a cell: it accepts what kind() accepts except
-    digit-group underscores, non-ASCII characters ("1_5", "٣") and floats
-    that are not finite. A whole row costs one check and one map."""
+    digit-group underscores, non-ASCII characters ("1_5", "٣"), floats
+    that are not finite and ints outside int64. A whole row costs one
+    check and one map."""
     text = "".join(cells)
     if "_" in text or not text.isascii():
         return None
@@ -243,7 +240,9 @@ def parse_numbers(cells: Sequence[str], kind=float) -> list | None:
         numbers = list(map(kind, cells))
     except ValueError:
         return None
-    return numbers if kind is int or all(map(math.isfinite, numbers)) else None
+    if kind is int:
+        return numbers if all(-(2**63) <= v < 2**63 for v in numbers) else None
+    return numbers if all(map(math.isfinite, numbers)) else None
 
 
 def load_csv(path) -> DomainDataset:
@@ -254,7 +253,7 @@ def load_csv(path) -> DomainDataset:
     Raises SchemaError for missing columns or a column name that repeats
     after stripping whitespace, ParseError naming the offending row
     (1-based, header excluded) and column of a cell that is not a finite
-    number (an integer for the ids), or the first byte that is not UTF-8,
+    number (an int64 integer for the ids), or the first byte that is not UTF-8,
     EmptyInputError for a file without data rows.
     """
     schema = ("subject", "session", "label")
@@ -285,7 +284,9 @@ def load_csv(path) -> DomainDataset:
             row_ids, values = parse_numbers(cells[:3], int), parse_numbers(cells[3:])
             if row_ids is None:
                 j = next(j for j in id_cols if parse_numbers([row[j]], int) is None)
-                raise ParseError(f"{path}: row {row_num}, column {header[j]}: {row[j]!r} is not an integer")
+                raise ParseError(
+                    f"{path}: row {row_num}, column {header[j]}: {row[j]!r} is not an integer in the int64 range"
+                )
             if values is None:
                 j = next(j for j in feature_cols if parse_numbers([row[j]]) is None)
                 raise ParseError(f"{path}: row {row_num}, column {header[j]}: {row[j]!r} is not a finite number")

@@ -10,18 +10,18 @@ flat vector mirrors it for the gradients: the trainers' backward passes
 write each layer's dW and db straight into its views, and adam_step
 computes the new moments and the update into spare arrays of its
 AdamState, so a training step neither concatenates per-layer gradients
-nor allocates new moment vectors. Only cross_entropy computes a loss
-value, and only the tests call it: they compare the gradients against its
-finite differences. The training path skips gradient products that
-nothing reads (the first layer's input gradient, the discriminator's
-weights while ADDA moves the encoder). The public forward and backward
-are checked wrappers over the same layer code.
+nor allocates new moment vectors. No function here computes a loss
+value: the gradient tests take finite differences of their own. The
+training path skips gradient products that nothing reads (the first
+layer's input gradient, the discriminator's weights while ADDA moves the
+encoder). The public forward and backward are checked wrappers over the
+same layer code.
 
 Each trainer builds its networks from their specs and the seed, and
 returns models over a snapshot copy. Training is a pure function of (data,
 config, specs, seed): repeated runs produce bit-identical parameters.
 
-A trainer given F seeds trains F problems of the same specs and config
+Each trainer takes sequences of F problems and F seeds and trains them
 in lockstep (see _lockstep): the parameter vector, the gradient vector,
 Adam's moments and every batch gain a leading member axis, so one
 mini-batch step is one stacked forward, backward and Adam update for all
@@ -29,13 +29,13 @@ of them. The layer code reads and writes only the last two axes, and
 np.matmul runs each member's slice through the same BLAS call as the 2-D
 product (each slice keeps BLAS-usable strides), so every member's
 parameters are bit-identical to a fit of that member alone. A single fit
-is the F = 1 stack.
+is the F = 1 stack, and each problem's failure comes back as a value.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -265,8 +265,7 @@ def backward(
     """Reverse-mode gradients from grad_out (w.r.t. the final pre-head output).
 
     Returns (per-layer (dW, db) gradients, gradient w.r.t. the input batch).
-    For a softmax head pass the logits gradient, e.g. from
-    cross_entropy_grad.
+    For a softmax head pass the logits gradient.
     """
     if len(cache.pre) != len(params):
         raise ShapeError("cache does not match params")
@@ -277,45 +276,27 @@ def backward(
     return grads, _backward(spec, params, cache, g, grads)
 
 
-def cross_entropy(probs: np.ndarray, y: np.ndarray) -> float:
-    """Mean negative log-likelihood of integer labels under probability rows."""
-    p = np.clip(probs[np.arange(len(y)), y], 1e-12, None)
-    return float(-np.mean(np.log(p)))
-
-
-def cross_entropy_grad(probs: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gradient of the mean cross-entropy w.r.t. the softmax logits."""
-    return _ce_grad_inplace(probs.copy(), (np.arange(len(y)), y))
-
-
 def _ce_grad_inplace(probs: np.ndarray, label_index: tuple) -> np.ndarray:
-    """cross_entropy_grad in place over probs (rows, classes) or a stack of
-    them, whose label entries are probs[label_index]."""
+    """The mean cross-entropy's gradient w.r.t. the softmax logits, in place
+    over probs (rows, classes) or a stack of them, whose label entries are
+    probs[label_index]."""
     probs[label_index] -= 1.0
     probs /= probs.shape[-2]
     return probs
 
 
 def _domain_grad_inplace(probs: np.ndarray, n_source: int) -> np.ndarray:
-    """cross_entropy_grad in place for domain labels: the first n_source
-    rows (of each member's batch) are labeled 0 (source), the rest 1
-    (target)."""
+    """_ce_grad_inplace for domain labels: the first n_source rows (of each
+    member's batch) are labeled 0 (source), the rest 1 (target)."""
     probs[..., :n_source, 0] -= 1.0
     probs[..., n_source:, 1] -= 1.0
     probs /= probs.shape[-2]
     return probs
 
 
-def grl_backward(upstream: np.ndarray, lam: float) -> np.ndarray:
-    """Gradient-reversal: identity forward, upstream scaled by -lam backward."""
-    if lam < 0:
-        raise ConfigError("lambda must be >= 0")
-    return -lam * np.asarray(upstream)
-
-
 @dataclass
 class AdamState:
-    """First and second moments of one flat parameter vector, and the step count.
+    """First and second moments of a stack of member rows, and the step count.
 
     adam_step computes the new moments into spare arrays and swaps them
     with m and v only when the update succeeds, so the arrays behind m and
@@ -338,12 +319,10 @@ class AdamState:
 
 
 def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float):
-    """One bias-corrected Adam update of the flat vector theta, in place.
+    """One bias-corrected Adam update, in place, of theta: a stack of member
+    rows (F, P) that step together and share the step count.
 
-    If any updated parameter would be non-finite, NumericError is raised
-    before theta or state is written. theta may instead be a stack of
-    member rows (F, P) that step together and share the step count; there
-    a row whose update would be non-finite is left unwritten, parameters
+    A row whose update would be non-finite is left unwritten, parameters
     and moments alike, the other rows step, and the indices of the
     unwritten rows are returned (an empty tuple when every row stepped).
     """
@@ -371,8 +350,6 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState, lr: float):
     new /= work
     np.subtract(theta, new, out=new)
     if not np.isfinite(new).all():
-        if theta.ndim == 1:
-            raise NumericError(ADAM_ERROR)
         ok = np.isfinite(new).all(axis=1)
         theta[ok], state.m[ok], state.v[ok], state.t = new[ok], m[ok], v[ok], t
         return np.flatnonzero(~ok)
@@ -404,8 +381,12 @@ class DannModel:
     lam: float = 1.0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ConfigError("lambda must be >= 0")
+        _check_lambda(self.lam)
+
+
+def _check_lambda(lam: float) -> None:
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ConfigError(f"lambda must be >= 0 and finite, got {lam!r}")
 
 
 @dataclass(frozen=True)
@@ -433,8 +414,9 @@ def _grad_views(specs: list[MlpSpec], members: int | None = None) -> tuple[np.nd
 
 
 def _class_pass(extractor: Mlp, predictor: Mlp, X, label_index, egrads: Params, pgrads: Params) -> None:
-    """Write class_grads' gradients into egrads and pgrads; the batch's
-    label entries of the predictor's output are at label_index."""
+    """Write the gradients of the mean cross-entropy through
+    predictor(extractor(X)) into egrads and pgrads; the batch's label
+    entries of the predictor's output are at label_index."""
     ecache = _forward(extractor.spec, extractor.params, X)
     pcache = _forward(predictor.spec, predictor.params, ecache.out)
     g = _ce_grad_inplace(pcache.out, label_index)
@@ -442,22 +424,12 @@ def _class_pass(extractor: Mlp, predictor: Mlp, X, label_index, egrads: Params, 
     _backward(extractor.spec, extractor.params, ecache, gfeats, egrads, input_grad=False)
 
 
-def class_grads(
-    extractor: Mlp, predictor: Mlp, X: np.ndarray, y: np.ndarray
-) -> tuple[Params, Params]:
-    """Cross-entropy gradients through predictor(extractor(X))."""
-    X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
-    _check_input(extractor.spec, extractor.params, X)
-    _check_heads(extractor.spec, predictor.spec)
-    _, (egrads, pgrads) = _grad_views([extractor.spec, predictor.spec])
-    _class_pass(extractor, predictor, X, (np.arange(len(y)), y), egrads, pgrads)
-    return egrads, pgrads
-
-
 def _dann_pass(model: DannModel, Xs, label_index, Xt, grads: list[Params], rev: Params) -> None:
-    """Write dann_batch_grads' gradients into grads (extractor, predictor,
-    domain classifier); rev is scratch shaped like the extractor's
-    gradients."""
+    """Write one DANN batch's gradients into grads (extractor, predictor,
+    domain classifier): source cross-entropy through extractor and
+    predictor, and the domain loss (source 0, target 1) through the domain
+    classifier and, scaled by -lambda, into the extractor. rev is scratch
+    shaped like the extractor's gradients."""
     ext, pred, dom = model.extractor, model.predictor, model.domain_classifier
     egrads, pgrads, dgrads = grads
     _class_pass(ext, pred, Xs, label_index, egrads, pgrads)
@@ -467,32 +439,11 @@ def _dann_pass(model: DannModel, Xs, label_index, Xt, grads: list[Params], rev: 
     g = _domain_grad_inplace(dcache.out, Xs.shape[-2])
     gfeats = _backward(dom.spec, dom.params, dcache, g, dgrads, input_grad=model.lam > 0)
     if model.lam > 0:
-        _backward(ext.spec, ext.params, ecache, grl_backward(gfeats, model.lam), rev, input_grad=False)
+        # Gradient reversal: identity forward, -lambda times the gradient backward.
+        _backward(ext.spec, ext.params, ecache, -model.lam * gfeats, rev, input_grad=False)
         for (gw, gb), (rw, rb) in zip(egrads, rev):
             gw += rw
             gb += rb
-
-
-def dann_batch_grads(
-    model: DannModel, Xs: np.ndarray, ys: np.ndarray, Xt: np.ndarray
-) -> tuple[Params, Params, Params]:
-    """Gradients for one adversarial batch.
-
-    Classification loss flows through extractor and predictor on source
-    rows; domain loss (source=0, target=1) flows through the domain
-    classifier normally and into the extractor through the reversal layer,
-    scaled by -lambda.
-    """
-    ext = model.extractor
-    Xs, ys = np.asarray(Xs, dtype=np.float64), np.asarray(ys)
-    Xt = np.asarray(Xt, dtype=np.float64)
-    _check_input(ext.spec, ext.params, Xs)
-    _check_input(ext.spec, ext.params, Xt)
-    _check_heads(ext.spec, model.predictor.spec, model.domain_classifier.spec)
-    _, grads = _grad_views([ext.spec, model.predictor.spec, model.domain_classifier.spec])
-    _, (rev,) = _grad_views([ext.spec])
-    _dann_pass(model, Xs, (np.arange(len(ys)), ys), Xt, grads, rev)
-    return tuple(grads)
 
 
 def _init_mlps(specs: list[MlpSpec], seed) -> list[Mlp]:
@@ -564,20 +515,18 @@ class _Member:
     theta: np.ndarray
 
 
-def _lockstep(seed, problems: tuple, setup, train):
-    """Run a trainer on one problem, or on many in lockstep.
+def _lockstep(seeds, problems: tuple, setup, train) -> list:
+    """Run a trainer on F problems in lockstep.
 
-    With an int seed, `problems` holds one problem's arrays (X, y, ...):
-    the result is its model, and its failure raises. With a sequence of F
-    seeds it holds a sequence of F arrays for each, and the result lists,
-    per problem, its model or the NormdaError that failed it.
+    `problems` holds, for each of a problem's arrays (X, y, ...), a
+    sequence of F of them, one per seed. The result lists, per problem,
+    its model or the NormdaError that failed it.
     setup(*arrays, seed) checks one problem and returns its _Member.
     Members whose arrays and split sizes agree go to one
     train(members) call, which returns one result per member.
     """
-    solo = isinstance(seed, numbers.Integral)
-    seeds = [seed] if solo else list(seed)
-    columns = [[arrays] for arrays in problems] if solo else [list(arrays) for arrays in problems]
+    seeds = list(seeds)
+    columns = [list(arrays) for arrays in problems]
     if any(len(column) != len(seeds) for column in columns):
         raise ShapeError(f"{len(seeds)} seeds but {[len(c) for c in columns]} problem arrays")
     results: list = [None] * len(seeds)
@@ -593,11 +542,7 @@ def _lockstep(seed, problems: tuple, setup, train):
     for entries in stacks.values():
         for (i, _), result in zip(entries, train([member for _, member in entries])):
             results[i] = result
-    if not solo:
-        return results
-    if isinstance(results[0], NormdaError):
-        raise results[0]
-    return results[0]
+    return results
 
 
 class _Stack:
@@ -751,20 +696,21 @@ def _initial_member(X, y, Xt, seed, specs: list[MlpSpec]) -> _Member:
 
 
 def train_plain(
-    X: np.ndarray,
-    y: np.ndarray,
+    X: Sequence[np.ndarray],
+    y: Sequence[np.ndarray],
     cfg: TrainConfig,
     extractor_spec: MlpSpec,
     predictor_spec: MlpSpec,
-    seed,
-):
+    seeds: Sequence,
+) -> list:
     """Minimize cross-entropy with Adam and mini-batches; early-stops on
-    validation accuracy and returns the best-validation snapshot as a
+    validation accuracy and keeps the best-validation snapshot as a
     PlainModel.
 
-    With a sequence of seeds, X and y are sequences of as many problems,
-    trained in lockstep; the result lists each one's PlainModel or the
-    NormdaError that failed it (see _lockstep).
+    X and y are sequences of as many problems as there are seeds, trained
+    in lockstep; the result lists each one's PlainModel or the
+    NormdaError that failed it (see _lockstep). A mismatch of the specs
+    or of the sequence lengths raises.
     """
     _check_heads(extractor_spec, predictor_spec)
     specs = [extractor_spec, predictor_spec]
@@ -776,33 +722,34 @@ def train_plain(
         best = _fit_classifier(_Stack(members), cfg, specs)
         return [b if isinstance(b, NormdaError) else PlainModel(*_views(b, specs)) for b in best]
 
-    return _lockstep(seed, (X, y), setup, train)
+    return _lockstep(seeds, (X, y), setup, train)
 
 
 def train_dann(
-    Xs: np.ndarray,
-    ys: np.ndarray,
-    Xt: np.ndarray,
+    Xs: Sequence[np.ndarray],
+    ys: Sequence[np.ndarray],
+    Xt: Sequence[np.ndarray],
     cfg: TrainConfig,
     extractor_spec: MlpSpec,
     predictor_spec: MlpSpec,
     domain_spec: MlpSpec,
     lam: float,
-    seed,
-):
-    """Adversarial training with a gradient-reversal layer; returns a DannModel.
+    seeds: Sequence,
+) -> list:
+    """Adversarial training with a gradient-reversal layer; per problem, a
+    DannModel or the NormdaError that failed it.
 
     Per batch the classifier path minimizes source cross-entropy while the
     domain head learns to separate source from target; the extractor
     receives the domain gradient scaled by -lambda. Early stopping watches
     source-validation accuracy only (target labels are never read). The
     three networks are drawn from one default_rng(seed), in argument order;
-    the split and batches from a second one. A sequence of seeds trains
-    as many problems in lockstep, as train_plain does.
+    the split and batches from a second one. Xs, ys and Xt hold one array
+    per seed, trained in lockstep as train_plain trains them; a lambda
+    that is negative or not finite raises.
     """
     _check_heads(extractor_spec, predictor_spec, domain_spec)
-    if lam < 0:
-        raise ConfigError("lambda must be >= 0")
+    _check_lambda(lam)
     specs = [extractor_spec, predictor_spec, domain_spec]
 
     def train(members):
@@ -830,21 +777,22 @@ def train_dann(
         )
         return [b if isinstance(b, NormdaError) else DannModel(*_views(b, specs), lam) for b in best]
 
-    return _lockstep(seed, (Xs, ys, Xt), lambda *args: _initial_member(*args, specs), train)
+    return _lockstep(seeds, (Xs, ys, Xt), lambda *args: _initial_member(*args, specs), train)
 
 
 def train_adda(
-    Xs: np.ndarray,
-    ys: np.ndarray,
-    Xt: np.ndarray,
+    Xs: Sequence[np.ndarray],
+    ys: Sequence[np.ndarray],
+    Xt: Sequence[np.ndarray],
     cfg: TrainConfig,
     encoder_spec: MlpSpec,
     classifier_spec: MlpSpec,
     discriminator_spec: MlpSpec,
-    seed,
+    seeds: Sequence,
     stage2_epochs: int | None = None,
-):
-    """Two-stage adversarial encoder alignment; returns an AddaModel.
+) -> list:
+    """Two-stage adversarial encoder alignment; per problem, an AddaModel
+    or the NormdaError that failed it.
 
     Stage 1 trains source encoder plus classifier on source cross-entropy
     with early stopping. Stage 2 freezes both, seeds the target encoder
@@ -862,9 +810,9 @@ def train_adda(
     the earliest epoch). Stage 2 runs all `stage2_epochs` (default
     `cfg.max_epochs`); it never stops early.
 
-    A sequence of seeds trains as many problems in lockstep, as
-    train_plain does: each member leaves stage 1 at its own epoch, and the
-    members that finish it run stage 2 together.
+    Xs, ys and Xt hold one array per seed, trained in lockstep as
+    train_plain trains them: each member leaves stage 1 at its own epoch,
+    and the members that finish it run stage 2 together.
     """
     _check_heads(encoder_spec, classifier_spec, discriminator_spec)
     if stage2_epochs is None:
@@ -891,7 +839,7 @@ def train_adda(
                     results[i] = AddaModel(source_enc, target_enc, clf, disc)
         return results
 
-    return _lockstep(seed, (Xs, ys, Xt), lambda *args: _initial_member(*args, specs), train)
+    return _lockstep(seeds, (Xs, ys, Xt), lambda *args: _initial_member(*args, specs), train)
 
 
 def _align_target(members: list[_Member], sources: np.ndarray, cfg: TrainConfig, specs, epochs: int) -> list:

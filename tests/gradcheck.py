@@ -1,6 +1,40 @@
-"""Central finite-difference gradient checking shared by the test modules."""
+"""Central finite-difference gradient checking shared by the test modules.
+
+The library computes no loss value, so the loss lives here. The gradient
+helpers run the library's own passes (the ones every training step runs)
+on one unstacked batch, so a check of their output checks training.
+"""
 
 import numpy as np
+
+from normda.deep import _ce_grad_inplace, _class_pass, _dann_pass, _grad_views
+
+
+def cross_entropy(probs, y):
+    """Mean negative log-likelihood of integer labels under probability rows."""
+    p = np.clip(probs[np.arange(len(y)), y], 1e-12, None)
+    return float(-np.mean(np.log(p)))
+
+
+def cross_entropy_grad(probs, y):
+    """Gradient of the mean cross-entropy w.r.t. the softmax logits."""
+    return _ce_grad_inplace(probs.copy(), (np.arange(len(y)), y))
+
+
+def class_grads(extractor, predictor, X, y):
+    """Cross-entropy gradients (extractor, predictor) through predictor(extractor(X))."""
+    _, (egrads, pgrads) = _grad_views([extractor.spec, predictor.spec])
+    _class_pass(extractor, predictor, X, (np.arange(len(y)), y), egrads, pgrads)
+    return egrads, pgrads
+
+
+def dann_batch_grads(model, Xs, ys, Xt):
+    """One DANN batch's gradients (extractor, predictor, domain classifier)."""
+    specs = [model.extractor.spec, model.predictor.spec, model.domain_classifier.spec]
+    _, grads = _grad_views(specs)
+    _, (rev,) = _grad_views(specs[:1])
+    _dann_pass(model, Xs, (np.arange(len(ys)), ys), Xt, grads, rev)
+    return tuple(grads)
 
 
 def copy_params(params):

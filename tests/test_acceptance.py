@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from gradcheck import max_relative_error
+from gradcheck import class_grads, cross_entropy, cross_entropy_grad, dann_batch_grads, max_relative_error
 from normda.bench import (
     ExperimentConfig,
     FitProblem,
@@ -31,10 +31,6 @@ from normda.deep import (
     MlpSpec,
     TrainConfig,
     backward,
-    class_grads,
-    cross_entropy,
-    cross_entropy_grad,
-    dann_batch_grads,
     forward,
     init_mlp,
     train_dann,
@@ -191,7 +187,7 @@ def test_criterion_7_dann_alignment():
     y = np.array([0] * 60 + [1] * 60)
     cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=60, patience=20)
     specs = (MlpSpec((3, 8), head="identity"), MlpSpec((8, 2)), MlpSpec((8, 2)))
-    trained = train_dann(X, y, X.copy(), cfg, *specs, 1.0, seed=1)
+    (trained,) = train_dann([X], [y], [X.copy()], cfg, *specs, 1.0, [1])
     feats, _ = forward(trained.extractor.spec, trained.extractor.params, X)
     dprobs, _ = forward(
         trained.domain_classifier.spec, trained.domain_classifier.params, np.vstack([feats, feats])

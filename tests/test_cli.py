@@ -103,6 +103,14 @@ def test_validate_well_formed(tmp_path, capsys):
     assert "rows=60" in out and "domain subject=0" in out
 
 
+def test_validate_counts_only_the_labels_present(tmp_path, capsys):
+    data = tmp_path / "d.csv"
+    data.write_text("subject,session,label,f1\n0,0,0,1.0\n0,0,5,2.0\n1,0,0,3.0\n1,0,5,4.0\n")
+    assert main(["validate", "--data", str(data)]) == 0
+    out = capsys.readouterr().out
+    assert "classes=2" in out and "label counts: 0:2, 5:2\n" in out
+
+
 def test_validate_missing_column_exits_2(tmp_path, capsys):
     data = tmp_path / "d.csv"
     data.write_text("subject,label,f1\n0,0,1.0\n")

@@ -105,7 +105,7 @@ def test_load_csv_rejects_non_finite_and_names_row_and_column(tmp_path, cell):
         load_csv(p)
 
 
-@pytest.mark.parametrize("column, cell", [("subject", "1_0"), ("label", "٣")])
+@pytest.mark.parametrize("column, cell", [("subject", "1_0"), ("label", "٣"), ("subject", "99999999999999999999999")])
 def test_load_csv_rejects_an_id_that_is_not_a_plain_integer(tmp_path, column, cell):
     p = tmp_path / "d.csv"
     ids = {"subject": "1", "session": "0", "label": "1", column: cell}

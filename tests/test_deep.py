@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 import deep_reference
 from deep_reference import flat_copy
-from gradcheck import max_relative_error
+from gradcheck import class_grads, cross_entropy, cross_entropy_grad, dann_batch_grads, max_relative_error
 from normda import deep
 from normda.dataset import SyntheticShiftConfig, generate_synthetic
 from normda.deep import (
@@ -23,13 +24,8 @@ from normda.deep import (
     TrainConfig,
     adam_step,
     backward,
-    class_grads,
-    cross_entropy,
-    cross_entropy_grad,
-    dann_batch_grads,
     flatten,
     forward,
-    grl_backward,
     init_mlp,
     predict_composite,
     softmax,
@@ -49,6 +45,19 @@ def dann_model(extractor, predictor, domain, lam, seed):
     """A freshly initialized DannModel, its networks drawn as train_dann draws them."""
     rng = np.random.default_rng(seed)
     return DannModel(init_mlp(extractor, rng), init_mlp(predictor, rng), init_mlp(domain, rng), lam)
+
+
+def fit_one(trainer, *args, seed, **kwargs):
+    """One problem through `trainer` as the F = 1 stack: its model, or the
+    NormdaError that failed it."""
+    arrays = 2 if trainer is train_plain else 3
+    (result,) = trainer(*([a] for a in args[:arrays]), *args[arrays:], seeds=[seed], **kwargs)
+    return result
+
+
+def assert_failed(result, kind, match):
+    assert isinstance(result, kind), result
+    assert re.search(match, str(result)), str(result)
 
 
 def blobs(n_per=100, sep=3.0, dim=2, seed=0):
@@ -163,12 +172,6 @@ def test_backward_duplicated_row_doubles_summed_gradient():
 # GRL
 
 
-def test_grl_backward_values():
-    g = np.array([[1.0, -2.0], [3.0, 0.5]])
-    np.testing.assert_array_equal(grl_backward(g, 0.0), np.zeros_like(g))
-    np.testing.assert_array_equal(grl_backward(g, 1.0), -g)
-
-
 def test_grl_composite_objective_finite_difference():
     rng = np.random.default_rng(5)
     lam = 0.7
@@ -236,56 +239,65 @@ def test_adam_flat_update_matches_per_array_reference_bitwise():
     ext = init_mlp(MlpSpec((3, 7, 5, 4), head="identity"), 31)
     pred = init_mlp(MlpSpec((4, 2)), 32)
     theta, (fext, fpred) = flat_copy([ext, pred])
-    state = AdamState.zeros_like(theta)
+    member = theta[None]  # a one-row stack over the vector the views read
+    state = AdamState.zeros_like(member)
     ref = ext.params + pred.params
     zeros = [(np.zeros_like(w), np.zeros_like(b)) for w, b in ref]
     ref_state = (zeros, zeros, 0)
     for step in range(6):
         rows = slice(5 * step, 5 * step + 12)
         egrads, pgrads = class_grads(fext, fpred, X[rows], y[rows])
-        adam_step(theta, flatten(egrads, pgrads), state, 0.05)
+        assert adam_step(member, flatten(egrads, pgrads)[None], state, 0.05) == ()
         ref, ref_state = reference_adam_step(ref, egrads + pgrads, ref_state, 0.05)
         assert params_equal(fext.params + fpred.params, ref)
-        np.testing.assert_array_equal(state.m, flatten(ref_state[0]))
-        np.testing.assert_array_equal(state.v, flatten(ref_state[1]))
+        np.testing.assert_array_equal(state.m[0], flatten(ref_state[0]))
+        np.testing.assert_array_equal(state.v[0], flatten(ref_state[1]))
         assert state.t == ref_state[2] == step + 1
 
 
+def assert_adam_rows_match_reference(theta, state, before, grad, t, rows):
+    """Each of `rows` holds one reference step from its `before` (theta, m,
+    v) at step count t."""
+    for j in rows:
+        ref, (ref_m, ref_v, _) = reference_adam_step(
+            [(before[0][j],)], [(grad[j],)], ([(before[1][j],)], [(before[2][j],)], t), 0.1
+        )
+        assert theta[j].tobytes() == ref[0][0].tobytes()
+        assert state.m[j].tobytes() == ref_m[0][0].tobytes()
+        assert state.v[j].tobytes() == ref_v[0][0].tobytes()
+
+
 def test_adam_non_finite_update_writes_nothing():
-    theta = np.array([1.0, -2.0, 3.0])
-    state = AdamState(m=np.array([0.1, 0.2, 0.3]), v=np.array([0.01, 0.02, 0.03]), t=4)
+    theta = np.array([[1.0, -2.0, 3.0], [0.5, 0.25, -1.0]])
+    state = AdamState(m=np.array([[0.1, 0.2, 0.3], [0.3, 0.2, 0.1]]), v=np.full((2, 3), 0.02), t=4)
     before = (theta.copy(), state.m.copy(), state.v.copy())
-    with pytest.raises(NumericError):
-        adam_step(theta, np.array([1.0, np.nan, 1.0]), state, lr=0.1)
-    np.testing.assert_array_equal(theta, before[0])
-    np.testing.assert_array_equal(state.m, before[1])
-    np.testing.assert_array_equal(state.v, before[2])
-    assert state.t == 4
+    grad = np.array([[0.5, -1.5, 2.0], [1.0, np.nan, 1.0]])
+    np.testing.assert_array_equal(adam_step(theta, grad, state, lr=0.1), [1])
+    for now, was in zip((theta, state.m, state.v), before):
+        assert now[1].tobytes() == was[1].tobytes()
+    assert_adam_rows_match_reference(theta, state, before, grad, 4, [0])
+    assert state.t == 5
     # The failed step's work arrays must not leak into the next one.
-    grad = np.array([0.5, -1.5, 2.0])
-    adam_step(theta, grad, state, lr=0.1)
-    ref, (ref_m, ref_v, ref_t) = reference_adam_step(
-        [(before[0],)], [(grad,)], ([(before[1],)], [(before[2],)], 4), 0.1
-    )
-    assert theta.tobytes() == ref[0][0].tobytes()
-    assert state.m.tobytes() == ref_m[0][0].tobytes()
-    assert state.v.tobytes() == ref_v[0][0].tobytes()
-    assert state.t == ref_t == 5
+    before = (theta.copy(), state.m.copy(), state.v.copy())
+    grad = np.array([[0.5, -1.5, 2.0], [-1.0, 0.5, 0.25]])
+    assert adam_step(theta, grad, state, lr=0.1) == ()
+    assert_adam_rows_match_reference(theta, state, before, grad, 5, [0, 1])
+    assert state.t == 6
 
 
 def test_adam_first_step_magnitude():
     # bias correction makes m_hat/sqrt(v_hat) = sign(g), so the first step
     # is lr per coordinate (up to eps for the smallest gradients)
-    theta = np.zeros(6)
-    grad = np.array([0.5, -3.0, 1e-3, 10.0, 2.0, -2.0])
+    theta = np.zeros((1, 6))
+    grad = np.array([[0.5, -3.0, 1e-3, 10.0, 2.0, -2.0]])
     adam_step(theta, grad, AdamState.zeros_like(theta), lr=0.1)
     np.testing.assert_allclose(np.abs(theta), 0.1, rtol=1e-4)
 
 
 def test_adam_zero_gradient_no_change():
-    theta = np.ones(6)
-    adam_step(theta, np.zeros(6), AdamState.zeros_like(theta), lr=0.1)
-    np.testing.assert_array_equal(theta, np.ones(6))
+    theta = np.ones((1, 6))
+    adam_step(theta, np.zeros((1, 6)), AdamState.zeros_like(theta), lr=0.1)
+    np.testing.assert_array_equal(theta, np.ones((1, 6)))
 
 
 def test_adam_two_step_hand_trace():
@@ -300,14 +312,14 @@ def test_adam_two_step_hand_trace():
         p -= lr * (m / (1 - b1**t)) / (math.sqrt(v / (1 - b2**t)) + eps)
         expected.append(p)
 
-    theta = np.zeros(2)
-    grad = np.array([1.0, 0.0])
+    theta = np.zeros((1, 2))
+    grad = np.array([[1.0, 0.0]])
     state = AdamState.zeros_like(theta)
     adam_step(theta, grad, state, lr)
-    assert theta[0] == pytest.approx(expected[0], abs=1e-15)
+    assert theta[0, 0] == pytest.approx(expected[0], abs=1e-15)
     adam_step(theta, grad, state, lr)
-    assert theta[0] == pytest.approx(expected[1], abs=1e-15)
-    assert theta[1] == 0.0
+    assert theta[0, 0] == pytest.approx(expected[1], abs=1e-15)
+    assert theta[0, 1] == 0.0
     assert expected[1] < expected[0] < 0.0
 
 
@@ -318,7 +330,7 @@ def test_adam_two_step_hand_trace():
 def test_train_plain_fits_separable_blobs():
     X, y = blobs(seed=10)
     cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=200, patience=20)
-    model = train_plain(X, y, cfg, MlpSpec((2, 8), head="identity"), MlpSpec((8, 2)), seed=0)
+    model = fit_one(train_plain, X, y, cfg, MlpSpec((2, 8), head="identity"), MlpSpec((8, 2)), seed=0)
     acc = np.mean(predict_composite(model.extractor, model.predictor, X) == y)
     assert acc >= 0.99
 
@@ -327,7 +339,7 @@ def test_train_plain_lr_zero_returns_initial_snapshot():
     X, y = blobs(n_per=40, seed=11)
     cfg = TrainConfig(learning_rate=0.0, batch_size=16, max_epochs=300, patience=1)
     ext_spec, pred_spec = MlpSpec((2, 4), head="identity"), MlpSpec((4, 2))
-    model = train_plain(X, y, cfg, ext_spec, pred_spec, seed=5)
+    model = fit_one(train_plain, X, y, cfg, ext_spec, pred_spec, seed=5)
     rng = np.random.default_rng(5)
     init_ext = init_mlp(ext_spec, rng)
     init_pred = init_mlp(pred_spec, rng)
@@ -338,8 +350,8 @@ def test_train_plain_lr_zero_returns_initial_snapshot():
 def test_train_plain_deterministic():
     X, y = blobs(n_per=50, seed=12)
     cfg = TrainConfig(learning_rate=0.01, batch_size=16, max_epochs=30, patience=10)
-    a = train_plain(X, y, cfg, MlpSpec((2, 6), head="identity"), MlpSpec((6, 2)), seed=3)
-    b = train_plain(X, y, cfg, MlpSpec((2, 6), head="identity"), MlpSpec((6, 2)), seed=3)
+    a = fit_one(train_plain, X, y, cfg, MlpSpec((2, 6), head="identity"), MlpSpec((6, 2)), seed=3)
+    b = fit_one(train_plain, X, y, cfg, MlpSpec((2, 6), head="identity"), MlpSpec((6, 2)), seed=3)
     assert params_equal(a.extractor.params, b.extractor.params)
     assert params_equal(a.predictor.params, b.predictor.params)
 
@@ -364,21 +376,18 @@ def test_trainers_reject_non_finite_inputs(trainer, name, kind, value):
     # Rejected before any network runs: no matmul warning, no forward error.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(NumericError, match=f"^{kind} features contain non-finite values$"):
-            if trainer == "plain":
-                train_plain(inputs["X"], y, cfg, ext, head, seed=0)
-            elif trainer == "dann":
-                train_dann(inputs["Xs"], y, inputs["Xt"], cfg, ext, head, head, lam=0.5, seed=0)
-            else:
-                train_adda(inputs["Xs"], y, inputs["Xt"], cfg, ext, head, head, seed=0)
+        source = inputs["X"] if trainer == "plain" else inputs["Xs"]
+        (result,) = call_trainer(trainer, [source], [y], [inputs["Xt"]], cfg, ext, head, [0])
+    assert_failed(result, NumericError, f"^{kind} features contain non-finite values$")
 
 
-def call_trainer(trainer, X, y, Xt, cfg, ext, head, seed=0):
+def call_trainer(trainer, X, y, Xt, cfg, ext, head, seeds):
+    """The named trainer on sequences of problems, every head `head`."""
     if trainer == "plain":
-        return train_plain(X, y, cfg, ext, head, seed)
+        return train_plain(X, y, cfg, ext, head, seeds)
     if trainer == "dann":
-        return train_dann(X, y, Xt, cfg, ext, head, head, lam=0.5, seed=seed)
-    return train_adda(X, y, Xt, cfg, ext, head, head, seed=seed)
+        return train_dann(X, y, Xt, cfg, ext, head, head, lam=0.5, seeds=seeds)
+    return train_adda(X, y, Xt, cfg, ext, head, head, seeds=seeds)
 
 
 SHAPE_CASES = [
@@ -406,8 +415,8 @@ def test_trainers_reject_mismatched_shapes(trainer, change, message):
     X, y = blobs(n_per=20, seed=41, dim=3)
     X, y, Xt = change(X, y, X + 1.0)
     cfg = TrainConfig(batch_size=16, max_epochs=2, patience=1)
-    with pytest.raises(ShapeError, match=message):
-        call_trainer(trainer, X, y, Xt, cfg, MlpSpec((3, 4), head="identity"), MlpSpec((4, 2)))
+    (result,) = call_trainer(trainer, [X], [y], [Xt], cfg, MlpSpec((3, 4), head="identity"), MlpSpec((4, 2)), [0])
+    assert_failed(result, ShapeError, message)
 
 
 def lockstep_members():
@@ -431,13 +440,6 @@ def lockstep_members():
     ]
 
 
-def solo_outcome(trainer, *args):
-    try:
-        return call_trainer(trainer, *args)
-    except NormdaError as exc:
-        return exc
-
-
 @pytest.mark.parametrize("trainer", ["plain", "dann", "adda"])
 def test_lockstep_members_match_solo_fits_bitwise(monkeypatch, trainer):
     members = lockstep_members()
@@ -455,7 +457,7 @@ def test_lockstep_members_match_solo_fits_bitwise(monkeypatch, trainer):
         Xs, ys, Xts, seeds = (list(column) for column in zip(*members))
         together = call_trainer(trainer, Xs, ys, Xts, cfg, ext, pred, seeds)
         monkeypatch.undo()
-        solo = [solo_outcome(trainer, X, y, Xt, cfg, ext, pred, seed) for X, y, Xt, seed in members]
+        solo = [call_trainer(trainer, [X], [y], [Xt], cfg, ext, pred, [seed])[0] for X, y, Xt, seed in members]
     # Members left their stacks at different epochs, so later epochs scored fewer.
     assert len(set(scored)) >= 3
     assert len(together) == len(members)
@@ -473,10 +475,10 @@ def test_lockstep_members_match_solo_fits_bitwise(monkeypatch, trainer):
 def test_train_plain_single_class_rejected():
     X = np.random.default_rng(0).normal(size=(10, 2))
     cfg = TrainConfig()
-    with pytest.raises(DegenerateLabelsError):
-        train_plain(
-            X, np.zeros(10, dtype=int), cfg, MlpSpec((2, 4), head="identity"), MlpSpec((4, 2)), seed=0
-        )
+    result = fit_one(
+        train_plain, X, np.zeros(10, dtype=int), cfg, MlpSpec((2, 4), head="identity"), MlpSpec((4, 2)), seed=0
+    )
+    assert_failed(result, DegenerateLabelsError, "single class")
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +489,7 @@ def test_dann_target_equals_source_confuses_domain_head():
     X, y = blobs(n_per=60, seed=13, dim=3)
     cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=60, patience=20)
     specs = (MlpSpec((3, 8), head="identity"), MlpSpec((8, 2)), MlpSpec((8, 2)))
-    trained = train_dann(X, y, X.copy(), cfg, *specs, lam=1.0, seed=1)
+    trained = fit_one(train_dann, X, y, X.copy(), cfg, *specs, lam=1.0, seed=1)
     feats, _ = forward(trained.extractor.spec, trained.extractor.params, X)
     dprobs, _ = forward(
         trained.domain_classifier.spec, trained.domain_classifier.params, np.vstack([feats, feats])
@@ -507,7 +509,7 @@ def test_dann_reduces_extractor_mmd_on_shifted_domains():
     raw = mmd_sq(Xs, Xt, k)
     cfg = TrainConfig(learning_rate=0.003, batch_size=32, max_epochs=60, patience=15)
     specs = (MlpSpec((8, 16, 2), activation="sigmoid", head="identity"), MlpSpec((2, 2)), MlpSpec((2, 2)))
-    trained = train_dann(Xs, ys, Xt, cfg, *specs, lam=1.0, seed=2)
+    trained = fit_one(train_dann, Xs, ys, Xt, cfg, *specs, lam=1.0, seed=2)
     fs, _ = forward(trained.extractor.spec, trained.extractor.params, Xs)
     ft, _ = forward(trained.extractor.spec, trained.extractor.params, Xt)
     assert mmd_sq(fs, ft, k) < raw
@@ -517,7 +519,7 @@ def test_dann_deterministic():
     X, y = blobs(n_per=30, seed=14, dim=3)
     cfg = TrainConfig(learning_rate=0.01, batch_size=16, max_epochs=10, patience=5)
     specs = (MlpSpec((3, 4), head="identity"), MlpSpec((4, 2)), MlpSpec((4, 2)))
-    runs = [train_dann(X, y, X + 1.0, cfg, *specs, lam=1.0, seed=4) for _ in range(2)]
+    runs = [fit_one(train_dann, X, y, X + 1.0, cfg, *specs, lam=1.0, seed=4) for _ in range(2)]
     assert params_equal(runs[0].extractor.params, runs[1].extractor.params)
     assert params_equal(runs[0].domain_classifier.params, runs[1].domain_classifier.params)
 
@@ -525,15 +527,15 @@ def test_dann_deterministic():
 def test_dann_empty_target_rejected():
     X, y = blobs(n_per=10, seed=15)
     specs = (MlpSpec((2, 4), head="identity"), MlpSpec((4, 2)), MlpSpec((4, 2)))
-    with pytest.raises(ShapeError):
-        train_dann(X, y, np.empty((0, 2)), TrainConfig(), *specs, lam=1.0, seed=0)
+    result = fit_one(train_dann, X, y, np.empty((0, 2)), TrainConfig(), *specs, lam=1.0, seed=0)
+    assert_failed(result, ShapeError, "target set must be nonempty")
 
 
 def test_train_dann_lr_zero_returns_initial_snapshot():
     X, y = blobs(n_per=40, seed=11, dim=3)
     cfg = TrainConfig(learning_rate=0.0, batch_size=16, max_epochs=300, patience=1)
     specs = (MlpSpec((3, 5, 4), head="identity"), MlpSpec((4, 2)), MlpSpec((4, 3, 2)))
-    model = train_dann(X, y, X + 1.0, cfg, *specs, lam=0.5, seed=5)
+    model = fit_one(train_dann, X, y, X + 1.0, cfg, *specs, lam=0.5, seed=5)
     initial = dann_model(*specs, 0.5, seed=5)
     for got, want in zip(
         (model.extractor, model.predictor, model.domain_classifier),
@@ -549,14 +551,17 @@ def test_train_dann_mismatched_specs_raise_shape_error():
     extractor = MlpSpec((3, 8), head="identity")
     for predictor, domain in ((MlpSpec((4, 2)), MlpSpec((8, 2))), (MlpSpec((8, 2)), MlpSpec((4, 2)))):
         with pytest.raises(ShapeError, match="!= extractor output width 8"):
-            train_dann(X, y, X + 1.0, cfg, extractor, predictor, domain, lam=1.0, seed=0)
+            fit_one(train_dann, X, y, X + 1.0, cfg, extractor, predictor, domain, lam=1.0, seed=0)
 
 
-def test_train_dann_negative_lambda_rejected():
+@pytest.mark.parametrize("lam", [-0.1, math.nan, math.inf])
+def test_train_dann_negative_lambda_rejected(lam):
     X, y = blobs(n_per=10, seed=15)
     specs = (MlpSpec((2, 4), head="identity"), MlpSpec((4, 2)), MlpSpec((4, 2)))
-    with pytest.raises(ConfigError, match="lambda must be >= 0"):
-        train_dann(X, y, X, TrainConfig(), *specs, lam=-0.1, seed=0)
+    with pytest.raises(ConfigError, match=rf"^lambda must be >= 0 and finite, got {lam!r}$"):
+        train_dann([X], [y], [X], TrainConfig(), *specs, lam, [0])
+    with pytest.raises(ConfigError, match="lambda must be >= 0 and finite"):
+        dann_model(*specs, lam, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +575,7 @@ def adda_specs(dim=8):
 def test_adda_stage2_zero_epochs_copies_source_encoder():
     X, y = blobs(n_per=30, seed=16, dim=8)
     cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=20, patience=5)
-    trained = train_adda(X, y, X.copy(), cfg, *adda_specs(), seed=6, stage2_epochs=0)
+    trained = fit_one(train_adda, X, y, X.copy(), cfg, *adda_specs(), seed=6, stage2_epochs=0)
     assert params_equal(trained.source_encoder.params, trained.target_encoder.params)
     pred_s = predict_composite(trained.source_encoder, trained.classifier, X)
     pred_t = predict_composite(trained.target_encoder, trained.classifier, X)
@@ -582,7 +587,7 @@ def test_train_adda_lr_zero_returns_initial_snapshot():
     cfg = TrainConfig(learning_rate=0.0, batch_size=16, max_epochs=300, patience=1)
     specs = adda_specs(dim=3)
     for stage2_epochs in (None, 0, 3):
-        model = train_adda(X, y, X + 1.0, cfg, *specs, seed=5, stage2_epochs=stage2_epochs)
+        model = fit_one(train_adda, X, y, X + 1.0, cfg, *specs, seed=5, stage2_epochs=stage2_epochs)
         rng = np.random.default_rng(5)
         encoder, classifier, discriminator = (init_mlp(spec, rng) for spec in specs)
         assert params_equal(model.source_encoder.params, encoder.params)
@@ -604,7 +609,7 @@ def test_train_adda_mismatched_specs_raise_shape_error():
     )
     for classifier, discriminator, stage2_epochs in cases:
         with pytest.raises(ShapeError, match="!= extractor output width 8"):
-            train_adda(
+            fit_one(train_adda, 
                 X, y, X + 1.0, cfg, encoder, classifier, discriminator, seed=0,
                 stage2_epochs=stage2_epochs,
             )
@@ -615,10 +620,10 @@ def test_dann_and_adda_training_moves_parameters():
     cfg = TrainConfig(learning_rate=0.05, batch_size=16, max_epochs=5, patience=5)
     still = TrainConfig(learning_rate=0.0, batch_size=16, max_epochs=5, patience=5)
     dann_specs = (MlpSpec((3, 4), head="identity"), MlpSpec((4, 2)), MlpSpec((4, 2)))
-    dann_out = train_dann(X, y, X + 1.0, cfg, *dann_specs, lam=1.0, seed=7)
-    dann_initial = train_dann(X, y, X + 1.0, still, *dann_specs, lam=1.0, seed=7)
-    adda_out = train_adda(X, y, X + 1.0, cfg, *adda_specs(dim=3), seed=7, stage2_epochs=3)
-    adda_initial = train_adda(X, y, X + 1.0, still, *adda_specs(dim=3), seed=7, stage2_epochs=3)
+    dann_out = fit_one(train_dann, X, y, X + 1.0, cfg, *dann_specs, lam=1.0, seed=7)
+    dann_initial = fit_one(train_dann, X, y, X + 1.0, still, *dann_specs, lam=1.0, seed=7)
+    adda_out = fit_one(train_adda, X, y, X + 1.0, cfg, *adda_specs(dim=3), seed=7, stage2_epochs=3)
+    adda_initial = fit_one(train_adda, X, y, X + 1.0, still, *adda_specs(dim=3), seed=7, stage2_epochs=3)
     assert not params_equal(dann_out.extractor.params, dann_initial.extractor.params)
     assert not params_equal(adda_out.target_encoder.params, adda_initial.target_encoder.params)
 
@@ -632,7 +637,7 @@ def test_adda_target_equals_source_discriminator_near_chance():
     perm = np.random.default_rng(9).permutation(len(X))
     fit, held = perm[:160], perm[160:]
     cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=40, patience=10)
-    trained = train_adda(X[fit], y[fit], X[fit].copy(), cfg, *adda_specs(), seed=1, stage2_epochs=30)
+    trained = fit_one(train_adda, X[fit], y[fit], X[fit].copy(), cfg, *adda_specs(), seed=1, stage2_epochs=30)
     fs, _ = forward(trained.source_encoder.spec, trained.source_encoder.params, X[held])
     ft, _ = forward(trained.target_encoder.spec, trained.target_encoder.params, X[held])
     dprobs, _ = forward(trained.discriminator.spec, trained.discriminator.params, np.vstack([fs, ft]))
@@ -648,7 +653,7 @@ def test_adda_improves_target_accuracy_under_translation_shift():
     Xs, ys = ds.features[ds.subjects == 0], ds.labels[ds.subjects == 0]
     Xt, yt = ds.features[ds.subjects == 1], ds.labels[ds.subjects == 1]
     cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=80, patience=15)
-    trained = train_adda(Xs, ys, Xt, cfg, *adda_specs(), seed=1, stage2_epochs=240)
+    trained = fit_one(train_adda, Xs, ys, Xt, cfg, *adda_specs(), seed=1, stage2_epochs=240)
     acc_through_source = np.mean(predict_composite(trained.source_encoder, trained.classifier, Xt) == yt)
     acc_through_target = np.mean(predict_composite(trained.target_encoder, trained.classifier, Xt) == yt)
     assert acc_through_target > acc_through_source
@@ -712,7 +717,7 @@ REFERENCE_ACT = pytest.mark.parametrize("activation", ACTIVATIONS)
 @REFERENCE_GRID
 def test_train_plain_matches_frozen_reference_bitwise(activation, hidden, batch_size):
     X, y, _, cfg, ext, pred, _ = reference_case(activation, hidden, batch_size)
-    model = train_plain(X, y, cfg, ext, pred, seed=3)
+    model = fit_one(train_plain, X, y, cfg, ext, pred, seed=3)
     assert_same_bits(model, deep_reference.train_plain(X, y, cfg, ext, pred, seed=3))
 
 
@@ -722,7 +727,7 @@ def test_train_plain_matches_frozen_reference_bitwise(activation, hidden, batch_
 @pytest.mark.parametrize("lam", [0.0, 0.5])
 def test_train_dann_matches_frozen_reference_bitwise(activation, hidden, batch_size, lam):
     X, y, Xt, cfg, ext, pred, dom = reference_case(activation, hidden, batch_size)
-    model = train_dann(X, y, Xt, cfg, ext, pred, dom, lam=lam, seed=4)
+    model = fit_one(train_dann, X, y, Xt, cfg, ext, pred, dom, lam=lam, seed=4)
     assert_same_bits(model, deep_reference.train_dann(X, y, Xt, cfg, ext, pred, dom, lam=lam, seed=4))
 
 
@@ -732,7 +737,7 @@ def test_train_dann_matches_frozen_reference_bitwise(activation, hidden, batch_s
 @pytest.mark.parametrize("stage2_epochs", [None, 0, 3])
 def test_train_adda_matches_frozen_reference_bitwise(activation, hidden, batch_size, stage2_epochs):
     X, y, Xt, cfg, ext, pred, dom = reference_case(activation, hidden, batch_size)
-    model = train_adda(X, y, Xt, cfg, ext, pred, dom, seed=5, stage2_epochs=stage2_epochs)
+    model = fit_one(train_adda, X, y, Xt, cfg, ext, pred, dom, seed=5, stage2_epochs=stage2_epochs)
     ref = deep_reference.train_adda(X, y, Xt, cfg, ext, pred, dom, seed=5, stage2_epochs=stage2_epochs)
     assert_same_bits(model, ref)
 
