@@ -87,6 +87,52 @@ def test_softmax_symmetry_and_normalization():
     np.testing.assert_allclose(out, [[0.5, 0.5]])
 
 
+def reference_softmax(z):
+    """The two-reduction softmax that the column folds replace."""
+    e = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
+
+
+def softmax_cases(k):
+    rng = np.random.default_rng(k)
+    for shape in [(f, b, k) for f in (1, 24) for b in (1, 32, 240)] + [(1, k), (32, k), (240, k)]:
+        yield rng.normal(scale=4.0, size=shape)
+    yield np.full((3, 5, k), 700.0) * rng.choice([-1.0, 1.0], size=(3, 5, k))
+    yield np.full((4, k), -700.0)
+    yield np.repeat(rng.normal(size=(6, 1)), k, axis=1)  # tied logits
+    special = rng.normal(size=(5, k))
+    special[0, 0] = np.inf
+    special[1, -1] = -np.inf
+    special[2, :] = -np.inf
+    special[3, k // 2] = np.nan
+    special[4, :] = np.inf
+    yield special
+
+
+@pytest.mark.parametrize("k", range(1, 8))
+def test_softmax_matches_the_reduction_formula_bitwise(k):
+    # Below 8 classes numpy's add.reduce is a left fold, so the column
+    # fold gives the same bits, non-finite rows included.
+    for z in softmax_cases(k):
+        with np.errstate(invalid="ignore", over="ignore"):
+            out, ref = softmax(z), reference_softmax(z.copy())
+        assert out.shape == z.shape
+        assert out.tobytes() == ref.tobytes(), z.shape
+
+
+@pytest.mark.parametrize("k", [8, 12])
+def test_softmax_wide_heads_match_within_rounding(k):
+    # From 8 classes on add.reduce sums pairwise, so only the last bit may differ.
+    for z in softmax_cases(k):
+        if not np.isfinite(z).all():
+            continue
+        out = softmax(z)
+        np.testing.assert_allclose(out.sum(axis=-1), 1.0, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(out, reference_softmax(z.copy()), rtol=1e-14, atol=0)
+
+
 def test_relu_activation_values():
     spec = MlpSpec((2, 2, 2), activation="relu", head="identity")
     params = [(np.eye(2), np.zeros(2)), (np.eye(2), np.zeros(2))]
@@ -118,6 +164,20 @@ def test_spec_validation():
         MlpSpec((4, 3, 3, 3, 3, 2))  # four hidden layers
     with pytest.raises(ConfigError):
         MlpSpec((4, 2), activation="tanh")
+
+
+@pytest.mark.parametrize("size", [4.7, 4.0, True, "4", None])
+def test_spec_rejects_sizes_that_are_not_integers(size):
+    with pytest.raises(ConfigError, match="layer sizes must be integers"):
+        MlpSpec((size, 2))
+    with pytest.raises(ConfigError, match="layer sizes must be integers"):
+        MlpSpec((3, size, 2))
+
+
+def test_spec_accepts_numpy_integer_sizes():
+    spec = MlpSpec((np.int64(4), np.int32(3), 2))
+    assert spec.layer_sizes == (4, 3, 2)
+    assert all(type(s) is int for s in spec.layer_sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +654,15 @@ def test_train_adda_lr_zero_returns_initial_snapshot():
         assert params_equal(model.target_encoder.params, encoder.params)
         assert params_equal(model.classifier.params, classifier.params)
         assert params_equal(model.discriminator.params, discriminator.params)
+
+
+@pytest.mark.parametrize("stage2_epochs", [-3, 2.5, True, "3"])
+def test_train_adda_rejects_bad_stage2_epochs_before_training(stage2_epochs, monkeypatch):
+    X, y = blobs(n_per=20, seed=15, dim=3)
+    monkeypatch.setattr(deep, "_lockstep", lambda *args: pytest.fail("training started"))
+    with pytest.raises(ConfigError, match=re.escape(f"non-negative integer, got {stage2_epochs!r}")):
+        fit_one(train_adda, X, y, X + 1.0, TrainConfig(max_epochs=2), *adda_specs(dim=3), seed=0,
+                stage2_epochs=stage2_epochs)
 
 
 def test_train_adda_mismatched_specs_raise_shape_error():
