@@ -14,6 +14,7 @@ import hashlib
 import itertools
 import json
 import numbers
+import os
 import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -286,7 +287,7 @@ GRID_KEYS = (*(f.name for f in fields(MethodSpec) if f.name not in ("kind", "tra
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    dataset: SyntheticShiftConfig | str
+    dataset: SyntheticShiftConfig | str | os.PathLike
     protocol: str = "loso"
     strategies: tuple[NormStrategy, ...] = (NormStrategy.NO_NORM, NormStrategy.Z2)
     methods: tuple[MethodSpec, ...] = (MethodSpec("noDA-SVM"),)
@@ -299,8 +300,13 @@ class ExperimentConfig:
         check_field_types(self)
         if self.protocol not in PROTOCOLS:
             raise ConfigError(f"protocol must be one of {PROTOCOLS}, got {self.protocol!r}")
+        if not isinstance(self.dataset, (SyntheticShiftConfig, str, os.PathLike)):
+            raise ConfigError(f"dataset must be a SyntheticShiftConfig or a CSV path, got {self.dataset!r}")
         if not self.strategies or not self.methods:
             raise ConfigError("strategies and methods must be nonempty")
+        for name, cls in (("strategies", NormStrategy), ("methods", MethodSpec)):
+            if not all(isinstance(v, cls) for v in getattr(self, name)):
+                raise ConfigError(f"{name} must hold {cls.__name__} values, got {getattr(self, name)!r}")
         by_kind = {m.kind: m for m in self.methods}
         if len(by_kind) != len(self.methods):
             raise ConfigError("duplicate method kinds in config")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bench, dataset
 from .errors import ConfigError, NormdaError
-from .normalize import ZSCORE_SIDES, NormStrategy
+from .normalize import SIDES, NormStrategy
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -130,7 +130,7 @@ def cmd_validate(args) -> int:
     ]
     for name in constant:
         print(f"warning: feature {name} is constant")
-    own_test = "/".join(s.value for s, (_, test) in ZSCORE_SIDES.items() if test == "own")
+    own_test = "/".join(s.value for s, (_, test) in SIDES.items() if test.own)
     for key in single_row_domains:
         print(
             f"warning: domain subject={key.subject} session={key.session} has 1 row; "

@@ -25,6 +25,7 @@ from .errors import (
     ShapeError,
     StratificationError,
     check_field_types,
+    integer_labels,
 )
 
 # Held-out share of the training rows, per class, for early stopping and
@@ -37,6 +38,14 @@ class DomainKey(NamedTuple):
 
     subject: int
     session: int
+
+
+def _integers(values, what: str) -> np.ndarray:
+    """errors.integer_labels(values), its error naming `what`."""
+    try:
+        return integer_labels(values)
+    except ShapeError:
+        raise ShapeError(f"{what} must be integers, got fractional or non-finite values") from None
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -65,9 +74,7 @@ class DomainDataset:
             raise ConfigError("features must be a nonempty 2-D matrix")
         if not np.all(np.isfinite(feats)):
             raise ConfigError("features must be finite")
-        labels = np.asarray(self.labels, dtype=np.int64)
-        subjects = np.asarray(self.subjects, dtype=np.int64)
-        sessions = np.asarray(self.sessions, dtype=np.int64)
+        labels, subjects, sessions = (_integers(getattr(self, k), k) for k in ("labels", "subjects", "sessions"))
         n = feats.shape[0]
         for name, arr in (("labels", labels), ("subjects", subjects), ("sessions", sessions)):
             if arr.shape != (n,):
@@ -110,8 +117,7 @@ class Fold:
     name: str
 
     def __post_init__(self):
-        tr = np.asarray(self.train_idx, dtype=np.int64)
-        te = np.asarray(self.test_idx, dtype=np.int64)
+        tr, te = (_integers(i, f"fold {self.name!r}: indices") for i in (self.train_idx, self.test_idx))
         if tr.size == 0 or te.size == 0:
             raise ProtocolError(f"fold {self.name!r}: train and test must both be nonempty")
         if np.intersect1d(tr, te).size > 0:

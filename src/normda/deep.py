@@ -678,27 +678,38 @@ def _val_accuracy(stack: _Stack, specs: list[MlpSpec]) -> np.ndarray:
     return np.add.reduce(np.argmax(probs, axis=-1) == stack.yval, axis=-1) / stack.yval.shape[1]
 
 
-def _fit_classifier(stack: _Stack, cfg: TrainConfig, specs: list[MlpSpec]) -> list:
+def _fit_classifier(stack: _Stack, cfg: TrainConfig, specs: list[MlpSpec], lam: float | None = None) -> list:
     """Cross-entropy through predictor(extractor(x)) with Adam on mini-batches,
     early-stopped on validation accuracy; per member, its best snapshot or
-    its error."""
+    its error. With a lambda, specs add a domain classifier and each batch
+    is a DANN batch (_dann_pass) whose target rows follow each member's
+    target order, drawn after its source order."""
     stack.adam = AdamState.zeros_like(stack.theta)
     batch_rows = np.arange(cfg.batch_size)
 
     def run_epoch():
         rows = stack.rows
-        order = stack.train_idx[rows, _epoch_orders(stack.rngs, stack.train_idx.shape[1])[0]]
+        n_target = None if lam is None else stack.Xt.shape[1]
+        order, target = _epoch_orders(stack.rngs, stack.train_idx.shape[1], n_target)
+        order = stack.train_idx[rows, order]
         X, y = stack.X[rows, order], stack.y[rows, order]
-        ext, pred = _views(stack.theta, specs)
-        grad, (egrads, pgrads) = _grad_views(specs, len(stack.ids))
+        nets = _views(stack.theta, specs)
+        grad, grads = _grad_views(specs, len(stack.ids))
+        if lam is not None:
+            Xt, model = stack.Xt[rows, target], DannModel(*nets, lam)
+            _, (rev,) = _grad_views(specs[:1], len(stack.ids))
         for start in range(0, order.shape[1], cfg.batch_size):
-            yb = y[:, start : start + cfg.batch_size]
-            Xb = X[:, start : start + cfg.batch_size]
-            _class_pass(ext, pred, Xb, (rows, batch_rows[: yb.shape[1]], yb), egrads, pgrads)
+            batch = slice(start, start + cfg.batch_size)
+            yb = y[:, batch]
+            label_index = (rows, batch_rows[: yb.shape[1]], yb)
+            if lam is None:
+                _class_pass(*nets, X[:, batch], label_index, *grads)
+            else:
+                _dann_pass(model, X[:, batch], label_index, Xt[:, batch], grads, rev)
             stack.fail(adam_step(stack.theta, grad, stack.adam, cfg.learning_rate), ADAM_ERROR)
 
     return _early_stopping(
-        stack, cfg.max_epochs, cfg.patience, run_epoch, lambda: _val_accuracy(stack, specs)
+        stack, cfg.max_epochs, cfg.patience, run_epoch, lambda: _val_accuracy(stack, specs[:2])
     )
 
 
@@ -771,28 +782,7 @@ def train_dann(
     specs = [extractor_spec, predictor_spec, domain_spec]
 
     def train(members):
-        stack = _Stack(members)
-        stack.adam = AdamState.zeros_like(stack.theta)
-        batch_rows = np.arange(cfg.batch_size)
-
-        def run_epoch():
-            rows = stack.rows
-            order, target = _epoch_orders(stack.rngs, stack.train_idx.shape[1], stack.Xt.shape[1])
-            order = stack.train_idx[rows, order]
-            Xs, ys, Xt = stack.X[rows, order], stack.y[rows, order], stack.Xt[rows, target]
-            current = DannModel(*_views(stack.theta, specs), lam)
-            grad, grads = _grad_views(specs, len(stack.ids))
-            _, (rev,) = _grad_views(specs[:1], len(stack.ids))
-            for start in range(0, order.shape[1], cfg.batch_size):
-                batch = slice(start, start + cfg.batch_size)
-                yb = ys[:, batch]
-                label_index = (rows, batch_rows[: yb.shape[1]], yb)
-                _dann_pass(current, Xs[:, batch], label_index, Xt[:, batch], grads, rev)
-                stack.fail(adam_step(stack.theta, grad, stack.adam, cfg.learning_rate), ADAM_ERROR)
-
-        best = _early_stopping(
-            stack, cfg.max_epochs, cfg.patience, run_epoch, lambda: _val_accuracy(stack, specs[:2])
-        )
+        best = _fit_classifier(_Stack(members), cfg, specs, lam)
         return [b if isinstance(b, NormdaError) else DannModel(*_views(b, specs), lam) for b in best]
 
     return _lockstep(seeds, (Xs, ys, Xt), lambda *args: _initial_member(*args, specs), train)

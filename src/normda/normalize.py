@@ -1,22 +1,18 @@
 """The z-score transform and the split-aware strategies built on it.
 
-Z0-Z3 differ only in whose statistics standardize each side of a fold:
-the pooled raw training rows ("pooled") or each domain's own rows ("own").
-ZSCORE_SIDES states that choice once per strategy. noNorm returns the raw
-rows. MinMax is the pooled standardization with location = min and
-scale = max - min of the training rows, applied to both sides by the
-same `zscore`.
-
-Z2 and Z3 are transductive: their test-side transform reads test-side
-feature statistics (never labels), which matches the unsupervised-DA
-assumption that unlabeled test data is available at training time.
-Standard deviations use the population (divide-by-n) convention.
+SIDES states, once per strategy, how each side of a fold is mapped: raw,
+or by `zscore` with the mean and population standard deviation or the min
+and range of the pooled raw training rows, or with each domain's own mean
+and standard deviation. Z2 and Z3 read test-side feature statistics, never
+labels: like unsupervised DA, they assume unlabeled test data at training time.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -80,49 +76,52 @@ def zscore(X: np.ndarray, stats: FeatureStats) -> np.ndarray:
     return (X - stats.mu) / np.maximum(stats.sigma, EPS)
 
 
-# (training side, test side) of each z-score strategy; see the module docstring.
-ZSCORE_SIDES = {
-    NormStrategy.Z0: ("pooled", "pooled"),
-    NormStrategy.Z1: ("own", "pooled"),
-    NormStrategy.Z2: ("own", "own"),
-    NormStrategy.Z3: ("pooled", "own"),
+class Side(NamedTuple):
+    own: bool  # stats of each domain's own rows, else of the pooled raw training rows
+    stats: Callable[[np.ndarray], FeatureStats] | None  # None keeps the raw rows
+
+
+RAW = Side(False, None)
+POOLED = Side(False, compute_stats)
+POOLED_RANGE = Side(False, lambda X: FeatureStats(X.min(axis=0), np.ptp(X, axis=0)))
+OWN = Side(True, compute_stats)
+
+SIDES = {
+    NormStrategy.NO_NORM: (RAW, RAW),
+    NormStrategy.Z0: (POOLED, POOLED),
+    NormStrategy.Z1: (OWN, POOLED),
+    NormStrategy.Z2: (OWN, OWN),
+    NormStrategy.Z3: (POOLED, OWN),
+    NormStrategy.MIN_MAX: (POOLED_RANGE, POOLED_RANGE),
 }
 
 
-def _zscore_side(ds: DomainDataset, idx: np.ndarray, side: str, pooled: FeatureStats, *, min_rows: int):
-    if side == "pooled":
-        return zscore(ds.features[idx], pooled)
-    out = np.empty((idx.size, ds.m))
+def _apply_side(ds: DomainDataset, idx: np.ndarray, side: Side, pooled: Callable, *, min_rows: int):
+    X = ds.features[idx]
+    if side.stats is None:
+        return X
+    if not side.own:
+        return zscore(X, pooled(side.stats))
+    out = np.empty_like(X)
     sub, ses = ds.subjects[idx], ds.sessions[idx]
     for key in sorted({(int(a), int(b)) for a, b in zip(sub, ses)}):
         mask = (sub == key[0]) & (ses == key[1])
-        block = ds.features[idx[mask]]
+        block = X[mask]
         if block.shape[0] < min_rows:
             raise DegenerateDomainError(
                 f"domain (subject={key[0]}, session={key[1]}) has {block.shape[0]} row(s); "
                 f"per-domain statistics need at least {min_rows}"
             )
-        out[mask] = zscore(block, compute_stats(block))
+        out[mask] = zscore(block, side.stats(block))
     return out
 
 
 def apply_strategy(ds: DomainDataset, fold: Fold, strategy: NormStrategy) -> tuple[np.ndarray, np.ndarray]:
-    """Return normalized (train, test) feature matrices for one fold.
-
-    Training-side statistics are always fit before the test side is read,
-    and labels are never consulted. An "own" test side rejects single-row
-    domains; an "own" training side maps them to zeros.
-    """
-    train_raw = ds.features[fold.train_idx]
-    if strategy is NormStrategy.NO_NORM:
-        return train_raw, ds.features[fold.test_idx]
-
-    if strategy is NormStrategy.MIN_MAX:
-        mins = train_raw.min(axis=0)
-        ranges = FeatureStats(mins, train_raw.max(axis=0) - mins)
-        return zscore(train_raw, ranges), zscore(ds.features[fold.test_idx], ranges)
-
-    train_side, test_side = ZSCORE_SIDES[strategy]
-    pooled = compute_stats(train_raw)
-    train = _zscore_side(ds, fold.train_idx, train_side, pooled, min_rows=1)
-    return train, _zscore_side(ds, fold.test_idx, test_side, pooled, min_rows=2)
+    """Normalized (train, test) feature matrices for one fold. Pooled
+    statistics, each computed once, come from the raw training rows alone,
+    and labels are never read. An "own" test side rejects one-row domains;
+    an "own" training side maps them to zeros."""
+    train_side, test_side = SIDES[strategy]
+    pooled = functools.cache(lambda stats: stats(ds.features[fold.train_idx]))
+    train = _apply_side(ds, fold.train_idx, train_side, pooled, min_rows=1)
+    return train, _apply_side(ds, fold.test_idx, test_side, pooled, min_rows=2)

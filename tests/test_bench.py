@@ -768,6 +768,27 @@ def test_config_rejects_bad_grids_at_load(grids, named):
 
 
 @pytest.mark.parametrize(
+    "change, named",
+    [
+        ({"dataset": 0}, r"dataset must be a SyntheticShiftConfig or a CSV path, got 0"),
+        ({"dataset": None}, r"dataset must be a SyntheticShiftConfig or a CSV path, got None"),
+        ({"strategies": ("Z2",)}, r"strategies must hold NormStrategy values, got \('Z2',\)"),
+        ({"strategies": "Z2"}, r"strategies must hold NormStrategy values, got 'Z2'"),
+        ({"methods": ("noDA-SVM",)}, r"methods must hold MethodSpec values, got \('noDA-SVM',\)"),
+    ],
+)
+def test_experiment_config_rejects_wrong_typed_fields(change, named):
+    from normda.errors import ConfigError
+
+    with pytest.raises(ConfigError, match=named):
+        small_cfg(**change)
+
+
+def test_experiment_config_takes_a_path_dataset():
+    assert small_cfg(dataset=Path("d.csv")).dataset == Path("d.csv")
+
+
+@pytest.mark.parametrize(
     "build, named",
     [
         (lambda: MethodSpec("noDA-SVM", C="x"), r"C must be a number, got 'x'"),

@@ -24,6 +24,7 @@ from normda.errors import (
     ParseError,
     ProtocolError,
     SchemaError,
+    ShapeError,
     StratificationError,
 )
 from normda.shallow import KernelSpec, mmd_sq
@@ -119,6 +120,35 @@ def test_dataset_rejects_non_finite_features(value):
     feats = np.array([[0.0, 1.0], [2.0, value]])
     with pytest.raises(ConfigError, match="features must be finite"):
         DomainDataset(feats, [0, 1], [0, 0], [0, 0])
+
+
+@pytest.mark.parametrize(
+    "column, values",
+    [
+        ("labels", [0.5, 1.7]),
+        ("labels", [0.0, np.nan]),
+        ("subjects", [1.0, 1.9]),  # a cast would merge the two domains
+        ("sessions", [0.0, np.inf]),
+    ],
+)
+def test_dataset_rejects_ids_that_are_not_integers(column, values):
+    ids = {"labels": [0, 1], "subjects": [0, 1], "sessions": [0, 0], column: values}
+    with pytest.raises(ShapeError, match=f"{column} must be integers"):
+        DomainDataset(np.ones((2, 1)), **ids)
+
+
+def test_dataset_and_fold_accept_integral_floats():
+    ds = DomainDataset(np.ones((2, 1)), [0.0, 1.0], [0.0, 1.0], [2.0, 2.0])
+    assert ds.labels.dtype == np.int64 and ds.subjects.tolist() == [0, 1] and ds.sessions.tolist() == [2, 2]
+    fold = Fold(np.array([0.0, 1.0]), [2.0], "f")
+    assert fold.train_idx.dtype == np.int64 and fold.test_idx.tolist() == [2]
+
+
+def test_fold_rejects_indices_that_are_not_integers():
+    with pytest.raises(ShapeError, match="fold 'f': indices must be integers"):
+        Fold(np.array([0.7, 1.2]), np.array([2]), "f")
+    with pytest.raises(ShapeError, match="fold 'f': indices must be integers"):
+        Fold(np.array([0]), np.array([np.nan]), "f")
 
 
 def test_load_csv_empty_file(tmp_path):

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from normda.dataset import DomainDataset, Fold
+import normalize_reference
+from normda.dataset import DomainDataset, Fold, folds_for
 from normda.errors import DegenerateDomainError, EmptyInputError, ShapeError
 from normda.normalize import (
     EPS,
@@ -239,6 +240,50 @@ def test_apply_strategy_never_reads_labels():
         train_b, test_b = apply_strategy(relabeled, fold, strategy)
         np.testing.assert_array_equal(train_a, train_b)
         np.testing.assert_array_equal(test_a, test_b)
+
+
+def reference_dataset():
+    # Four subjects with three sessions of 6 rows each, except a one-row
+    # session 0 of subject 1, each domain with its own location and scale;
+    # column 1 is constant.
+    rng = np.random.default_rng(11)
+    feats, subs, sess = [], [], []
+    for s in range(4):
+        for e in range(3):
+            rows = 1 if (s, e) == (1, 0) else 6
+            feats.append(rng.normal(loc=2.0 * s - e, scale=0.5 + s + e, size=(rows, 4)))
+            subs += [s] * rows
+            sess += [e] * rows
+    feats = np.vstack(feats)
+    feats[:, 1] = 7.0
+    return DomainDataset(feats, np.arange(len(subs)) % 2, np.array(subs), np.array(sess))
+
+
+def outcome(apply, ds, fold, strategy):
+    try:
+        return apply(ds, fold, strategy)
+    except DegenerateDomainError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("protocol", ["loso", "hlso"])
+def test_apply_strategy_matches_frozen_reference_bitwise(protocol):
+    ds = reference_dataset()
+    rejected = 0
+    for fold in folds_for(ds, protocol):
+        for strategy in NormStrategy:
+            got = outcome(apply_strategy, ds, fold, strategy)
+            want = outcome(normalize_reference.apply_strategy, ds, fold, strategy)
+            if isinstance(want, str):
+                assert got == want
+                rejected += 1
+                continue
+            for g, w in zip(got, want, strict=True):
+                # Bytes, not np.array_equal, which takes -0.0 for 0.0.
+                assert (g.shape, g.dtype, g.tobytes()) == (w.shape, w.dtype, w.tobytes())
+    # LOSO holds out subject 1's one-row domain once, which Z2 and Z3 reject;
+    # HLSO holds out only last sessions, so every fold runs.
+    assert rejected == (2 if protocol == "loso" else 0)
 
 
 def test_zscore_idempotent_once_standardized():
