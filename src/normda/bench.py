@@ -49,6 +49,7 @@ from .errors import (
     NormdaError,
     NumericError,
     check_field_types,
+    integer_labels,
 )
 from .normalize import NormStrategy, apply_strategy
 from .shallow import (
@@ -152,12 +153,12 @@ def network_specs(method: MethodSpec, in_dim: int, n_classes: int) -> tuple[MlpS
 def _deep(train):
     """Adapt a network trainer to the registry's fit.
 
-    `train(method, Xs, ys, test_Xs, seeds, extractor, predictor, adversary)`
-    gets the problems whose networks share a shape as lists, with labels
-    remapped to 0..k-1, and trains them in lockstep through one trainer
-    call; it returns one model or NormdaError per problem. Each problem's
-    seconds are an equal share of the whole fit. The payload is (model,
-    original class labels).
+    `train(method, problems, extractor, predictor, adversary)` gets the
+    FitProblems whose networks share a shape, their labels remapped to
+    0..k-1, and trains them in lockstep through one trainer call; it
+    returns one model or NormdaError per problem. Each problem's seconds
+    are an equal share of the whole fit. The payload is (model, original
+    class labels).
     """
 
     def fit(method, problems):
@@ -165,25 +166,16 @@ def _deep(train):
         results: list = [None] * len(problems)
         calls: dict = {}
         for i, problem in enumerate(problems):
-            classes = tuple(sorted({int(v) for v in problem.train_y}))
-            remap = {c: k for k, c in enumerate(classes)}
-            y_pos = np.array([remap[int(v)] for v in problem.train_y], dtype=np.int64)
             try:
-                specs = network_specs(method, problem.train_X.shape[1], len(classes))
+                classes, y_pos = np.unique(integer_labels(problem.train_y), return_inverse=True)
+                specs = network_specs(method, problem.train_X.shape[1], classes.size)
             except NormdaError as exc:
                 results[i] = exc
                 continue
-            calls.setdefault(specs, []).append((i, problem, y_pos, classes))
+            calls.setdefault(specs, []).append((i, problem._replace(train_y=y_pos), tuple(classes.tolist())))
         for specs, members in calls.items():
-            models = train(
-                method,
-                [p.train_X for _, p, _, _ in members],
-                [y for _, _, y, _ in members],
-                [p.test_X for _, p, _, _ in members],
-                [p.seed for _, p, _, _ in members],
-                *specs,
-            )
-            for (i, _, _, classes), model in zip(members, models):
+            models = train(method, [problem for _, problem, _ in members], *specs)
+            for (i, _, classes), model in zip(members, models):
                 results[i] = model if isinstance(model, NormdaError) else (model, classes)
         elapsed = time.perf_counter() - start
         return [(result, elapsed / len(problems)) for result in results]
@@ -192,18 +184,18 @@ def _deep(train):
 
 
 @_deep
-def _fit_ann(method, X, y, test_X, seeds, extractor, predictor, adversary):
-    return train_plain(X, y, method.train, extractor, predictor, seeds)
+def _fit_ann(method, problems, extractor, predictor, adversary):
+    return train_plain(problems, method.train, extractor, predictor)
 
 
 @_deep
-def _fit_dann(method, X, y, test_X, seeds, extractor, predictor, adversary):
-    return train_dann(X, y, test_X, method.train, extractor, predictor, adversary, method.lam, seeds)
+def _fit_dann(method, problems, extractor, predictor, adversary):
+    return train_dann(problems, method.train, extractor, predictor, adversary, method.lam)
 
 
 @_deep
-def _fit_adda(method, X, y, test_X, seeds, extractor, predictor, adversary):
-    return train_adda(X, y, test_X, method.train, extractor, predictor, adversary, seeds)
+def _fit_adda(method, problems, extractor, predictor, adversary):
+    return train_adda(problems, method.train, extractor, predictor, adversary)
 
 
 def _predict_ann(payload, X):

@@ -45,7 +45,7 @@ def _integers(values, what: str) -> np.ndarray:
     try:
         return integer_labels(values)
     except ShapeError:
-        raise ShapeError(f"{what} must be integers, got fractional or non-finite values") from None
+        raise ShapeError(f"{what} must be integers within int64") from None
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -120,6 +120,8 @@ class Fold:
         tr, te = (_integers(i, f"fold {self.name!r}: indices") for i in (self.train_idx, self.test_idx))
         if tr.size == 0 or te.size == 0:
             raise ProtocolError(f"fold {self.name!r}: train and test must both be nonempty")
+        if min(tr.min(), te.min()) < 0:
+            raise ProtocolError(f"fold {self.name!r}: indices must be non-negative")
         if np.intersect1d(tr, te).size > 0:
             raise ProtocolError(f"fold {self.name!r}: train and test overlap")
         object.__setattr__(self, "train_idx", _frozen(tr))

@@ -21,8 +21,8 @@ Each trainer builds its networks from their specs and the seed, and
 returns models over a snapshot copy. Training is a pure function of (data,
 config, specs, seed): repeated runs produce bit-identical parameters.
 
-Each trainer takes sequences of F problems and F seeds and trains them
-in lockstep (see _lockstep): the parameter vector, the gradient vector,
+Each trainer takes a sequence of F (X, y, Xt, seed) problems and trains
+them in lockstep (see _lockstep): the parameter vector, the gradient vector,
 Adam's moments and every batch gain a leading member axis, so one
 mini-batch step is one stacked forward, backward and Adam update for all
 of them. The layer code reads and writes only the last two axes, and
@@ -533,25 +533,19 @@ class _Member:
     theta: np.ndarray
 
 
-def _lockstep(seeds, problems: tuple, setup, train) -> list:
-    """Run a trainer on F problems in lockstep.
+def _lockstep(problems: Sequence[tuple], setup, train) -> list:
+    """Run a trainer on F (X, y, Xt, seed) problems in lockstep.
 
-    `problems` holds, for each of a problem's arrays (X, y, ...), a
-    sequence of F of them, one per seed. The result lists, per problem,
-    its model or the NormdaError that failed it.
-    setup(*arrays, seed) checks one problem and returns its _Member.
-    Members whose arrays and split sizes agree go to one
+    The result lists, per problem, its model or the NormdaError that
+    failed it. setup(X, y, Xt, seed) checks one problem and returns its
+    _Member. Members whose arrays and split sizes agree go to one
     train(members) call, which returns one result per member.
     """
-    seeds = list(seeds)
-    columns = [list(arrays) for arrays in problems]
-    if any(len(column) != len(seeds) for column in columns):
-        raise ShapeError(f"{len(seeds)} seeds but {[len(c) for c in columns]} problem arrays")
-    results: list = [None] * len(seeds)
+    results: list = [None] * len(problems)
     stacks: dict = {}
-    for i, args in enumerate(zip(*columns, seeds)):
+    for i, problem in enumerate(problems):
         try:
-            member = setup(*args)
+            member = setup(*problem)
         except NormdaError as exc:
             results[i] = exc
             continue
@@ -725,57 +719,49 @@ def _initial_member(X, y, Xt, seed, specs: list[MlpSpec]) -> _Member:
 
 
 def train_plain(
-    X: Sequence[np.ndarray],
-    y: Sequence[np.ndarray],
-    cfg: TrainConfig,
-    extractor_spec: MlpSpec,
-    predictor_spec: MlpSpec,
-    seeds: Sequence,
+    problems: Sequence[tuple], cfg: TrainConfig, extractor_spec: MlpSpec, predictor_spec: MlpSpec
 ) -> list:
     """Minimize cross-entropy with Adam and mini-batches; early-stops on
     validation accuracy and keeps the best-validation snapshot as a
     PlainModel.
 
-    X and y are sequences of as many problems as there are seeds, trained
-    in lockstep; the result lists each one's PlainModel or the
-    NormdaError that failed it (see _lockstep). A mismatch of the specs
-    or of the sequence lengths raises.
+    problems is a sequence of (X, y, Xt, seed) problems, trained in
+    lockstep; Xt is ignored, so target rows are neither read nor checked.
+    The result lists each problem's PlainModel or the NormdaError that
+    failed it (see _lockstep). Specs whose widths do not chain raise.
     """
     _check_heads(extractor_spec, predictor_spec)
     specs = [extractor_spec, predictor_spec]
 
-    def setup(X, y, seed):
+    def setup(X, y, Xt, seed):
         return _initial_member(X, y, None, np.random.default_rng(seed), specs)
 
     def train(members):
         best = _fit_classifier(_Stack(members), cfg, specs)
         return [b if isinstance(b, NormdaError) else PlainModel(*_views(b, specs)) for b in best]
 
-    return _lockstep(seeds, (X, y), setup, train)
+    return _lockstep(problems, setup, train)
 
 
 def train_dann(
-    Xs: Sequence[np.ndarray],
-    ys: Sequence[np.ndarray],
-    Xt: Sequence[np.ndarray],
+    problems: Sequence[tuple],
     cfg: TrainConfig,
     extractor_spec: MlpSpec,
     predictor_spec: MlpSpec,
     domain_spec: MlpSpec,
     lam: float,
-    seeds: Sequence,
 ) -> list:
-    """Adversarial training with a gradient-reversal layer; per problem, a
-    DannModel or the NormdaError that failed it.
+    """Adversarial training with a gradient-reversal layer; per (X, y, Xt,
+    seed) problem, a DannModel or the NormdaError that failed it.
 
     Per batch the classifier path minimizes source cross-entropy while the
     domain head learns to separate source from target; the extractor
     receives the domain gradient scaled by -lambda. Early stopping watches
     source-validation accuracy only (target labels are never read). The
     three networks are drawn from one default_rng(seed), in argument order;
-    the split and batches from a second one. Xs, ys and Xt hold one array
-    per seed, trained in lockstep as train_plain trains them; a lambda
-    that is negative or not finite raises.
+    the split and batches from a second one. The problems train in
+    lockstep as train_plain's do; a lambda that is negative or not finite
+    raises.
     """
     _check_heads(extractor_spec, predictor_spec, domain_spec)
     _check_lambda(lam)
@@ -785,22 +771,18 @@ def train_dann(
         best = _fit_classifier(_Stack(members), cfg, specs, lam)
         return [b if isinstance(b, NormdaError) else DannModel(*_views(b, specs), lam) for b in best]
 
-    return _lockstep(seeds, (Xs, ys, Xt), lambda *args: _initial_member(*args, specs), train)
+    return _lockstep(problems, lambda *problem: _initial_member(*problem, specs), train)
 
 
 def train_adda(
-    Xs: Sequence[np.ndarray],
-    ys: Sequence[np.ndarray],
-    Xt: Sequence[np.ndarray],
+    problems: Sequence[tuple],
     cfg: TrainConfig,
     encoder_spec: MlpSpec,
     classifier_spec: MlpSpec,
     discriminator_spec: MlpSpec,
-    seeds: Sequence,
-    stage2_epochs: int | None = None,
 ) -> list:
-    """Two-stage adversarial encoder alignment; per problem, an AddaModel
-    or the NormdaError that failed it.
+    """Two-stage adversarial encoder alignment; per (X, y, Xt, seed)
+    problem, an AddaModel or the NormdaError that failed it.
 
     Stage 1 trains source encoder plus classifier on source cross-entropy
     with early stopping. Stage 2 freezes both, seeds the target encoder
@@ -815,18 +797,14 @@ def train_adda(
     encoder steps at ADDA_ENCODER_LR_SCALE times the discriminator rate, and
     the returned (target encoder, discriminator) pair is the epoch-end
     snapshot whose discriminator accuracy sat closest to chance (ties keep
-    the earliest epoch). Stage 2 runs all `stage2_epochs` (default
-    `cfg.max_epochs`); it never stops early.
+    the earliest epoch). Stage 2 runs all `cfg.max_epochs`; it never stops
+    early.
 
-    Xs, ys and Xt hold one array per seed, trained in lockstep as
-    train_plain trains them: each member leaves stage 1 at its own epoch,
-    and the members that finish it run stage 2 together.
+    The problems train in lockstep as train_plain's do: each member leaves
+    stage 1 at its own epoch, and the members that finish it run stage 2
+    together.
     """
     _check_heads(encoder_spec, classifier_spec, discriminator_spec)
-    if stage2_epochs is None:
-        stage2_epochs = cfg.max_epochs
-    elif not isinstance(stage2_epochs, numbers.Integral) or isinstance(stage2_epochs, bool) or stage2_epochs < 0:
-        raise ConfigError(f"stage2_epochs must be a non-negative integer, got {stage2_epochs!r}")
     specs = [encoder_spec, classifier_spec, discriminator_spec]
     n_stage1 = _n_params(specs[:2])
 
@@ -837,10 +815,8 @@ def train_adda(
         results = list(sources)
         done = [i for i, s in enumerate(sources) if not isinstance(s, NormdaError)]
         if done:
-            aligned = _align_target(
-                [members[i] for i in done], np.stack([sources[i] for i in done]), cfg, specs, stage2_epochs
-            )
-            for i, pair in zip(done, aligned):
+            sources_done = np.stack([sources[i] for i in done])
+            for i, pair in zip(done, _align_target([members[i] for i in done], sources_done, cfg, specs)):
                 if isinstance(pair, NormdaError):
                     results[i] = pair
                 else:
@@ -849,10 +825,10 @@ def train_adda(
                     results[i] = AddaModel(source_enc, target_enc, clf, disc)
         return results
 
-    return _lockstep(seeds, (Xs, ys, Xt), lambda *args: _initial_member(*args, specs), train)
+    return _lockstep(problems, lambda *problem: _initial_member(*problem, specs), train)
 
 
-def _align_target(members: list[_Member], sources: np.ndarray, cfg: TrainConfig, specs, epochs: int) -> list:
+def _align_target(members: list[_Member], sources: np.ndarray, cfg: TrainConfig, specs) -> list:
     """ADDA's stage 2 for members with stage-1 parameters `sources` (a stack
     of encoder + classifier rows); per member its chosen (target encoder,
     discriminator) snapshot as one flat row, or its error.
@@ -910,4 +886,4 @@ def _align_target(members: list[_Member], sources: np.ndarray, cfg: TrainConfig,
         hits = np.add.reduce(np.argmax(dprobs, axis=-1) == domain_truth, axis=-1)
         return -np.abs(hits / domain_truth.size - 0.5)
 
-    return _early_stopping(stack, epochs, epochs, run_epoch, chance_closeness)
+    return _early_stopping(stack, cfg.max_epochs, cfg.max_epochs, run_epoch, chance_closeness)

@@ -87,9 +87,15 @@ def check_field_types(obj) -> None:
 
 
 def integer_labels(y) -> np.ndarray:
-    """`y` as int64 class labels. Raises ShapeError for fractional, NaN or
-    inf labels, which the cast would truncate or garble silently."""
-    y = np.asarray(y)
-    if y.dtype.kind == "f" and not (np.isfinite(y).all() and (y == np.trunc(y)).all()):
-        raise ShapeError("labels must be integers, got fractional or non-finite values")
-    return np.asarray(y, dtype=np.int64)
+    """`y` as int64 class labels. Raises ShapeError for labels that the cast
+    would truncate, garble or fail on: fractional, non-finite, non-numeric,
+    or outside int64."""
+    try:
+        y = np.asarray(y)
+        with np.errstate(invalid="ignore"):
+            out = y.astype(np.int64, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or not np.array_equal(out, y):
+        raise ShapeError("labels must be integers within int64")
+    return out

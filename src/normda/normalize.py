@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dataset import DomainDataset, Fold
-from .errors import ConfigError, DegenerateDomainError, EmptyInputError, ShapeError
+from .errors import ConfigError, DegenerateDomainError, EmptyInputError, ProtocolError, ShapeError
 
 EPS = 1e-8
 
@@ -120,7 +120,10 @@ def apply_strategy(ds: DomainDataset, fold: Fold, strategy: NormStrategy) -> tup
     """Normalized (train, test) feature matrices for one fold. Pooled
     statistics, each computed once, come from the raw training rows alone,
     and labels are never read. An "own" test side rejects one-row domains;
-    an "own" training side maps them to zeros."""
+    an "own" training side maps them to zeros. A fold that names a row
+    past the dataset's last is rejected."""
+    if max(fold.train_idx.max(), fold.test_idx.max()) >= ds.n:
+        raise ProtocolError(f"fold {fold.name!r}: indices must be below the dataset's {ds.n} rows")
     train_side, test_side = SIDES[strategy]
     pooled = functools.cache(lambda stats: stats(ds.features[fold.train_idx]))
     train = _apply_side(ds, fold.train_idx, train_side, pooled, min_rows=1)

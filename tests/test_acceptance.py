@@ -187,7 +187,7 @@ def test_criterion_7_dann_alignment():
     y = np.array([0] * 60 + [1] * 60)
     cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=60, patience=20)
     specs = (MlpSpec((3, 8), head="identity"), MlpSpec((8, 2)), MlpSpec((8, 2)))
-    (trained,) = train_dann([X], [y], [X.copy()], cfg, *specs, 1.0, [1])
+    (trained,) = train_dann([(X, y, X.copy(), 1)], cfg, *specs, 1.0)
     feats, _ = forward(trained.extractor.spec, trained.extractor.params, X)
     dprobs, _ = forward(
         trained.domain_classifier.spec, trained.domain_classifier.params, np.vstack([feats, feats])

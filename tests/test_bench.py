@@ -53,6 +53,8 @@ ALL_KINDS = (
     MethodSpec("ADDA", train=FAST_TRAIN, hidden=(8,), feature_dim=4),
 )
 
+DEEP_TRAINERS = {"noDA-ANN": "train_plain", "DANN": "train_dann", "ADDA": "train_adda"}
+
 
 def small_cfg(**overrides):
     base = dict(
@@ -514,6 +516,40 @@ def test_grid_keys_and_strategy_order_derive_from_their_types():
         "svm_kernel", "learning_rate", "batch_size", "max_epochs", "patience",
     ])
     assert bench.STRATEGY_ORDER == ("noNorm", "Z0", "Z1", "Z2", "Z3", "MinMax")
+
+
+@pytest.mark.parametrize("kind", DEEP_TRAINERS)
+def test_deep_fit_method_remaps_mixed_class_sets_bitwise(monkeypatch, kind):
+    # {3, 7} and {7, 3} share a network shape and train in one lockstep
+    # call; {3, 7, 9} needs a three-class head and a call of its own.
+    import normda.bench as bench
+
+    rng = np.random.default_rng(31)
+
+    def problem(labels, seed):
+        y = np.repeat(labels, 12)
+        return FitProblem(rng.normal(size=(y.size, 4)) + y[:, None] / 4, y, rng.normal(size=(20, 4)), seed)
+
+    problems = [problem([3, 7], 1), problem([3, 7, 9], 2), problem([7, 3], 3)]
+    method = next(m for m in ALL_KINDS if m.kind == kind)
+    solo = [fit_method(method, [p])[0][0] for p in problems]
+    sizes = []
+    real = getattr(bench, DEEP_TRAINERS[kind])
+
+    def recording(*args, **kwargs):
+        sizes.append(len(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bench, DEEP_TRAINERS[kind], recording)
+    together = [fit for fit, _ in fit_method(method, problems)]
+    assert sorted(sizes) == [1, 2]
+    for p, got, want in zip(problems, together, solo):
+        labels = sorted(set(p.train_y.tolist()))
+        assert got.payload[1] == want.payload[1] == tuple(labels)
+        assert [a.tobytes() for a in got.parameters()] == [a.tobytes() for a in want.parameters()]
+        predicted = predict_method(got, p.test_X)
+        assert set(predicted.tolist()) <= set(labels)
+        np.testing.assert_array_equal(predicted, predict_method(want, p.test_X))
 
 
 def test_fit_and_predict_call_solvers_through_module_names(monkeypatch):

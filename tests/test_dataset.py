@@ -129,6 +129,11 @@ def test_dataset_rejects_non_finite_features(value):
         ("labels", [0.0, np.nan]),
         ("subjects", [1.0, 1.9]),  # a cast would merge the two domains
         ("sessions", [0.0, np.inf]),
+        ("labels", [0, 2**63]),  # numpy holds it as float64; a bare int64 cast wraps it to -2**63
+        ("subjects", np.array([0, 2**63], dtype=np.uint64)),  # a bare cast wraps it too
+        ("sessions", [0, 10**20]),  # an object array; a bare cast raises OverflowError
+        ("labels", ["a", "b"]),
+        ("labels", [None, 1]),
     ],
 )
 def test_dataset_rejects_ids_that_are_not_integers(column, values):

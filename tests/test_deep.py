@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -47,11 +48,10 @@ def dann_model(extractor, predictor, domain, lam, seed):
     return DannModel(init_mlp(extractor, rng), init_mlp(predictor, rng), init_mlp(domain, rng), lam)
 
 
-def fit_one(trainer, *args, seed, **kwargs):
-    """One problem through `trainer` as the F = 1 stack: its model, or the
-    NormdaError that failed it."""
-    arrays = 2 if trainer is train_plain else 3
-    (result,) = trainer(*([a] for a in args[:arrays]), *args[arrays:], seeds=[seed], **kwargs)
+def fit_one(trainer, X, y, Xt, *args, seed, **kwargs):
+    """The problem (X, y, Xt, seed) through `trainer` as the F = 1 stack:
+    its model, or the NormdaError that failed it."""
+    (result,) = trainer([(X, y, Xt, seed)], *args, **kwargs)
     return result
 
 
@@ -390,7 +390,7 @@ def test_adam_two_step_hand_trace():
 def test_train_plain_fits_separable_blobs():
     X, y = blobs(seed=10)
     cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=200, patience=20)
-    model = fit_one(train_plain, X, y, cfg, MlpSpec((2, 8), head="identity"), MlpSpec((8, 2)), seed=0)
+    model = fit_one(train_plain, X, y, X, cfg, MlpSpec((2, 8), head="identity"), MlpSpec((8, 2)), seed=0)
     acc = np.mean(predict_composite(model.extractor, model.predictor, X) == y)
     assert acc >= 0.99
 
@@ -399,7 +399,7 @@ def test_train_plain_lr_zero_returns_initial_snapshot():
     X, y = blobs(n_per=40, seed=11)
     cfg = TrainConfig(learning_rate=0.0, batch_size=16, max_epochs=300, patience=1)
     ext_spec, pred_spec = MlpSpec((2, 4), head="identity"), MlpSpec((4, 2))
-    model = fit_one(train_plain, X, y, cfg, ext_spec, pred_spec, seed=5)
+    model = fit_one(train_plain, X, y, X, cfg, ext_spec, pred_spec, seed=5)
     rng = np.random.default_rng(5)
     init_ext = init_mlp(ext_spec, rng)
     init_pred = init_mlp(pred_spec, rng)
@@ -410,10 +410,21 @@ def test_train_plain_lr_zero_returns_initial_snapshot():
 def test_train_plain_deterministic():
     X, y = blobs(n_per=50, seed=12)
     cfg = TrainConfig(learning_rate=0.01, batch_size=16, max_epochs=30, patience=10)
-    a = fit_one(train_plain, X, y, cfg, MlpSpec((2, 6), head="identity"), MlpSpec((6, 2)), seed=3)
-    b = fit_one(train_plain, X, y, cfg, MlpSpec((2, 6), head="identity"), MlpSpec((6, 2)), seed=3)
+    a = fit_one(train_plain, X, y, X, cfg, MlpSpec((2, 6), head="identity"), MlpSpec((6, 2)), seed=3)
+    b = fit_one(train_plain, X, y, X, cfg, MlpSpec((2, 6), head="identity"), MlpSpec((6, 2)), seed=3)
     assert params_equal(a.extractor.params, b.extractor.params)
     assert params_equal(a.predictor.params, b.predictor.params)
+
+
+def test_train_plain_reads_no_target_rows():
+    X, y = blobs(n_per=30, seed=20, dim=3)
+    cfg = TrainConfig(learning_rate=0.05, batch_size=16, max_epochs=8, patience=3)
+    specs = (MlpSpec((3, 5), head="identity"), MlpSpec((5, 2)))
+    targets = (X + 1.0, np.zeros((7, 3)), np.full_like(X, np.nan))
+    models = [fit_one(train_plain, X, y, Xt, cfg, *specs, seed=8) for Xt in targets]
+    assert all(isinstance(model, deep.PlainModel) for model in models)
+    for model in models[1:]:
+        assert_same_bits(model, models[0])
 
 
 NON_FINITE_INPUTS = [
@@ -437,17 +448,17 @@ def test_trainers_reject_non_finite_inputs(trainer, name, kind, value):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         source = inputs["X"] if trainer == "plain" else inputs["Xs"]
-        (result,) = call_trainer(trainer, [source], [y], [inputs["Xt"]], cfg, ext, head, [0])
+        (result,) = call_trainer(trainer, [(source, y, inputs["Xt"], 0)], cfg, ext, head)
     assert_failed(result, NumericError, f"^{kind} features contain non-finite values$")
 
 
-def call_trainer(trainer, X, y, Xt, cfg, ext, head, seeds):
-    """The named trainer on sequences of problems, every head `head`."""
+def call_trainer(trainer, problems, cfg, ext, head):
+    """The named trainer on (X, y, Xt, seed) problems, every head `head`."""
     if trainer == "plain":
-        return train_plain(X, y, cfg, ext, head, seeds)
+        return train_plain(problems, cfg, ext, head)
     if trainer == "dann":
-        return train_dann(X, y, Xt, cfg, ext, head, head, lam=0.5, seeds=seeds)
-    return train_adda(X, y, Xt, cfg, ext, head, head, seeds=seeds)
+        return train_dann(problems, cfg, ext, head, head, lam=0.5)
+    return train_adda(problems, cfg, ext, head, head)
 
 
 SHAPE_CASES = [
@@ -475,7 +486,7 @@ def test_trainers_reject_mismatched_shapes(trainer, change, message):
     X, y = blobs(n_per=20, seed=41, dim=3)
     X, y, Xt = change(X, y, X + 1.0)
     cfg = TrainConfig(batch_size=16, max_epochs=2, patience=1)
-    (result,) = call_trainer(trainer, [X], [y], [Xt], cfg, MlpSpec((3, 4), head="identity"), MlpSpec((4, 2)), [0])
+    (result,) = call_trainer(trainer, [(X, y, Xt, 0)], cfg, MlpSpec((3, 4), head="identity"), MlpSpec((4, 2)))
     assert_failed(result, ShapeError, message)
 
 
@@ -514,10 +525,9 @@ def test_lockstep_members_match_solo_fits_bitwise(monkeypatch, trainer):
 
     with np.errstate(all="ignore"):
         monkeypatch.setattr(deep, "_val_accuracy", recording_val_accuracy)
-        Xs, ys, Xts, seeds = (list(column) for column in zip(*members))
-        together = call_trainer(trainer, Xs, ys, Xts, cfg, ext, pred, seeds)
+        together = call_trainer(trainer, members, cfg, ext, pred)
         monkeypatch.undo()
-        solo = [call_trainer(trainer, [X], [y], [Xt], cfg, ext, pred, [seed])[0] for X, y, Xt, seed in members]
+        solo = [call_trainer(trainer, [member], cfg, ext, pred)[0] for member in members]
     # Members left their stacks at different epochs, so later epochs scored fewer.
     assert len(set(scored)) >= 3
     assert len(together) == len(members)
@@ -528,16 +538,12 @@ def test_lockstep_members_match_solo_fits_bitwise(monkeypatch, trainer):
             assert_same_bits(got, want)
     assert isinstance(together[4], NumericError) and isinstance(together[5], ShapeError)
     assert sum(isinstance(r, NormdaError) for r in together) == 2
-    with pytest.raises(ShapeError, match=r"^2 seeds but \[1, 1(, 1)?\] problem arrays$"):
-        call_trainer(trainer, Xs[:1], ys[:1], Xts[:1], cfg, ext, pred, seeds[:2])
 
 
 def test_train_plain_single_class_rejected():
-    X = np.random.default_rng(0).normal(size=(10, 2))
-    cfg = TrainConfig()
-    result = fit_one(
-        train_plain, X, np.zeros(10, dtype=int), cfg, MlpSpec((2, 4), head="identity"), MlpSpec((4, 2)), seed=0
-    )
+    X, y = np.random.default_rng(0).normal(size=(10, 2)), np.zeros(10, dtype=int)
+    specs = (MlpSpec((2, 4), head="identity"), MlpSpec((4, 2)))
+    result = fit_one(train_plain, X, y, X, TrainConfig(), *specs, seed=0)
     assert_failed(result, DegenerateLabelsError, "single class")
 
 
@@ -619,7 +625,7 @@ def test_train_dann_negative_lambda_rejected(lam):
     X, y = blobs(n_per=10, seed=15)
     specs = (MlpSpec((2, 4), head="identity"), MlpSpec((4, 2)), MlpSpec((4, 2)))
     with pytest.raises(ConfigError, match=rf"^lambda must be >= 0 and finite, got {lam!r}$"):
-        train_dann([X], [y], [X], TrainConfig(), *specs, lam, [0])
+        train_dann([(X, y, X, 0)], TrainConfig(), *specs, lam)
     with pytest.raises(ConfigError, match="lambda must be >= 0 and finite"):
         dann_model(*specs, lam, seed=0)
 
@@ -632,56 +638,26 @@ def adda_specs(dim=8):
     return MlpSpec((dim, 8), head="identity"), MlpSpec((8, 2)), MlpSpec((8, 8, 2), activation="leaky_relu")
 
 
-def test_adda_stage2_zero_epochs_copies_source_encoder():
-    X, y = blobs(n_per=30, seed=16, dim=8)
-    cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=20, patience=5)
-    trained = fit_one(train_adda, X, y, X.copy(), cfg, *adda_specs(), seed=6, stage2_epochs=0)
-    assert params_equal(trained.source_encoder.params, trained.target_encoder.params)
-    pred_s = predict_composite(trained.source_encoder, trained.classifier, X)
-    pred_t = predict_composite(trained.target_encoder, trained.classifier, X)
-    np.testing.assert_array_equal(pred_s, pred_t)
-
-
 def test_train_adda_lr_zero_returns_initial_snapshot():
     X, y = blobs(n_per=40, seed=11, dim=3)
     cfg = TrainConfig(learning_rate=0.0, batch_size=16, max_epochs=300, patience=1)
     specs = adda_specs(dim=3)
-    for stage2_epochs in (None, 0, 3):
-        model = fit_one(train_adda, X, y, X + 1.0, cfg, *specs, seed=5, stage2_epochs=stage2_epochs)
-        rng = np.random.default_rng(5)
-        encoder, classifier, discriminator = (init_mlp(spec, rng) for spec in specs)
-        assert params_equal(model.source_encoder.params, encoder.params)
-        assert params_equal(model.target_encoder.params, encoder.params)
-        assert params_equal(model.classifier.params, classifier.params)
-        assert params_equal(model.discriminator.params, discriminator.params)
-
-
-@pytest.mark.parametrize("stage2_epochs", [-3, 2.5, True, "3"])
-def test_train_adda_rejects_bad_stage2_epochs_before_training(stage2_epochs, monkeypatch):
-    X, y = blobs(n_per=20, seed=15, dim=3)
-    monkeypatch.setattr(deep, "_lockstep", lambda *args: pytest.fail("training started"))
-    with pytest.raises(ConfigError, match=re.escape(f"non-negative integer, got {stage2_epochs!r}")):
-        fit_one(train_adda, X, y, X + 1.0, TrainConfig(max_epochs=2), *adda_specs(dim=3), seed=0,
-                stage2_epochs=stage2_epochs)
+    model = fit_one(train_adda, X, y, X + 1.0, cfg, *specs, seed=5)
+    rng = np.random.default_rng(5)
+    encoder, classifier, discriminator = (init_mlp(spec, rng) for spec in specs)
+    assert params_equal(model.source_encoder.params, encoder.params)
+    assert params_equal(model.target_encoder.params, encoder.params)
+    assert params_equal(model.classifier.params, classifier.params)
+    assert params_equal(model.discriminator.params, discriminator.params)
 
 
 def test_train_adda_mismatched_specs_raise_shape_error():
     X, y = blobs(n_per=20, seed=15, dim=3)
     cfg = TrainConfig(batch_size=16, max_epochs=2, patience=1)
     encoder = MlpSpec((3, 8), head="identity")
-    cases = (
-        (MlpSpec((4, 2)), MlpSpec((8, 2)), None),
-        (MlpSpec((8, 2)), MlpSpec((4, 2)), None),
-        # With no stage-2 epoch the discriminator never runs, so only the
-        # up-front check sees that it cannot read the encodings.
-        (MlpSpec((8, 2)), MlpSpec((5, 2)), 0),
-    )
-    for classifier, discriminator, stage2_epochs in cases:
+    for classifier, discriminator in ((MlpSpec((4, 2)), MlpSpec((8, 2))), (MlpSpec((8, 2)), MlpSpec((4, 2)))):
         with pytest.raises(ShapeError, match="!= extractor output width 8"):
-            fit_one(train_adda, 
-                X, y, X + 1.0, cfg, encoder, classifier, discriminator, seed=0,
-                stage2_epochs=stage2_epochs,
-            )
+            fit_one(train_adda, X, y, X + 1.0, cfg, encoder, classifier, discriminator, seed=0)
 
 
 def test_dann_and_adda_training_moves_parameters():
@@ -691,8 +667,8 @@ def test_dann_and_adda_training_moves_parameters():
     dann_specs = (MlpSpec((3, 4), head="identity"), MlpSpec((4, 2)), MlpSpec((4, 2)))
     dann_out = fit_one(train_dann, X, y, X + 1.0, cfg, *dann_specs, lam=1.0, seed=7)
     dann_initial = fit_one(train_dann, X, y, X + 1.0, still, *dann_specs, lam=1.0, seed=7)
-    adda_out = fit_one(train_adda, X, y, X + 1.0, cfg, *adda_specs(dim=3), seed=7, stage2_epochs=3)
-    adda_initial = fit_one(train_adda, X, y, X + 1.0, still, *adda_specs(dim=3), seed=7, stage2_epochs=3)
+    adda_out = fit_one(train_adda, X, y, X + 1.0, cfg, *adda_specs(dim=3), seed=7)
+    adda_initial = fit_one(train_adda, X, y, X + 1.0, still, *adda_specs(dim=3), seed=7)
     assert not params_equal(dann_out.extractor.params, dann_initial.extractor.params)
     assert not params_equal(adda_out.target_encoder.params, adda_initial.target_encoder.params)
 
@@ -706,7 +682,7 @@ def test_adda_target_equals_source_discriminator_near_chance():
     perm = np.random.default_rng(9).permutation(len(X))
     fit, held = perm[:160], perm[160:]
     cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=40, patience=10)
-    trained = fit_one(train_adda, X[fit], y[fit], X[fit].copy(), cfg, *adda_specs(), seed=1, stage2_epochs=30)
+    trained = fit_one(train_adda, X[fit], y[fit], X[fit].copy(), cfg, *adda_specs(), seed=1)
     fs, _ = forward(trained.source_encoder.spec, trained.source_encoder.params, X[held])
     ft, _ = forward(trained.target_encoder.spec, trained.target_encoder.params, X[held])
     dprobs, _ = forward(trained.discriminator.spec, trained.discriminator.params, np.vstack([fs, ft]))
@@ -721,8 +697,8 @@ def test_adda_improves_target_accuracy_under_translation_shift():
     ))
     Xs, ys = ds.features[ds.subjects == 0], ds.labels[ds.subjects == 0]
     Xt, yt = ds.features[ds.subjects == 1], ds.labels[ds.subjects == 1]
-    cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=80, patience=15)
-    trained = fit_one(train_adda, Xs, ys, Xt, cfg, *adda_specs(), seed=1, stage2_epochs=240)
+    cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=240, patience=15)
+    trained = fit_one(train_adda, Xs, ys, Xt, cfg, *adda_specs(), seed=1)
     acc_through_source = np.mean(predict_composite(trained.source_encoder, trained.classifier, Xt) == yt)
     acc_through_target = np.mean(predict_composite(trained.target_encoder, trained.classifier, Xt) == yt)
     assert acc_through_target > acc_through_source
@@ -786,7 +762,7 @@ REFERENCE_ACT = pytest.mark.parametrize("activation", ACTIVATIONS)
 @REFERENCE_GRID
 def test_train_plain_matches_frozen_reference_bitwise(activation, hidden, batch_size):
     X, y, _, cfg, ext, pred, _ = reference_case(activation, hidden, batch_size)
-    model = fit_one(train_plain, X, y, cfg, ext, pred, seed=3)
+    model = fit_one(train_plain, X, y, X, cfg, ext, pred, seed=3)
     assert_same_bits(model, deep_reference.train_plain(X, y, cfg, ext, pred, seed=3))
 
 
@@ -803,10 +779,13 @@ def test_train_dann_matches_frozen_reference_bitwise(activation, hidden, batch_s
 @REFERENCE_ACT
 @REFERENCE_ARCH
 @REFERENCE_GRID
-@pytest.mark.parametrize("stage2_epochs", [None, 0, 3])
-def test_train_adda_matches_frozen_reference_bitwise(activation, hidden, batch_size, stage2_epochs):
+@pytest.mark.parametrize("extra_epochs", [None, 0, 3])
+def test_train_adda_matches_frozen_reference_bitwise(activation, hidden, batch_size, extra_epochs):
+    """max_epochs, stage 2's length and stage 1's cap, is the case's 6
+    (None) or 1 + extra_epochs."""
     X, y, Xt, cfg, ext, pred, dom = reference_case(activation, hidden, batch_size)
-    model = fit_one(train_adda, X, y, Xt, cfg, ext, pred, dom, seed=5, stage2_epochs=stage2_epochs)
-    ref = deep_reference.train_adda(X, y, Xt, cfg, ext, pred, dom, seed=5, stage2_epochs=stage2_epochs)
-    assert_same_bits(model, ref)
+    if extra_epochs is not None:
+        cfg = replace(cfg, max_epochs=1 + extra_epochs)
+    model = fit_one(train_adda, X, y, Xt, cfg, ext, pred, dom, seed=5)
+    assert_same_bits(model, deep_reference.train_adda(X, y, Xt, cfg, ext, pred, dom, seed=5))
 

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 import normalize_reference
 from normda.dataset import DomainDataset, Fold, folds_for
-from normda.errors import DegenerateDomainError, EmptyInputError, ShapeError
+from normda.errors import DegenerateDomainError, EmptyInputError, ProtocolError, ShapeError
 from normda.normalize import (
     EPS,
     FeatureStats,
@@ -307,3 +307,14 @@ def test_zscore_affine_equivariant(X, a, b):
     zx = zscore(X, compute_stats(X))
     zy = zscore(Y, compute_stats(Y))
     np.testing.assert_allclose(zy, zx, atol=1e-9)
+
+
+@pytest.mark.parametrize("strategy", list(NormStrategy), ids=lambda s: s.value)
+def test_fold_indices_must_name_rows_of_the_dataset(strategy):
+    # On 4 rows, index -1 would alias test row 3 and slip into training.
+    with pytest.raises(ProtocolError, match="^fold 'x': indices must be non-negative$"):
+        Fold([-1, 0], [3], "x")
+    ds = DomainDataset(np.arange(8.0).reshape(4, 2), [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 0])
+    for fold in (Fold([0, 1], [4], "x"), Fold([0, 9], [2, 3], "x")):
+        with pytest.raises(ProtocolError, match="^fold 'x': indices must be below the dataset's 4 rows$"):
+            apply_strategy(ds, fold, strategy)

@@ -76,7 +76,18 @@ def test_non_finite_features_rejected():
         svm_train(X, np.array([0, 1]), LINEAR)
 
 
-@pytest.mark.parametrize("labels", [[0.5, 1.7] * 10, [0.0, np.nan] * 10, [0.0, -np.inf] * 10])
+@pytest.mark.parametrize(
+    "labels",
+    [
+        [0.5, 1.7] * 10,
+        [0.0, np.nan] * 10,
+        [0.0, -np.inf] * 10,
+        [0, 2**63] * 10,  # a bare int64 cast wraps 2**63 to -2**63
+        [0, 10**20] * 10,
+        ["a", "b"] * 10,
+        [None, 1] * 10,
+    ],
+)
 def test_non_integer_labels_rejected(labels):
     with pytest.raises(ShapeError, match="labels must be integers"):
         svm_train(np.arange(20.0).reshape(-1, 1), np.array(labels), LINEAR)
