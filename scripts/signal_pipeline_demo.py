@@ -74,7 +74,7 @@ def main() -> int:
         methods=(MethodSpec("noDA-SVM"), MethodSpec("TCA-SVM")),
         seed=args.seed,
     )
-    print(emit_table(run_experiment(cfg).cells, "markdown"))
+    print(emit_table(run_experiment(cfg).cells))
     return 0
 
 

@@ -325,7 +325,6 @@ class ExperimentConfig:
 class CellResult:
     strategy: str
     method: str
-    fold_names: tuple[str, ...]
     accuracies: tuple[float | None, ...]  # per fold; None for a failed fold
     error: str | None
     seconds: float
@@ -355,34 +354,43 @@ class FoldOutcome:
     seconds: float
 
 
+def table_order(row: FoldOutcome | CellResult) -> tuple[int, int]:
+    """The order of every table and file: strategies in STRATEGY_ORDER,
+    then methods in METHOD_ORDER."""
+    return STRATEGY_ORDER.index(row.strategy), METHOD_ORDER.index(row.method)
+
+
 def cells_from_rows(rows: Iterable[FoldOutcome]) -> tuple[CellResult, ...]:
     """One CellResult per (strategy, method) of the FoldOutcome rows, in
-    order of first appearance, with its folds in row order. A cell with
-    any failed fold is failed, and its error joins the fold errors; the
-    folds that were scored keep their accuracies."""
+    table order, with its folds in row order. A cell with any failed fold
+    is failed, and its error joins the fold errors; the folds that were
+    scored keep their accuracies."""
     by_cell: dict[tuple[str, str], list[FoldOutcome]] = {}
-    for row in rows:
+    for row in sorted(rows, key=table_order):
         by_cell.setdefault((row.strategy, row.method), []).append(row)
     cells = []
     for (strategy, method), group in by_cell.items():
-        folds = tuple(o.fold_name for o in group)
         errors = [o.error for o in group if o.error is not None]
         accuracies = tuple(o.accuracy for o in group)
         seconds = float(sum(o.seconds for o in group))
-        cells.append(CellResult(strategy, method, folds, accuracies, "; ".join(errors) or None, seconds))
+        cells.append(CellResult(strategy, method, accuracies, "; ".join(errors) or None, seconds))
     return tuple(cells)
 
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """The cells of one run; `dataset` and `folds` are what it ran on, kept
-    so projections reuse them instead of loading the data again."""
+    """One run: the FoldOutcome of every (strategy, method, fold), of which
+    every table and file is a view, and the dataset and folds it ran on,
+    kept so projections reuse them instead of loading the data again."""
 
     config: ExperimentConfig
-    fold_names: tuple[str, ...]
-    cells: tuple[CellResult, ...]
-    dataset: DomainDataset | None = field(default=None, compare=False, repr=False)
-    folds: tuple[Fold, ...] = field(default=(), compare=False, repr=False)
+    rows: tuple[FoldOutcome, ...]
+    dataset: DomainDataset = field(compare=False, repr=False)
+    folds: tuple[Fold, ...] = field(compare=False, repr=False)
+
+    @property
+    def cells(self) -> tuple[CellResult, ...]:
+        return cells_from_rows(self.rows)
 
     def cell(self, strategy: str, method: str) -> CellResult:
         for c in self.cells:
@@ -647,61 +655,51 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     else:
         outcome_lists = [_run_fold_group(*task) for task in tasks]
 
-    cells = cells_from_rows(o for outcomes in outcome_lists for o in outcomes)
-    fold_names = tuple(f.name for f in folds)
-    return ExperimentReport(cfg, fold_names, cells, ds, tuple(folds))
+    rows = tuple(o for outcomes in outcome_lists for o in outcomes)
+    return ExperimentReport(cfg, rows, ds, tuple(folds))
 
 
 # ---------------------------------------------------------------------------
 # Rendering and persistence
 
 
-def _ordered(cells: Iterable[CellResult]) -> list[list[CellResult]]:
-    """The cells as table rows: strategies in STRATEGY_ORDER, methods in
-    METHOD_ORDER, keeping those that occur."""
-    by_key = {(c.strategy, c.method): c for c in cells}
-    strategies = [s for s in STRATEGY_ORDER if any(k[0] == s for k in by_key)]
-    methods = [m for m in METHOD_ORDER if any(k[1] == m for k in by_key)]
-    return [[by_key[s, m] for m in methods] for s in strategies]
+def emit_table(cells: Iterable[CellResult]) -> str:
+    """The markdown strategy-by-method accuracy table of cells in table
+    order: one row per strategy, one column per method (deep first), cells
+    'MM.MM (SS.SS)' in percent, 'FAIL' for failed cells."""
+    by_strategy: dict[str, list[CellResult]] = {}
+    for c in cells:
+        by_strategy.setdefault(c.strategy, []).append(c)
+    methods = [c.method for c in next(iter(by_strategy.values()), [])]
+    lines = ["| strategy | " + " | ".join(methods) + " |"]
+    lines.append("| --- |" + " --- |" * len(methods))
+    for strategy, row in by_strategy.items():
+        marks = [format_cell(c.mean, c.std) if c.ok else "FAIL" for c in row]
+        lines.append("| " + " | ".join([strategy, *marks]) + " |")
+    return "\n".join(lines) + "\n"
 
 
-def emit_table(cells: Iterable[CellResult], fmt: str = "markdown") -> str:
-    """Render the strategy-by-method accuracy table of the cells.
-
-    markdown: rows are strategies, columns methods (deep first), cells
-    'MM.MM (SS.SS)' in percent, 'FAIL' for failed cells. csv: long format
-    with full-precision mean/std fractions that reload as reals.
-    """
-    rows = _ordered(cells)
-    if fmt == "markdown":
-        methods = [c.method for c in rows[0]] if rows else []
-        lines = ["| strategy | " + " | ".join(methods) + " |"]
-        lines.append("| --- |" + " --- |" * len(methods))
-        for row in rows:
-            marks = [format_cell(c.mean, c.std) if c.ok else "FAIL" for c in row]
-            lines.append("| " + " | ".join([row[0].strategy, *marks]) + " |")
-        return "\n".join(lines) + "\n"
-    if fmt == "csv":
-        lines = ["strategy,method,n_folds,mean,std,status"]
-        for row in rows:
-            for c in row:
-                head = f"{c.strategy},{c.method},{len(c.fold_names)}"
-                lines.append(f"{head},{c.mean!r},{c.std!r},ok" if c.ok else f"{head},,,FAIL")
-        return "\n".join(lines) + "\n"
-    raise ConfigError(f"unknown table format {fmt!r}")
+def report_csv(cells: Iterable[CellResult]) -> str:
+    """report.csv: one line per cell, with full-precision mean/std fractions
+    that reload as reals."""
+    lines = ["strategy,method,n_folds,mean,std,status"]
+    for c in cells:
+        head = f"{c.strategy},{c.method},{len(c.accuracies)}"
+        lines.append(f"{head},{c.mean!r},{c.std!r},ok" if c.ok else f"{head},,,FAIL")
+    return "\n".join(lines) + "\n"
 
 
 FOLDS_CSV = "folds.csv"  # a report's per-fold detail; `normda table` reads it back
 _FOLDS_HEADER = "strategy,method,fold,accuracy"
 
 
-def folds_csv(cells: Iterable[CellResult]) -> str:
-    """Per-fold accuracy detail at full precision; FAIL for a failed fold."""
+def folds_csv(rows: Iterable[FoldOutcome]) -> str:
+    """The records in table order, one line each: the accuracy at full
+    precision, or FAIL for a failed fold."""
     lines = [_FOLDS_HEADER]
-    for row in _ordered(cells):
-        for c in row:
-            for fold, acc in zip(c.fold_names, c.accuracies):
-                lines.append(f"{c.strategy},{c.method},{fold},{'FAIL' if acc is None else repr(acc)}")
+    for o in sorted(rows, key=table_order):
+        acc = "FAIL" if o.accuracy is None else repr(o.accuracy)
+        lines.append(f"{o.strategy},{o.method},{o.fold_name},{acc}")
     return "\n".join(lines) + "\n"
 
 
@@ -852,8 +850,9 @@ def write_report(report: ExperimentReport, outdir) -> Path:
     report.md lists each projection a strategy rejects instead."""
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "report.csv").write_text(emit_table(report.cells, "csv"), encoding="utf-8")
-    (outdir / FOLDS_CSV).write_text(folds_csv(report.cells), encoding="utf-8")
+    cells = report.cells
+    (outdir / "report.csv").write_text(report_csv(cells), encoding="utf-8")
+    (outdir / FOLDS_CSV).write_text(folds_csv(report.rows), encoding="utf-8")
     (outdir / "config.json").write_text(
         json.dumps(config_to_dict(report.config), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
@@ -873,13 +872,13 @@ def write_report(report: ExperimentReport, outdir) -> Path:
     md = ["# Experiment report", ""]
     md.append(f"- protocol: {report.config.protocol}")
     md.append(f"- seed: {report.config.seed}")
-    md.append(f"- folds: {', '.join(report.fold_names)}")
+    md.append(f"- folds: {', '.join(f.name for f in report.folds)}")
     md.append("- projection method: PCA (top 2 components)")
     md.append("")
-    md.append(emit_table(report.cells, "markdown"))
+    md.append(emit_table(cells))
     md.append("## Cell timings (seconds)")
     md.append("")
-    for cell in report.cells:
+    for cell in cells:
         md.append(f"- {cell.strategy} / {cell.method}: {cell.seconds:.3f}")
         if not cell.ok:
             md.append(f"  - FAILED: {cell.error}")

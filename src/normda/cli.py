@@ -79,7 +79,7 @@ def cmd_run(args) -> int:
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     report = bench.run_experiment(cfg, jobs=jobs)
     outdir = bench.write_report(report, cfg.output_dir)
-    print(bench.emit_table(report.cells, "markdown"), end="")
+    print(bench.emit_table(report.cells), end="")
     failed = [c for c in report.cells if not c.ok]
     for cell in failed:
         print(f"FAILED {cell.strategy}/{cell.method}: {cell.error}", file=sys.stderr)
@@ -108,7 +108,7 @@ def cmd_project(args) -> int:
 
 def cmd_table(args) -> int:
     rows = _parse_file(Path(args.report) / bench.FOLDS_CSV, bench.rows_from_folds_csv)
-    print(bench.emit_table(bench.cells_from_rows(rows), "markdown"), end="")
+    print(bench.emit_table(bench.cells_from_rows(rows)), end="")
     return EXIT_OK
 
 

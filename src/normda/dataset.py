@@ -117,11 +117,15 @@ class Fold:
     name: str
 
     def __post_init__(self):
+        if any(np.asarray(i).dtype == bool for i in (self.train_idx, self.test_idx)):
+            raise ProtocolError(f"fold {self.name!r}: indices must be row numbers, not a boolean mask")
         tr, te = (_integers(i, f"fold {self.name!r}: indices") for i in (self.train_idx, self.test_idx))
         if tr.size == 0 or te.size == 0:
             raise ProtocolError(f"fold {self.name!r}: train and test must both be nonempty")
         if min(tr.min(), te.min()) < 0:
             raise ProtocolError(f"fold {self.name!r}: indices must be non-negative")
+        if np.unique(tr).size < tr.size or np.unique(te).size < te.size:
+            raise ProtocolError(f"fold {self.name!r}: an index repeats")
         if np.intersect1d(tr, te).size > 0:
             raise ProtocolError(f"fold {self.name!r}: train and test overlap")
         object.__setattr__(self, "train_idx", _frozen(tr))

@@ -58,7 +58,13 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 LEAKY_SLOPE = 0.01
-ACTIVATIONS = ("relu", "sigmoid", "leaky_relu")
+# Each hidden activation: name -> (function of the pre-activation z, its
+# derivative given z and the activation a). relu's comes as a boolean mask.
+ACTIVATIONS = {
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z, a: z > 0),
+    "sigmoid": (expit, lambda z, a: a * (1.0 - a)),
+    "leaky_relu": (lambda z: np.where(z > 0, z, LEAKY_SLOPE * z), lambda z, a: np.where(z > 0, 1.0, LEAKY_SLOPE)),
+}
 ADDA_ENCODER_LR_SCALE = 0.1
 FORWARD_ERROR = "forward pass produced non-finite outputs"
 ADAM_ERROR = "Adam update produced non-finite parameters"
@@ -83,7 +89,7 @@ class MlpSpec:
         if len(sizes) - 2 > 3:
             raise ConfigError(f"at most 3 hidden layers are supported; got {len(sizes) - 2}")
         if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}; expected one of {ACTIVATIONS}")
+            raise ConfigError(f"unknown activation {self.activation!r}; expected one of {tuple(ACTIVATIONS)}")
         if self.head not in ("softmax", "identity"):
             raise ConfigError(f"unknown head {self.head!r}")
         object.__setattr__(self, "layer_sizes", sizes)
@@ -169,24 +175,6 @@ def flatten(*parts: Params) -> np.ndarray:
     return np.concatenate([a.ravel() for params in parts for pair in params for a in pair])
 
 
-def _activate(spec: MlpSpec, z: np.ndarray) -> np.ndarray:
-    if spec.activation == "relu":
-        return np.maximum(z, 0.0)
-    if spec.activation == "sigmoid":
-        return expit(z)
-    return np.where(z > 0, z, LEAKY_SLOPE * z)
-
-
-def _activate_grad(spec: MlpSpec, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Derivative of the activation at pre-activation z, whose activation is
-    a; relu's comes as a boolean mask."""
-    if spec.activation == "relu":
-        return z > 0
-    if spec.activation == "sigmoid":
-        return a * (1.0 - a)
-    return np.where(z > 0, 1.0, LEAKY_SLOPE)
-
-
 def softmax(z: np.ndarray) -> np.ndarray:
     """Row softmax over the last axis, with the max and the sum folded over
     the class columns.
@@ -228,12 +216,13 @@ def _forward(spec: MlpSpec, params: Params, X: np.ndarray) -> ForwardCache:
     inputs, pre = [], []
     a = X
     last = len(params) - 1
+    activate = ACTIVATIONS[spec.activation][0]
     for l, (w, b) in enumerate(params):
         inputs.append(a)
         z = a @ w
         z += b[..., None, :]
         pre.append(z)
-        a = _activate(spec, z) if l < last else z
+        a = activate(z) if l < last else z
     out = softmax(a) if spec.head == "softmax" else a
     return ForwardCache(inputs, pre, out)
 
@@ -264,6 +253,7 @@ def _backward(
     false. g itself is never written. Stacked caches and params give
     stacked gradients.
     """
+    derivative = ACTIVATIONS[spec.activation][1]
     for l in range(len(params) - 1, -1, -1):
         if grads is not None:
             dw, db = grads[l]
@@ -273,7 +263,7 @@ def _backward(
             return None
         g = g @ params[l][0].mT
         if l > 0:
-            g *= _activate_grad(spec, cache.pre[l - 1], cache.inputs[l])
+            g *= derivative(cache.pre[l - 1], cache.inputs[l])
     return g
 
 
@@ -679,7 +669,7 @@ def _fit_classifier(stack: _Stack, cfg: TrainConfig, specs: list[MlpSpec], lam: 
     is a DANN batch (_dann_pass) whose target rows follow each member's
     target order, drawn after its source order."""
     stack.adam = AdamState.zeros_like(stack.theta)
-    batch_rows = np.arange(cfg.batch_size)
+    batch_rows = np.arange(min(cfg.batch_size, stack.train_idx.shape[1]))  # no batch holds more rows
 
     def run_epoch():
         rows = stack.rows

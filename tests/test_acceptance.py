@@ -15,9 +15,9 @@ from normda.bench import (
     ExperimentConfig,
     FitProblem,
     MethodSpec,
-    emit_table,
     fit_method,
     format_cell,
+    report_csv,
     run_experiment,
 )
 from normda.dataset import (
@@ -281,7 +281,7 @@ def test_criterion_10_protocol_and_leakage():
         strategies=(NormStrategy.NO_NORM, NormStrategy.Z2),
         methods=(MethodSpec("noDA-SVM"),), seed=13,
     )
-    assert emit_table(run_experiment(cfg).cells, "csv") == emit_table(run_experiment(cfg).cells, "csv")
+    assert report_csv(run_experiment(cfg).cells) == report_csv(run_experiment(cfg).cells)
     ok(10, "LOSO partitions rows; constant test labels leave fitted bits identical; reruns byte-identical")
 
 

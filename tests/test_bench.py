@@ -25,6 +25,7 @@ from normda.bench import (
     grid_search,
     predict_method,
     projection_csv,
+    report_csv,
     rows_from_folds_csv,
     run_experiment,
     write_report,
@@ -159,7 +160,9 @@ def test_run_experiment_shape_contract():
     assert len(report.cells) == 2
     for cell in report.cells:
         assert cell.ok and len(cell.accuracies) == 3
-        assert cell.fold_names == report.fold_names
+        key = (cell.strategy, cell.method)
+        cell_folds = [o.fold_name for o in report.rows if (o.strategy, o.method) == key]
+        assert cell_folds == [f.name for f in report.folds]
 
 
 def test_cell_seconds_include_grid_search(monkeypatch):
@@ -177,7 +180,7 @@ def test_cell_seconds_include_grid_search(monkeypatch):
     report = run_experiment(
         small_cfg(strategies=(NormStrategy.Z2,), grids={"noDA-SVM": {"C": [1.0]}})
     )
-    n_folds = len(report.fold_names)
+    n_folds = len(report.folds)
     assert report.cell("Z2", "noDA-SVM").seconds >= 0.05 * n_folds
 
 
@@ -190,22 +193,22 @@ def test_run_experiment_hlso_protocol():
         protocol="hlso",
     )
     report = run_experiment(cfg)
-    assert len(report.fold_names) == 2  # one fold per subject
-    assert all(name.endswith("session-1") for name in report.fold_names)
+    assert len(report.folds) == 2  # one fold per subject
+    assert all(f.name.endswith("session-1") for f in report.folds)
     assert all(cell.ok for cell in report.cells)
 
 
 def test_run_experiment_deterministic_report_csv(tmp_path):
     a = run_experiment(small_cfg())
     b = run_experiment(small_cfg())
-    assert emit_table(a.cells, "csv") == emit_table(b.cells, "csv")
-    assert folds_csv(a.cells) == folds_csv(b.cells)
+    assert report_csv(a.cells) == report_csv(b.cells)
+    assert folds_csv(a.rows) == folds_csv(b.rows)
 
 
 def test_run_experiment_parallel_matches_serial():
-    serial = emit_table(run_experiment(small_cfg()).cells, "csv")
+    serial = report_csv(run_experiment(small_cfg()).cells)
     for jobs in (2, 3, 4):  # 6 groups: 2 runs of 3, 3 of 2, and 3 of 2 with a worker to spare
-        assert emit_table(run_experiment(small_cfg(), jobs=jobs).cells, "csv") == serial
+        assert report_csv(run_experiment(small_cfg(), jobs=jobs).cells) == serial
 
 
 def test_deep_hlso_folds_of_different_sizes_give_the_same_report_at_any_jobs(tmp_path):
@@ -268,7 +271,7 @@ def recording_pool(monkeypatch):
 
 def test_run_experiment_starts_no_more_workers_than_groups(recording_pool):
     report = run_experiment(small_cfg(), jobs=1000)
-    assert recording_pool["sizes"] == [len(report.config.strategies) * len(report.fold_names)]
+    assert recording_pool["sizes"] == [len(report.config.strategies) * len(report.folds)]
 
 
 def test_run_experiment_sends_jobs_fold_major_runs_with_the_dataset_once(recording_pool):
@@ -279,7 +282,7 @@ def test_run_experiment_sends_jobs_fold_major_runs_with_the_dataset_once(recordi
         assert [arg is report.dataset for arg in task] == [True, False, False, False, False]
         assert len(task[1]) == 3
     sent = [(strategy, fold.name) for task in tasks for strategy, fold in task[1]]
-    assert sent == [(s, name) for name in report.fold_names for s in report.config.strategies]
+    assert sent == [(s, f.name) for f in report.folds for s in report.config.strategies]
 
 
 def test_run_experiment_records_failed_cells():
@@ -388,7 +391,7 @@ def test_dann_architecture_search_independent_of_method_order():
         for methods in (dann_first, dann_last)
     ]
     assert all(cell.ok for cell in reports[0].cells)
-    assert folds_csv(reports[0].cells) == folds_csv(reports[1].cells)
+    assert folds_csv(reports[0].rows) == folds_csv(reports[1].rows)
 
 
 def test_headline_ordering_holds_for_deep_methods():
@@ -583,7 +586,7 @@ def test_fit_and_predict_call_solvers_through_module_names(monkeypatch):
 
 def test_emit_table_markdown_shape():
     report = run_experiment(small_cfg())
-    md = emit_table(report.cells, "markdown")
+    md = emit_table(report.cells)
     lines = md.strip().splitlines()
     assert lines[0] == "| strategy | noDA-SVM |"
     assert len(lines) == 4  # header, rule, two strategy rows
@@ -591,15 +594,14 @@ def test_emit_table_markdown_shape():
 
 
 def test_emit_table_renders_failed_cells():
-    from normda.bench import CellResult
+    from normda.bench import FoldOutcome
 
-    cells = (
-        CellResult("Z2", "noDA-SVM", ("f0",), (None,), "fold=f0: boom", 0.1),
-    )
-    assert "FAIL" in emit_table(cells, "markdown")
-    csv_lines = emit_table(cells, "csv").strip().splitlines()
+    rows = (FoldOutcome("Z2", "noDA-SVM", "f0", None, "fold=f0: boom", 0.1),)
+    cells = cells_from_rows(rows)
+    assert "FAIL" in emit_table(cells)
+    csv_lines = report_csv(cells).strip().splitlines()
     assert csv_lines[1].endswith(",,,FAIL")
-    assert "FAIL" in folds_csv(cells)
+    assert "FAIL" in folds_csv(rows)
 
 
 def test_cells_from_rows_groups_in_row_order():
@@ -612,8 +614,9 @@ def test_cells_from_rows_groups_in_row_order():
         FoldOutcome("Z2", "noDA-SVM", "f0", 1.0, None, 0.25),
     ]
     dann, svm = cells_from_rows(rows)
-    assert (dann.method, dann.fold_names, dann.accuracies, dann.seconds) == ("DANN", ("f1", "f0"), (0.5, 0.75), 3.0)
-    assert (svm.method, svm.fold_names, svm.accuracies, svm.error) == ("noDA-SVM", ("f1", "f0"), (None, 1.0), "boom")
+    assert (dann.method, dann.accuracies, dann.seconds) == ("DANN", (0.5, 0.75), 3.0)
+    assert (svm.method, svm.accuracies, svm.error) == ("noDA-SVM", (None, 1.0), "boom")
+    assert [line.split(",")[2] for line in folds_csv(rows).splitlines()[1:]] == ["f1", "f0", "f1", "f0"]
     assert svm.mean is None and svm.std is None
 
 
@@ -629,28 +632,48 @@ def test_folds_csv_marks_only_the_failed_fold(tmp_path):
     path = tmp_path / "d.csv"
     save_csv(DomainDataset(base.features[keep], base.labels[keep], base.subjects[keep], base.sessions[keep]), path)
     cfg = small_cfg(dataset=str(path), protocol="hlso", strategies=(NormStrategy.Z2,))
-    (cell,) = run_experiment(cfg).cells
+    report = run_experiment(cfg)
+    (cell,) = report.cells
     assert not cell.ok and "subject-2" in cell.error
-    text = folds_csv([cell])
+    text = folds_csv(report.rows)
     values = [line.rsplit(",", 1)[1] for line in text.splitlines()[1:]]
     assert values[2] == "FAIL" and all(0.0 <= float(v) <= 1.0 for v in values[:2])
-    assert folds_csv(cells_from_rows(rows_from_folds_csv(text))) == text
-    assert emit_table([cell], "csv").splitlines()[1].endswith(",,,FAIL")
+    assert folds_csv(rows_from_folds_csv(text)) == text
+    assert report_csv([cell]).splitlines()[1].endswith(",,,FAIL")
 
 
-def test_run_experiment_cells_follow_config_order():
+def test_run_experiment_cells_follow_table_order(tmp_path):
+    # The config lists methods and strategies out of table order; every
+    # view of the run's records comes out in table order all the same.
     deep = dict(train=FAST_TRAIN, hidden=(4,), feature_dim=4)
     methods = (MethodSpec("noDA-SVM"), MethodSpec("noDA-ANN", **deep), MethodSpec("DANN", **deep))
-    report = run_experiment(small_cfg(methods=methods))
-    assert [(c.strategy, c.method) for c in report.cells] == [
-        (s, m.kind) for s in ("noNorm", "Z2") for m in methods
-    ]
-    assert all(c.fold_names == report.fold_names for c in report.cells)
+    report = run_experiment(small_cfg(methods=methods, strategies=(NormStrategy.Z2, NormStrategy.NO_NORM)))
+    table = [(s, m) for s in ("noNorm", "Z2") for m in ("noDA-ANN", "DANN", "noDA-SVM")]
+    assert [(c.strategy, c.method) for c in report.cells] == table
+    write_report(report, tmp_path)
+    md = (tmp_path / "report.md").read_text().splitlines()
+    timings = [line[2:].split(":")[0].split(" / ") for line in md if line.startswith("- ") and " / " in line]
+    assert [tuple(t) for t in timings] == table
+    csv_lines = (tmp_path / "report.csv").read_text().splitlines()[1:]
+    assert [tuple(line.split(",")[:2]) for line in csv_lines] == table
+    fold_lines = (tmp_path / "folds.csv").read_text().splitlines()[1:]
+    folds = [f.name for f in report.folds]
+    assert [tuple(line.split(",")[:3]) for line in fold_lines] == [(s, m, f) for s, m in table for f in folds]
+
+
+def test_run_experiment_keeps_one_record_per_strategy_method_fold():
+    deep = dict(train=FAST_TRAIN, hidden=(4,), feature_dim=4)
+    methods = (MethodSpec("noDA-SVM"), MethodSpec("DANN", **deep))
+    report = run_experiment(small_cfg(methods=methods), jobs=2)
+    keys = [(o.strategy, o.method, o.fold_name) for o in report.rows]
+    assert len(keys) == len(set(keys)) == 2 * 2 * len(report.folds)
+    strategies = report.config.strategies
+    assert set(keys) == {(s.value, m.kind, f.name) for s in strategies for m in methods for f in report.folds}
 
 
 def test_emit_table_csv_roundtrips_reals():
     report = run_experiment(small_cfg())
-    lines = emit_table(report.cells, "csv").strip().splitlines()
+    lines = report_csv(report.cells).strip().splitlines()
     assert lines[0] == "strategy,method,n_folds,mean,std,status"
     for line in lines[1:]:
         parts = line.split(",")

@@ -322,6 +322,21 @@ def test_fold_rejects_overlap():
         Fold(np.array([0, 1]), np.array([1, 2]), "bad")
 
 
+@pytest.mark.parametrize(
+    "train, test, match",
+    [
+        ([True, False, True], [3], "indices must be row numbers, not a boolean mask"),
+        ([0, 1], np.array([False, True]), "indices must be row numbers, not a boolean mask"),
+        ([0, 0, 1], [3], "an index repeats"),
+        ([0, 1], [2, 3, 2], "an index repeats"),
+    ],
+    ids=["mask-train", "mask-test", "repeat-train", "repeat-test"],
+)
+def test_fold_rejects_masks_and_repeated_indices(train, test, match):
+    with pytest.raises(ProtocolError, match=f"fold 'm': {match}"):
+        Fold(train, test, "m")
+
+
 # ---------------------------------------------------------------------------
 # Stratified split
 

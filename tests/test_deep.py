@@ -427,6 +427,17 @@ def test_train_plain_reads_no_target_rows():
         assert_same_bits(model, models[0])
 
 
+def test_train_plain_batch_larger_than_the_training_rows_is_one_batch():
+    X, y = blobs(n_per=30, seed=21, dim=3)
+    specs = (MlpSpec((3, 5), head="identity"), MlpSpec((5, 2)))
+    n_train = deep._val_split(y, np.random.default_rng(4))[0].size  # the member's split
+    cfg = TrainConfig(learning_rate=0.05, batch_size=n_train, max_epochs=8, patience=3)
+    whole = fit_one(train_plain, X, y, X, cfg, *specs, seed=4)
+    oversize = fit_one(train_plain, X, y, X, replace(cfg, batch_size=10**30), *specs, seed=4)
+    assert isinstance(whole, deep.PlainModel)
+    assert_same_bits(oversize, whole)
+
+
 NON_FINITE_INPUTS = [
     ("plain", "X", "training"),
     ("dann", "Xs", "training"),

@@ -104,7 +104,7 @@ def test_rejected_projection_is_listed_in_report(tmp_path):
     ds = DomainDataset(feats, [0, 1] * 4 + [0], [0] * 4 + [1] * 4 + [9], [0] * 9)
     cfg = replace(SMALL, emit_projections=True)
     report = bench.ExperimentReport(
-        cfg, (), (), ds, (Fold(np.arange(8), np.array([8]), "test-subject-9"),)
+        cfg, (), ds, (Fold(np.arange(8), np.array([8]), "test-subject-9"),)
     )
     write_report(report, tmp_path)
     assert (tmp_path / "projection_noNorm_test-subject-9.csv").exists()
