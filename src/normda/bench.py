@@ -35,9 +35,9 @@ from .dataset import (
     stratified_indices,
 )
 from .deep import (
-    MlpSpec,
     TrainConfig,
-    predict_composite,
+    network_specs,
+    predict,
     train_adda,
     train_dann,
     train_plain,
@@ -49,7 +49,6 @@ from .errors import (
     NormdaError,
     NumericError,
     check_field_types,
-    integer_labels,
 )
 from .normalize import NormStrategy, apply_strategy
 from .shallow import (
@@ -71,15 +70,17 @@ ARCH_KEYS = ("hidden", "feature_dim", "activation")
 #
 # Each method kind is one row of METHODS: fit(spec, problems) fits every
 # FitProblem of the list and returns, per problem, (payload tuple or the
-# NormdaError that failed it, seconds); predict(payload, X) labels rows.
-# The entries call svm_train, tca_fit, train_dann and the rest through this
-# module's globals, so rebinding those names (as tests and tracing do)
-# reaches every fit and predict.
+# NormdaError that failed it, seconds); predict(payload, X) labels rows;
+# reads names the MethodSpec fields the fit reads (`train` stands for every
+# TrainConfig field). The entries call svm_train, tca_fit, train_dann and
+# the rest through this module's globals, so rebinding those names (as
+# tests and tracing do) reaches every fit and predict.
 
 
 class MethodEntry(NamedTuple):
     fit: Callable[..., list]
     predict: Callable[[tuple, np.ndarray], np.ndarray]
+    reads: tuple[str, ...]
 
 
 class FitProblem(NamedTuple):
@@ -142,81 +143,51 @@ def _predict_kpca_svm(payload, X):
     return svm_predict(svm, kpca_transform(kpca, X))
 
 
-def network_specs(method: MethodSpec, in_dim: int, n_classes: int) -> tuple[MlpSpec, MlpSpec, MlpSpec]:
-    """The extractor, label predictor and domain adversary of `method`'s shape."""
-    extractor = MlpSpec((in_dim, *method.hidden, method.feature_dim), method.activation, head="identity")
-    predictor = MlpSpec((method.feature_dim, n_classes), method.activation, head="softmax")
-    adversary = MlpSpec((method.feature_dim, 2), method.activation, head="softmax")
-    return extractor, predictor, adversary
-
-
 def _deep(train):
     """Adapt a network trainer to the registry's fit.
 
-    `train(method, problems, extractor, predictor, adversary)` gets the
-    FitProblems whose networks share a shape, their labels remapped to
-    0..k-1, and trains them in lockstep through one trainer call; it
-    returns one model or NormdaError per problem. Each problem's seconds
-    are an equal share of the whole fit. The payload is (model, original
-    class labels).
+    `train(method, problems)` trains every FitProblem in one lockstep
+    trainer call and returns one model or NormdaError per problem. Each
+    problem's seconds are an equal share of the whole fit. The payload is
+    (model,).
     """
 
     def fit(method, problems):
         start = time.perf_counter()
-        results: list = [None] * len(problems)
-        calls: dict = {}
-        for i, problem in enumerate(problems):
-            try:
-                classes, y_pos = np.unique(integer_labels(problem.train_y), return_inverse=True)
-                specs = network_specs(method, problem.train_X.shape[1], classes.size)
-            except NormdaError as exc:
-                results[i] = exc
-                continue
-            calls.setdefault(specs, []).append((i, problem._replace(train_y=y_pos), tuple(classes.tolist())))
-        for specs, members in calls.items():
-            models = train(method, [problem for _, problem, _ in members], *specs)
-            for (i, _, classes), model in zip(members, models):
-                results[i] = model if isinstance(model, NormdaError) else (model, classes)
+        results = train(method, problems)
         elapsed = time.perf_counter() - start
-        return [(result, elapsed / len(problems)) for result in results]
+        return [(r if isinstance(r, NormdaError) else (r,), elapsed / len(problems)) for r in results]
 
     return fit
 
 
 @_deep
-def _fit_ann(method, problems, extractor, predictor, adversary):
-    return train_plain(problems, method.train, extractor, predictor)
+def _fit_ann(method, problems):
+    return train_plain(problems, method.train, method.hidden, method.feature_dim, method.activation)
 
 
 @_deep
-def _fit_dann(method, problems, extractor, predictor, adversary):
-    return train_dann(problems, method.train, extractor, predictor, adversary, method.lam)
+def _fit_dann(method, problems):
+    return train_dann(problems, method.train, method.hidden, method.feature_dim, method.activation, method.lam)
 
 
 @_deep
-def _fit_adda(method, problems, extractor, predictor, adversary):
-    return train_adda(problems, method.train, extractor, predictor, adversary)
+def _fit_adda(method, problems):
+    return train_adda(problems, method.train, method.hidden, method.feature_dim, method.activation)
 
 
-def _predict_ann(payload, X):
-    """noDA-ANN and DANN: the extractor feeds the label predictor."""
-    model, classes = payload
-    return np.asarray(classes, dtype=np.int64)[predict_composite(model.extractor, model.predictor, X)]
-
-
-def _predict_adda(payload, X):
-    model, classes = payload
-    return np.asarray(classes, dtype=np.int64)[predict_composite(model.target_encoder, model.classifier, X)]
+def _predict_deep(payload, X):
+    return predict(payload[0], X)
 
 
 # Column order of the strategy-by-method table: deep methods first.
 METHODS = {
-    "noDA-ANN": MethodEntry(_fit_ann, _predict_ann),
-    "DANN": MethodEntry(_fit_dann, _predict_ann),
-    "ADDA": MethodEntry(_fit_adda, _predict_adda),
-    "noDA-SVM": MethodEntry(_fit_svm, _predict_svm),
-    "TCA-SVM": MethodEntry(_fit_tca_svm, _predict_tca_svm),
-    "KPCA-SVM": MethodEntry(_fit_kpca_svm, _predict_kpca_svm),
+    "noDA-ANN": MethodEntry(_fit_ann, _predict_deep, (*ARCH_KEYS, "train")),
+    "DANN": MethodEntry(_fit_dann, _predict_deep, (*ARCH_KEYS, "lam", "train")),
+    "ADDA": MethodEntry(_fit_adda, _predict_deep, (*ARCH_KEYS, "train")),
+    "noDA-SVM": MethodEntry(_fit_svm, _predict_svm, ("kernel", "C")),
+    "TCA-SVM": MethodEntry(_fit_tca_svm, _predict_tca_svm, ("kernel", "dim", "mu_reg", "svm_kernel", "C")),
+    "KPCA-SVM": MethodEntry(_fit_kpca_svm, _predict_kpca_svm, ("kernel", "dim", "svm_kernel", "C")),
 }
 METHOD_ORDER = tuple(METHODS)
 DEEP_KINDS = ("noDA-ANN", "DANN", "ADDA")
@@ -233,8 +204,10 @@ class MethodSpec:
     `kernel` drives the TCA/KPCA projection (and the SVM itself for
     noDA-SVM); `svm_kernel` is the downstream classifier kernel once data
     has been projected. `hidden`/`feature_dim`/`activation` shape the
-    deep methods' networks (network_specs), checked here at input width 1
-    and 2 classes because the real ones are known only per fold.
+    deep methods' networks (deep.network_specs), checked here at input
+    width 1 and 2 classes because the real ones are known only per fold.
+    Each kind reads only the fields its METHODS row names; the config
+    rejects a non-default value of any other.
     """
 
     kind: str
@@ -261,7 +234,7 @@ class MethodSpec:
         ):
             raise ConfigError(f"hidden must be a list of integers, got {self.hidden!r}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        network_specs(self, 1, 2)
+        network_specs(1, 2, self.hidden, self.feature_dim, self.activation)
         for name in ("C", "mu_reg"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
@@ -275,6 +248,14 @@ class MethodSpec:
 # TrainConfig fields, which overlay the method's `train`.
 _TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
 GRID_KEYS = (*(f.name for f in fields(MethodSpec) if f.name not in ("kind", "train")), *_TRAIN_KEYS)
+
+
+def _check_reads(kind: str, names: Iterable[str], where: str) -> None:
+    """Reject MethodSpec or TrainConfig field names that `kind` does not read."""
+    reads = METHODS[kind].reads
+    unread = [n for n in names if ("train" if n in _TRAIN_KEYS else n) not in reads]
+    if unread:
+        raise ConfigError(f"{kind} does not read {unread} (in its {where}); it reads only {list(reads)}")
 
 
 @dataclass(frozen=True)
@@ -317,6 +298,12 @@ class ExperimentConfig:
                     )
                 for value in values:  # each value must make a valid spec
                     apply_grid_point(by_kind[kind], {key: value})
+        for m in self.methods:
+            default = MethodSpec(m.kind)
+            changed = [f.name for f in fields(m) if getattr(m, f.name) != getattr(default, f.name)]
+            _check_reads(m.kind, changed, "method fields")
+        for kind, grid in self.grids.items():
+            _check_reads(kind, grid, "grid")
         object.__setattr__(self, "strategies", tuple(self.strategies))
         object.__setattr__(self, "methods", tuple(self.methods))
 

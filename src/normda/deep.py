@@ -17,9 +17,11 @@ layer's input gradient, the discriminator's weights while ADDA moves the
 encoder). The public forward and backward are checked wrappers over the
 same layer code.
 
-Each trainer builds its networks from their specs and the seed, and
-returns models over a snapshot copy. Training is a pure function of (data,
-config, specs, seed): repeated runs produce bit-identical parameters.
+Each trainer takes any integer labels and the method's shape fields, and
+builds each problem's networks (network_specs) from its feature width,
+class count and seed. Models keep the labels as `classes` (see predict)
+and hold a snapshot copy of the parameters. Training is a pure function of
+(data, config, shape, seed): repeated runs produce bit-identical parameters.
 
 Each trainer takes a sequence of F (X, y, Xt, seed) problems and trains
 them in lockstep (see _lockstep): the parameter vector, the gradient vector,
@@ -101,6 +103,18 @@ class MlpSpec:
     @property
     def out_dim(self) -> int:
         return self.layer_sizes[-1]
+
+
+def network_specs(
+    in_dim: int, n_classes: int, hidden: tuple[int, ...], feature_dim: int, activation: str
+) -> tuple[MlpSpec, MlpSpec, MlpSpec]:
+    """The extractor, label predictor and domain adversary every trainer
+    builds: the extractor maps in_dim features through `hidden` to
+    feature_dim, and each head is one softmax layer over its output."""
+    extractor = MlpSpec((in_dim, *hidden, feature_dim), activation, head="identity")
+    predictor = MlpSpec((feature_dim, n_classes), activation, head="softmax")
+    adversary = MlpSpec((feature_dim, 2), activation, head="softmax")
+    return extractor, predictor, adversary
 
 
 @dataclass(frozen=True)
@@ -377,6 +391,7 @@ class PlainModel:
 
     extractor: Mlp
     predictor: Mlp
+    classes: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -386,7 +401,8 @@ class DannModel:
     extractor: Mlp
     predictor: Mlp
     domain_classifier: Mlp
-    lam: float = 1.0
+    lam: float
+    classes: tuple[int, ...]
 
     def __post_init__(self):
         _check_lambda(self.lam)
@@ -405,12 +421,23 @@ class AddaModel:
     target_encoder: Mlp
     classifier: Mlp
     discriminator: Mlp
+    classes: tuple[int, ...]
 
 
 def predict_composite(extractor: Mlp, head: Mlp, X: np.ndarray) -> np.ndarray:
     feats, _ = forward(extractor.spec, extractor.params, X)
     probs, _ = forward(head.spec, head.params, feats)
     return np.argmax(probs, axis=1)
+
+
+def predict(model: PlainModel | DannModel | AddaModel, X: np.ndarray) -> np.ndarray:
+    """Each row's label, one of model.classes, through the extractor (ADDA:
+    the target encoder) and the label head."""
+    if isinstance(model, AddaModel):
+        picks = predict_composite(model.target_encoder, model.classifier, X)
+    else:
+        picks = predict_composite(model.extractor, model.predictor, X)
+    return np.asarray(model.classes, dtype=np.int64)[picks]
 
 
 def _grad_views(specs: list[MlpSpec], members: int | None = None) -> tuple[np.ndarray, list[Params]]:
@@ -432,23 +459,23 @@ def _class_pass(extractor: Mlp, predictor: Mlp, X, label_index, egrads: Params, 
     _backward(extractor.spec, extractor.params, ecache, gfeats, egrads, input_grad=False)
 
 
-def _dann_pass(model: DannModel, Xs, label_index, Xt, grads: list[Params], rev: Params) -> None:
+def _dann_pass(nets: list[Mlp], lam: float, Xs, label_index, Xt, grads: list[Params], rev: Params) -> None:
     """Write one DANN batch's gradients into grads (extractor, predictor,
-    domain classifier): source cross-entropy through extractor and
+    domain classifier, as nets): source cross-entropy through extractor and
     predictor, and the domain loss (source 0, target 1) through the domain
-    classifier and, scaled by -lambda, into the extractor. rev is scratch
+    classifier and, scaled by -lam, into the extractor. rev is scratch
     shaped like the extractor's gradients."""
-    ext, pred, dom = model.extractor, model.predictor, model.domain_classifier
+    ext, pred, dom = nets
     egrads, pgrads, dgrads = grads
     _class_pass(ext, pred, Xs, label_index, egrads, pgrads)
 
     ecache = _forward(ext.spec, ext.params, np.concatenate([Xs, Xt], axis=-2))
     dcache = _forward(dom.spec, dom.params, ecache.out)
     g = _domain_grad_inplace(dcache.out, Xs.shape[-2])
-    gfeats = _backward(dom.spec, dom.params, dcache, g, dgrads, input_grad=model.lam > 0)
-    if model.lam > 0:
+    gfeats = _backward(dom.spec, dom.params, dcache, g, dgrads, input_grad=lam > 0)
+    if lam > 0:
         # Gradient reversal: identity forward, -lambda times the gradient backward.
-        _backward(ext.spec, ext.params, ecache, -model.lam * gfeats, rev, input_grad=False)
+        _backward(ext.spec, ext.params, ecache, -lam * gfeats, rev, input_grad=False)
         for (gw, gb), (rw, rb) in zip(egrads, rev):
             gw += rw
             gb += rb
@@ -460,36 +487,22 @@ def _init_mlps(specs: list[MlpSpec], seed) -> list[Mlp]:
     return [init_mlp(spec, rng) for spec in specs]
 
 
-def _check_heads(body: MlpSpec, *heads: MlpSpec) -> None:
-    """Each head reads the body's output; reject a width mismatch before
-    training, since a head that training never runs would not catch it."""
-    for head in heads:
-        if head.in_dim != body.out_dim:
-            raise ShapeError(
-                f"head input width {head.in_dim} != extractor output width {body.out_dim}"
-            )
+def _trainer_inputs(X, y, Xt) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, tuple[int, ...]]:
+    """Features as float64, each label's index (int64) among the sorted
+    classes, the target features, and the classes.
 
-
-def _trainer_inputs(
-    X, y, Xt, extractor: MlpSpec, predictor: MlpSpec
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """Features as float64 and labels as int64.
-
-    Rejects with ShapeError features that are not rows of the extractor's
-    input width, labels that are not integers, a label count other than
-    the row count, labels outside the predictor's classes 0..out_dim-1,
-    and (when a target set is given) target rows of another width or no
-    target rows; with NumericError non-finite features; and with
-    DegenerateLabelsError labels of a single class.
+    Rejects with ShapeError features that are not rows, labels that are
+    not integers, a label count other than the row count, and (when a
+    target set is given) target rows of another width or no target rows;
+    with NumericError non-finite features; and with DegenerateLabelsError
+    labels of a single class.
     """
     X = np.asarray(X, dtype=np.float64)
     y = integer_labels(y)
-    if X.ndim != 2 or X.shape[1] != extractor.in_dim:
-        raise ShapeError(f"training features must be rows of width {extractor.in_dim}, got shape {X.shape}")
+    if X.ndim != 2:
+        raise ShapeError(f"training features must be rows, got shape {X.shape}")
     if y.shape != (X.shape[0],):
         raise ShapeError(f"{X.shape[0]} training rows but labels of shape {y.shape}")
-    if y.size and (y.min() < 0 or y.max() >= predictor.out_dim):
-        raise ShapeError(f"labels must lie in 0..{predictor.out_dim - 1}, the predictor's classes")
     if not np.isfinite(X).all():
         raise NumericError("training features contain non-finite values")
     if Xt is not None:
@@ -500,9 +513,10 @@ def _trainer_inputs(
             raise ShapeError("target set must be nonempty")
         if not np.isfinite(Xt).all():
             raise NumericError("target features contain non-finite values")
-    if len({int(v) for v in y}) < 2:
+    classes, y = np.unique(y, return_inverse=True)
+    if classes.size < 2:
         raise DegenerateLabelsError("training labels contain a single class")
-    return X, y, Xt
+    return X, y, Xt, tuple(classes.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -511,12 +525,15 @@ def _trainer_inputs(
 
 @dataclass
 class _Member:
-    """One problem after its input checks: its data, its validation split,
-    the rng that draws its batches, and its initial flat parameters."""
+    """One problem after its input checks: its data (labels 0..k-1), its
+    classes and network specs, its validation split, the rng that draws its
+    batches, and its initial flat parameters."""
 
     X: np.ndarray
     y: np.ndarray
     Xt: np.ndarray | None
+    classes: tuple[int, ...]
+    specs: list[MlpSpec]
     train_idx: np.ndarray
     val_idx: np.ndarray
     rng: np.random.Generator
@@ -528,8 +545,9 @@ def _lockstep(problems: Sequence[tuple], setup, train) -> list:
 
     The result lists, per problem, its model or the NormdaError that
     failed it. setup(X, y, Xt, seed) checks one problem and returns its
-    _Member. Members whose arrays and split sizes agree go to one
-    train(members) call, which returns one result per member.
+    _Member. Members whose class counts, arrays and split sizes agree, and
+    so their network specs, go to one train(members, specs) call, which
+    returns one result per member.
     """
     results: list = [None] * len(problems)
     stacks: dict = {}
@@ -539,10 +557,11 @@ def _lockstep(problems: Sequence[tuple], setup, train) -> list:
         except NormdaError as exc:
             results[i] = exc
             continue
-        key = (member.X.shape, getattr(member.Xt, "shape", None), member.train_idx.size, member.val_idx.size)
-        stacks.setdefault(key, []).append((i, member))
+        shapes = (member.X.shape, getattr(member.Xt, "shape", None), member.train_idx.size, member.val_idx.size)
+        stacks.setdefault((len(member.classes), *shapes), []).append((i, member))
     for entries in stacks.values():
-        for (i, _), result in zip(entries, train([member for _, member in entries])):
+        members = [member for _, member in entries]
+        for (i, _), result in zip(entries, train(members, members[0].specs)):
             results[i] = result
     return results
 
@@ -680,7 +699,7 @@ def _fit_classifier(stack: _Stack, cfg: TrainConfig, specs: list[MlpSpec], lam: 
         nets = _views(stack.theta, specs)
         grad, grads = _grad_views(specs, len(stack.ids))
         if lam is not None:
-            Xt, model = stack.Xt[rows, target], DannModel(*nets, lam)
+            Xt = stack.Xt[rows, target]
             _, (rev,) = _grad_views(specs[:1], len(stack.ids))
         for start in range(0, order.shape[1], cfg.batch_size):
             batch = slice(start, start + cfg.batch_size)
@@ -689,7 +708,7 @@ def _fit_classifier(stack: _Stack, cfg: TrainConfig, specs: list[MlpSpec], lam: 
             if lam is None:
                 _class_pass(*nets, X[:, batch], label_index, *grads)
             else:
-                _dann_pass(model, X[:, batch], label_index, Xt[:, batch], grads, rev)
+                _dann_pass(nets, lam, X[:, batch], label_index, Xt[:, batch], grads, rev)
             stack.fail(adam_step(stack.theta, grad, stack.adam, cfg.learning_rate), ADAM_ERROR)
 
     return _early_stopping(
@@ -697,38 +716,42 @@ def _fit_classifier(stack: _Stack, cfg: TrainConfig, specs: list[MlpSpec], lam: 
     )
 
 
-def _initial_member(X, y, Xt, seed, specs: list[MlpSpec]) -> _Member:
-    """A member after its input checks: its networks drawn from one
-    default_rng(seed) in `specs` order, its split and batches from a second
-    one. default_rng returns a Generator seed unchanged, so a Generator
-    draws all of them, in that order."""
-    X, y, Xt = _trainer_inputs(X, y, Xt, specs[0], specs[1])
+def _initial_member(X, y, Xt, seed, shape: tuple, n_nets: int = 3) -> _Member:
+    """A member after its input checks: its labels mapped to 0..k-1, and
+    the first n_nets networks of network_specs(feature width, k, *shape)
+    drawn from one default_rng(seed) in that order, its split and batches
+    from a second one. default_rng returns a Generator seed unchanged, so a
+    Generator draws all of them, in that order."""
+    X, y, Xt, classes = _trainer_inputs(X, y, Xt)
+    specs = list(network_specs(X.shape[1], len(classes), *shape)[:n_nets])
     theta = flatten(*(m.params for m in _init_mlps(specs, seed)))
     rng = np.random.default_rng(seed)
-    return _Member(X, y, Xt, *_val_split(y, rng), rng, theta)
+    return _Member(X, y, Xt, classes, specs, *_val_split(y, rng), rng, theta)
 
 
 def train_plain(
-    problems: Sequence[tuple], cfg: TrainConfig, extractor_spec: MlpSpec, predictor_spec: MlpSpec
+    problems: Sequence[tuple], cfg: TrainConfig, hidden: tuple[int, ...], feature_dim: int, activation: str
 ) -> list:
     """Minimize cross-entropy with Adam and mini-batches; early-stops on
     validation accuracy and keeps the best-validation snapshot as a
-    PlainModel.
+    PlainModel of network_specs' extractor and predictor.
 
-    problems is a sequence of (X, y, Xt, seed) problems, trained in
-    lockstep; Xt is ignored, so target rows are neither read nor checked.
-    The result lists each problem's PlainModel or the NormdaError that
-    failed it (see _lockstep). Specs whose widths do not chain raise.
+    problems is a sequence of (X, y, Xt, seed) problems with any integer
+    labels, trained in lockstep; Xt is ignored, so target rows are neither
+    read nor checked. The result lists each problem's PlainModel or the
+    NormdaError that failed it (see _lockstep).
     """
-    _check_heads(extractor_spec, predictor_spec)
-    specs = [extractor_spec, predictor_spec]
+    shape = (hidden, feature_dim, activation)
 
     def setup(X, y, Xt, seed):
-        return _initial_member(X, y, None, np.random.default_rng(seed), specs)
+        return _initial_member(X, y, None, np.random.default_rng(seed), shape, n_nets=2)
 
-    def train(members):
+    def train(members, specs):
         best = _fit_classifier(_Stack(members), cfg, specs)
-        return [b if isinstance(b, NormdaError) else PlainModel(*_views(b, specs)) for b in best]
+        return [
+            b if isinstance(b, NormdaError) else PlainModel(*_views(b, specs), m.classes)
+            for b, m in zip(best, members)
+        ]
 
     return _lockstep(problems, setup, train)
 
@@ -736,9 +759,9 @@ def train_plain(
 def train_dann(
     problems: Sequence[tuple],
     cfg: TrainConfig,
-    extractor_spec: MlpSpec,
-    predictor_spec: MlpSpec,
-    domain_spec: MlpSpec,
+    hidden: tuple[int, ...],
+    feature_dim: int,
+    activation: str,
     lam: float,
 ) -> list:
     """Adversarial training with a gradient-reversal layer; per (X, y, Xt,
@@ -748,28 +771,26 @@ def train_dann(
     domain head learns to separate source from target; the extractor
     receives the domain gradient scaled by -lambda. Early stopping watches
     source-validation accuracy only (target labels are never read). The
-    three networks are drawn from one default_rng(seed), in argument order;
-    the split and batches from a second one. The problems train in
-    lockstep as train_plain's do; a lambda that is negative or not finite
-    raises.
+    three networks of network_specs are drawn from one default_rng(seed),
+    in its order; the split and batches from a second one. The problems
+    train in lockstep as train_plain's do; a lambda that is negative or not
+    finite raises.
     """
-    _check_heads(extractor_spec, predictor_spec, domain_spec)
     _check_lambda(lam)
-    specs = [extractor_spec, predictor_spec, domain_spec]
+    shape = (hidden, feature_dim, activation)
 
-    def train(members):
+    def train(members, specs):
         best = _fit_classifier(_Stack(members), cfg, specs, lam)
-        return [b if isinstance(b, NormdaError) else DannModel(*_views(b, specs), lam) for b in best]
+        return [
+            b if isinstance(b, NormdaError) else DannModel(*_views(b, specs), lam, m.classes)
+            for b, m in zip(best, members)
+        ]
 
-    return _lockstep(problems, lambda *problem: _initial_member(*problem, specs), train)
+    return _lockstep(problems, lambda *problem: _initial_member(*problem, shape), train)
 
 
 def train_adda(
-    problems: Sequence[tuple],
-    cfg: TrainConfig,
-    encoder_spec: MlpSpec,
-    classifier_spec: MlpSpec,
-    discriminator_spec: MlpSpec,
+    problems: Sequence[tuple], cfg: TrainConfig, hidden: tuple[int, ...], feature_dim: int, activation: str
 ) -> list:
     """Two-stage adversarial encoder alignment; per (X, y, Xt, seed)
     problem, an AddaModel or the NormdaError that failed it.
@@ -779,9 +800,10 @@ def train_adda(
     from the source encoder, then alternates discriminator updates
     (source encodings labeled 0, target 1) with target-encoder updates
     against inverted labels. Target rows are classified through
-    classifier(target_encoder(x)). The three networks are drawn from one
-    default_rng(seed), in argument order; the split and batches of both
-    stages from a second one.
+    classifier(target_encoder(x)). The encoder, classifier and
+    discriminator are network_specs' three networks, drawn from one
+    default_rng(seed) in its order; the split and batches of both stages
+    come from a second one.
 
     Two stabilizers keep the minimax from cycling at small scale: the
     encoder steps at ADDA_ENCODER_LR_SCALE times the discriminator rate, and
@@ -794,11 +816,10 @@ def train_adda(
     stage 1 at its own epoch, and the members that finish it run stage 2
     together.
     """
-    _check_heads(encoder_spec, classifier_spec, discriminator_spec)
-    specs = [encoder_spec, classifier_spec, discriminator_spec]
-    n_stage1 = _n_params(specs[:2])
+    shape = (hidden, feature_dim, activation)
 
-    def train(members):
+    def train(members, specs):
+        n_stage1 = _n_params(specs[:2])
         sources = _fit_classifier(
             _Stack(members, np.stack([m.theta[:n_stage1] for m in members])), cfg, specs[:2]
         )
@@ -812,10 +833,10 @@ def train_adda(
                 else:
                     source_enc, clf = _views(sources[i], specs[:2])
                     target_enc, disc = _views(pair, specs[::2])
-                    results[i] = AddaModel(source_enc, target_enc, clf, disc)
+                    results[i] = AddaModel(source_enc, target_enc, clf, disc, members[i].classes)
         return results
 
-    return _lockstep(problems, lambda *problem: _initial_member(*problem, specs), train)
+    return _lockstep(problems, lambda *problem: _initial_member(*problem, shape), train)
 
 
 def _align_target(members: list[_Member], sources: np.ndarray, cfg: TrainConfig, specs) -> list:

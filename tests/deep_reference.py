@@ -8,8 +8,10 @@ moment, the gradients concatenated each step, and its own copy of the
 layer math. test_deep.py asserts that both produce the same parameter
 bits. The validation split and network initialization are the library's
 own helpers, shared by both sides; batching, early stopping, the input
-checks and flat_copy are copies of the library's helpers as they were
-before the trainers ran members in lockstep.
+checks, the head check and flat_copy are copies of the library's helpers
+as they were before the trainers ran members in lockstep and built their
+own networks. The trainers here take ready-built specs and labels
+0..k-1, and each model's classes are the labels it was trained on.
 """
 
 from types import SimpleNamespace
@@ -28,7 +30,6 @@ from normda.deep import (
     DannModel,
     Mlp,
     PlainModel,
-    _check_heads,
     _init_mlps,
     _val_split,
     _views,
@@ -77,6 +78,20 @@ def flat_copy(mlps: list[Mlp]) -> tuple[np.ndarray, list[Mlp]]:
     """Copy the mlps' parameters into one new vector; return it and Mlps viewing it."""
     theta = flatten(*(m.params for m in mlps))
     return theta, _views(theta, [m.spec for m in mlps])
+
+
+def _check_heads(body, *heads) -> None:
+    """Each head reads the body's output; reject a width mismatch before
+    training, since a head that training never runs would not catch it."""
+    for head in heads:
+        if head.in_dim != body.out_dim:
+            raise ShapeError(
+                f"head input width {head.in_dim} != extractor output width {body.out_dim}"
+            )
+
+
+def _classes(y) -> tuple[int, ...]:
+    return tuple(np.unique(y).tolist())
 
 
 def _trainer_inputs(X, y, Xt=None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -215,7 +230,7 @@ def train_plain(X, y, cfg, extractor_spec, predictor_spec, seed):
     ext = init_mlp(extractor_spec, rng)
     pred = init_mlp(predictor_spec, rng)
     train_idx, val_idx = _val_split(y, rng)
-    return PlainModel(*fit_classifier(X, y, train_idx, val_idx, cfg, rng, ext, pred))
+    return PlainModel(*fit_classifier(X, y, train_idx, val_idx, cfg, rng, ext, pred), _classes(y))
 
 
 def train_dann(Xs, ys, Xt, cfg, extractor_spec, predictor_spec, domain_spec, lam, seed):
@@ -223,7 +238,7 @@ def train_dann(Xs, ys, Xt, cfg, extractor_spec, predictor_spec, domain_spec, lam
     Xs, ys, Xt = _trainer_inputs(Xs, ys, Xt)
     specs = [extractor_spec, predictor_spec, domain_spec]
     theta, views = flat_copy(_init_mlps(specs, seed))
-    current = DannModel(*views, lam)
+    current = DannModel(*views, lam, _classes(ys))
     state = adam_state(theta)
     rng = np.random.default_rng(seed)
     train_idx, val_idx = _val_split(ys, rng)
@@ -238,7 +253,7 @@ def train_dann(Xs, ys, Xt, cfg, extractor_spec, predictor_spec, domain_spec, lam
         return accuracy(predict(current.extractor, current.predictor, Xs[val_idx]), ys[val_idx])
 
     best = _early_stopping(theta, cfg.max_epochs, cfg.patience, run_epoch, val_accuracy)
-    return DannModel(*_views(best, specs), lam)
+    return DannModel(*_views(best, specs), lam, _classes(ys))
 
 
 def train_adda(Xs, ys, Xt, cfg, encoder_spec, classifier_spec, discriminator_spec, seed, stage2_epochs=None):
@@ -289,4 +304,4 @@ def train_adda(Xs, ys, Xt, cfg, encoder_spec, classifier_spec, discriminator_spe
 
     best = _early_stopping(theta, stage2_epochs, stage2_epochs, run_epoch, chance_closeness)
     best_enc, best_disc = _views(best, [target_enc.spec, disc.spec])
-    return AddaModel(source_enc, best_enc, clf, best_disc)
+    return AddaModel(source_enc, best_enc, clf, best_disc, _classes(ys))

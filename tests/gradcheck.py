@@ -33,7 +33,8 @@ def dann_batch_grads(model, Xs, ys, Xt):
     specs = [model.extractor.spec, model.predictor.spec, model.domain_classifier.spec]
     _, grads = _grad_views(specs)
     _, (rev,) = _grad_views(specs[:1])
-    _dann_pass(model, Xs, (np.arange(len(ys)), ys), Xt, grads, rev)
+    nets = [model.extractor, model.predictor, model.domain_classifier]
+    _dann_pass(nets, model.lam, Xs, (np.arange(len(ys)), ys), Xt, grads, rev)
     return tuple(grads)
 
 

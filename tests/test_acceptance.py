@@ -33,6 +33,7 @@ from normda.deep import (
     backward,
     forward,
     init_mlp,
+    network_specs,
     train_dann,
 )
 from normda.cli import _read_config
@@ -150,7 +151,7 @@ def test_criterion_6_gradient_fidelity():
     lam = 1.3
     init_rng = np.random.default_rng(2)
     specs = (MlpSpec((5, 6), head="identity"), MlpSpec((6, 3)), MlpSpec((6, 2)))
-    model = DannModel(*(init_mlp(spec, init_rng) for spec in specs), lam)
+    model = DannModel(*(init_mlp(spec, init_rng) for spec in specs), lam, (0, 1, 2))
     Xs, ys, Xt = rng.normal(size=(9, 5)), rng.integers(0, 3, 9), rng.normal(size=(6, 5))
     egrads, _, _ = dann_batch_grads(model, Xs, ys, Xt)
 
@@ -186,8 +187,7 @@ def test_criterion_7_dann_alignment():
     X = np.vstack([rng.normal(size=(60, 3)) + [2, 0, 0], rng.normal(size=(60, 3)) - [2, 0, 0]])
     y = np.array([0] * 60 + [1] * 60)
     cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=60, patience=20)
-    specs = (MlpSpec((3, 8), head="identity"), MlpSpec((8, 2)), MlpSpec((8, 2)))
-    (trained,) = train_dann([(X, y, X.copy(), 1)], cfg, *specs, 1.0)
+    (trained,) = train_dann([(X, y, X.copy(), 1)], cfg, (), 8, "relu", 1.0)
     feats, _ = forward(trained.extractor.spec, trained.extractor.params, X)
     dprobs, _ = forward(
         trained.domain_classifier.spec, trained.domain_classifier.params, np.vstack([feats, feats])
@@ -196,7 +196,8 @@ def test_criterion_7_dann_alignment():
     assert 0.4 <= domain_acc <= 0.6
 
     init_rng = np.random.default_rng(2)
-    zero = DannModel(*(init_mlp(spec, init_rng) for spec in specs), 0.0)
+    specs = network_specs(3, 2, (), 8, "relu")
+    zero = DannModel(*(init_mlp(spec, init_rng) for spec in specs), 0.0, (0, 1))
     plain_e, _ = class_grads(zero.extractor, zero.predictor, X[:32], y[:32])
     dann_e, _, _ = dann_batch_grads(zero, X[:32], y[:32], X[32:64])
     for (pw, pb), (dw, db) in zip(plain_e, dann_e):

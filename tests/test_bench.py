@@ -54,8 +54,6 @@ ALL_KINDS = (
     MethodSpec("ADDA", train=FAST_TRAIN, hidden=(8,), feature_dim=4),
 )
 
-DEEP_TRAINERS = {"noDA-ANN": "train_plain", "DANN": "train_dann", "ADDA": "train_adda"}
-
 
 def small_cfg(**overrides):
     base = dict(
@@ -521,11 +519,11 @@ def test_grid_keys_and_strategy_order_derive_from_their_types():
     assert bench.STRATEGY_ORDER == ("noNorm", "Z0", "Z1", "Z2", "Z3", "MinMax")
 
 
-@pytest.mark.parametrize("kind", DEEP_TRAINERS)
+@pytest.mark.parametrize("kind", ["noDA-ANN", "DANN", "ADDA"])
 def test_deep_fit_method_remaps_mixed_class_sets_bitwise(monkeypatch, kind):
     # {3, 7} and {7, 3} share a network shape and train in one lockstep
-    # call; {3, 7, 9} needs a three-class head and a call of its own.
-    import normda.bench as bench
+    # stack; {3, 7, 9} needs a three-class head and a stack of its own.
+    import normda.deep as deep
 
     rng = np.random.default_rng(31)
 
@@ -537,18 +535,21 @@ def test_deep_fit_method_remaps_mixed_class_sets_bitwise(monkeypatch, kind):
     method = next(m for m in ALL_KINDS if m.kind == kind)
     solo = [fit_method(method, [p])[0][0] for p in problems]
     sizes = []
-    real = getattr(bench, DEEP_TRAINERS[kind])
+    real = deep._lockstep
 
-    def recording(*args, **kwargs):
-        sizes.append(len(args[0]))
-        return real(*args, **kwargs)
+    def recording(problems, setup, train):
+        def recorded(members, specs):
+            sizes.append(len(members))
+            return train(members, specs)
 
-    monkeypatch.setattr(bench, DEEP_TRAINERS[kind], recording)
+        return real(problems, setup, recorded)
+
+    monkeypatch.setattr(deep, "_lockstep", recording)
     together = [fit for fit, _ in fit_method(method, problems)]
     assert sorted(sizes) == [1, 2]
     for p, got, want in zip(problems, together, solo):
         labels = sorted(set(p.train_y.tolist()))
-        assert got.payload[1] == want.payload[1] == tuple(labels)
+        assert got.payload[0].classes == want.payload[0].classes == tuple(labels)
         assert [a.tobytes() for a in got.parameters()] == [a.tobytes() for a in want.parameters()]
         predicted = predict_method(got, p.test_X)
         assert set(predicted.tolist()) <= set(labels)

@@ -369,6 +369,29 @@ def test_run_bad_grid_exits_2(tmp_path, capsys, grid, named):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize(
+    "change, named",
+    [
+        ({"methods": [{"kind": "noDA-SVM", "svm_kernel": {"kind": "rbf"}}]}, "noDA-SVM does not read ['svm_kernel']"),
+        ({"grids": {"noDA-SVM": {"lam": [0.1, 1.0, 10.0]}}}, "noDA-SVM does not read ['lam']"),
+        ({"grids": {"noDA-SVM": {"C": [1.0], "patience": [20]}}}, "noDA-SVM does not read ['patience']"),
+        (
+            {"methods": [{"kind": "DANN", "kernel": {"kind": "rbf"}, "dim": 3}]},
+            "DANN does not read ['kernel', 'dim']",
+        ),
+        ({"methods": [{"kind": "KPCA-SVM", "mu_reg": 2.0}]}, "KPCA-SVM does not read ['mu_reg']"),
+    ],
+    ids=["svm-svm_kernel", "svm-grid-lam", "svm-grid-patience", "dann-kernel-dim", "kpca-mu_reg"],
+)
+def test_run_rejects_fields_the_kind_does_not_read(tmp_path, capsys, change, named):
+    # A field or grid key the kind's fit never reads would run the default
+    # fit under another name (the grid case fits each fold once per value).
+    cfg = write_json(tmp_path / "exp.json", dict(RUN_CFG, output_dir=str(tmp_path / "r"), **change))
+    assert main(["run", "--config", cfg, "--jobs", "1"]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("command", ["run", "validate"])
 def test_non_utf8_csv_exits_2_and_names_byte(tmp_path, capsys, command):
     data = tmp_path / "latin1.csv"
