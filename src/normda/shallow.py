@@ -43,7 +43,10 @@ class KernelSpec:
 def median_heuristic_gamma(X: np.ndarray) -> float:
     """gamma = 1 / (2 median^2) over pairwise Euclidean distances of X."""
     X = np.asarray(X, dtype=np.float64)
-    d2 = _sq_dists(X, X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = _sq_dists(X, X)
+    if not np.isfinite(d2).all():
+        raise NumericError("pairwise squared distances overflow float64; the rbf median heuristic has no finite gamma")
     upper = d2[np.triu_indices(d2.shape[0], k=1)]
     med = float(np.sqrt(np.median(upper))) if upper.size else 1.0
     if med <= 0:
@@ -76,11 +79,14 @@ def gram(X: np.ndarray, Y: np.ndarray, k: KernelSpec) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     _check_shared_width(X, Y)
-    if k.kind == "linear":
-        return X @ Y.T
-    if k.gamma is None:
+    if k.kind == "rbf" and k.gamma is None:
         raise ConfigError("gram needs an rbf gamma; resolve the kernel first")
-    return np.exp(-k.gamma * _sq_dists(X, Y))
+    # Finite rows can still overflow: 1e160 squares past float64's range.
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = X @ Y.T if k.kind == "linear" else np.exp(-k.gamma * _sq_dists(X, Y))
+    if not np.isfinite(G).all():
+        raise NumericError(f"{k.kind} Gram matrix has non-finite entries: the features overflow float64")
+    return G
 
 
 def mmd_sq(Xs: np.ndarray, Xt: np.ndarray, k: KernelSpec) -> float:

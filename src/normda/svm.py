@@ -20,6 +20,19 @@ the scalar rule accepts, and it keeps every row with eta <= 0 for the
 scalar rule to decide. The solver therefore visits the same pairs, draws
 the same rng values and returns the same bits as a scan that calls
 take_step on every row (tests/test_svm.py holds that scan as a reference).
+
+Nearly all the time goes to successful first-tier steps, so their path
+does as little interpreter and ufunc-dispatch work as it can without
+changing one operation. The sweep loop tests KKT, picks the largest-gap
+partner (take, subtract, abs, argmax on the non-bound errors) and calls
+take_step with i2's error, label and multiplier; examine runs only when
+that step fails. take_step works on Python floats, clamps with conditional
+expressions that return what max and min return, and updates the errors
+with five ufunc calls whose scalar operands sit in 0-d float64 arrays.
+Every float64 operation is the reference's, on the same operands in the
+same order, and a 0-d float64 operand rounds as a Python float does, so
+each step yields the same bits.
+
 Multi-class uses one-vs-rest with argmax over per-class decision values.
 """
 
@@ -73,6 +86,12 @@ def _smo_binary(K: np.ndarray, y: np.ndarray, C: float, rng) -> tuple[np.ndarray
     b = 0.0
     errors = -y.astype(np.float64)  # f(x) - y with f = 0 initially
     row1, row2 = np.empty(n), np.empty(n)
+    # Bound once: each lookup would otherwise run on every step.
+    error_at, k_at, errors_at = errors.item, K.item, errors.take
+    multiply, add, subtract, absolute = np.multiply, np.add, np.subtract, np.abs
+    # A ufunc converts a Python float operand on every call; writing the
+    # value into a 0-d float64 array first is cheaper and rounds the same.
+    coef1, coef2, shift, pivot = np.empty(()), np.empty(()), np.empty(()), np.empty(())
     step_budget = max(20_000, 100 * n)
     non_bound: tuple[np.ndarray, list[int]] | None = None  # rows with 0 < alpha < C
 
@@ -83,25 +102,29 @@ def _smo_binary(K: np.ndarray, y: np.ndarray, C: float, rng) -> tuple[np.ndarray
             non_bound = rows, rows.tolist()
         return non_bound
 
-    def take_step(i1: int, i2: int) -> bool:
+    def take_step(i1: int, i2: int, e2: float, y2: float, a2_old: float) -> bool:
+        """One analytic step on (i1, i2), given i2's current error, label
+        and multiplier. The clamps return what max(0.0, v), min(C, v) and
+        min(max(a2, lo), hi) return, NaN included."""
         nonlocal b, step_budget, non_bound
         if i1 == i2:
             return False
-        a1_old, a2_old = al[i1], al[i2]
-        y1, y2 = yl[i1], yl[i2]
-        e1, e2 = errors.item(i1), errors.item(i2)
+        a1_old, y1, e1 = al[i1], yl[i1], error_at(i1)
         s = y1 * y2
         if s < 0:
-            lo, hi = max(0.0, a2_old - a1_old), min(C, C + a2_old - a1_old)
+            lo, hi = a2_old - a1_old, C + a2_old - a1_old
         else:
-            lo, hi = max(0.0, a1_old + a2_old - C), min(C, a1_old + a2_old)
+            lo, hi = a1_old + a2_old - C, a1_old + a2_old
+        lo = lo if lo > 0.0 else 0.0
+        hi = hi if hi < C else C
         if lo >= hi:
             return False
-        k11, k12, k22 = kd[i1], K.item(i1, i2), kd[i2]
+        k11, k12, k22 = kd[i1], k_at(i1, i2), kd[i2]
         eta = k11 + k22 - 2.0 * k12
         if eta > 0:
             a2 = a2_old + y2 * (e1 - e2) / eta
-            a2 = min(max(a2, lo), hi)
+            a2 = lo if lo > a2 else a2
+            a2 = hi if hi < a2 else a2
         else:
             # Degenerate curvature (duplicate points): test both endpoints.
             f1 = y1 * (e1 - b) - a1_old * k11 - s * a2_old * k12
@@ -120,8 +143,9 @@ def _smo_binary(K: np.ndarray, y: np.ndarray, C: float, rng) -> tuple[np.ndarray
             return False
         a1 = a1_old + s * (a2_old - a2)
 
-        b1 = b - e1 - y1 * (a1 - a1_old) * k11 - y2 * (a2 - a2_old) * k12
-        b2 = b - e2 - y1 * (a1 - a1_old) * k12 - y2 * (a2 - a2_old) * k22
+        c1, c2 = y1 * (a1 - a1_old), y2 * (a2 - a2_old)
+        b1 = b - e1 - c1 * k11 - c2 * k12
+        b2 = b - e2 - c1 * k12 - c2 * k22
         if 0.0 < a1 < C:
             b_new = b1
         elif 0.0 < a2 < C:
@@ -130,11 +154,12 @@ def _smo_binary(K: np.ndarray, y: np.ndarray, C: float, rng) -> tuple[np.ndarray
             b_new = 0.5 * (b1 + b2)
 
         # errors += (c1 * K[i1] + c2 * K[i2]) + (b_new - b), without temporaries.
-        np.multiply(krows[i1], y1 * (a1 - a1_old), row1)
-        np.multiply(krows[i2], y2 * (a2 - a2_old), row2)
-        np.add(row1, row2, row1)
-        np.add(row1, b_new - b, row1)
-        np.add(errors, row1, errors)
+        coef1[()], coef2[()], shift[()] = c1, c2, b_new - b
+        multiply(krows[i1], coef1, row1)
+        multiply(krows[i2], coef2, row2)
+        add(row1, row2, row1)
+        add(row1, shift, row1)
+        add(errors, row1, errors)
         if (0.0 < a1_old < C) != (0.0 < a1 < C) or (0.0 < a2_old < C) != (0.0 < a2 < C):
             non_bound = None
         alpha[i1], alpha[i2] = a1, a2
@@ -143,16 +168,15 @@ def _smo_binary(K: np.ndarray, y: np.ndarray, C: float, rng) -> tuple[np.ndarray
         step_budget -= 1
         return True
 
-    def step_candidates(i2: int, start: int) -> list[int]:
+    def step_candidates(i2: int, e2: float, y2: float, a2_old: float, start: int) -> list[int]:
         """Rows i1 in the order (start, start + 1, ...) mod n for which
-        take_step(i1, i2) may succeed.
+        take_step(i1, i2, e2, y2, a2_old) may succeed.
 
         Repeats take_step's eta > 0 acceptance rule as array operations
         with the same operands and rounding, so it keeps every row the
         scalar rule accepts. Rows with eta <= 0 (or a NaN anywhere) are
         kept for the scalar rule to decide.
         """
-        a2_old, y2, e2 = al[i2], yl[i2], errors.item(i2)
         opposite = (y * y2) < 0
         lo = np.where(opposite, a2_old - alpha, alpha + a2_old - C)
         np.maximum(lo, 0.0, out=lo)
@@ -169,22 +193,18 @@ def _smo_binary(K: np.ndarray, y: np.ndarray, C: float, rng) -> tuple[np.ndarray
         cut = int(np.searchsorted(rows, start))
         return rows[cut:].tolist() + rows[:cut].tolist()
 
-    def examine(i2: int) -> bool:
-        r2 = errors.item(i2) * yl[i2]
-        if not ((r2 < -SMO_TOL and al[i2] < C) or (r2 > SMO_TOL and al[i2] > 0)):
-            return False
-        rows, nb = free()
-        if len(nb) > 1:
-            i1 = nb[np.abs(errors[rows] - errors[i2]).argmax()]
-            if take_step(i1, i2):
-                return True
+    def examine(i2: int, e2: float, y2: float, a2: float) -> bool:
+        """The pair search's rare tiers, for a violator i2 whose largest-gap
+        partner failed: every non-bound row, then every row, each from a
+        random start."""
+        nb = free()[1]
         start = int(rng.integers(n))
         for off in range(len(nb)):
-            if take_step(nb[(start + off) % len(nb)], i2):
+            if take_step(nb[(start + off) % len(nb)], i2, e2, y2, a2):
                 return True
         start = int(rng.integers(n))
-        for i1 in step_candidates(i2, start):
-            if take_step(i1, i2):
+        for i1 in step_candidates(i2, e2, y2, a2, start):
+            if take_step(i1, i2, e2, y2, a2):
                 return True
         return False
 
@@ -197,13 +217,26 @@ def _smo_binary(K: np.ndarray, y: np.ndarray, C: float, rng) -> tuple[np.ndarray
             full_sweeps += 1
             if full_sweeps > SMO_MAX_PASSES:
                 break
-            for i in range(n):
-                num_changed += examine(i)
-                if step_budget <= 0:
-                    break
+            sweep = range(n)
         else:
-            for i in free()[1]:
-                num_changed += examine(i)
+            sweep = free()[1]
+        for i2 in sweep:
+            e2, y2, a2 = error_at(i2), yl[i2], al[i2]
+            r2 = e2 * y2
+            if not ((r2 < -SMO_TOL and a2 < C) or (r2 > SMO_TOL and a2 > 0)):
+                continue
+            # First tier: the non-bound row with the largest error gap.
+            rows, nb = free()
+            if len(nb) > 1:
+                gap = errors_at(rows)
+                pivot[()] = e2
+                subtract(gap, pivot, gap)
+                absolute(gap, gap)
+                changed = take_step(nb[gap.argmax()], i2, e2, y2, a2) or examine(i2, e2, y2, a2)
+            else:
+                changed = examine(i2, e2, y2, a2)
+            if changed:
+                num_changed += 1
                 if step_budget <= 0:
                     break
         if examine_all:

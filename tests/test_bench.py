@@ -283,6 +283,21 @@ def test_run_experiment_sends_jobs_fold_major_runs_with_the_dataset_once(recordi
     assert sent == [(s, f.name) for f in report.folds for s in report.config.strategies]
 
 
+def test_overflowing_domain_fails_its_cell_with_the_message(tmp_path):
+    # noNorm passes subject 0's finite 1e160 rows through unchanged. Every
+    # fold that trains on them overflows its Gram; the fold that only tests
+    # on them does not (1e160 times an unscaled row stays finite).
+    base = generate_synthetic(SMALL_SYNTH)
+    feats = np.where((base.subjects == 0)[:, None], base.features * 1e160, base.features)
+    path = tmp_path / "d.csv"
+    save_csv(DomainDataset(feats, base.labels, base.subjects, base.sessions), path)
+    report = run_experiment(small_cfg(dataset=str(path), strategies=(NormStrategy.NO_NORM,)))
+    (cell,) = report.cells
+    assert not cell.ok and "Gram matrix has non-finite entries" in cell.error
+    scored = {row.fold_name: row.accuracy is not None for row in report.rows}
+    assert scored == {fold: fold == "test-subject-0" for fold in scored} and len(scored) > 2
+
+
 def test_run_experiment_records_failed_cells():
     # one subject contributes a single row: Z2 cannot standardize the test
     # side of its LOSO fold, so the Z2 cell fails while noNorm survives

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from normda.errors import ConfigError, DegenerateDataError, EmptyInputError, ShapeError
+from normda.errors import ConfigError, DegenerateDataError, EmptyInputError, NumericError, ShapeError
 from normda.shallow import (
     KernelSpec,
     gram,
@@ -68,6 +68,26 @@ def test_source_target_width_mismatch_raises_shape_error(call):
     rng = np.random.default_rng(0)
     with pytest.raises(ShapeError, match="shared feature dimension"):
         call(rng.normal(size=(5, 3)), rng.normal(size=(4, 2)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda X: gram(X, X, LINEAR),
+        lambda X: gram(X, X, KernelSpec("rbf", 1.0)),
+        median_heuristic_gamma,
+        lambda X: tca_fit(X[:10], X[10:], LINEAR, 2),
+        lambda X: tca_fit(X[:10], X[10:], KernelSpec("rbf"), 2),
+        lambda X: kpca_fit(X, LINEAR, 2),
+        lambda X: kpca_fit(X, KernelSpec("rbf"), 2),
+    ],
+    ids=["gram-linear", "gram-rbf", "median", "tca-linear", "tca-rbf", "kpca-linear", "kpca-rbf"],
+)
+def test_overflowing_finite_rows_raise_numeric_error(call):
+    # 1e160 is finite, so the input checks pass it; its square is not.
+    X = np.random.default_rng(0).normal(size=(20, 2)) * 1e160
+    with pytest.raises(NumericError, match="overflow float64"):
+        call(X)
 
 
 def test_rbf_gram_entries_and_psd():

@@ -77,6 +77,16 @@ def test_non_finite_features_rejected():
 
 
 @pytest.mark.parametrize(
+    "kernel", [LINEAR, KernelSpec("rbf"), KernelSpec("rbf", 1.0)], ids=["linear", "rbf-median", "rbf"]
+)
+def test_gram_overflow_on_finite_features_rejected(kernel):
+    # Rows of magnitude 1e160 are finite, but their squares overflow float64.
+    X = np.random.default_rng(0).normal(size=(20, 2)) * 1e160
+    with pytest.raises(NumericError, match="overflow float64"):
+        svm_train(X, np.arange(20) % 2, kernel)
+
+
+@pytest.mark.parametrize(
     "labels",
     [
         [0.5, 1.7] * 10,
