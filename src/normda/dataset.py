@@ -25,6 +25,7 @@ from .errors import (
     ShapeError,
     StratificationError,
     check_field_types,
+    check_seed,
     integer_labels,
 )
 
@@ -69,7 +70,10 @@ class DomainDataset:
     feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        feats = np.asarray(self.features, dtype=np.float64)
+        try:
+            feats = np.asarray(self.features, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ConfigError("features must be an array of numbers") from None
         if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
             raise ConfigError("features must be a nonempty 2-D matrix")
         if not np.all(np.isfinite(feats)):
@@ -389,6 +393,7 @@ def stratified_indices(labels: Sequence[int], seed: int) -> tuple[np.ndarray, np
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
         raise EmptyInputError("cannot split an empty index set")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     val_parts = []
     for c in sorted({int(v) for v in labels}):

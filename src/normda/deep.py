@@ -48,12 +48,13 @@ from scipy.special import expit
 from .dataset import stratified_indices
 from .errors import (
     ConfigError,
-    DegenerateLabelsError,
     NormdaError,
     NumericError,
     ShapeError,
     check_field_types,
-    integer_labels,
+    check_seed,
+    class_labels,
+    feature_rows,
 )
 
 ADAM_BETA1 = 0.9
@@ -217,13 +218,6 @@ class ForwardCache:
     out: np.ndarray
 
 
-def _check_input(spec: MlpSpec, params: Params, X: np.ndarray) -> None:
-    if X.ndim != 2 or X.shape[1] != spec.in_dim:
-        raise ShapeError(f"input width {X.shape[-1]} != spec input size {spec.in_dim}")
-    if len(params) != len(spec.layer_sizes) - 1:
-        raise ShapeError("params do not match spec layer count")
-
-
 def _forward(spec: MlpSpec, params: Params, X: np.ndarray) -> ForwardCache:
     """forward without its checks: X is a float64 batch of the right width,
     or a stack of member batches (F, rows, width) under stacked params."""
@@ -243,8 +237,9 @@ def _forward(spec: MlpSpec, params: Params, X: np.ndarray) -> ForwardCache:
 
 def forward(spec: MlpSpec, params: Params, X: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Dense forward pass; a softmax head returns per-row probabilities."""
-    X = np.asarray(X, dtype=np.float64)
-    _check_input(spec, params, X)
+    X = feature_rows(X, "input features", width=spec.in_dim)
+    if len(params) != len(spec.layer_sizes) - 1:
+        raise ShapeError("params do not match spec layer count")
     cache = _forward(spec, params, X)
     if not np.all(np.isfinite(cache.out)):
         raise NumericError(FORWARD_ERROR)
@@ -489,34 +484,13 @@ def _init_mlps(specs: list[MlpSpec], seed) -> list[Mlp]:
 
 def _trainer_inputs(X, y, Xt) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, tuple[int, ...]]:
     """Features as float64, each label's index (int64) among the sorted
-    classes, the target features, and the classes.
-
-    Rejects with ShapeError features that are not rows, labels that are
-    not integers, a label count other than the row count, and (when a
-    target set is given) target rows of another width or no target rows;
-    with NumericError non-finite features; and with DegenerateLabelsError
-    labels of a single class.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    y = integer_labels(y)
-    if X.ndim != 2:
-        raise ShapeError(f"training features must be rows, got shape {X.shape}")
-    if y.shape != (X.shape[0],):
-        raise ShapeError(f"{X.shape[0]} training rows but labels of shape {y.shape}")
-    if not np.isfinite(X).all():
-        raise NumericError("training features contain non-finite values")
+    classes, the target features (when given), and the classes; see
+    errors.feature_rows and errors.class_labels for what each rejects."""
+    X = feature_rows(X, "training features", nonempty=True)
+    classes, y = class_labels(y, X.shape[0])
     if Xt is not None:
-        Xt = np.asarray(Xt, dtype=np.float64)
-        if Xt.ndim != 2 or Xt.shape[1] != X.shape[1]:
-            raise ShapeError(f"target features must be rows of width {X.shape[1]}, got shape {Xt.shape}")
-        if Xt.shape[0] == 0:
-            raise ShapeError("target set must be nonempty")
-        if not np.isfinite(Xt).all():
-            raise NumericError("target features contain non-finite values")
-    classes, y = np.unique(y, return_inverse=True)
-    if classes.size < 2:
-        raise DegenerateLabelsError("training labels contain a single class")
-    return X, y, Xt, tuple(classes.tolist())
+        Xt = feature_rows(Xt, "target features", width=X.shape[1], nonempty=True)
+    return X, y, Xt, classes
 
 
 # ---------------------------------------------------------------------------
@@ -544,16 +518,18 @@ def _lockstep(problems: Sequence[tuple], setup, train) -> list:
     """Run a trainer on F (X, y, Xt, seed) problems in lockstep.
 
     The result lists, per problem, its model or the NormdaError that
-    failed it. setup(X, y, Xt, seed) checks one problem and returns its
+    failed it. A seed that is not a non-negative integer fails its problem;
+    setup(X, y, Xt, seed) checks the rest of one problem and returns its
     _Member. Members whose class counts, arrays and split sizes agree, and
     so their network specs, go to one train(members, specs) call, which
     returns one result per member.
     """
     results: list = [None] * len(problems)
     stacks: dict = {}
-    for i, problem in enumerate(problems):
+    for i, (X, y, Xt, seed) in enumerate(problems):
         try:
-            member = setup(*problem)
+            check_seed(seed)
+            member = setup(X, y, Xt, seed)
         except NormdaError as exc:
             results[i] = exc
             continue

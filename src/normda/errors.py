@@ -1,6 +1,11 @@
 """Exception types shared across the package, and the input checks that
 raise them in more than one module. NormdaError is the only expected
-failure; any other exception is a bug and propagates."""
+failure; any other exception is a bug and propagates.
+
+Every fit and model input in svm, shallow and deep takes its feature rows
+through feature_rows and its training labels through class_labels, so a
+bad input fails with the same error type whichever method receives it;
+seeds go through check_seed."""
 
 import math
 import numbers
@@ -99,3 +104,46 @@ def integer_labels(y) -> np.ndarray:
     if out is None or not np.array_equal(out, y):
         raise ShapeError("labels must be integers within int64")
     return out
+
+
+def feature_rows(X, what: str, width: int | None = None, nonempty: bool = False) -> np.ndarray:
+    """`X` as float64 rows. Raises ShapeError for entries that are not
+    numbers, an array that is not 2-D, zero columns, or a width other than
+    `width`; EmptyInputError for zero rows when `nonempty`; NumericError
+    for a non-finite entry. Each message names `what`."""
+    try:
+        X = np.asarray(X, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ShapeError(f"{what} must be an array of numbers") from None
+    if X.ndim != 2:
+        raise ShapeError(f"{what} must be rows, got shape {X.shape}")
+    if X.shape[1] == 0:
+        raise ShapeError(f"{what} must have at least one column, got shape {X.shape}")
+    if width is not None and X.shape[1] != width:
+        raise ShapeError(f"{what} must be rows of width {width}, got shape {X.shape}")
+    if nonempty and X.shape[0] == 0:
+        raise EmptyInputError(f"{what} must have at least one row, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise NumericError(f"{what} contain non-finite values")
+    return X
+
+
+def class_labels(y, n: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """The sorted classes of the training labels `y` for `n` rows, and each
+    label's index among them (int64). Raises ShapeError for labels that are
+    not integers (see integer_labels) or not `n` of them, and
+    DegenerateLabelsError for fewer than two classes."""
+    y = integer_labels(y)
+    if y.shape != (n,):
+        raise ShapeError(f"{n} training rows but labels of shape {y.shape}")
+    classes, index = np.unique(y, return_inverse=True)
+    if classes.size < 2:
+        raise DegenerateLabelsError("training labels contain a single class")
+    return tuple(classes.tolist()), index
+
+
+def check_seed(seed) -> None:
+    """Raise ConfigError unless `seed` is a non-negative integer (a bool is
+    not one)."""
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")

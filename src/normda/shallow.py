@@ -15,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    ConfigError, DegenerateDataError, EmptyInputError, NumericError, ShapeError, check_field_types
-)
+from .errors import ConfigError, DegenerateDataError, NumericError, ShapeError, check_field_types, feature_rows
 
 KPCA_EIGVAL_RTOL = 1e-10
 
@@ -68,17 +66,13 @@ def resolve_kernel(k: KernelSpec, X: np.ndarray) -> KernelSpec:
     return k
 
 
-def _check_shared_width(X: np.ndarray, Y: np.ndarray) -> None:
-    if X.ndim != 2 or Y.ndim != 2 or X.shape[1] != Y.shape[1]:
-        raise ShapeError("X and Y must be 2-D with a shared feature dimension")
-
-
 def gram(X: np.ndarray, Y: np.ndarray, k: KernelSpec) -> np.ndarray:
     """Pairwise kernel evaluations, |X| x |Y|, under a resolved kernel (see
     resolve_kernel)."""
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
-    _check_shared_width(X, Y)
+    if X.ndim != 2 or Y.ndim != 2 or X.shape[1] != Y.shape[1]:
+        raise ShapeError("X and Y must be 2-D with a shared feature dimension")
     if k.kind == "rbf" and k.gamma is None:
         raise ConfigError("gram needs an rbf gamma; resolve the kernel first")
     # Finite rows can still overflow: 1e160 squares past float64's range.
@@ -91,16 +85,18 @@ def gram(X: np.ndarray, Y: np.ndarray, k: KernelSpec) -> np.ndarray:
 
 def mmd_sq(Xs: np.ndarray, Xt: np.ndarray, k: KernelSpec) -> float:
     """Squared MMD between two samples; symmetric and >= 0 up to round-off."""
-    Xs = np.asarray(Xs, dtype=np.float64)
-    Xt = np.asarray(Xt, dtype=np.float64)
-    if Xs.size == 0 or Xt.size == 0:
-        raise EmptyInputError("mmd_sq needs two nonempty sample sets")
-    _check_shared_width(Xs, Xt)
+    Xs = feature_rows(Xs, "source features", nonempty=True)
+    Xt = feature_rows(Xt, "target features", width=Xs.shape[1], nonempty=True)
     if k.kind == "linear":
         # With k(x, y) = x.y the three Gram means collapse to the squared
         # distance between the two sample means; no Gram matrix is built.
-        d = Xs.mean(axis=0) - Xt.mean(axis=0)
-        return float(d @ d)
+        # Finite rows can still overflow, as in gram.
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = Xs.mean(axis=0) - Xt.mean(axis=0)
+            mmd = float(d @ d)
+        if not math.isfinite(mmd):
+            raise NumericError("linear MMD is not finite: the features overflow float64")
+        return mmd
     # Canonical argument order makes the float arithmetic, and hence the
     # result, exactly invariant under swapping the two sets.
     if (Xs.shape[0], Xs.tobytes()) > (Xt.shape[0], Xt.tobytes()):
@@ -144,13 +140,8 @@ def tca_fit(
     downstream classifiers well-conditioned); signs make the
     largest-magnitude entry positive.
     """
-    Xs = np.asarray(Xs, dtype=np.float64)
-    Xt = np.asarray(Xt, dtype=np.float64)
-    if Xs.size == 0 or Xt.size == 0:
-        raise EmptyInputError("tca_fit needs two nonempty sample sets")
-    _check_shared_width(Xs, Xt)
-    if not (np.isfinite(Xs).all() and np.isfinite(Xt).all()):
-        raise NumericError("tca_fit inputs contain non-finite values")
+    Xs = feature_rows(Xs, "source features", nonempty=True)
+    Xt = feature_rows(Xt, "target features", width=Xs.shape[1], nonempty=True)
     if not (math.isfinite(mu_reg) and mu_reg > 0):
         raise ConfigError(f"mu_reg must be positive and finite, got {mu_reg!r}")
     ns, nt = Xs.shape[0], Xt.shape[0]
@@ -183,9 +174,7 @@ def tca_fit(
 
 def tca_transform(model: TcaModel, X: np.ndarray) -> np.ndarray:
     """Project rows of X into the transfer-component space."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.basis.shape[1]:
-        raise ShapeError("X feature dimension must match the fitted basis")
+    X = feature_rows(X, "input features", width=model.basis.shape[1])
     return gram(X, model.basis, model.kernel) @ model.projection
 
 
@@ -207,11 +196,7 @@ def kpca_fit(X: np.ndarray, k: KernelSpec, dim: int) -> KpcaModel:
     unit norm in feature space; components with eigenvalue below
     1e-10 * max are dropped, shrinking dim on rank-deficient data.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise EmptyInputError("kpca_fit needs a nonempty matrix")
-    if not np.isfinite(X).all():
-        raise NumericError("kpca_fit input contains non-finite values")
+    X = feature_rows(X, "training features", nonempty=True)
     n = X.shape[0]
     if not 1 <= dim <= n:
         raise ShapeError(f"dim must be in [1, {n}], got {dim}")
@@ -239,9 +224,7 @@ def kpca_fit(X: np.ndarray, k: KernelSpec, dim: int) -> KpcaModel:
 
 def kpca_transform(model: KpcaModel, X: np.ndarray) -> np.ndarray:
     """Score rows of X against the fitted kernel principal components."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.basis.shape[1]:
-        raise ShapeError("X feature dimension must match the fitted basis")
+    X = feature_rows(X, "input features", width=model.basis.shape[1])
     Kt = gram(X, model.basis, model.kernel)
     Kt_c = (
         Kt

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateLabelsError, NumericError, ShapeError, integer_labels
+from .errors import ConfigError, check_seed, class_labels, feature_rows
 from .shallow import KernelSpec, gram, resolve_kernel
 
 _STEP_EPS = 1e-10
@@ -254,24 +254,18 @@ def svm_train(
     seed: int = 0,
 ) -> SvmModel:
     """Train a one-vs-rest kernel SVM; deterministic given the seed."""
-    X = np.asarray(X, dtype=np.float64)
-    y = integer_labels(y)
-    if X.ndim != 2 or y.shape != (X.shape[0],):
-        raise ShapeError("X must be (n, m) with matching length-n labels")
-    if not np.all(np.isfinite(X)):
-        raise NumericError("training features contain non-finite values")
+    X = feature_rows(X, "training features", nonempty=True)
+    classes, index = class_labels(y, X.shape[0])
     if not (math.isfinite(C) and C > 0):
         raise ConfigError(f"C must be positive and finite, got {C!r}")
-    classes = tuple(sorted({int(v) for v in y}))
-    if len(classes) < 2:
-        raise DegenerateLabelsError("training labels contain a single class")
+    check_seed(seed)
     k = resolve_kernel(k, X)
     K = gram(X, X, k)
     rng = np.random.default_rng(seed)
     coefs = np.zeros((len(classes), X.shape[0]))
     biases = np.zeros(len(classes))
-    for ci, c in enumerate(classes):
-        y_pm = np.where(y == c, 1.0, -1.0)
+    for ci in range(len(classes)):
+        y_pm = np.where(index == ci, 1.0, -1.0)
         alpha, b = _smo_binary(K, y_pm, C, rng)
         coefs[ci] = alpha * y_pm
         biases[ci] = b
@@ -282,9 +276,7 @@ def svm_train(
 
 def decision_values(model: SvmModel, X: np.ndarray) -> np.ndarray:
     """Per-class decision values sum_i coef_i k(s_i, x) + b, shape (|X|, n_classes)."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.support_rows.shape[1]:
-        raise ShapeError("X feature dimension must match the trained model")
+    X = feature_rows(X, "input features", width=model.support_rows.shape[1])
     return gram(X, model.support_rows, model.kernel) @ model.dual_coefs.T + model.biases
 
 

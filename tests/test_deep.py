@@ -36,7 +36,9 @@ from normda.deep import (
     train_dann,
     train_plain,
 )
-from normda.errors import ConfigError, DegenerateLabelsError, NormdaError, NumericError, ShapeError
+from normda.errors import (
+    ConfigError, DegenerateLabelsError, EmptyInputError, NormdaError, NumericError, ShapeError
+)
 from normda.shallow import KernelSpec, mmd_sq
 
 
@@ -481,6 +483,8 @@ SHAPE_CASES = [
     ("fraction", lambda X, y, Xt: (X, np.tile([0.5, 1.7], 20), Xt), "labels must be integers"),
     ("nan", lambda X, y, Xt: (X, np.where(y == 1, np.nan, y), Xt), "labels must be integers"),
     ("inf", lambda X, y, Xt: (X, np.where(y == 1, np.inf, y), Xt), "labels must be integers"),
+    ("columns", lambda X, y, Xt: (X[:, :0], y, Xt), r"^training features must have at least one column, got shape \(40, 0\)$"),
+    ("strings", lambda X, y, Xt: (np.full(X.shape, "a"), y, Xt), "^training features must be an array of numbers$"),
 ]
 
 
@@ -550,6 +554,15 @@ def test_lockstep_members_match_solo_fits_bitwise(monkeypatch, trainer):
             assert_same_bits(got, want)
     assert isinstance(together[4], NumericError) and isinstance(together[5], ShapeError)
     assert sum(isinstance(r, NormdaError) for r in together) == 2
+
+
+@pytest.mark.parametrize("trainer", ["plain", "dann", "adda"])
+def test_bad_seed_fails_only_its_own_problem(trainer):
+    X, y = blobs(n_per=20, seed=41, dim=3)
+    cfg = TrainConfig(batch_size=16, max_epochs=2, patience=1)
+    results = call_trainer(trainer, [(X, y, X + 1.0, seed) for seed in (0, -1, 2)], cfg, ((), 4, "relu"))
+    assert not isinstance(results[0], NormdaError) and not isinstance(results[2], NormdaError)
+    assert_failed(results[1], ConfigError, r"^seed must be a non-negative integer, got -1$")
 
 
 @pytest.mark.parametrize("trainer", ["plain", "dann", "adda"])
@@ -635,7 +648,7 @@ def test_dann_deterministic():
 def test_dann_empty_target_rejected():
     X, y = blobs(n_per=10, seed=15)
     result = fit_one(train_dann, X, y, np.empty((0, 2)), TrainConfig(), (), 4, "relu", lam=1.0, seed=0)
-    assert_failed(result, ShapeError, "target set must be nonempty")
+    assert_failed(result, EmptyInputError, r"^target features must have at least one row, got shape \(0, 2\)$")
 
 
 def test_train_dann_lr_zero_returns_initial_snapshot():

@@ -2,7 +2,9 @@
 
 Library code catches nothing broader, so a bug inside a fold surfaces as
 its own exception instead of a FAIL cell or a skipped file, and input
-checks raise ConfigError (a ValueError) or NumericError.
+checks raise ConfigError (a ValueError) or NumericError. Every fit and
+model input takes its feature rows through errors.feature_rows, so each
+bad input raises one error type whichever method receives it.
 """
 
 import ast
@@ -15,12 +17,15 @@ import scipy.linalg
 
 import normda.bench as bench
 from normda.bench import MethodSpec, grid_search, run_experiment, write_report
-from normda.dataset import DomainDataset, Fold, SyntheticShiftConfig, deap_valence_labels
-from normda.errors import ConfigError, NumericError
+from normda.dataset import DomainDataset, Fold, SyntheticShiftConfig, deap_valence_labels, stratified_indices
+from normda.deep import (
+    PlainModel, TrainConfig, forward, init_mlp, network_specs, predict, train_adda, train_dann, train_plain
+)
+from normda.errors import ConfigError, EmptyInputError, NormdaError, NumericError, ShapeError
 from normda.features import SignalEpoch
 from normda.normalize import FeatureStats, NormStrategy
-from normda.shallow import KernelSpec, kpca_fit, tca_fit
-from normda.svm import svm_train
+from normda.shallow import KernelSpec, kpca_fit, kpca_transform, mmd_sq, tca_fit, tca_transform
+from normda.svm import svm_predict, svm_train
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "normda"
 
@@ -129,6 +134,11 @@ def test_rejected_projection_is_listed_in_report(tmp_path):
         lambda: SignalEpoch(np.array([[0.0, np.inf, 1.0]]), 200.0),
         lambda: SignalEpoch(np.zeros((1, 3)), float("inf")),
         lambda: SignalEpoch(np.zeros((1, 3)), float("nan")),
+        lambda: svm_train(np.eye(2), np.array([0, 1]), KernelSpec(), seed=-1),
+        lambda: svm_train(np.eye(2), np.array([0, 1]), KernelSpec(), seed=1.5),
+        lambda: svm_train(np.eye(2), np.array([0, 1]), KernelSpec(), seed=True),
+        lambda: stratified_indices([0, 0, 1, 1], -1),
+        lambda: DomainDataset([["a"]], [0], [0], [0]),
     ],
 )
 def test_input_checks_raise_config_error(call):
@@ -169,3 +179,122 @@ def test_projection_svd_failure_is_numeric_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", _lin_alg_failure)
     with pytest.raises(NumericError, match="projection SVD failed"):
         bench.emit_projection(ds, Fold(np.arange(2), np.arange(2, 4), "f"), NormStrategy.NO_NORM)
+
+
+# ---------------------------------------------------------------------------
+# Feature rows: one contract for every fit and model input
+
+ROWS = np.random.default_rng(5).normal(size=(20, 3))
+TARGET = ROWS + 1.0
+LABELS = np.array([0, 1] * 10)
+
+
+def _with_cell(X, value):
+    X = X.copy()
+    X[3, 1] = value
+    return X
+
+
+# Each bad input: how it is made from good rows, and the error it raises.
+BAD_ROWS = {
+    "flat": (lambda X: X[:, 0], ShapeError),
+    "no-columns": (lambda X: X[:, :0], ShapeError),
+    "no-rows": (lambda X: X[:0], EmptyInputError),
+    "strings": (lambda X: np.full(X.shape, "a"), ShapeError),
+    "nan": (lambda X: _with_cell(X, np.nan), NumericError),
+    "inf": (lambda X: _with_cell(X, np.inf), NumericError),
+    "width": (lambda X: X[:, :2], ShapeError),
+}
+
+
+def _deep_fit(trainer, *shape):
+    """trainer on the one problem (X, LABELS, Xt, 0), raising the error
+    that failed it."""
+
+    def fit(X, Xt):
+        (result,) = trainer([(X, LABELS, Xt, 0)], TrainConfig(batch_size=8, max_epochs=1, patience=1), *shape)
+        if isinstance(result, NormdaError):
+            raise result
+        return result
+
+    return fit
+
+
+FITS = {
+    "svm_train": lambda X, Xt: svm_train(X, LABELS, KernelSpec()),
+    "tca_fit": lambda X, Xt: tca_fit(X, Xt, KernelSpec(), 2),
+    "kpca_fit": lambda X, Xt: kpca_fit(X, KernelSpec(), 2),
+    "mmd_sq": lambda X, Xt: mmd_sq(X, Xt, KernelSpec()),
+    "train_plain": _deep_fit(train_plain, (), 4, "relu"),
+    "train_dann": _deep_fit(train_dann, (), 4, "relu", 0.5),
+    "train_adda": _deep_fit(train_adda, (), 4, "relu"),
+}
+# (fit, the argument made bad, the name its messages give that argument).
+# The first argument sets the width, so "width" applies to the target only.
+FIT_ARGUMENTS = [
+    ("svm_train", "X", "training"),
+    ("tca_fit", "X", "source"),
+    ("tca_fit", "Xt", "target"),
+    ("kpca_fit", "X", "training"),
+    ("mmd_sq", "X", "source"),
+    ("mmd_sq", "Xt", "target"),
+    ("train_plain", "X", "training"),
+    ("train_dann", "X", "training"),
+    ("train_dann", "Xt", "target"),
+    ("train_adda", "X", "training"),
+    ("train_adda", "Xt", "target"),
+]
+# Trainer cases that SHAPE_CASES and NON_FINITE_INPUTS in test_deep.py hold.
+IN_TEST_DEEP = {("X", "flat"), ("X", "no-columns"), ("X", "strings"), ("X", "nan"), ("X", "inf"),
+                ("Xt", "nan"), ("Xt", "inf"), ("Xt", "width")}
+
+
+@pytest.mark.parametrize(
+    "fit, argument, name, case",
+    [
+        pytest.param(fit, argument, name, case, id=f"{fit}-{argument}-{case}")
+        for fit, argument, name in FIT_ARGUMENTS
+        for case in BAD_ROWS
+        if (case != "width" or argument == "Xt")
+        and not (fit.startswith("train_") and (argument, case) in IN_TEST_DEEP)
+    ],
+)
+def test_every_fit_rejects_bad_feature_rows(fit, argument, name, case):
+    corrupt, error = BAD_ROWS[case]
+    X, Xt = (corrupt(ROWS), TARGET) if argument == "X" else (ROWS, corrupt(TARGET))
+    with pytest.raises(error, match=f"^{name} features "):
+        FITS[fit](X, Xt)
+
+
+@pytest.fixture(scope="module")
+def model_inputs():
+    """Each model input of svm, shallow and deep, fitted on ROWS, as a
+    function of the rows it takes."""
+    svm = svm_train(ROWS, LABELS, KernelSpec())
+    tca = tca_fit(ROWS, TARGET, KernelSpec(), 2)
+    kpca = kpca_fit(ROWS, KernelSpec(), 2)
+    extractor, predictor = (init_mlp(spec, i) for i, spec in enumerate(network_specs(3, 2, (), 4, "relu")[:2]))
+    plain = PlainModel(extractor, predictor, (0, 1))
+    return {
+        "svm_predict": lambda X: svm_predict(svm, X),
+        "tca_transform": lambda X: tca_transform(tca, X),
+        "kpca_transform": lambda X: kpca_transform(kpca, X),
+        "deep.predict": lambda X: predict(plain, X),
+        "deep.forward": lambda X: forward(extractor.spec, extractor.params, X)[0],
+    }
+
+
+MODEL_INPUTS = ["svm_predict", "tca_transform", "kpca_transform", "deep.predict", "deep.forward"]
+
+
+@pytest.mark.parametrize("case", [case for case in BAD_ROWS if case != "no-rows"])
+@pytest.mark.parametrize("model_input", MODEL_INPUTS)
+def test_every_model_input_rejects_bad_feature_rows(model_inputs, model_input, case):
+    corrupt, error = BAD_ROWS[case]
+    with pytest.raises(error, match="^input features "):
+        model_inputs[model_input](corrupt(ROWS))
+
+
+@pytest.mark.parametrize("model_input", MODEL_INPUTS)
+def test_every_model_input_takes_zero_rows(model_inputs, model_input):
+    assert model_inputs[model_input](ROWS[:0]).shape[0] == 0

@@ -66,7 +66,7 @@ def test_gram_dimension_mismatch():
 )
 def test_source_target_width_mismatch_raises_shape_error(call):
     rng = np.random.default_rng(0)
-    with pytest.raises(ShapeError, match="shared feature dimension"):
+    with pytest.raises(ShapeError, match=r"^target features must be rows of width 3, got shape \(4, 2\)$"):
         call(rng.normal(size=(5, 3)), rng.normal(size=(4, 2)))
 
 
@@ -80,8 +80,9 @@ def test_source_target_width_mismatch_raises_shape_error(call):
         lambda X: tca_fit(X[:10], X[10:], KernelSpec("rbf"), 2),
         lambda X: kpca_fit(X, LINEAR, 2),
         lambda X: kpca_fit(X, KernelSpec("rbf"), 2),
+        lambda X: mmd_sq(X[:10], X[10:], LINEAR),
     ],
-    ids=["gram-linear", "gram-rbf", "median", "tca-linear", "tca-rbf", "kpca-linear", "kpca-rbf"],
+    ids=["gram-linear", "gram-rbf", "median", "tca-linear", "tca-rbf", "kpca-linear", "kpca-rbf", "mmd-linear"],
 )
 def test_overflowing_finite_rows_raise_numeric_error(call):
     # 1e160 is finite, so the input checks pass it; its square is not.
