@@ -390,7 +390,7 @@ def stratified_indices(labels: Sequence[int], seed: int) -> tuple[np.ndarray, np
     Per class the held-out side gets ceil(VAL_FRACTION * count) rows, never
     fewer than one. Deterministic given the seed; both outputs are sorted.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = integer_labels(labels)
     if labels.size == 0:
         raise EmptyInputError("cannot split an empty index set")
     check_seed(seed)

@@ -5,7 +5,7 @@ failure; any other exception is a bug and propagates.
 Every fit and model input in svm, shallow and deep takes its feature rows
 through feature_rows and its training labels through class_labels, so a
 bad input fails with the same error type whichever method receives it;
-seeds go through check_seed."""
+seeds go through check_seed, and scalar arguments through check_type."""
 
 import math
 import numbers
@@ -84,11 +84,18 @@ def check_field_types(obj) -> None:
         kind, _, rest = str(getattr(f.type, "__name__", f.type)).partition(" | ")
         if kind not in _FIELD_TYPES or (rest == "None" and value is None):
             continue
-        wanted, what = _FIELD_TYPES[kind]
-        if not isinstance(value, wanted) or (isinstance(value, bool) and wanted is not bool):
-            raise ConfigError(f"{f.name} must be {what}, got {value!r}")
-        if wanted is numbers.Real and not math.isfinite(value):
+        check_type(value, f.name, kind)
+        if kind == "float" and not math.isfinite(value):
             raise ConfigError(f"{f.name} must be finite, got {value!r}")
+
+
+def check_type(value, name: str, kind: str) -> None:
+    """Raise ConfigError naming `name` unless `value` is of the field type
+    `kind` ("int", "float", "bool" or "str"); an integer is a number, but a
+    bool is neither."""
+    wanted, what = _FIELD_TYPES[kind]
+    if not isinstance(value, wanted) or (isinstance(value, bool) and wanted is not bool):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 def integer_labels(y) -> np.ndarray:

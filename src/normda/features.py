@@ -6,7 +6,11 @@ Differential entropy uses the Gaussian closed form 0.5 ln(2 pi e sigma^2)
 Filtering is zero-phase (forward pass then time-reversed pass), which
 doubles the effective filter order: scipy.signal.filtfilt's default
 odd-padded method, run step by step so each band design computes its
-initial-state vector once.
+initial-state vector once. differential_entropy extends an epoch once for
+all of its bands, filters each band from that extension into one
+(bands, channels, time) array, and takes one finiteness check and one
+variance over it; butter_bandpass runs the same extension and passes for
+one band.
 """
 
 from __future__ import annotations
@@ -77,30 +81,6 @@ def standard_bands() -> list[BandSpec]:
     return [BandSpec(name, lo, hi) for name, lo, hi in STANDARD_BANDS]
 
 
-def butter_bandpass(epoch: SignalEpoch, low: float, high: float) -> SignalEpoch:
-    """Zero-phase Butterworth bandpass of order FILTER_ORDER across every channel."""
-    nyquist = epoch.fs / 2.0
-    if not 0 < low < high < nyquist:
-        raise ConfigError(
-            f"band [{low}, {high}] Hz must satisfy 0 < low < high < {nyquist} (Nyquist)"
-        )
-    x = epoch.samples
-    if x.shape[1] <= PADLEN:
-        raise ConfigError(
-            f"band-pass filtering needs epochs of at least {PADLEN + 1} samples, got {x.shape[1]}"
-        )
-    b, a, zi = _bandpass_design(low, high, epoch.fs)
-    # scipy.signal.filtfilt(b, a, x, axis=1) step by step: odd extension by
-    # PADLEN at each end, a forward and a backward pass, each started from
-    # the steady state zi scaled by its first sample, then the pad removed.
-    ext = np.concatenate(
-        (2 * x[:, :1] - x[:, PADLEN:0:-1], x, 2 * x[:, -1:] - x[:, -2 : -(PADLEN + 2) : -1]), axis=1
-    )
-    y, _ = lfilter(b, a, ext, axis=1, zi=zi * ext[:, :1])
-    y, _ = lfilter(b, a, y[:, ::-1], axis=1, zi=zi * y[:, -1:])
-    return SignalEpoch(y[:, ::-1][:, PADLEN:-PADLEN], epoch.fs)
-
-
 class _Design(NamedTuple):
     """A band's Butterworth (b, a) and `zi`, the filter's step-response
     steady state (lfilter_zi) as a row."""
@@ -125,6 +105,45 @@ def _bandpass_design(low: float, high: float, fs: float) -> _Design:
     return design
 
 
+def butter_bandpass(epoch: SignalEpoch, low: float, high: float) -> SignalEpoch:
+    """Zero-phase Butterworth bandpass of order FILTER_ORDER across every channel."""
+    design = _checked_design(epoch, low, high)
+    return SignalEpoch(_zero_phase(design, _odd_extension(epoch.samples)), epoch.fs)
+
+
+def _checked_design(epoch: SignalEpoch, low: float, high: float) -> _Design:
+    """The band's design, once the band fits below Nyquist and the epoch is
+    longer than the pad."""
+    nyquist = epoch.fs / 2.0
+    if not 0 < low < high < nyquist:
+        raise ConfigError(
+            f"band [{low}, {high}] Hz must satisfy 0 < low < high < {nyquist} (Nyquist)"
+        )
+    length = epoch.samples.shape[1]
+    if length <= PADLEN:
+        raise ConfigError(
+            f"band-pass filtering needs epochs of at least {PADLEN + 1} samples, got {length}"
+        )
+    return _bandpass_design(low, high, epoch.fs)
+
+
+def _odd_extension(x: np.ndarray) -> np.ndarray:
+    """filtfilt's odd extension of each row by PADLEN samples at each end."""
+    return np.concatenate(
+        (2 * x[:, :1] - x[:, PADLEN:0:-1], x, 2 * x[:, -1:] - x[:, -2 : -(PADLEN + 2) : -1]), axis=1
+    )
+
+
+def _zero_phase(design: _Design, ext: np.ndarray) -> np.ndarray:
+    """scipy.signal.filtfilt(b, a, x, axis=1) on the odd extension `ext` of
+    x, step by step: a forward and a backward pass, each started from the
+    steady state zi scaled by its first sample, then the pad removed."""
+    b, a, zi = design
+    y, _ = lfilter(b, a, ext, axis=1, zi=zi * ext[:, :1])
+    y, _ = lfilter(b, a, y[:, ::-1], axis=1, zi=zi * y[:, -1:])
+    return y[:, ::-1][:, PADLEN:-PADLEN]
+
+
 def differential_entropy(epoch: SignalEpoch, bands: Sequence[BandSpec | None]) -> np.ndarray:
     """Per-channel, per-band Gaussian differential entropy, channel-major.
 
@@ -133,16 +152,21 @@ def differential_entropy(epoch: SignalEpoch, bands: Sequence[BandSpec | None]) -
     """
     if not bands:
         raise ConfigError("at least one band is required")
-    values = np.empty((epoch.n_channels, len(bands)))
-    for j, band in enumerate(bands):
-        sig = epoch if band is None else butter_bandpass(epoch, band.low, band.high)
-        var = sig.samples.var(axis=1, ddof=0)
-        floored = np.maximum(var, DE_SIGMA_FLOOR**2)
-        if np.any(var < DE_SIGMA_FLOOR**2):
+    designs = [None if band is None else _checked_design(epoch, band.low, band.high) for band in bands]
+    x = epoch.samples
+    ext = None if all(d is None for d in designs) else _odd_extension(x)
+    filtered = np.empty((len(bands), *x.shape))
+    for j, design in enumerate(designs):
+        filtered[j] = x if design is None else _zero_phase(design, ext)
+    if not np.isfinite(filtered).all():
+        raise ConfigError("samples must be finite")
+    var = filtered.var(axis=-1, ddof=0)  # (bands, channels)
+    for band, band_var in zip(bands, var):
+        if np.any(band_var < DE_SIGMA_FLOOR**2):
             name = band.name if band is not None else "all"
             warnings.warn(f"zero-variance channel in band {name!r}; entropy floored")
-        values[:, j] = 0.5 * np.log(2.0 * math.pi * math.e * floored)
-    return values.reshape(-1)
+    values = 0.5 * np.log(2.0 * math.pi * math.e * np.maximum(var, DE_SIGMA_FLOOR**2))
+    return values.T.reshape(-1)
 
 
 @dataclass(frozen=True)

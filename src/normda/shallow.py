@@ -15,7 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigError, DegenerateDataError, NumericError, ShapeError, check_field_types, feature_rows
+from .errors import (
+    ConfigError, DegenerateDataError, NumericError, ShapeError, check_field_types, check_type, feature_rows
+)
 
 KPCA_EIGVAL_RTOL = 1e-10
 
@@ -140,10 +142,12 @@ def tca_fit(
     downstream classifiers well-conditioned); signs make the
     largest-magnitude entry positive.
     """
-    Xs = feature_rows(Xs, "source features", nonempty=True)
-    Xt = feature_rows(Xt, "target features", width=Xs.shape[1], nonempty=True)
+    check_type(dim, "dim", "int")
+    check_type(mu_reg, "mu_reg", "float")
     if not (math.isfinite(mu_reg) and mu_reg > 0):
         raise ConfigError(f"mu_reg must be positive and finite, got {mu_reg!r}")
+    Xs = feature_rows(Xs, "source features", nonempty=True)
+    Xt = feature_rows(Xt, "target features", width=Xs.shape[1], nonempty=True)
     ns, nt = Xs.shape[0], Xt.shape[0]
     n = ns + nt
     if not 1 <= dim <= n:
@@ -196,6 +200,7 @@ def kpca_fit(X: np.ndarray, k: KernelSpec, dim: int) -> KpcaModel:
     unit norm in feature space; components with eigenvalue below
     1e-10 * max are dropped, shrinking dim on rank-deficient data.
     """
+    check_type(dim, "dim", "int")
     X = feature_rows(X, "training features", nonempty=True)
     n = X.shape[0]
     if not 1 <= dim <= n:

@@ -11,15 +11,30 @@ step's (b1 + b2) / 2, so a solve can stop with violators left (the strict
 xfail in tests/test_svm.py). On unnormalized data many solves end on the
 step budget instead (8 of the 48 in perfbench's headline-loso instance 7).
 
-The all-rows scan is one array pass: it evaluates take_step's acceptance
-rule for every row and makes the scalar step only on the rows that pass,
-in scan order, until one succeeds. The filter may only over-approximate.
-It repeats the scalar rule's operations on the same entries (K[i1, i2],
-not K[i2, i1]; gram need not be bit-symmetric), so it keeps every row that
-the scalar rule accepts, and it keeps every row with eta <= 0 for the
-scalar rule to decide. The solver therefore visits the same pairs, draws
-the same rng values and returns the same bits as a scan that calls
-take_step on every row (tests/test_svm.py holds that scan as a reference).
+On a solve of _SCALAR_SCAN_ROWS rows or more, the all-rows scan is one
+array pass: it evaluates take_step's acceptance rule for every row and
+makes the scalar step only on the rows that pass, in scan order, until one
+succeeds. The filter may only over-approximate. It repeats the scalar
+rule's operations on the same entries (K[i1, i2], not K[i2, i1]; gram need
+not be bit-symmetric), so it keeps every row that the scalar rule accepts,
+and it keeps every row with eta <= 0 for the scalar rule to decide. The
+solver therefore visits the same pairs, draws the same rng values and
+returns the same bits as a scan that calls take_step on every row
+(tests/test_svm.py holds that scan as a reference). A smaller solve makes
+that scan itself, in the same order: below about 60 rows the array pass
+costs more than the scalar calls it saves. Measured on 2 shared cores, BLAS
+at 1 thread, on the differential tests' problem families (36 solves per
+size, scalar/array pass, medians of 5): 0.433/0.442 s at 32 rows,
+0.708/0.735 s at 40, 0.565/0.580 s at 56, 1.005/0.914 s at 64, 0.931/0.893
+s at 96 and 1.092/1.058 s at 250. On the recorded solves of perfbench's
+instances the scalar scan takes hlso-signal-cli instance 0's 480 solves of
+36-40 rows from 0.522 to 0.457 s, and would take headline-loso instance 7's
+48 solves of 250 rows from 1.91 to 2.20 s.
+
+The rows with 0 < alpha < C are kept as an ascending list and index array.
+A step whose multiplier enters or leaves (0, C) builds a new list with that
+row added or removed; it never changes the old one in place, since a sweep
+over the non-bound rows may be iterating it.
 
 Nearly all the time goes to successful first-tier steps, so their path
 does as little interpreter and ufunc-dispatch work as it can without
@@ -39,17 +54,22 @@ Multi-class uses one-vs-rest with argmax over per-class decision values.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .errors import ConfigError, check_seed, class_labels, feature_rows
+from .errors import ConfigError, check_seed, check_type, class_labels, feature_rows
 from .shallow import KernelSpec, gram, resolve_kernel
 
 _STEP_EPS = 1e-10
 # KKT tolerance, and the cap on full sweeps after a no-progress pass.
 SMO_TOL = 1e-3
 SMO_MAX_PASSES = 20
+# Solves with fewer rows scan examine's all-rows tier one take_step at a
+# time; larger ones filter it with step_candidates' array pass first.
+_SCALAR_SCAN_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -71,9 +91,7 @@ def _smo_binary(K: np.ndarray, y: np.ndarray, C: float, rng) -> tuple[np.ndarray
     scaled inputs where convergence would take microscopic steps forever.
 
     Scalar steps run on Python floats (`al`, `yl` and `kd` mirror alpha, y
-    and the Gram diagonal), which round exactly as float64 scalars do. The
-    non-bound rows are cached and found again only after a multiplier
-    enters or leaves (0, C).
+    and the Gram diagonal), which round exactly as float64 scalars do.
     """
     n = y.shape[0]
     C = float(C)  # a numpy scalar C would make every step numpy scalar math
@@ -93,14 +111,8 @@ def _smo_binary(K: np.ndarray, y: np.ndarray, C: float, rng) -> tuple[np.ndarray
     # value into a 0-d float64 array first is cheaper and rounds the same.
     coef1, coef2, shift, pivot = np.empty(()), np.empty(()), np.empty(()), np.empty(())
     step_budget = max(20_000, 100 * n)
-    non_bound: tuple[np.ndarray, list[int]] | None = None  # rows with 0 < alpha < C
-
-    def free() -> tuple[np.ndarray, list[int]]:
-        nonlocal non_bound
-        if non_bound is None:
-            rows = np.flatnonzero((alpha > 0) & (alpha < C))
-            non_bound = rows, rows.tolist()
-        return non_bound
+    # Rows with 0 < alpha < C, ascending, as an index array and as a list.
+    non_bound: tuple[np.ndarray, list[int]] = (np.empty(0, dtype=np.intp), [])
 
     def take_step(i1: int, i2: int, e2: float, y2: float, a2_old: float) -> bool:
         """One analytic step on (i1, i2), given i2's current error, label
@@ -146,9 +158,10 @@ def _smo_binary(K: np.ndarray, y: np.ndarray, C: float, rng) -> tuple[np.ndarray
         c1, c2 = y1 * (a1 - a1_old), y2 * (a2 - a2_old)
         b1 = b - e1 - c1 * k11 - c2 * k12
         b2 = b - e2 - c1 * k12 - c2 * k22
-        if 0.0 < a1 < C:
+        free1, free2 = 0.0 < a1 < C, 0.0 < a2 < C
+        if free1:
             b_new = b1
-        elif 0.0 < a2 < C:
+        elif free2:
             b_new = b2
         else:
             b_new = 0.5 * (b1 + b2)
@@ -160,8 +173,14 @@ def _smo_binary(K: np.ndarray, y: np.ndarray, C: float, rng) -> tuple[np.ndarray
         add(row1, row2, row1)
         add(row1, shift, row1)
         add(errors, row1, errors)
-        if (0.0 < a1_old < C) != (0.0 < a1 < C) or (0.0 < a2_old < C) != (0.0 < a2 < C):
-            non_bound = None
+        if (0.0 < a1_old < C) != free1 or (0.0 < a2_old < C) != free2:
+            # A new list, never the old one changed: a sweep may be iterating it.
+            nb = [i for i in non_bound[1] if i != i1 and i != i2]
+            if free1:
+                insort(nb, i1)
+            if free2:
+                insort(nb, i2)
+            non_bound = np.array(nb, dtype=np.intp), nb
         alpha[i1], alpha[i2] = a1, a2
         al[i1], al[i2] = a1, a2
         b = b_new
@@ -197,13 +216,17 @@ def _smo_binary(K: np.ndarray, y: np.ndarray, C: float, rng) -> tuple[np.ndarray
         """The pair search's rare tiers, for a violator i2 whose largest-gap
         partner failed: every non-bound row, then every row, each from a
         random start."""
-        nb = free()[1]
+        nb = non_bound[1]
         start = int(rng.integers(n))
         for off in range(len(nb)):
             if take_step(nb[(start + off) % len(nb)], i2, e2, y2, a2):
                 return True
         start = int(rng.integers(n))
-        for i1 in step_candidates(i2, e2, y2, a2, start):
+        if n < _SCALAR_SCAN_ROWS:
+            scan = chain(range(start, n), range(start))
+        else:
+            scan = step_candidates(i2, e2, y2, a2, start)
+        for i1 in scan:
             if take_step(i1, i2, e2, y2, a2):
                 return True
         return False
@@ -219,14 +242,14 @@ def _smo_binary(K: np.ndarray, y: np.ndarray, C: float, rng) -> tuple[np.ndarray
                 break
             sweep = range(n)
         else:
-            sweep = free()[1]
+            sweep = non_bound[1]
         for i2 in sweep:
             e2, y2, a2 = error_at(i2), yl[i2], al[i2]
             r2 = e2 * y2
             if not ((r2 < -SMO_TOL and a2 < C) or (r2 > SMO_TOL and a2 > 0)):
                 continue
             # First tier: the non-bound row with the largest error gap.
-            rows, nb = free()
+            rows, nb = non_bound
             if len(nb) > 1:
                 gap = errors_at(rows)
                 pivot[()] = e2
@@ -254,11 +277,12 @@ def svm_train(
     seed: int = 0,
 ) -> SvmModel:
     """Train a one-vs-rest kernel SVM; deterministic given the seed."""
-    X = feature_rows(X, "training features", nonempty=True)
-    classes, index = class_labels(y, X.shape[0])
+    check_type(C, "C", "float")
     if not (math.isfinite(C) and C > 0):
         raise ConfigError(f"C must be positive and finite, got {C!r}")
     check_seed(seed)
+    X = feature_rows(X, "training features", nonempty=True)
+    classes, index = class_labels(y, X.shape[0])
     k = resolve_kernel(k, X)
     K = gram(X, X, k)
     rng = np.random.default_rng(seed)

@@ -369,6 +369,12 @@ def test_stratified_split_single_row_class_rejected():
         stratified_indices(ds.labels, seed=0)
 
 
+@pytest.mark.parametrize("labels", [[0.5, 0.5, 1.7, 1.7, 0.2, 1.1], ["a", "a", "b", "b"]], ids=["fractional", "strings"])
+def test_stratified_split_rejects_non_integer_labels(labels):
+    with pytest.raises(ShapeError, match="labels must be integers"):
+        stratified_indices(labels, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # Properties
 

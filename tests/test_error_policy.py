@@ -118,6 +118,18 @@ def test_rejected_projection_is_listed_in_report(tmp_path):
     assert "## Skipped projections\n\n* projection_Z2_test-subject-9.csv: domain (subject=9" in md
 
 
+# Scalar arguments of the wrong type, each checked before any work: the
+# argument the error must name, and the call.
+SCALAR_ARGUMENTS = {
+    "svm_train-C-str": ("C", lambda: svm_train(np.eye(2), np.array([0, 1]), KernelSpec(), C="1")),
+    "svm_train-C-bool": ("C", lambda: svm_train(np.eye(2), np.array([0, 1]), KernelSpec(), C=True)),
+    "tca_fit-dim-float": ("dim", lambda: tca_fit(np.eye(2), np.eye(2), KernelSpec(), 1.5)),
+    "tca_fit-dim-bool": ("dim", lambda: tca_fit(np.eye(2), np.eye(2), KernelSpec(), True)),
+    "tca_fit-mu_reg-str": ("mu_reg", lambda: tca_fit(np.eye(2), np.eye(2), KernelSpec(), 1, mu_reg="1")),
+    "kpca_fit-dim-float": ("dim", lambda: kpca_fit(np.eye(2), KernelSpec(), 1.5)),
+}
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -139,10 +151,18 @@ def test_rejected_projection_is_listed_in_report(tmp_path):
         lambda: svm_train(np.eye(2), np.array([0, 1]), KernelSpec(), seed=True),
         lambda: stratified_indices([0, 0, 1, 1], -1),
         lambda: DomainDataset([["a"]], [0], [0], [0]),
+        *(call for _, call in SCALAR_ARGUMENTS.values()),
     ],
 )
 def test_input_checks_raise_config_error(call):
     with pytest.raises(ConfigError):
+        call()
+
+
+@pytest.mark.parametrize("case", SCALAR_ARGUMENTS)
+def test_scalar_argument_errors_name_the_argument(case):
+    argument, call = SCALAR_ARGUMENTS[case]
+    with pytest.raises(ConfigError, match=f"^{argument} must be an? "):
         call()
 
 

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.signal import butter, filtfilt
+from scipy.signal import butter, filtfilt, lfilter
 
+import normda.features as features
 from normda.errors import ConfigError, DegenerateDataError, ShapeError
 from normda.features import (
     DE_SIGMA_FLOOR,
@@ -183,6 +185,43 @@ def test_de_zero_variance_floored_and_flagged():
     with pytest.warns(UserWarning, match="zero-variance"):
         de = differential_entropy(epoch, [None])
     assert de[0] == pytest.approx(0.5 * math.log(2 * math.pi * math.e * 1e-24))
+
+
+def test_de_filters_each_band_with_two_lfilter_passes(monkeypatch):
+    calls = []
+
+    def counted_lfilter(*args, **kwargs):
+        calls.append(args)
+        return lfilter(*args, **kwargs)
+
+    monkeypatch.setattr(features, "lfilter", counted_lfilter)
+    epoch = SignalEpoch(np.random.default_rng(7).normal(size=(3, 200)), 200.0)
+    bands = standard_bands()
+    for chosen, passes in [(bands, 10), ([None], 0), ([None, bands[0]], 2), ([bands[2], None, bands[2]], 4)]:
+        calls.clear()
+        differential_entropy(epoch, chosen)
+        assert len(calls) == passes
+
+
+def test_de_zero_epoch_warns_once_per_band_in_band_order():
+    epoch = SignalEpoch(np.zeros((2, 500)), 200.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        differential_entropy(epoch, [None, standard_bands()[0]])
+    assert [str(w.message) for w in caught] == [
+        "zero-variance channel in band 'all'; entropy floored",
+        "zero-variance channel in band 'delta'; entropy floored",
+    ]
+
+
+def test_de_band_past_nyquist_raises_the_bandpass_message():
+    epoch = tone(20.0, fs=100.0)
+    with pytest.raises(ConfigError) as bandpass:
+        butter_bandpass(epoch, 31.0, 50.0)
+    assert str(bandpass.value) == "band [31.0, 50.0] Hz must satisfy 0 < low < high < 50.0 (Nyquist)"
+    with pytest.raises(ConfigError) as de:
+        differential_entropy(epoch, [None] + standard_bands())
+    assert str(de.value) == str(bandpass.value)
 
 
 def test_band_spec_validation():

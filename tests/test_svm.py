@@ -1,8 +1,10 @@
 import warnings
+from itertools import chain
 
 import numpy as np
 import pytest
 
+import normda.svm as svm
 from normda.dataset import SyntheticShiftConfig, generate_synthetic, loso_folds
 from normda.errors import ConfigError, DegenerateLabelsError, NumericError, ShapeError
 from normda.shallow import KernelSpec, gram, median_heuristic_gamma
@@ -364,25 +366,64 @@ def assert_same_solve(K, y, C, seed):
 ROW_VARIANTS = ("distinct", "duplicates", "asymmetric")
 
 
-@pytest.mark.parametrize("rows", ROW_VARIANTS)
-@pytest.mark.parametrize("C", [0.01, 0.1, 1.0, 10.0, 1000.0])
-@pytest.mark.parametrize("kind", ["linear", "rbf"])
-def test_smo_matches_scalar_reference_bitwise(kind, C, rows):
-    rng = np.random.default_rng([ROW_VARIANTS.index(rows), int(C * 100)])
-    X = rng.normal(size=(40, 3)) * 3.0 + 5.0
+def smo_problem(kind, C, rows, n, rng):
+    """An unnormalized n-row problem: (Gram matrix, labels, seed)."""
+    X = rng.normal(size=(n, 3)) * 3.0 + 5.0
     k = LINEAR if kind == "linear" else KernelSpec("rbf", median_heuristic_gamma(X))
     K = gram(X, X, k)
-    y = np.where(X[:, 0] + rng.normal(size=40) > 5.0, 1.0, -1.0)
+    y = np.where(X[:, 0] + rng.normal(size=n) > 5.0, 1.0, -1.0)
     if rows != "distinct":
-        # 20 rows, each repeated about twice with labels drawn per copy:
+        # n / 2 rows, each repeated about twice with labels drawn per copy:
         # every pair of copies has eta == 0 exactly, many of opposite label.
-        picks = rng.integers(0, 20, 40)
-        K, y = K[np.ix_(picks, picks)], rng.choice([-1.0, 1.0], 40)
+        picks = rng.integers(0, n // 2, n)
+        K, y = K[np.ix_(picks, picks)], rng.choice([-1.0, 1.0], n)
     if rows == "asymmetric":
         # K[i, j] != K[j, i], so eta has either sign and a solver that
         # reads K[i2, i1] for K[i1, i2] visits other pairs.
         K = K + rng.normal(size=K.shape) * 0.1 * np.abs(K).max()
-    assert_same_solve(K, y, C, seed=int(rng.integers(1000)))
+    return K, y, int(rng.integers(1000))
+
+
+@pytest.mark.parametrize("rows", ROW_VARIANTS)
+@pytest.mark.parametrize("C", [0.01, 0.1, 1.0, 10.0, 1000.0])
+@pytest.mark.parametrize("kind", ["linear", "rbf"])
+def test_smo_matches_scalar_reference_bitwise(kind, C, rows):
+    # 40 rows: below the scan cutoff, so the all-rows tier calls take_step row by row.
+    K, y, seed = smo_problem(kind, C, rows, 40, np.random.default_rng([ROW_VARIANTS.index(rows), int(C * 100)]))
+    assert K.shape[0] < svm._SCALAR_SCAN_ROWS
+    assert_same_solve(K, y, C, seed)
+
+
+@pytest.mark.parametrize("n", [96, 128])
+@pytest.mark.parametrize("rows", ROW_VARIANTS)
+@pytest.mark.parametrize("C", [0.1, 1.0, 10.0])
+@pytest.mark.parametrize("kind", ["linear", "rbf"])
+def test_smo_matches_scalar_reference_bitwise_above_scan_cutoff(kind, C, rows, n):
+    # At the cutoff and above, step_candidates' array pass filters the all-rows tier.
+    K, y, seed = smo_problem(kind, C, rows, n, np.random.default_rng([ROW_VARIANTS.index(rows), int(C * 100), n]))
+    assert K.shape[0] >= svm._SCALAR_SCAN_ROWS
+    assert_same_solve(K, y, C, seed)
+
+
+@pytest.mark.parametrize("n", [40, 96])
+def test_scan_cutoff_leaves_the_solve_unchanged(monkeypatch, n):
+    # Both scans of the all-rows tier visit the same rows in the same order.
+    K, y, seed = smo_problem("linear", 1.0, "duplicates", n, np.random.default_rng([1, 100, n]))
+    scalar_scans = []
+
+    def counted_chain(*ranges):
+        scalar_scans.append(ranges)
+        return chain(*ranges)
+
+    monkeypatch.setattr(svm, "chain", counted_chain)
+    solves = []
+    for cutoff in (0, 10**9):
+        monkeypatch.setattr(svm, "_SCALAR_SCAN_ROWS", cutoff)
+        rng = np.random.default_rng(seed)
+        alpha, b = _smo_binary(K, y, 1.0, rng)
+        solves.append((alpha.tobytes(), np.float64(b).tobytes(), rng.bit_generator.state, len(scalar_scans)))
+    assert solves[0][:3] == solves[1][:3]
+    assert solves[0][3] == 0 and solves[1][3] > 0  # the tier ran, scalar only when patched in
 
 
 def test_smo_matches_scalar_reference_when_step_budget_runs_out():
