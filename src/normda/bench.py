@@ -49,6 +49,7 @@ from .errors import (
     NormdaError,
     NumericError,
     check_field_types,
+    check_type,
 )
 from .normalize import NormStrategy, apply_strategy
 from .shallow import (
@@ -623,6 +624,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     dataset once, and keeps each fold's strategies together so that its
     same-shape deep fits train in lockstep.
     """
+    check_type(jobs, "jobs", "int")
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     ds = resolve_dataset(cfg)

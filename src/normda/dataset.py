@@ -328,20 +328,6 @@ def save_csv(ds: DomainDataset, path) -> None:
             )
 
 
-def deap_valence_labels(ratings) -> np.ndarray:
-    """Discretize valence ratings: <3 negative (0), 3..7 open neutral (1),
-    >7 positive (2); ratings exactly 3 or 7 are unassigned and rejected."""
-    out = np.empty(len(ratings), dtype=np.int64)
-    for i, r in enumerate(ratings):
-        r = float(r)
-        if not 1.0 <= r <= 9.0:
-            raise ConfigError(f"rating {r} outside the 1..9 scale")
-        if r == 3.0 or r == 7.0:
-            raise ConfigError(f"rating {r} lies on an unassigned class boundary")
-        out[i] = 2 if r > 7.0 else (1 if r > 3.0 else 0)
-    return out
-
-
 def loso_folds(ds: DomainDataset) -> list[Fold]:
     """Leave-one-subject-out folds, one per subject, ordered by subject id."""
     subject_ids = sorted({int(s) for s in ds.subjects})

@@ -419,20 +419,16 @@ class AddaModel:
     classes: tuple[int, ...]
 
 
-def predict_composite(extractor: Mlp, head: Mlp, X: np.ndarray) -> np.ndarray:
-    feats, _ = forward(extractor.spec, extractor.params, X)
-    probs, _ = forward(head.spec, head.params, feats)
-    return np.argmax(probs, axis=1)
-
-
 def predict(model: PlainModel | DannModel | AddaModel, X: np.ndarray) -> np.ndarray:
     """Each row's label, one of model.classes, through the extractor (ADDA:
     the target encoder) and the label head."""
     if isinstance(model, AddaModel):
-        picks = predict_composite(model.target_encoder, model.classifier, X)
+        extractor, head = model.target_encoder, model.classifier
     else:
-        picks = predict_composite(model.extractor, model.predictor, X)
-    return np.asarray(model.classes, dtype=np.int64)[picks]
+        extractor, head = model.extractor, model.predictor
+    feats, _ = forward(extractor.spec, extractor.params, X)
+    probs, _ = forward(head.spec, head.params, feats)
+    return np.asarray(model.classes, dtype=np.int64)[np.argmax(probs, axis=1)]
 
 
 def _grad_views(specs: list[MlpSpec], members: int | None = None) -> tuple[np.ndarray, list[Params]]:

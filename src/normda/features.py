@@ -8,9 +8,10 @@ doubles the effective filter order: scipy.signal.filtfilt's default
 odd-padded method, run step by step so each band design computes its
 initial-state vector once. differential_entropy extends an epoch once for
 all of its bands, filters each band from that extension into one
-(bands, channels, time) array, and takes one finiteness check and one
-variance over it; butter_bandpass runs the same extension and passes for
-one band.
+(bands, channels, time) array, and takes one variance over it;
+butter_bandpass runs the same extension and passes for one band. Both
+raise NumericError, naming the band, when finite samples overflow the
+filter.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 import scipy.linalg
 from scipy.signal import butter, lfilter, lfilter_zi
 
-from .errors import ConfigError, DegenerateDataError, ShapeError
+from .errors import ConfigError, DegenerateDataError, NumericError, ShapeError, check_field_types, check_type
 from .shallow import _fix_signs
 
 DE_SIGMA_FLOOR = 1e-12
@@ -51,11 +52,15 @@ class SignalEpoch:
     fs: float
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
+        check_field_types(self)
+        if not self.fs > 0:
+            raise ConfigError(f"sampling rate must be positive, got {self.fs!r}")
+        try:
+            samples = np.asarray(self.samples, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ConfigError("samples must be an array of numbers") from None
         if samples.ndim != 2 or samples.shape[1] < 2:
             raise ConfigError("samples must be channels x time with >= 2 samples")
-        if not (math.isfinite(self.fs) and self.fs > 0):
-            raise ConfigError(f"sampling rate must be positive and finite, got {self.fs!r}")
         if not np.isfinite(samples).all():
             raise ConfigError("samples must be finite")
         object.__setattr__(self, "samples", samples)
@@ -72,6 +77,7 @@ class BandSpec:
     high: float
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0 < self.low < self.high:
             raise ConfigError(f"band {self.name!r}: need 0 < low < high")
 
@@ -106,9 +112,22 @@ def _bandpass_design(low: float, high: float, fs: float) -> _Design:
 
 
 def butter_bandpass(epoch: SignalEpoch, low: float, high: float) -> SignalEpoch:
-    """Zero-phase Butterworth bandpass of order FILTER_ORDER across every channel."""
+    """Zero-phase Butterworth bandpass of order FILTER_ORDER across every
+    channel. Raises NumericError when the filtered samples overflow float64."""
+    _check_epoch(epoch, "epoch")
+    check_type(low, "low", "float")
+    check_type(high, "high", "float")
     design = _checked_design(epoch, low, high)
-    return SignalEpoch(_zero_phase(design, _odd_extension(epoch.samples)), epoch.fs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _zero_phase(design, _odd_extension(epoch.samples))
+    if not np.isfinite(out).all():
+        raise NumericError(f"band [{low}, {high}] Hz: the filtered samples overflow float64")
+    return SignalEpoch(out, epoch.fs)
+
+
+def _check_epoch(epoch, what: str) -> None:
+    if not isinstance(epoch, SignalEpoch):
+        raise ConfigError(f"{what} must be a SignalEpoch, got {type(epoch).__name__}")
 
 
 def _checked_design(epoch: SignalEpoch, low: float, high: float) -> _Design:
@@ -144,27 +163,33 @@ def _zero_phase(design: _Design, ext: np.ndarray) -> np.ndarray:
     return y[:, ::-1][:, PADLEN:-PADLEN]
 
 
-def differential_entropy(epoch: SignalEpoch, bands: Sequence[BandSpec | None]) -> np.ndarray:
+def differential_entropy(epoch: SignalEpoch, bands: Sequence[BandSpec]) -> np.ndarray:
     """Per-channel, per-band Gaussian differential entropy, channel-major.
 
-    A None entry means no filtering (full-spectrum entropy). Zero-variance
-    bands are floored at sigma 1e-12 and flagged with a warning.
+    Zero-variance bands are floored at sigma 1e-12 and flagged with a
+    warning. Raises NumericError, naming the band, when a band's filtered
+    samples or their variance overflow float64.
     """
+    _check_epoch(epoch, "epoch")
     if not bands:
         raise ConfigError("at least one band is required")
-    designs = [None if band is None else _checked_design(epoch, band.low, band.high) for band in bands]
+    if not isinstance(bands, Sequence) or not all(isinstance(band, BandSpec) for band in bands):
+        raise ConfigError(f"bands must be a sequence of BandSpecs, got {bands!r}")
+    designs = [_checked_design(epoch, band.low, band.high) for band in bands]
     x = epoch.samples
-    ext = None if all(d is None for d in designs) else _odd_extension(x)
     filtered = np.empty((len(bands), *x.shape))
-    for j, design in enumerate(designs):
-        filtered[j] = x if design is None else _zero_phase(design, ext)
-    if not np.isfinite(filtered).all():
-        raise ConfigError("samples must be finite")
-    var = filtered.var(axis=-1, ddof=0)  # (bands, channels)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ext = _odd_extension(x)
+        for j, design in enumerate(designs):
+            filtered[j] = _zero_phase(design, ext)
+        var = filtered.var(axis=-1, ddof=0)  # (bands, channels)
+    finite = np.isfinite(var).all(axis=1)
+    if not finite.all():
+        name = bands[int(finite.argmin())].name
+        raise NumericError(f"band {name!r}: the filtered samples or their variance overflow float64")
     for band, band_var in zip(bands, var):
         if np.any(band_var < DE_SIGMA_FLOOR**2):
-            name = band.name if band is not None else "all"
-            warnings.warn(f"zero-variance channel in band {name!r}; entropy floored")
+            warnings.warn(f"zero-variance channel in band {band.name!r}; entropy floored")
     values = 0.5 * np.log(2.0 * math.pi * math.e * np.maximum(var, DE_SIGMA_FLOOR**2))
     return values.T.reshape(-1)
 
@@ -194,10 +219,14 @@ def csp_fit(
 ) -> CspModel:
     """Solve cov_a w = lambda (cov_a + cov_b) w on class-averaged normalized
     covariances; keep the n_components/2 largest and smallest eigenvectors."""
+    check_type(n_components, "n_components", "int")
     if not trials_a or not trials_b:
         raise ConfigError("both classes need at least one trial")
-    channels = trials_a[0].n_channels
-    if any(t.n_channels != channels for t in list(trials_a) + list(trials_b)):
+    trials = [*trials_a, *trials_b]
+    for trial in trials:
+        _check_epoch(trial, "each trial")
+    channels = trials[0].n_channels
+    if any(t.n_channels != channels for t in trials):
         raise ShapeError("all trials must share the channel count")
     if n_components < 2 or n_components % 2 or n_components > channels:
         raise ConfigError("n_components must be even, >= 2 and <= channel count")
@@ -229,6 +258,7 @@ def csp_fit(
 
 def csp_features(epoch: SignalEpoch, model: CspModel) -> np.ndarray:
     """Log of each filtered component's variance share: ln(var_k / sum var)."""
+    _check_epoch(epoch, "epoch")
     if epoch.n_channels != model.filters.shape[1]:
         raise ShapeError("epoch channel count does not match the fitted filters")
     z = model.filters @ epoch.samples

@@ -90,15 +90,16 @@ def _smo_binary(K: np.ndarray, y: np.ndarray, C: float, rng) -> tuple[np.ndarray
     changes nothing. A generous step budget bounds runtime on degenerately
     scaled inputs where convergence would take microscopic steps forever.
 
-    Scalar steps run on Python floats (`al`, `yl` and `kd` mirror alpha, y
-    and the Gram diagonal), which round exactly as float64 scalars do.
+    Scalar steps run on Python floats (`yl` and `kd` mirror y and the Gram
+    diagonal), which round exactly as float64 scalars do. The multipliers
+    live only in the list `al`; the all-rows array pass and the return
+    build an array from it.
     """
     n = y.shape[0]
     C = float(C)  # a numpy scalar C would make every step numpy scalar math
-    alpha = np.zeros(n)
     al = [0.0] * n
     yl = y.tolist()
-    diag = K.diagonal().copy()
+    diag = K.diagonal()
     kd = diag.tolist()
     krows = list(K)
     b = 0.0
@@ -181,7 +182,6 @@ def _smo_binary(K: np.ndarray, y: np.ndarray, C: float, rng) -> tuple[np.ndarray
             if free2:
                 insort(nb, i2)
             non_bound = np.array(nb, dtype=np.intp), nb
-        alpha[i1], alpha[i2] = a1, a2
         al[i1], al[i2] = a1, a2
         b = b_new
         step_budget -= 1
@@ -196,6 +196,7 @@ def _smo_binary(K: np.ndarray, y: np.ndarray, C: float, rng) -> tuple[np.ndarray
         scalar rule accepts. Rows with eta <= 0 (or a NaN anywhere) are
         kept for the scalar rule to decide.
         """
+        alpha = np.array(al)
         opposite = (y * y2) < 0
         lo = np.where(opposite, a2_old - alpha, alpha + a2_old - C)
         np.maximum(lo, 0.0, out=lo)
@@ -266,7 +267,7 @@ def _smo_binary(K: np.ndarray, y: np.ndarray, C: float, rng) -> tuple[np.ndarray
             examine_all = False
         elif num_changed == 0:
             examine_all = True
-    return alpha, b
+    return np.array(al), b
 
 
 def svm_train(

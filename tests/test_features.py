@@ -3,10 +3,11 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.signal import butter, filtfilt, lfilter
 
 import normda.features as features
-from normda.errors import ConfigError, DegenerateDataError, ShapeError
+from normda.errors import ConfigError, DegenerateDataError, NumericError, ShapeError
 from normda.features import (
     DE_SIGMA_FLOOR,
     FILTER_ORDER,
@@ -96,7 +97,8 @@ def test_bandpass_rejects_epochs_no_longer_than_the_pad():
     epoch = SignalEpoch(np.random.default_rng(6).normal(size=(2, PADLEN)), 200.0)
     with pytest.raises(ConfigError, match=f"at least {PADLEN + 1} samples, got {PADLEN}"):
         differential_entropy(epoch, standard_bands())
-    assert differential_entropy(epoch, [None]).shape == (2,)
+    with pytest.raises(ConfigError, match=f"at least {PADLEN + 1} samples, got {PADLEN}"):
+        butter_bandpass(epoch, 8.0, 13.0)
 
 
 def test_zero_phase_no_lag_on_passband_tone():
@@ -115,10 +117,14 @@ def test_zero_phase_no_lag_on_passband_tone():
 
 
 def test_de_unit_gaussian_matches_closed_form():
+    # Each band's entropy is 0.5 ln(2 pi e var) of the band-passed signal.
     rng = np.random.default_rng(0)
-    epoch = SignalEpoch(rng.normal(size=(1, 10_000)), 200.0)
-    de = differential_entropy(epoch, [None])  # all-pass: no filtering
-    assert de[0] == pytest.approx(0.5 * math.log(2 * math.pi * math.e), abs=0.05)
+    epoch = SignalEpoch(rng.normal(size=(2, 10_000)), 200.0)
+    bands = standard_bands()
+    de = differential_entropy(epoch, bands).reshape(2, len(bands))
+    for j, band in enumerate(bands):
+        var = butter_bandpass(epoch, band.low, band.high).samples.var(axis=1)
+        np.testing.assert_array_equal(de[:, j], 0.5 * np.log(2 * math.pi * math.e * var))
 
 
 def test_de_scaling_adds_log_factor():
@@ -183,7 +189,7 @@ def test_de_bit_identical_to_fresh_designs_across_rates():
 def test_de_zero_variance_floored_and_flagged():
     epoch = SignalEpoch(np.zeros((1, 500)), 200.0)
     with pytest.warns(UserWarning, match="zero-variance"):
-        de = differential_entropy(epoch, [None])
+        de = differential_entropy(epoch, [BandSpec("alpha", 8.0, 13.0)])
     assert de[0] == pytest.approx(0.5 * math.log(2 * math.pi * math.e * 1e-24))
 
 
@@ -197,7 +203,7 @@ def test_de_filters_each_band_with_two_lfilter_passes(monkeypatch):
     monkeypatch.setattr(features, "lfilter", counted_lfilter)
     epoch = SignalEpoch(np.random.default_rng(7).normal(size=(3, 200)), 200.0)
     bands = standard_bands()
-    for chosen, passes in [(bands, 10), ([None], 0), ([None, bands[0]], 2), ([bands[2], None, bands[2]], 4)]:
+    for chosen, passes in [(bands, 10), ([bands[0]], 2), ([bands[2], bands[0], bands[2]], 6)]:
         calls.clear()
         differential_entropy(epoch, chosen)
         assert len(calls) == passes
@@ -207,9 +213,9 @@ def test_de_zero_epoch_warns_once_per_band_in_band_order():
     epoch = SignalEpoch(np.zeros((2, 500)), 200.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        differential_entropy(epoch, [None, standard_bands()[0]])
+        differential_entropy(epoch, [standard_bands()[1], standard_bands()[0]])
     assert [str(w.message) for w in caught] == [
-        "zero-variance channel in band 'all'; entropy floored",
+        "zero-variance channel in band 'theta'; entropy floored",
         "zero-variance channel in band 'delta'; entropy floored",
     ]
 
@@ -220,8 +226,24 @@ def test_de_band_past_nyquist_raises_the_bandpass_message():
         butter_bandpass(epoch, 31.0, 50.0)
     assert str(bandpass.value) == "band [31.0, 50.0] Hz must satisfy 0 < low < high < 50.0 (Nyquist)"
     with pytest.raises(ConfigError) as de:
-        differential_entropy(epoch, [None] + standard_bands())
+        differential_entropy(epoch, standard_bands())
     assert str(de.value) == str(bandpass.value)
+
+
+@pytest.mark.parametrize(
+    "filtering, band",
+    [
+        (lambda epoch: butter_bandpass(epoch, 8.0, 13.0), r"\[8.0, 13.0\] Hz"),
+        (lambda epoch: differential_entropy(epoch, [BandSpec("theta", 4.0, 7.0)] + standard_bands()), "'theta'"),
+    ],
+    ids=["butter_bandpass", "differential_entropy"],
+)
+def test_filter_overflow_raises_numeric_error_naming_the_band(filtering, band):
+    # Finite samples near the float64 limit overflow the odd extension and
+    # the filter; the error blames the band, not the samples.
+    signs = np.sign(np.random.default_rng(9).normal(size=(2, 200)))
+    with pytest.raises(NumericError, match=f"^band {band}: .*overflow float64$"):
+        filtering(SignalEpoch(1e308 * signs, 200.0))
 
 
 def test_band_spec_validation():
@@ -295,6 +317,28 @@ def test_csp_validation():
         csp_fit(trials_a, trials_b, n_components=3)  # odd
     with pytest.raises(ConfigError):
         csp_fit([], trials_b, n_components=2)
+
+
+def test_csp_ridges_a_singular_pooled_covariance(monkeypatch):
+    # A duplicated channel makes the pooled covariance singular, so the
+    # first generalized eigensolve fails and the ridged one runs.
+    calls = []
+    eigh = scipy.linalg.eigh
+
+    def counted_eigh(*args, **kwargs):
+        calls.append(args)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counted_eigh)
+    rng = np.random.default_rng(0)
+
+    def trial(scale):
+        x = rng.normal(size=(2, 100)) * scale
+        return SignalEpoch(np.vstack([x, x[:1]]), 250.0)
+
+    model = csp_fit([trial([[3.0], [1.0]]) for _ in range(5)], [trial([[1.0], [3.0]]) for _ in range(5)], 2)
+    assert len(calls) == 2
+    assert model.filters.shape == (2, 3) and np.isfinite(model.filters).all()
 
 
 def test_csp_features_normalization_identity():
