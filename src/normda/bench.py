@@ -48,6 +48,7 @@ from .errors import (
     ExperimentError,
     NormdaError,
     NumericError,
+    bounded,
     check_field_types,
     check_type,
 )
@@ -214,13 +215,13 @@ class MethodSpec:
     kind: str
     kernel: KernelSpec = KernelSpec("linear")
     svm_kernel: KernelSpec = KernelSpec("linear")
-    dim: int = 2
-    mu_reg: float = 1.0
-    C: float = 1.0
+    dim: int = bounded(2, low=1)
+    mu_reg: float = bounded(1.0, low=0, above=True)
+    C: float = bounded(1.0, low=0, above=True)
     hidden: tuple[int, ...] = (16,)
     feature_dim: int = 8
     activation: str = "relu"
-    lam: float = 1.0
+    lam: float = bounded(1.0, low=0)
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
@@ -228,21 +229,13 @@ class MethodSpec:
             raise ConfigError(f"unknown method kind {self.kind!r}; expected one of {METHOD_ORDER}")
         check_field_types(self)
         for name, cls in _NESTED_FIELDS.items():
-            if not isinstance(getattr(self, name), cls):
-                raise ConfigError(f"{name} must be a {cls.__name__}, got {getattr(self, name)!r}")
+            check_type(getattr(self, name), name, cls)
         if not isinstance(self.hidden, (list, tuple)) or not all(
             isinstance(h, numbers.Integral) and not isinstance(h, bool) for h in self.hidden
         ):
             raise ConfigError(f"hidden must be a list of integers, got {self.hidden!r}")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
         network_specs(1, 2, self.hidden, self.feature_dim, self.activation)
-        for name in ("C", "mu_reg"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
-        if self.dim < 1:
-            raise ConfigError(f"dim must be >= 1, got {self.dim!r}")
-        if self.lam < 0:
-            raise ConfigError(f"lam must be >= 0, got {self.lam!r}")
 
 
 # A grid may search every MethodSpec field but `kind` and `train`, and the
@@ -624,9 +617,8 @@ def run_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentReport:
     dataset once, and keeps each fold's strategies together so that its
     same-shape deep fits train in lockstep.
     """
-    check_type(jobs, "jobs", "int")
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    check_type(cfg, "cfg", ExperimentConfig)
+    check_type(jobs, "jobs", "int", low=1)
     ds = resolve_dataset(cfg)
     folds = folds_for(ds, cfg.protocol)
     groups = [(strategy, fold) for fold in folds for strategy in cfg.strategies]

@@ -24,8 +24,9 @@ from .errors import (
     SchemaError,
     ShapeError,
     StratificationError,
+    bounded,
     check_field_types,
-    check_seed,
+    check_type,
     integer_labels,
 )
 
@@ -147,34 +148,19 @@ class SyntheticShiftConfig:
     dim >= n_classes for the simplex placement.
     """
 
-    n_subjects: int = 2
-    n_sessions: int = 1
-    n_classes: int = 2
-    samples_per_class_per_domain: int = 50
+    n_subjects: int = bounded(2, low=1)
+    n_sessions: int = bounded(1, low=1)
+    n_classes: int = bounded(2, low=2)
+    samples_per_class_per_domain: int = bounded(50, low=1)
     dim: int = 4
-    class_separation: float = 4.0
-    domain_shift_scale: float = 0.0
-    domain_scale_jitter: float = 0.0
-    noise_std: float = 1.0
-    seed: int = 0
+    class_separation: float = bounded(4.0, low=0, above=True)
+    domain_shift_scale: float = bounded(0.0, low=0)
+    domain_scale_jitter: float = bounded(0.0, low=0)
+    noise_std: float = bounded(1.0, low=0, above=True)
+    seed: int = bounded(0, low=0)
 
     def __post_init__(self):
         check_field_types(self)
-        for name in ("n_subjects", "n_sessions", "samples_per_class_per_domain", "dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
-        if self.n_classes < 2:
-            raise ConfigError("n_classes must be >= 2")
-        if self.class_separation <= 0:
-            raise ConfigError("class_separation must be > 0")
-        if self.noise_std <= 0:
-            raise ConfigError("noise_std must be > 0")
-        if self.domain_shift_scale < 0:
-            raise ConfigError("domain_shift_scale must be >= 0")
-        if self.domain_scale_jitter < 0:
-            raise ConfigError("domain_scale_jitter must be >= 0")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
         if self.dim < self.n_classes:
             raise ConfigError("dim must be >= n_classes for simplex class-mean placement")
 
@@ -379,7 +365,7 @@ def stratified_indices(labels: Sequence[int], seed: int) -> tuple[np.ndarray, np
     labels = integer_labels(labels)
     if labels.size == 0:
         raise EmptyInputError("cannot split an empty index set")
-    check_seed(seed)
+    check_type(seed, "seed", "int", low=0)
     rng = np.random.default_rng(seed)
     val_parts = []
     for c in sorted({int(v) for v in labels}):

@@ -39,7 +39,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,8 +51,9 @@ from .errors import (
     NormdaError,
     NumericError,
     ShapeError,
+    bounded,
     check_field_types,
-    check_seed,
+    check_type,
     class_labels,
     feature_rows,
 )
@@ -133,21 +134,15 @@ class Mlp:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 0.01
-    batch_size: int = 64
-    max_epochs: int = 200
-    patience: int = 20
+    # learning_rate 0 is allowed: it trains nothing but exercises the
+    # early-stopping path deterministically.
+    learning_rate: float = bounded(0.01, low=0)
+    batch_size: int = bounded(64, low=1)
+    max_epochs: int = bounded(200, low=1)
+    patience: int = bounded(20, low=1)
 
     def __post_init__(self):
         check_field_types(self)
-        # learning_rate 0 is allowed: it trains nothing but exercises the
-        # early-stopping path deterministically.
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be >= 0")
-        if self.patience < 1:
-            raise ConfigError("patience must be >= 1")
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ConfigError("batch_size and max_epochs must be >= 1")
 
 
 def init_mlp(spec: MlpSpec, seed_or_rng) -> Mlp:
@@ -396,16 +391,11 @@ class DannModel:
     extractor: Mlp
     predictor: Mlp
     domain_classifier: Mlp
-    lam: float
+    lam: float = bounded(low=0)
     classes: tuple[int, ...]
 
     def __post_init__(self):
-        _check_lambda(self.lam)
-
-
-def _check_lambda(lam: float) -> None:
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ConfigError(f"lambda must be >= 0 and finite, got {lam!r}")
+        check_field_types(self)
 
 
 @dataclass(frozen=True)
@@ -524,7 +514,7 @@ def _lockstep(problems: Sequence[tuple], setup, train) -> list:
     stacks: dict = {}
     for i, (X, y, Xt, seed) in enumerate(problems):
         try:
-            check_seed(seed)
+            check_type(seed, "seed", "int", low=0)
             member = setup(X, y, Xt, seed)
         except NormdaError as exc:
             results[i] = exc
@@ -701,6 +691,14 @@ def _initial_member(X, y, Xt, seed, shape: tuple, n_nets: int = 3) -> _Member:
     return _Member(X, y, Xt, classes, specs, *_val_split(y, rng), rng, theta)
 
 
+def _shape(cfg: TrainConfig, hidden, feature_dim: int, activation: str) -> tuple:
+    """A trainer's network shape arguments, once its config is a TrainConfig
+    and `hidden` can be unpacked; network_specs checks the rest per problem."""
+    check_type(cfg, "cfg", TrainConfig)
+    check_type(hidden, "hidden", Iterable)
+    return hidden, feature_dim, activation
+
+
 def train_plain(
     problems: Sequence[tuple], cfg: TrainConfig, hidden: tuple[int, ...], feature_dim: int, activation: str
 ) -> list:
@@ -713,7 +711,7 @@ def train_plain(
     read nor checked. The result lists each problem's PlainModel or the
     NormdaError that failed it (see _lockstep).
     """
-    shape = (hidden, feature_dim, activation)
+    shape = _shape(cfg, hidden, feature_dim, activation)
 
     def setup(X, y, Xt, seed):
         return _initial_member(X, y, None, np.random.default_rng(seed), shape, n_nets=2)
@@ -745,11 +743,11 @@ def train_dann(
     source-validation accuracy only (target labels are never read). The
     three networks of network_specs are drawn from one default_rng(seed),
     in its order; the split and batches from a second one. The problems
-    train in lockstep as train_plain's do; a lambda that is negative or not
-    finite raises.
+    train in lockstep as train_plain's do; a lam that is not a finite
+    number >= 0 raises.
     """
-    _check_lambda(lam)
-    shape = (hidden, feature_dim, activation)
+    check_type(lam, "lam", "float", low=0)
+    shape = _shape(cfg, hidden, feature_dim, activation)
 
     def train(members, specs):
         best = _fit_classifier(_Stack(members), cfg, specs, lam)
@@ -788,7 +786,7 @@ def train_adda(
     stage 1 at its own epoch, and the members that finish it run stage 2
     together.
     """
-    shape = (hidden, feature_dim, activation)
+    shape = _shape(cfg, hidden, feature_dim, activation)
 
     def train(members, specs):
         n_stage1 = _n_params(specs[:2])

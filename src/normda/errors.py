@@ -4,12 +4,16 @@ failure; any other exception is a bug and propagates.
 
 Every fit and model input in svm, shallow and deep takes its feature rows
 through feature_rows and its training labels through class_labels, so a
-bad input fails with the same error type whichever method receives it;
-seeds go through check_seed, and scalar arguments through check_type."""
+bad input fails with the same error type whichever method receives it.
+
+Every scalar argument and dataclass field passes one rule, check_type: a
+value of its type, finite if a number, and at least (or above) its lower
+bound if it has one. A dataclass field declares its bound once, next to its
+default (see bounded), and check_field_types applies it."""
 
 import math
 import numbers
-from dataclasses import fields
+from dataclasses import MISSING, field, fields
 
 import numpy as np
 
@@ -74,28 +78,42 @@ _FIELD_TYPES = {
 }
 
 
+def bounded(default=MISSING, *, low, above=False):
+    """A dataclass field that check_field_types requires to be >= `low`,
+    or > `low` when `above`."""
+    return field(default=default, metadata={"low": low, "above": above})
+
+
 def check_field_types(obj) -> None:
     """Raise ConfigError unless each field of the dataclass `obj` annotated
     `int`, `float`, `bool` or `str`, or one of these `| None`, holds a
-    value of that type (or None); an integer is a number, but a bool is
-    neither, and a number must be finite."""
+    value that check_type accepts (or None), within the field's bound."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         kind, _, rest = str(getattr(f.type, "__name__", f.type)).partition(" | ")
         if kind not in _FIELD_TYPES or (rest == "None" and value is None):
             continue
-        check_type(value, f.name, kind)
-        if kind == "float" and not math.isfinite(value):
-            raise ConfigError(f"{f.name} must be finite, got {value!r}")
+        check_type(value, f.name, kind, **f.metadata)
 
 
-def check_type(value, name: str, kind: str) -> None:
-    """Raise ConfigError naming `name` unless `value` is of the field type
-    `kind` ("int", "float", "bool" or "str"); an integer is a number, but a
-    bool is neither."""
+def check_type(value, name: str, kind, low=None, above=False) -> None:
+    """Raise ConfigError naming `name` unless `value` is an instance of the
+    class `kind`, or of the field type `kind` ("int", "float", "bool" or
+    "str"): an integer is a number, but a bool is neither, and a number
+    must be finite. Given `low`, the value must also be >= low, or > low
+    when `above`."""
+    if isinstance(kind, type):
+        if not isinstance(value, kind):
+            article = "an" if kind.__name__[0] in "AEIOU" else "a"
+            raise ConfigError(f"{name} must be {article} {kind.__name__}, got {type(value).__name__}")
+        return
     wanted, what = _FIELD_TYPES[kind]
     if not isinstance(value, wanted) or (isinstance(value, bool) and wanted is not bool):
         raise ConfigError(f"{name} must be {what}, got {value!r}")
+    if kind == "float" and not math.isfinite(value):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    if low is not None and (value <= low if above else value < low):
+        raise ConfigError(f"{name} must be {'>' if above else '>='} {low}, got {value!r}")
 
 
 def integer_labels(y) -> np.ndarray:
@@ -147,10 +165,3 @@ def class_labels(y, n: int) -> tuple[tuple[int, ...], np.ndarray]:
     if classes.size < 2:
         raise DegenerateLabelsError("training labels contain a single class")
     return tuple(classes.tolist()), index
-
-
-def check_seed(seed) -> None:
-    """Raise ConfigError unless `seed` is a non-negative integer (a bool is
-    not one)."""
-    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 from scipy.signal import butter, lfilter, lfilter_zi
 
-from .errors import ConfigError, DegenerateDataError, NumericError, ShapeError, check_field_types, check_type
+from .errors import ConfigError, DegenerateDataError, NumericError, ShapeError, bounded, check_field_types, check_type
 from .shallow import _fix_signs
 
 DE_SIGMA_FLOOR = 1e-12
@@ -49,12 +49,10 @@ class SignalEpoch:
     """A channels-by-time sample block with its sampling rate in Hz."""
 
     samples: np.ndarray
-    fs: float
+    fs: float = bounded(low=0, above=True)
 
     def __post_init__(self):
         check_field_types(self)
-        if not self.fs > 0:
-            raise ConfigError(f"sampling rate must be positive, got {self.fs!r}")
         try:
             samples = np.asarray(self.samples, dtype=np.float64)
         except (TypeError, ValueError):
@@ -114,7 +112,7 @@ def _bandpass_design(low: float, high: float, fs: float) -> _Design:
 def butter_bandpass(epoch: SignalEpoch, low: float, high: float) -> SignalEpoch:
     """Zero-phase Butterworth bandpass of order FILTER_ORDER across every
     channel. Raises NumericError when the filtered samples overflow float64."""
-    _check_epoch(epoch, "epoch")
+    check_type(epoch, "epoch", SignalEpoch)
     check_type(low, "low", "float")
     check_type(high, "high", "float")
     design = _checked_design(epoch, low, high)
@@ -123,11 +121,6 @@ def butter_bandpass(epoch: SignalEpoch, low: float, high: float) -> SignalEpoch:
     if not np.isfinite(out).all():
         raise NumericError(f"band [{low}, {high}] Hz: the filtered samples overflow float64")
     return SignalEpoch(out, epoch.fs)
-
-
-def _check_epoch(epoch, what: str) -> None:
-    if not isinstance(epoch, SignalEpoch):
-        raise ConfigError(f"{what} must be a SignalEpoch, got {type(epoch).__name__}")
 
 
 def _checked_design(epoch: SignalEpoch, low: float, high: float) -> _Design:
@@ -170,7 +163,7 @@ def differential_entropy(epoch: SignalEpoch, bands: Sequence[BandSpec]) -> np.nd
     warning. Raises NumericError, naming the band, when a band's filtered
     samples or their variance overflow float64.
     """
-    _check_epoch(epoch, "epoch")
+    check_type(epoch, "epoch", SignalEpoch)
     if not bands:
         raise ConfigError("at least one band is required")
     if not isinstance(bands, Sequence) or not all(isinstance(band, BandSpec) for band in bands):
@@ -224,7 +217,7 @@ def csp_fit(
         raise ConfigError("both classes need at least one trial")
     trials = [*trials_a, *trials_b]
     for trial in trials:
-        _check_epoch(trial, "each trial")
+        check_type(trial, "each trial", SignalEpoch)
     channels = trials[0].n_channels
     if any(t.n_channels != channels for t in trials):
         raise ShapeError("all trials must share the channel count")
@@ -258,7 +251,7 @@ def csp_fit(
 
 def csp_features(epoch: SignalEpoch, model: CspModel) -> np.ndarray:
     """Log of each filtered component's variance share: ln(var_k / sum var)."""
-    _check_epoch(epoch, "epoch")
+    check_type(epoch, "epoch", SignalEpoch)
     if epoch.n_channels != model.filters.shape[1]:
         raise ShapeError("epoch channel count does not match the fitted filters")
     z = model.filters @ epoch.samples

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import (
-    ConfigError, DegenerateDataError, NumericError, ShapeError, check_field_types, check_type, feature_rows
+    ConfigError, DegenerateDataError, NumericError, ShapeError, bounded, check_field_types, check_type, feature_rows
 )
 
 KPCA_EIGVAL_RTOL = 1e-10
@@ -28,7 +28,7 @@ class KernelSpec:
     takes the median heuristic, see resolve_kernel)."""
 
     kind: str = "linear"
-    gamma: float | None = None
+    gamma: float | None = bounded(None, low=0, above=True)
 
     def __post_init__(self):
         check_field_types(self)
@@ -36,8 +36,6 @@ class KernelSpec:
             raise ConfigError(f"unknown kernel kind {self.kind!r}")
         if self.kind == "linear" and self.gamma is not None:
             raise ConfigError(f"a linear kernel takes no gamma, got {self.gamma!r}")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ConfigError("rbf gamma must be positive")
 
 
 def median_heuristic_gamma(X: np.ndarray) -> float:
@@ -87,6 +85,7 @@ def gram(X: np.ndarray, Y: np.ndarray, k: KernelSpec) -> np.ndarray:
 
 def mmd_sq(Xs: np.ndarray, Xt: np.ndarray, k: KernelSpec) -> float:
     """Squared MMD between two samples; symmetric and >= 0 up to round-off."""
+    check_type(k, "k", KernelSpec)
     Xs = feature_rows(Xs, "source features", nonempty=True)
     Xt = feature_rows(Xt, "target features", width=Xs.shape[1], nonempty=True)
     if k.kind == "linear":
@@ -142,10 +141,9 @@ def tca_fit(
     downstream classifiers well-conditioned); signs make the
     largest-magnitude entry positive.
     """
+    check_type(k, "k", KernelSpec)
     check_type(dim, "dim", "int")
-    check_type(mu_reg, "mu_reg", "float")
-    if not (math.isfinite(mu_reg) and mu_reg > 0):
-        raise ConfigError(f"mu_reg must be positive and finite, got {mu_reg!r}")
+    check_type(mu_reg, "mu_reg", "float", low=0, above=True)
     Xs = feature_rows(Xs, "source features", nonempty=True)
     Xt = feature_rows(Xt, "target features", width=Xs.shape[1], nonempty=True)
     ns, nt = Xs.shape[0], Xt.shape[0]
@@ -200,6 +198,7 @@ def kpca_fit(X: np.ndarray, k: KernelSpec, dim: int) -> KpcaModel:
     unit norm in feature space; components with eigenvalue below
     1e-10 * max are dropped, shrinking dim on rank-deficient data.
     """
+    check_type(k, "k", KernelSpec)
     check_type(dim, "dim", "int")
     X = feature_rows(X, "training features", nonempty=True)
     n = X.shape[0]

@@ -53,14 +53,13 @@ Multi-class uses one-vs-rest with argmax over per-class decision values.
 
 from __future__ import annotations
 
-import math
 from bisect import insort
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .errors import ConfigError, check_seed, check_type, class_labels, feature_rows
+from .errors import check_type, class_labels, feature_rows
 from .shallow import KernelSpec, gram, resolve_kernel
 
 _STEP_EPS = 1e-10
@@ -278,10 +277,9 @@ def svm_train(
     seed: int = 0,
 ) -> SvmModel:
     """Train a one-vs-rest kernel SVM; deterministic given the seed."""
-    check_type(C, "C", "float")
-    if not (math.isfinite(C) and C > 0):
-        raise ConfigError(f"C must be positive and finite, got {C!r}")
-    check_seed(seed)
+    check_type(k, "k", KernelSpec)
+    check_type(C, "C", "float", low=0, above=True)
+    check_type(seed, "seed", "int", low=0)
     X = feature_rows(X, "training features", nonempty=True)
     classes, index = class_labels(y, X.shape[0])
     k = resolve_kernel(k, X)

@@ -777,9 +777,9 @@ def test_config_from_dict_rejects_unknown_keys(change, named):
         ({"strategies": 5}, r"strategies must be a list, got 5"),
         ({"dataset": {"synthetic": None}}, r"synthetic fields: expected an object, got None"),
         ({"methods": [{"kind": "noDA-SVM"}, {"C": 1.0}]}, r"method 1 has no 'kind'"),
-        ({"methods": [{"kind": "noDA-SVM", "C": 0.0}]}, r"C must be positive, got 0.0"),
+        ({"methods": [{"kind": "noDA-SVM", "C": 0.0}]}, r"C must be > 0, got 0.0"),
         ({"methods": [{"kind": "noDA-SVM", "C": float("nan")}]}, r"C must be finite, got nan"),
-        ({"methods": [{"kind": "TCA-SVM", "mu_reg": -1.0}]}, r"mu_reg must be positive, got -1.0"),
+        ({"methods": [{"kind": "TCA-SVM", "mu_reg": -1.0}]}, r"mu_reg must be > 0, got -1.0"),
         ({"methods": [{"kind": "TCA-SVM", "dim": 0}]}, r"dim must be >= 1, got 0"),
         ({"methods": [{"kind": "DANN", "lam": -0.5}]}, r"lam must be >= 0, got -0.5"),
         (
@@ -827,11 +827,11 @@ def test_config_from_dict_rejects_wrong_values(change, named):
         ({"noDA-SVM": {"batch_size": [2.5]}}, r"batch_size must be an integer"),
         ({"noDA-SVM": {"kernel": [{"kind": "poly"}]}}, r"unknown kernel kind 'poly'"),
         ({"noDA-SVM": {"kernel": ["rbf"]}}, r"kernel must be a KernelSpec"),
-        ({"noDA-SVM": {"kernel": [{"kind": "rbf", "gamma": -1.0}]}}, r"rbf gamma must be positive"),
+        ({"noDA-SVM": {"kernel": [{"kind": "rbf", "gamma": -1.0}]}}, r"gamma must be > 0, got -1.0"),
         ({"noDA-SVM": {"activation": ["bogus"]}}, r"unknown activation 'bogus'"),
         ({"noDA-SVM": {"hidden": [[16], [2.5]]}}, r"hidden must be a list of integers, got \[2.5\]"),
         ({"noDA-SVM": {"gamma": [0.5]}}, r"unknown parameters \['gamma'\]"),
-        ({"noDA-SVM": {"C": [1.0, 0.0]}}, r"C must be positive, got 0.0"),
+        ({"noDA-SVM": {"C": [1.0, 0.0]}}, r"C must be > 0, got 0.0"),
         ({"noDA-SVM": {"kernel": [{"kind": "linear", "gamma": 0.5}]}}, r"a linear kernel takes no gamma"),
     ],
 )

@@ -422,9 +422,9 @@ def test_non_utf8_csv_exits_2_and_names_byte(tmp_path, capsys, command):
         ({"kind": "noDA-ANN", "hidden": [2, 2, 2, 2]}, "at most 3 hidden layers are supported; got 4"),
         ({"kind": "noDA-ANN", "feature_dim": 0}, "all >= 1; got (1, 16, 0)"),
         ({"kind": "noDA-ANN", "train": {"seed": 99}}, "unknown train fields: ['seed']"),
-        ({"kind": "noDA-SVM", "C": 0.0}, "C must be positive, got 0.0"),
+        ({"kind": "noDA-SVM", "C": 0.0}, "C must be > 0, got 0.0"),
         ({"kind": "noDA-SVM", "C": float("nan")}, "C must be finite, got nan"),
-        ({"kind": "TCA-SVM", "mu_reg": 0.0}, "mu_reg must be positive, got 0.0"),
+        ({"kind": "TCA-SVM", "mu_reg": 0.0}, "mu_reg must be > 0, got 0.0"),
         ({"kind": "TCA-SVM", "dim": 0}, "dim must be >= 1, got 0"),
         ({"kind": "DANN", "lam": -1.0}, "lam must be >= 0, got -1.0"),
         ({"kind": "noDA-SVM", "kernel": {"kind": "rbf", "gamma": "x"}}, "gamma must be a number, got 'x'"),
@@ -550,3 +550,17 @@ def test_import_normda_loads_every_library_module():
     modules = set(out.stdout.split())
     layers = ("bench", "dataset", "deep", "errors", "features", "normalize", "shallow", "svm")
     assert {f"normda.{name}" for name in layers} | {"scipy.signal"} <= modules
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("given, kept", [(None, "1"), ("2", "2")], ids=["unset", "set"])
+def test_import_normda_pins_blas_to_one_thread_unless_set(given, kept):
+    # The headline's noNorm/TCA-SVM cell moves with BLAS's thread count, so
+    # normda defaults it to 1, and a count the caller set stays.
+    code = f"import os, normda; print(*(os.environ[v] for v in {BLAS_VARIABLES}))"
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    env.update(dict.fromkeys(BLAS_VARIABLES, given) if given else {}, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == [kept] * len(BLAS_VARIABLES)

@@ -8,7 +8,9 @@ bad input raises one error type whichever method receives it.
 """
 
 import ast
-from dataclasses import replace
+import math
+import re
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +21,7 @@ import normda.bench as bench
 from normda.bench import MethodSpec, grid_search, run_experiment, write_report
 from normda.dataset import DomainDataset, Fold, SyntheticShiftConfig, stratified_indices
 from normda.deep import (
-    PlainModel, TrainConfig, forward, init_mlp, network_specs, predict, train_adda, train_dann, train_plain
+    DannModel, PlainModel, TrainConfig, forward, init_mlp, network_specs, predict, train_adda, train_dann, train_plain
 )
 from normda.errors import ConfigError, EmptyInputError, NormdaError, NumericError, ShapeError
 from normda.features import (
@@ -120,18 +122,42 @@ def test_rejected_projection_is_listed_in_report(tmp_path):
     assert "## Skipped projections\n\n* projection_Z2_test-subject-9.csv: domain (subject=9" in md
 
 
-# Scalar arguments of the wrong type, each checked before any work: the
-# argument the error must name, and the call.
+XY = (np.eye(2), np.array([0, 1]))
+PROBLEMS = [(*XY, None, 0)]
+DEEP = (PROBLEMS, TrainConfig())
+# Scalar arguments of the wrong type or past their bound, and spec arguments
+# of the wrong class, each checked before any work: how the error message
+# must begin, and the call. A wrong class is named by its type, not a repr.
 SCALAR_ARGUMENTS = {
-    "svm_train-C-str": ("C", lambda: svm_train(np.eye(2), np.array([0, 1]), KernelSpec(), C="1")),
-    "svm_train-C-bool": ("C", lambda: svm_train(np.eye(2), np.array([0, 1]), KernelSpec(), C=True)),
-    "tca_fit-dim-float": ("dim", lambda: tca_fit(np.eye(2), np.eye(2), KernelSpec(), 1.5)),
-    "tca_fit-dim-bool": ("dim", lambda: tca_fit(np.eye(2), np.eye(2), KernelSpec(), True)),
-    "tca_fit-mu_reg-str": ("mu_reg", lambda: tca_fit(np.eye(2), np.eye(2), KernelSpec(), 1, mu_reg="1")),
-    "kpca_fit-dim-float": ("dim", lambda: kpca_fit(np.eye(2), KernelSpec(), 1.5)),
-    "run_experiment-jobs-float": ("jobs", lambda: run_experiment(SMALL, jobs=1.5)),
-    "run_experiment-jobs-str": ("jobs", lambda: run_experiment(SMALL, jobs="2")),
-    "run_experiment-jobs-bool": ("jobs", lambda: run_experiment(SMALL, jobs=True)),
+    "svm_train-C-str": ("C must be a number", lambda: svm_train(*XY, KernelSpec(), C="1")),
+    "svm_train-C-bool": ("C must be a number", lambda: svm_train(*XY, KernelSpec(), C=True)),
+    "tca_fit-dim-float": ("dim must be an integer", lambda: tca_fit(np.eye(2), np.eye(2), KernelSpec(), 1.5)),
+    "tca_fit-dim-bool": ("dim must be an integer", lambda: tca_fit(np.eye(2), np.eye(2), KernelSpec(), True)),
+    "tca_fit-mu_reg-str": (
+        "mu_reg must be a number", lambda: tca_fit(np.eye(2), np.eye(2), KernelSpec(), 1, mu_reg="1")
+    ),
+    "kpca_fit-dim-float": ("dim must be an integer", lambda: kpca_fit(np.eye(2), KernelSpec(), 1.5)),
+    "run_experiment-jobs-float": ("jobs must be an integer", lambda: run_experiment(SMALL, jobs=1.5)),
+    "run_experiment-jobs-str": ("jobs must be an integer", lambda: run_experiment(SMALL, jobs="2")),
+    "run_experiment-jobs-bool": ("jobs must be an integer", lambda: run_experiment(SMALL, jobs=True)),
+    "svm_train-C-bound": ("C must be > 0, got 0.0", lambda: svm_train(*XY, KernelSpec(), C=0.0)),
+    "svm_train-seed-bound": ("seed must be >= 0, got -1", lambda: svm_train(*XY, KernelSpec(), seed=-1)),
+    "tca_fit-mu_reg-bound": (
+        "mu_reg must be > 0, got 0.0", lambda: tca_fit(np.eye(2), np.eye(2), KernelSpec(), 1, mu_reg=0.0)
+    ),
+    "train_dann-lam-bound": ("lam must be >= 0, got -1.0", lambda: train_dann(*DEEP, (), 4, "relu", -1.0)),
+    "train_dann-lam-bool": ("lam must be a number, got True", lambda: train_dann(*DEEP, (), 4, "relu", True)),
+    "stratified_indices-seed-bound": ("seed must be >= 0, got -1", lambda: stratified_indices([0, 1] * 2, -1)),
+    "run_experiment-jobs-bound": ("jobs must be >= 1, got 0", lambda: run_experiment(SMALL, jobs=0)),
+    "svm_train-k-str": ("k must be a KernelSpec, got str", lambda: svm_train(*XY, "rbf")),
+    "tca_fit-k-str": ("k must be a KernelSpec, got str", lambda: tca_fit(np.eye(2), np.eye(2), "linear", 2)),
+    "kpca_fit-k-None": ("k must be a KernelSpec, got NoneType", lambda: kpca_fit(np.eye(2), None, 2)),
+    "mmd_sq-k-str": ("k must be a KernelSpec, got str", lambda: mmd_sq(np.eye(2), np.eye(2), "linear")),
+    "train_plain-cfg-None": (
+        "cfg must be a TrainConfig, got NoneType", lambda: train_plain(PROBLEMS, None, (), 4, "relu")
+    ),
+    "train_plain-hidden-int": ("hidden must be an Iterable, got int", lambda: train_plain(*DEEP, 4, 2, "relu")),
+    "run_experiment-cfg-dict": ("cfg must be an ExperimentConfig, got dict", lambda: run_experiment({"a": 1})),
 }
 
 EPOCH = SignalEpoch(np.random.default_rng(3).normal(size=(2, 100)), 200.0)
@@ -185,8 +211,8 @@ def test_input_checks_raise_config_error(call):
 
 @pytest.mark.parametrize("case", SCALAR_ARGUMENTS)
 def test_scalar_argument_errors_name_the_argument(case):
-    argument, call = SCALAR_ARGUMENTS[case]
-    with pytest.raises(ConfigError, match=f"^{argument} must be an? "):
+    message, call = SCALAR_ARGUMENTS[case]
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
         call()
 
 
@@ -194,6 +220,45 @@ def test_scalar_argument_errors_name_the_argument(case):
 def test_signal_path_arguments_raise_config_error(case):
     with pytest.raises(ConfigError):
         SIGNAL_ARGUMENTS[case]()
+
+
+# A valid instance of each dataclass whose fields declare a bound.
+BOUNDED = [
+    SyntheticShiftConfig(),
+    TrainConfig(),
+    MethodSpec("noDA-SVM"),
+    KernelSpec("rbf", 1.0),
+    EPOCH,
+    DannModel(*(init_mlp(spec, 0) for spec in network_specs(2, 2, (), 4, "relu")), 1.0, (0, 1)),
+]
+
+
+@pytest.mark.parametrize(
+    "base, bounded",
+    [
+        pytest.param(base, f, id=f"{type(base).__name__}.{f.name}")
+        for base in BOUNDED
+        for f in fields(base)
+        if "low" in f.metadata
+    ],
+)
+def test_each_field_bound_is_where_it_is_declared(base, bounded):
+    # At the bound a value is accepted, or rejected for a strict bound; one
+    # step below it is rejected, and for a strict bound one step above it is
+    # accepted. A rejection names the field and its bound.
+    name, low, above = bounded.name, bounded.metadata["low"], bounded.metadata["above"]
+    if bounded.type in ("int", int):
+        below, past = low - 1, low + 1
+    else:
+        below, past = math.nextafter(low, -math.inf), math.nextafter(low, math.inf)
+    cases = [(below, False), (low, not above)] + [(past, True)] * above
+    for value, accepted in cases:
+        if accepted:
+            assert getattr(replace(base, **{name: value}), name) == value
+        else:
+            message = f"{name} must be {'>' if above else '>='} {low}, got {value!r}"
+            with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+                replace(base, **{name: value})
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
