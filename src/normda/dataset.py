@@ -22,11 +22,11 @@ from .errors import (
     ParseError,
     ProtocolError,
     SchemaError,
-    ShapeError,
     StratificationError,
     bounded,
     check_field_types,
     check_type,
+    feature_rows,
     integer_labels,
 )
 
@@ -40,14 +40,6 @@ class DomainKey(NamedTuple):
 
     subject: int
     session: int
-
-
-def _integers(values, what: str) -> np.ndarray:
-    """errors.integer_labels(values), its error naming `what`."""
-    try:
-        return integer_labels(values)
-    except ShapeError:
-        raise ShapeError(f"{what} must be integers within int64") from None
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -71,30 +63,18 @@ class DomainDataset:
     feature_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        try:
-            feats = np.asarray(self.features, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ConfigError("features must be an array of numbers") from None
-        if feats.ndim != 2 or feats.shape[0] < 1 or feats.shape[1] < 1:
-            raise ConfigError("features must be a nonempty 2-D matrix")
-        if not np.all(np.isfinite(feats)):
-            raise ConfigError("features must be finite")
-        labels, subjects, sessions = (_integers(getattr(self, k), k) for k in ("labels", "subjects", "sessions"))
-        n = feats.shape[0]
-        for name, arr in (("labels", labels), ("subjects", subjects), ("sessions", sessions)):
-            if arr.shape != (n,):
-                raise ConfigError(f"{name} must have length {n}, got shape {arr.shape}")
-            if np.any(arr < 0):
+        feats = feature_rows(self.features, "features", nonempty=True)
+        for name in ("labels", "subjects", "sessions"):
+            ids = integer_labels(getattr(self, name), name, feats.shape[0])
+            if np.any(ids < 0):
                 raise ConfigError(f"{name} must be non-negative")
+            object.__setattr__(self, name, _frozen(ids))
         if self.feature_names is not None:
             names = tuple(self.feature_names)
             if len(names) != feats.shape[1]:
                 raise ConfigError("feature_names length must equal feature count")
             object.__setattr__(self, "feature_names", names)
         object.__setattr__(self, "features", _frozen(feats))
-        object.__setattr__(self, "labels", _frozen(labels))
-        object.__setattr__(self, "subjects", _frozen(subjects))
-        object.__setattr__(self, "sessions", _frozen(sessions))
 
     @property
     def n(self) -> int:
@@ -124,7 +104,7 @@ class Fold:
     def __post_init__(self):
         if any(np.asarray(i).dtype == bool for i in (self.train_idx, self.test_idx)):
             raise ProtocolError(f"fold {self.name!r}: indices must be row numbers, not a boolean mask")
-        tr, te = (_integers(i, f"fold {self.name!r}: indices") for i in (self.train_idx, self.test_idx))
+        tr, te = (integer_labels(i, f"fold {self.name!r}: indices") for i in (self.train_idx, self.test_idx))
         if tr.size == 0 or te.size == 0:
             raise ProtocolError(f"fold {self.name!r}: train and test must both be nonempty")
         if min(tr.min(), te.min()) < 0:
@@ -379,11 +359,9 @@ def stratified_indices(labels: Sequence[int], seed: int) -> tuple[np.ndarray, np
 
 
 def accuracy(predicted, actual) -> float:
-    """Fraction of exact label matches."""
-    predicted = np.asarray(predicted)
-    actual = np.asarray(actual)
-    if predicted.shape != actual.shape:
-        raise ShapeError("predicted and actual label vectors differ in length")
-    if predicted.size == 0:
+    """Fraction of exact label matches between two integer label vectors."""
+    actual = integer_labels(actual, "actual labels")
+    predicted = integer_labels(predicted, "predicted labels", actual.shape[0])
+    if actual.size == 0:
         raise EmptyInputError("cannot score empty label vectors")
     return float(np.mean(predicted == actual))

@@ -2,9 +2,11 @@
 raise them in more than one module. NormdaError is the only expected
 failure; any other exception is a bug and propagates.
 
-Every fit and model input in svm, shallow and deep takes its feature rows
-through feature_rows and its training labels through class_labels, so a
-bad input fails with the same error type whichever method receives it.
+Every array argument passes one of two rules: feature_rows for a float
+matrix, integer_labels for an integer vector (labels, ids, row indices;
+class_labels builds on it for training labels). Entries that are not
+numbers, a wrong shape or a wrong length raise ShapeError, zero required
+rows EmptyInputError, and NaN or inf NumericError, each naming the argument.
 
 Every scalar argument and dataclass field passes one rule, check_type: a
 value of its type, finite if a number, and at least (or above) its lower
@@ -116,18 +118,23 @@ def check_type(value, name: str, kind, low=None, above=False) -> None:
         raise ConfigError(f"{name} must be {'>' if above else '>='} {low}, got {value!r}")
 
 
-def integer_labels(y) -> np.ndarray:
-    """`y` as int64 class labels. Raises ShapeError for labels that the cast
-    would truncate, garble or fail on: fractional, non-finite, non-numeric,
-    or outside int64."""
+def integer_labels(values, what: str = "labels", n: int | None = None) -> np.ndarray:
+    """`values` as an int64 vector. Raises ShapeError, naming `what`, for
+    entries that the cast would truncate, garble or fail on (fractional,
+    non-finite, non-numeric, or outside int64), an array that is not 1-D,
+    or a length other than `n`."""
     try:
-        y = np.asarray(y)
+        y = np.asarray(values)
         with np.errstate(invalid="ignore"):
             out = y.astype(np.int64, copy=False)
     except (TypeError, ValueError, OverflowError):
         out = None
     if out is None or not np.array_equal(out, y):
-        raise ShapeError("labels must be integers within int64")
+        raise ShapeError(f"{what} must be integers within int64")
+    if out.ndim != 1:
+        raise ShapeError(f"{what} must be a vector, got shape {out.shape}")
+    if n is not None and out.shape[0] != n:
+        raise ShapeError(f"{what} must have length {n}, got shape {out.shape}")
     return out
 
 
@@ -155,13 +162,10 @@ def feature_rows(X, what: str, width: int | None = None, nonempty: bool = False)
 
 def class_labels(y, n: int) -> tuple[tuple[int, ...], np.ndarray]:
     """The sorted classes of the training labels `y` for `n` rows, and each
-    label's index among them (int64). Raises ShapeError for labels that are
-    not integers (see integer_labels) or not `n` of them, and
-    DegenerateLabelsError for fewer than two classes."""
-    y = integer_labels(y)
-    if y.shape != (n,):
-        raise ShapeError(f"{n} training rows but labels of shape {y.shape}")
-    classes, index = np.unique(y, return_inverse=True)
+    label's index among them (int64). Raises ShapeError for labels that
+    integer_labels rejects, and DegenerateLabelsError for fewer than two
+    classes."""
+    classes, index = np.unique(integer_labels(y, "training labels", n), return_inverse=True)
     if classes.size < 2:
         raise DegenerateLabelsError("training labels contain a single class")
     return tuple(classes.tolist()), index

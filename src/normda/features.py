@@ -26,7 +26,9 @@ import numpy as np
 import scipy.linalg
 from scipy.signal import butter, lfilter, lfilter_zi
 
-from .errors import ConfigError, DegenerateDataError, NumericError, ShapeError, bounded, check_field_types, check_type
+from .errors import (
+    ConfigError, DegenerateDataError, NumericError, ShapeError, bounded, check_field_types, check_type, feature_rows
+)
 from .shallow import _fix_signs
 
 DE_SIGMA_FLOOR = 1e-12
@@ -53,14 +55,9 @@ class SignalEpoch:
 
     def __post_init__(self):
         check_field_types(self)
-        try:
-            samples = np.asarray(self.samples, dtype=np.float64)
-        except (TypeError, ValueError):
-            raise ConfigError("samples must be an array of numbers") from None
-        if samples.ndim != 2 or samples.shape[1] < 2:
-            raise ConfigError("samples must be channels x time with >= 2 samples")
-        if not np.isfinite(samples).all():
-            raise ConfigError("samples must be finite")
+        samples = feature_rows(self.samples, "samples", nonempty=True)
+        if samples.shape[1] < 2:
+            raise ConfigError(f"samples must have at least 2 time samples, got shape {samples.shape}")
         object.__setattr__(self, "samples", samples)
 
     @property

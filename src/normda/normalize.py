@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dataset import DomainDataset, Fold
-from .errors import ConfigError, DegenerateDomainError, EmptyInputError, ProtocolError, ShapeError
+from .errors import ConfigError, DegenerateDomainError, ProtocolError, ShapeError, feature_rows
 
 EPS = 1e-8
 
@@ -62,17 +62,13 @@ class FeatureStats:
 
 def compute_stats(X: np.ndarray) -> FeatureStats:
     """Column means and population standard deviations of a nonempty matrix."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
-        raise EmptyInputError("cannot compute statistics of an empty matrix")
+    X = feature_rows(X, "features", nonempty=True)
     return FeatureStats(X.mean(axis=0), X.std(axis=0, ddof=0))
 
 
 def zscore(X: np.ndarray, stats: FeatureStats) -> np.ndarray:
     """(X - mu) / sigma with sigma floored at EPS, so constant columns map to 0."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != stats.mu.shape[0]:
-        raise ShapeError(f"matrix has {X.shape[-1]} features, stats have {stats.mu.shape[0]}")
+    X = feature_rows(X, "features", width=stats.mu.shape[0])
     return (X - stats.mu) / np.maximum(stats.sigma, EPS)
 
 

@@ -40,7 +40,7 @@ class KernelSpec:
 
 def median_heuristic_gamma(X: np.ndarray) -> float:
     """gamma = 1 / (2 median^2) over pairwise Euclidean distances of X."""
-    X = np.asarray(X, dtype=np.float64)
+    X = feature_rows(X, "features")
     with np.errstate(over="ignore", invalid="ignore"):
         d2 = _sq_dists(X, X)
     if not np.isfinite(d2).all():
@@ -69,10 +69,8 @@ def resolve_kernel(k: KernelSpec, X: np.ndarray) -> KernelSpec:
 def gram(X: np.ndarray, Y: np.ndarray, k: KernelSpec) -> np.ndarray:
     """Pairwise kernel evaluations, |X| x |Y|, under a resolved kernel (see
     resolve_kernel)."""
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if X.ndim != 2 or Y.ndim != 2 or X.shape[1] != Y.shape[1]:
-        raise ShapeError("X and Y must be 2-D with a shared feature dimension")
+    X = feature_rows(X, "X features")
+    Y = feature_rows(Y, "Y features", width=X.shape[1])
     if k.kind == "rbf" and k.gamma is None:
         raise ConfigError("gram needs an rbf gamma; resolve the kernel first")
     # Finite rows can still overflow: 1e160 squares past float64's range.
@@ -148,8 +146,11 @@ def tca_fit(
     Xt = feature_rows(Xt, "target features", width=Xs.shape[1], nonempty=True)
     ns, nt = Xs.shape[0], Xt.shape[0]
     n = ns + nt
-    if not 1 <= dim <= n:
-        raise ShapeError(f"dim must be in [1, {n}], got {dim}")
+    # K H K has rank at most d under a linear kernel: a component past d
+    # would be round-off scaled to unit variance.
+    limit = min(n, Xs.shape[1]) if k.kind == "linear" else n
+    if not 1 <= dim <= limit:
+        raise ShapeError(f"dim must be in [1, {limit}], got {dim}")
 
     X = np.vstack([Xs, Xt])
     k = resolve_kernel(k, X)

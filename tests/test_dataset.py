@@ -20,6 +20,7 @@ from normda.dataset import (
 from normda.errors import (
     ConfigError,
     EmptyInputError,
+    NumericError,
     ParseError,
     ProtocolError,
     SchemaError,
@@ -117,7 +118,7 @@ def test_load_csv_rejects_an_id_that_is_not_a_plain_integer(tmp_path, column, ce
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_dataset_rejects_non_finite_features(value):
     feats = np.array([[0.0, 1.0], [2.0, value]])
-    with pytest.raises(ConfigError, match="features must be finite"):
+    with pytest.raises(NumericError, match="^features contain non-finite values$"):
         DomainDataset(feats, [0, 1], [0, 0], [0, 0])
 
 

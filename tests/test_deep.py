@@ -476,7 +476,7 @@ def call_trainer(trainer, problems, cfg, shape):
 
 
 SHAPE_CASES = [
-    ("rows", lambda X, y, Xt: (X, y[:-2], Xt), "40 training rows but labels of shape"),
+    ("rows", lambda X, y, Xt: (X, y[:-2], Xt), r"^training labels must have length 40, got shape \(38,\)$"),
     ("flat", lambda X, y, Xt: (X[:, 0], y, Xt), r"training features must be rows, got shape \(40,\)"),
     ("target", lambda X, y, Xt: (X, y, Xt[:, :2]), "target features must be rows of width 3"),
     ("fraction", lambda X, y, Xt: (X, np.tile([0.5, 1.7], 20), Xt), "labels must be integers"),

@@ -1,10 +1,11 @@
 """NormdaError is the only expected failure.
 
 Library code catches nothing broader, so a bug inside a fold surfaces as
-its own exception instead of a FAIL cell or a skipped file, and input
-checks raise ConfigError (a ValueError) or NumericError. Every fit and
-model input takes its feature rows through errors.feature_rows, so each
-bad input raises one error type whichever method receives it.
+its own exception instead of a FAIL cell or a skipped file. A bad scalar
+argument raises ConfigError (a ValueError). Every array argument takes its
+float matrix through errors.feature_rows or its integer vector through
+errors.integer_labels, so a bad array raises one error type, ShapeError,
+EmptyInputError or NumericError, whichever function receives it.
 """
 
 import ast
@@ -19,16 +20,18 @@ import scipy.linalg
 
 import normda.bench as bench
 from normda.bench import MethodSpec, grid_search, run_experiment, write_report
-from normda.dataset import DomainDataset, Fold, SyntheticShiftConfig, stratified_indices
+from normda.dataset import DomainDataset, Fold, SyntheticShiftConfig, accuracy, stratified_indices
 from normda.deep import (
     DannModel, PlainModel, TrainConfig, forward, init_mlp, network_specs, predict, train_adda, train_dann, train_plain
 )
-from normda.errors import ConfigError, EmptyInputError, NormdaError, NumericError, ShapeError
+from normda.errors import ConfigError, EmptyInputError, NormdaError, NumericError, ShapeError, class_labels
 from normda.features import (
     BandSpec, CspModel, SignalEpoch, butter_bandpass, csp_features, csp_fit, differential_entropy
 )
-from normda.normalize import FeatureStats, NormStrategy
-from normda.shallow import KernelSpec, kpca_fit, kpca_transform, mmd_sq, tca_fit, tca_transform
+from normda.normalize import FeatureStats, NormStrategy, compute_stats, zscore
+from normda.shallow import (
+    KernelSpec, gram, kpca_fit, kpca_transform, median_heuristic_gamma, mmd_sq, tca_fit, tca_transform
+)
 from normda.svm import svm_predict, svm_train
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "normda"
@@ -167,7 +170,6 @@ OTHER = SignalEpoch(EPOCH.samples * [[1.0], [3.0]], 200.0)
 SIGNAL_ARGUMENTS = {
     "SignalEpoch-fs-str": lambda: SignalEpoch(EPOCH.samples, "200"),
     "SignalEpoch-fs-bool": lambda: SignalEpoch(EPOCH.samples, True),
-    "SignalEpoch-samples-str": lambda: SignalEpoch([["a", "b"]], 200.0),
     "BandSpec-low-str": lambda: BandSpec("x", "1", 3.0),
     "BandSpec-low-bool": lambda: BandSpec("x", True, 3.0),
     "butter_bandpass-high-str": lambda: butter_bandpass(EPOCH, 1.0, "3"),
@@ -192,15 +194,12 @@ SIGNAL_ARGUMENTS = {
         lambda: FeatureStats(np.zeros(2), -np.ones(2)),
         lambda: differential_entropy(SignalEpoch(np.zeros((1, 100)), 200.0), [None]),
         lambda: differential_entropy(SignalEpoch(np.zeros((1, 100)), 200.0), []),
-        lambda: SignalEpoch(np.array([[0.0, np.nan, 1.0]]), 200.0),
-        lambda: SignalEpoch(np.array([[0.0, np.inf, 1.0]]), 200.0),
         lambda: SignalEpoch(np.zeros((1, 3)), float("inf")),
         lambda: SignalEpoch(np.zeros((1, 3)), float("nan")),
         lambda: svm_train(np.eye(2), np.array([0, 1]), KernelSpec(), seed=-1),
         lambda: svm_train(np.eye(2), np.array([0, 1]), KernelSpec(), seed=1.5),
         lambda: svm_train(np.eye(2), np.array([0, 1]), KernelSpec(), seed=True),
         lambda: stratified_indices([0, 0, 1, 1], -1),
-        lambda: DomainDataset([["a"]], [0], [0], [0]),
         *(call for _, call in SCALAR_ARGUMENTS.values()),
     ],
 )
@@ -413,3 +412,102 @@ def test_every_model_input_rejects_bad_feature_rows(model_inputs, model_input, c
 @pytest.mark.parametrize("model_input", MODEL_INPUTS)
 def test_every_model_input_takes_zero_rows(model_inputs, model_input):
     assert model_inputs[model_input](ROWS[:0]).shape[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# The array rule: array arguments outside the fits pass feature_rows or integer_labels
+
+STATS = FeatureStats(np.zeros(3), np.ones(3))
+# Each float-matrix argument: the name its messages give it, whether it
+# requires rows, and a call that passes `X` in its place.
+MATRIX_ARGUMENTS = {
+    "DomainDataset-features": ("features", True, lambda X: DomainDataset(X, *[LABELS] * 3)),
+    "SignalEpoch-samples": ("samples", True, lambda X: SignalEpoch(X, 200.0)),
+    "compute_stats": ("features", True, compute_stats),
+    "zscore": ("features", False, lambda X: zscore(X, STATS)),
+    "gram-X": ("X features", False, lambda X: gram(X, ROWS, KernelSpec())),
+    "gram-Y": ("Y features", False, lambda X: gram(ROWS, X, KernelSpec())),
+    "median_heuristic_gamma": ("features", False, median_heuristic_gamma),
+}
+# Each defective matrix: how it is made from good rows, its error, and how
+# the message goes on after the argument's name.
+BAD_MATRICES = {
+    "strings": (lambda X: np.full(X.shape, "a"), ShapeError, "must be an array of numbers"),
+    "None": (lambda X: None, ShapeError, "must be rows, got shape ()"),
+    "flat": (lambda X: X[:, 0], ShapeError, "must be rows, got shape (20,)"),
+    "3-D": (lambda X: X[None], ShapeError, "must be rows, got shape (1, 20, 3)"),
+    "no-columns": (lambda X: X[:, :0], ShapeError, "must have at least one column"),
+    "no-rows": (lambda X: X[:0], EmptyInputError, "must have at least one row"),
+    "nan": (lambda X: _with_cell(X, np.nan), NumericError, "contain non-finite values"),
+    "inf": (lambda X: _with_cell(X, np.inf), NumericError, "contain non-finite values"),
+}
+# Each integer-vector argument: the name its messages give it, whether it
+# requires a length, and a call that passes `y` in its place.
+VECTOR_ARGUMENTS = {
+    "DomainDataset-labels": ("labels", True, lambda y: DomainDataset(np.ones((4, 1)), y, [0] * 4, [0] * 4)),
+    "DomainDataset-subjects": ("subjects", True, lambda y: DomainDataset(np.ones((4, 1)), [0] * 4, y, [0] * 4)),
+    "DomainDataset-sessions": ("sessions", True, lambda y: DomainDataset(np.ones((4, 1)), [0] * 4, [0] * 4, y)),
+    "Fold-train_idx": ("fold 'f': indices", False, lambda y: Fold(y, [9], "f")),
+    "Fold-test_idx": ("fold 'f': indices", False, lambda y: Fold([9], y, "f")),
+    "class_labels": ("training labels", True, lambda y: class_labels(y, 4)),
+    "accuracy-predicted": ("predicted labels", True, lambda y: accuracy(y, [0, 1, 2, 3])),
+    "accuracy-actual": ("actual labels", False, lambda y: accuracy([0, 1, 2, 3], y)),
+    "stratified_indices": ("labels", False, lambda y: stratified_indices(y, 0)),
+}
+# Each defective vector, made from the good ids [0, 1, 2, 3]; every one
+# raises ShapeError.
+BAD_VECTORS = {
+    "strings": (lambda y: np.full(y.shape, "a"), "must be integers within int64"),
+    "fraction": (lambda y: y + 0.5, "must be integers within int64"),
+    "nan": (lambda y: np.where(y == 1, np.nan, y), "must be integers within int64"),
+    "inf": (lambda y: np.where(y == 1, np.inf, y), "must be integers within int64"),
+    "matrix": (lambda y: y.reshape(2, 2), "must be a vector, got shape (2, 2)"),
+    "3-D": (lambda y: y.reshape(1, 2, 2), "must be a vector, got shape (1, 2, 2)"),
+    "length": (lambda y: y[:3], "must have length 4, got shape (3,)"),
+}
+# Calls that the tables above do not make: one bad cell among good samples,
+# one-row string matrices, a wrong width, and labels that are not an array.
+ARRAY_CALLS = {
+    "SignalEpoch-samples-str": (lambda: SignalEpoch([["a", "b"]], 200.0), ShapeError, "samples must be an array"),
+    "SignalEpoch-samples-nan-cell": (
+        lambda: SignalEpoch(np.array([[0.0, np.nan, 1.0]]), 200.0), NumericError, "samples contain non-finite"
+    ),
+    "SignalEpoch-samples-inf-cell": (
+        lambda: SignalEpoch(np.array([[0.0, np.inf, 1.0]]), 200.0), NumericError, "samples contain non-finite"
+    ),
+    "DomainDataset-features-str": (lambda: DomainDataset([["a"]], [0], [0], [0]), ShapeError, "features must be an"),
+    "zscore-width": (lambda: zscore(ROWS[:, :2], STATS), ShapeError, "features must be rows of width 3"),
+    "gram-Y-width": (lambda: gram(ROWS, ROWS[:, :2], KernelSpec()), ShapeError, "Y features must be rows of width 3"),
+    "accuracy-None": (lambda: accuracy(None, [0, 1]), ShapeError, "predicted labels must be integers"),
+}
+ARRAY_CASES = {
+    **{
+        f"{argument}-{defect}": (lambda call=call, corrupt=corrupt: call(corrupt(ROWS)), error, f"{what} {tail}")
+        for argument, (what, rows_required, call) in MATRIX_ARGUMENTS.items()
+        for defect, (corrupt, error, tail) in BAD_MATRICES.items()
+        if defect != "no-rows" or rows_required
+    },
+    **{
+        f"{argument}-{defect}": (
+            lambda call=call, corrupt=corrupt: call(corrupt(np.arange(4))), ShapeError, f"{what} {tail}"
+        )
+        for argument, (what, length_required, call) in VECTOR_ARGUMENTS.items()
+        for defect, (corrupt, tail) in BAD_VECTORS.items()
+        if defect != "length" or length_required
+    },
+    **ARRAY_CALLS,
+}
+
+
+@pytest.mark.parametrize("case", ARRAY_CASES)
+def test_array_arguments_follow_the_array_rule(case):
+    call, error, head = ARRAY_CASES[case]
+    with pytest.raises(error, match=f"^{re.escape(head)}"):
+        call()
+
+
+def test_array_arguments_without_a_row_rule_take_zero_rows():
+    assert zscore(ROWS[:0], STATS).shape == (0, 3)
+    assert gram(ROWS[:0], ROWS, KernelSpec()).shape == (0, 20)
+    assert gram(ROWS, ROWS[:0], KernelSpec()).shape == (20, 0)
+    assert median_heuristic_gamma(ROWS[:0]) == 0.5

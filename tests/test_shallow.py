@@ -233,6 +233,18 @@ def test_tca_dim_too_large():
         tca_fit(Xs, Xt, LINEAR, dim=11, mu_reg=1.0)
 
 
+def test_linear_tca_dim_is_bounded_by_the_feature_count():
+    # Under a linear kernel K H K has rank at most the feature count, so a
+    # component past it would be round-off scaled to unit variance.
+    rng = np.random.default_rng(0)
+    Xs, Xt = rng.normal(size=(40, 2)), rng.normal(size=(30, 2)) + 3.0
+    for dim in (3, 4):
+        with pytest.raises(ShapeError, match=rf"^dim must be in \[1, 2\], got {dim}$"):
+            tca_fit(Xs, Xt, LINEAR, dim)
+    assert tca_fit(Xs, Xt, LINEAR, 2).projection.shape == (70, 2)
+    assert tca_fit(Xs, Xt, KernelSpec("rbf"), 4).projection.shape == (70, 4)
+
+
 @pytest.mark.parametrize("mu_reg", [math.nan, math.inf])
 def test_tca_non_finite_mu_reg_rejected(mu_reg):
     Xs, Xt = shifted_pair(seed=3, n=5)
